@@ -154,7 +154,8 @@ double run_rtl_level(int banks, int ticks, std::uint64_t seed,
       harness::make_rtl_device(cfg, backend, ovl_instrument(bank, banks));
   harness::StimulusStream stream = make_stream(banks, cfg.data_bits, seed);
   const double per_cycle = drive(*dev.model, stream, ticks, [] {});
-  *failures = bank.failures(dev.net_is_one);
+  *failures = bank.failures(
+      [&dev](rtl::NetId flag) { return dev.model->net_is_one(flag); });
   return per_cycle;
 }
 

@@ -105,32 +105,6 @@ class TapEnv : public psl::Env {
   const harness::DeviceModel* model_;
 };
 
-/// The flow's OVL monitor set (refine/flow.cpp stage 9), instantiated into
-/// the (possibly mutated) flat module so the monitor logic simulates with
-/// the mutant.
-void attach_ovl(rtl::Module& flat, ovl::OvlBank& bank, int banks) {
-  const rtl::NetId k = flat.find_net("K");
-  const rtl::NetId ks = flat.find_net("KS");
-  std::vector<rtl::ExprId> enables;
-  for (int b = 0; b < banks; ++b) {
-    const std::string p = "bank" + std::to_string(b) + ".";
-    const std::string sb = std::to_string(b);
-    ovl::assert_next(flat, bank, "read_latency_b" + sb, ks,
-                     flat.ref(p + "read_start_q"),
-                     flat.ref(p + "dout_valid_k_q"), 2);
-    ovl::assert_implication(flat, bank, "read_burst_b" + sb, ks,
-                            flat.ref(p + "dout_valid_k_q"),
-                            flat.ref(p + "beat1_pend"));
-    ovl::assert_implication(flat, bank, "write_ready_b" + sb, k,
-                            flat.ref(p + "addr_captured_q"),
-                            flat.ref(p + "w_ready"));
-    enables.push_back(flat.ref(p + "en_q"));
-  }
-  ovl::assert_zero_one_hot(flat, bank, "exclusive_drive", banks > 1 ? ks : k,
-                           banks > 1 ? flat.concat(enables)
-                                     : enables.front());
-}
-
 /// Simulation-side verdicts of one mutant run.
 struct SimVerdicts {
   std::size_t psl_failures = 0;
@@ -386,9 +360,10 @@ std::vector<std::string> control_alarms(const CampaignOptions& options,
                                         const core::RtlConfig& rtl_cfg) {
   std::vector<std::string> alarms;
   ovl::OvlBank ovl_bank;
-  harness::RtlDevice device = harness::make_rtl_device(
-      rtl_cfg, options.backend,
-      [&](rtl::Module& m) { attach_ovl(m, ovl_bank, options.banks); });
+  harness::RtlDevice device =
+      harness::make_rtl_device(rtl_cfg, options.backend, [&](rtl::Module& m) {
+        core::attach_ovl_monitors(m, ovl_bank, options.banks);
+      });
   harness::RtlDevice reference =
       harness::make_rtl_device(rtl_cfg, options.backend);
   psl::VUnitRunner runner(vunit);
@@ -397,7 +372,8 @@ std::vector<std::string> control_alarms(const CampaignOptions& options,
   if (v.psl_failures != 0) {
     alarms.push_back("psl: " + v.psl_detail);
   }
-  const std::size_t ovl_failures = ovl_bank.failures(device.net_is_one);
+  const std::size_t ovl_failures = ovl_bank.failures(
+      [&device](rtl::NetId flag) { return device.model->net_is_one(flag); });
   if (ovl_failures != 0) {
     alarms.push_back("ovl: " + std::to_string(ovl_failures) +
                      " monitor failures");
@@ -435,11 +411,11 @@ CampaignRow mutant_row(const CampaignOptions& options, const psl::VUnit& vunit,
   ovl::OvlBank ovl_bank;
   auto instrument = [&](rtl::Module& m) {
     if (is_structural(spec.kind)) apply_structural(m, spec);
-    attach_ovl(m, ovl_bank, options.banks);
+    core::attach_ovl_monitors(m, ovl_bank, options.banks);
   };
   harness::RtlDevice rtl_dev =
       harness::make_rtl_device(rtl_cfg, options.backend, instrument);
-  const std::function<bool(rtl::NetId)> net_is_one = rtl_dev.net_is_one;
+  const harness::NetlistDeviceModel& netlist = *rtl_dev.model;
   std::unique_ptr<harness::DeviceModel> mutant;
   if (is_structural(spec.kind)) {
     mutant = std::move(rtl_dev.model);
@@ -462,7 +438,8 @@ CampaignRow mutant_row(const CampaignOptions& options, const psl::VUnit& vunit,
 
   CampaignCell ovl_cell;
   ovl_cell.checker = "ovl";
-  const std::size_t ovl_failures = ovl_bank.failures(net_is_one);
+  const std::size_t ovl_failures = ovl_bank.failures(
+      [&netlist](rtl::NetId flag) { return netlist.net_is_one(flag); });
   ovl_cell.outcome =
       ovl_failures > 0 ? CellOutcome::kCaught : CellOutcome::kMissed;
   if (ovl_failures > 0) {

@@ -1,5 +1,6 @@
 #include "harness/adapters.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "la1/spec.hpp"
@@ -32,13 +33,18 @@ Geometry rtl_geometry(const core::RtlConfig& cfg) {
   return g;
 }
 
+// Per-bank tap suffixes. In the netlist every tap is a registered 1-bit net
+// of each bank, "bank<i>.<tap>_q".
+constexpr const char* kBankReadTaps[] = {"read_start", "fetch", "dout_valid_k",
+                                         "dout_valid_ks"};
+constexpr const char* kBankWriteTaps[] = {"write_start", "addr_captured",
+                                          "write_commit"};
+
 std::vector<std::string> bank_write_taps(int banks) {
   std::vector<std::string> names;
   for (int b = 0; b < banks; ++b) {
     const std::string p = "b" + std::to_string(b) + ".";
-    names.push_back(p + "write_start");
-    names.push_back(p + "addr_captured");
-    names.push_back(p + "write_commit");
+    for (const char* t : kBankWriteTaps) names.push_back(p + t);
   }
   return names;
 }
@@ -149,127 +155,130 @@ std::uint64_t BehavioralDeviceModel::memory_word(int bank,
   return harness_->device().bank(bank).memory().read(addr);
 }
 
-// --- RtlDeviceModel -----------------------------------------------------
+// --- NetlistDeviceModel -------------------------------------------------
 
-RtlDeviceModel::RtlDeviceModel(
-    const core::RtlConfig& cfg,
+namespace {
+
+/// The pin drive of one edge, shared by both backends (CycleSim and
+/// csim::Machine expose the same input/edge surface).
+template <typename Sim>
+void drive_edge(Sim& sim, const EdgePins& pins, int data_bits) {
+  sim.set_input_bit("R_n", pins.r_sel_n);
+  sim.set_input_bit("W_n", pins.w_sel_n);
+  sim.set_input("A", pins.addr);
+  sim.set_input("D", core::pack_beat(pins.din_data, data_bits));
+  sim.set_input("BWE_n", pins.bwe_n);
+  sim.edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
+}
+
+}  // namespace
+
+NetlistDeviceModel::NetlistDeviceModel(
+    std::string name, const core::RtlConfig& cfg,
     const std::function<void(rtl::Module&)>& instrument)
-    : DeviceModel("rtl", rtl_geometry(cfg)),
-      cfg_(cfg),
+    : DeviceModel(std::move(name), rtl_geometry(cfg)),
       flat_(core::build_device(cfg).flatten()) {
   if (cfg.data_bits % 8 != 0) {
     throw std::invalid_argument(
-        "RtlDeviceModel: harness co-execution needs byte-multiple beats");
+        "NetlistDeviceModel: harness co-execution needs byte-multiple beats");
   }
   if (instrument) instrument(flat_);
 
   for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "bank" + std::to_string(b) + ".";
-    BankNets n;
-    n.read_start = flat_.find_net(p + "read_start_q");
-    n.fetch = flat_.find_net(p + "fetch_q");
-    n.dout_valid_k = flat_.find_net(p + "dout_valid_k_q");
-    n.dout_valid_ks = flat_.find_net(p + "dout_valid_ks_q");
-    n.write_start = flat_.find_net(p + "write_start_q");
-    n.addr_captured = flat_.find_net(p + "addr_captured_q");
-    n.write_commit = flat_.find_net(p + "write_commit_q");
-    bank_nets_.push_back(n);
+    const std::string nets = "bank" + std::to_string(b) + ".";
+    const std::string taps = "b" + std::to_string(b) + ".";
+    for (const char* t : kBankReadTaps) {
+      taps_[taps + t] = {flat_.find_net(nets + t + "_q")};
+    }
+    for (const char* t : kBankWriteTaps) {
+      const rtl::NetId net = flat_.find_net(nets + t + "_q");
+      taps_[taps + t] = {net};
+      taps_[t].push_back(net);  // the device-level tap ORs every bank
+    }
+    dout_valid_nets_.push_back(taps_[taps + "dout_valid_k"].front());
+    dout_valid_nets_.push_back(taps_[taps + "dout_valid_ks"].front());
 
-    rtl::MemId mem = rtl::kInvalidId;
-    for (std::size_t i = 0; i < flat_.memories().size(); ++i) {
-      if (flat_.memories()[i].name == p + "sram") {
-        mem = static_cast<rtl::MemId>(i);
-        break;
-      }
+    const auto& mems = flat_.memories();
+    const auto mem = std::find_if(mems.begin(), mems.end(), [&](const auto& m) {
+      return m.name == nets + "sram";
+    });
+    if (mem == mems.end()) {
+      throw std::logic_error("NetlistDeviceModel: missing " + nets + "sram");
     }
-    if (mem == rtl::kInvalidId) {
-      throw std::logic_error("RtlDeviceModel: missing " + p + "sram");
-    }
-    bank_mems_.push_back(mem);
+    bank_mems_.push_back(static_cast<rtl::MemId>(mem - mems.begin()));
   }
   dout_net_ = flat_.find_net("DOUT");
-
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
-    const BankNets& n = bank_nets_[static_cast<std::size_t>(b)];
-    taps_[p + "read_start"] = [this, &n] { return net_bit(n.read_start); };
-    taps_[p + "fetch"] = [this, &n] { return net_bit(n.fetch); };
-    taps_[p + "dout_valid_k"] = [this, &n] { return net_bit(n.dout_valid_k); };
-    taps_[p + "dout_valid_ks"] = [this, &n] {
-      return net_bit(n.dout_valid_ks);
-    };
-    taps_[p + "write_start"] = [this, &n] { return net_bit(n.write_start); };
-    taps_[p + "addr_captured"] = [this, &n] {
-      return net_bit(n.addr_captured);
-    };
-    taps_[p + "write_commit"] = [this, &n] { return net_bit(n.write_commit); };
-  }
-  auto any_of = [this](rtl::NetId BankNets::*field) {
-    for (const BankNets& n : bank_nets_) {
-      if (net_bit(n.*field)) return true;
-    }
-    return false;
-  };
-  taps_["write_start"] = [any_of] { return any_of(&BankNets::write_start); };
-  taps_["addr_captured"] = [any_of] {
-    return any_of(&BankNets::addr_captured);
-  };
-  taps_["write_commit"] = [any_of] { return any_of(&BankNets::write_commit); };
-  taps_["bus_conflict"] = [this] {
-    return sim_->enabled_drivers(dout_net_) >= 2;
-  };
 
   tap_names_ = concat_names(
       concat_names(bank_read_taps(cfg.banks), bank_write_taps(cfg.banks)),
       device_taps());
-  do_reset();
 }
 
-void RtlDeviceModel::do_reset() { sim_ = std::make_unique<rtl::CycleSim>(flat_); }
-
-bool RtlDeviceModel::net_bit(rtl::NetId net) const {
-  return sim_->get(net).bit(0) == rtl::Logic::k1;
-}
-
-bool RtlDeviceModel::any_dout_valid() const {
-  for (const BankNets& n : bank_nets_) {
-    if (net_bit(n.dout_valid_k) || net_bit(n.dout_valid_ks)) return true;
+bool NetlistDeviceModel::any_one(const std::vector<rtl::NetId>& nets) const {
+  for (rtl::NetId net : nets) {
+    if (net_is_one(net)) return true;
   }
   return false;
 }
 
-void RtlDeviceModel::apply_edge(const EdgePins& pins) {
-  sim_->set_input_bit("R_n", pins.r_sel_n);
-  sim_->set_input_bit("W_n", pins.w_sel_n);
-  sim_->set_input("A", pins.addr);
-  sim_->set_input("D", core::pack_beat(pins.din_data, cfg_.data_bits));
-  sim_->set_input("BWE_n", pins.bwe_n);
-  sim_->edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
-}
-
-bool RtlDeviceModel::tap(const std::string& name) const {
+bool NetlistDeviceModel::tap(const std::string& name) const {
+  if (name == "bus_conflict") return bus_conflict(dout_net_);
   auto it = taps_.find(name);
   if (it == taps_.end()) {
-    throw std::invalid_argument("RtlDeviceModel: unknown tap: " + name);
+    throw std::invalid_argument("NetlistDeviceModel: unknown tap: " + name);
   }
-  return it->second();
+  return any_one(it->second);
 }
 
-DoutSample RtlDeviceModel::dout() const {
+DoutSample NetlistDeviceModel::dout() const {
   DoutSample s;
-  s.valid = any_dout_valid();
+  s.valid = any_one(dout_valid_nets_);
   if (s.valid) {
-    const auto beat = sim_->get(dout_net_).to_uint();
+    const auto beat = net_value(dout_net_);
     s.defined = beat.has_value();
     s.beat = beat.value_or(0);
   }
   return s;
 }
 
-std::uint64_t RtlDeviceModel::memory_word(int bank, std::uint64_t addr) const {
-  const auto word =
-      sim_->mem_word(bank_mems_[static_cast<std::size_t>(bank)], addr).to_uint();
+std::uint64_t NetlistDeviceModel::memory_word(int bank,
+                                              std::uint64_t addr) const {
+  const auto word = mem_value(bank_mems_[static_cast<std::size_t>(bank)], addr);
   return word.value_or(~0ull);  // X never equals a defined reference word
+}
+
+// --- RtlDeviceModel -----------------------------------------------------
+
+RtlDeviceModel::RtlDeviceModel(
+    const core::RtlConfig& cfg,
+    const std::function<void(rtl::Module&)>& instrument)
+    : NetlistDeviceModel("rtl", cfg, instrument) {
+  do_reset();
+}
+
+void RtlDeviceModel::do_reset() {
+  sim_ = std::make_unique<rtl::CycleSim>(flat());
+}
+
+void RtlDeviceModel::apply_edge(const EdgePins& pins) {
+  drive_edge(*sim_, pins, geometry().data_bits);
+}
+
+bool RtlDeviceModel::net_is_one(rtl::NetId net) const {
+  return sim_->get(net).bit(0) == rtl::Logic::k1;
+}
+
+std::optional<std::uint64_t> RtlDeviceModel::net_value(rtl::NetId net) const {
+  return sim_->get(net).to_uint();
+}
+
+std::optional<std::uint64_t> RtlDeviceModel::mem_value(
+    rtl::MemId mem, std::uint64_t addr) const {
+  return sim_->mem_word(mem, addr).to_uint();
+}
+
+bool RtlDeviceModel::bus_conflict(rtl::NetId bus) const {
+  return sim_->enabled_drivers(bus) >= 2;
 }
 
 // --- CsimDeviceModel ----------------------------------------------------
@@ -277,126 +286,31 @@ std::uint64_t RtlDeviceModel::memory_word(int bank, std::uint64_t addr) const {
 CsimDeviceModel::CsimDeviceModel(
     const core::RtlConfig& cfg,
     const std::function<void(rtl::Module&)>& instrument)
-    : DeviceModel("csim", rtl_geometry(cfg)),
-      cfg_(cfg),
-      flat_(core::build_device(cfg).flatten()) {
-  if (cfg.data_bits % 8 != 0) {
-    throw std::invalid_argument(
-        "CsimDeviceModel: harness co-execution needs byte-multiple beats");
-  }
-  if (instrument) instrument(flat_);
-  compiled_ = std::make_unique<csim::Compiled>(
-      csim::compile(flat_, core::clock_schedule(flat_)));
-  machine_ = std::make_unique<csim::Machine>(*compiled_, 64);
+    : NetlistDeviceModel("csim", cfg, instrument),
+      compiled_(csim::compile(flat(), core::clock_schedule(flat()))),
+      machine_(compiled_, 64) {}
 
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "bank" + std::to_string(b) + ".";
-    BankNets n;
-    n.read_start = flat_.find_net(p + "read_start_q");
-    n.fetch = flat_.find_net(p + "fetch_q");
-    n.dout_valid_k = flat_.find_net(p + "dout_valid_k_q");
-    n.dout_valid_ks = flat_.find_net(p + "dout_valid_ks_q");
-    n.write_start = flat_.find_net(p + "write_start_q");
-    n.addr_captured = flat_.find_net(p + "addr_captured_q");
-    n.write_commit = flat_.find_net(p + "write_commit_q");
-    bank_nets_.push_back(n);
-
-    rtl::MemId mem = rtl::kInvalidId;
-    for (std::size_t i = 0; i < flat_.memories().size(); ++i) {
-      if (flat_.memories()[i].name == p + "sram") {
-        mem = static_cast<rtl::MemId>(i);
-        break;
-      }
-    }
-    if (mem == rtl::kInvalidId) {
-      throw std::logic_error("CsimDeviceModel: missing " + p + "sram");
-    }
-    bank_mems_.push_back(mem);
-  }
-  dout_net_ = flat_.find_net("DOUT");
-
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
-    const BankNets& n = bank_nets_[static_cast<std::size_t>(b)];
-    taps_[p + "read_start"] = [this, &n] { return net_bit(n.read_start); };
-    taps_[p + "fetch"] = [this, &n] { return net_bit(n.fetch); };
-    taps_[p + "dout_valid_k"] = [this, &n] { return net_bit(n.dout_valid_k); };
-    taps_[p + "dout_valid_ks"] = [this, &n] {
-      return net_bit(n.dout_valid_ks);
-    };
-    taps_[p + "write_start"] = [this, &n] { return net_bit(n.write_start); };
-    taps_[p + "addr_captured"] = [this, &n] {
-      return net_bit(n.addr_captured);
-    };
-    taps_[p + "write_commit"] = [this, &n] { return net_bit(n.write_commit); };
-  }
-  auto any_of = [this](rtl::NetId BankNets::*field) {
-    for (const BankNets& n : bank_nets_) {
-      if (net_bit(n.*field)) return true;
-    }
-    return false;
-  };
-  taps_["write_start"] = [any_of] { return any_of(&BankNets::write_start); };
-  taps_["addr_captured"] = [any_of] {
-    return any_of(&BankNets::addr_captured);
-  };
-  taps_["write_commit"] = [any_of] { return any_of(&BankNets::write_commit); };
-  taps_["bus_conflict"] = [this] {
-    return machine_->bus_conflict(dout_net_, 0);
-  };
-
-  tap_names_ = concat_names(
-      concat_names(bank_read_taps(cfg.banks), bank_write_taps(cfg.banks)),
-      device_taps());
-  do_reset();
-}
-
-void CsimDeviceModel::do_reset() { machine_->reset(); }
-
-bool CsimDeviceModel::net_bit(rtl::NetId net) const {
-  return machine_->get(net, 0).bit(0) == rtl::Logic::k1;
-}
-
-bool CsimDeviceModel::any_dout_valid() const {
-  for (const BankNets& n : bank_nets_) {
-    if (net_bit(n.dout_valid_k) || net_bit(n.dout_valid_ks)) return true;
-  }
-  return false;
-}
+void CsimDeviceModel::do_reset() { machine_.reset(); }
 
 void CsimDeviceModel::apply_edge(const EdgePins& pins) {
-  machine_->set_input_bit("R_n", pins.r_sel_n);
-  machine_->set_input_bit("W_n", pins.w_sel_n);
-  machine_->set_input("A", pins.addr);
-  machine_->set_input("D", core::pack_beat(pins.din_data, cfg_.data_bits));
-  machine_->set_input("BWE_n", pins.bwe_n);
-  machine_->edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
+  drive_edge(machine_, pins, geometry().data_bits);
 }
 
-bool CsimDeviceModel::tap(const std::string& name) const {
-  auto it = taps_.find(name);
-  if (it == taps_.end()) {
-    throw std::invalid_argument("CsimDeviceModel: unknown tap: " + name);
-  }
-  return it->second();
+bool CsimDeviceModel::net_is_one(rtl::NetId net) const {
+  return machine_.get(net, 0).bit(0) == rtl::Logic::k1;
 }
 
-DoutSample CsimDeviceModel::dout() const {
-  DoutSample s;
-  s.valid = any_dout_valid();
-  if (s.valid) {
-    const auto beat = machine_->get(dout_net_, 0).to_uint();
-    s.defined = beat.has_value();
-    s.beat = beat.value_or(0);
-  }
-  return s;
+std::optional<std::uint64_t> CsimDeviceModel::net_value(rtl::NetId net) const {
+  return machine_.get(net, 0).to_uint();
 }
 
-std::uint64_t CsimDeviceModel::memory_word(int bank, std::uint64_t addr) const {
-  const auto word =
-      machine_->mem_word(bank_mems_[static_cast<std::size_t>(bank)], addr, 0)
-          .to_uint();
-  return word.value_or(~0ull);
+std::optional<std::uint64_t> CsimDeviceModel::mem_value(
+    rtl::MemId mem, std::uint64_t addr) const {
+  return machine_.mem_word(mem, addr, 0).to_uint();
+}
+
+bool CsimDeviceModel::bus_conflict(rtl::NetId bus) const {
+  return machine_.bus_conflict(bus, 0);
 }
 
 // --- backend selection --------------------------------------------------
@@ -413,23 +327,10 @@ RtlBackend rtl_backend_from_string(const std::string& s) {
 
 RtlDevice make_rtl_device(const core::RtlConfig& cfg, RtlBackend backend,
                           const std::function<void(rtl::Module&)>& instrument) {
-  RtlDevice out;
   if (backend == RtlBackend::kCompiled) {
-    auto model = std::make_unique<CsimDeviceModel>(cfg, instrument);
-    CsimDeviceModel* raw = model.get();
-    out.net_is_one = [raw](rtl::NetId net) {
-      return raw->machine().get(net, 0).bit(0) == rtl::Logic::k1;
-    };
-    out.model = std::move(model);
-  } else {
-    auto model = std::make_unique<RtlDeviceModel>(cfg, instrument);
-    RtlDeviceModel* raw = model.get();
-    out.net_is_one = [raw](rtl::NetId net) {
-      return raw->sim().get(net).bit(0) == rtl::Logic::k1;
-    };
-    out.model = std::move(model);
+    return {std::make_unique<CsimDeviceModel>(cfg, instrument)};
   }
-  return out;
+  return {std::make_unique<RtlDeviceModel>(cfg, instrument)};
 }
 
 }  // namespace la1::harness

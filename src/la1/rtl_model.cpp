@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "la1/spec.hpp"
+#include "ovl/ovl.hpp"
 
 namespace la1::core {
 
@@ -259,6 +260,32 @@ psl::PropPtr rtl_read_mode_property(const RtlConfig& cfg) {
                         b_sig("bank0.dout_valid_k_q")),
        psl::p_impl_next(b_sig("bank0.dout_valid_k_q"), 1,
                         b_sig("bank0.dout_valid_ks_q"))});
+}
+
+void attach_ovl_monitors(rtl::Module& flat, ovl::OvlBank& bank, int banks) {
+  const rtl::NetId k = flat.find_net("K");
+  const rtl::NetId ks = flat.find_net("KS");
+  std::vector<rtl::ExprId> enables;
+  for (int b = 0; b < banks; ++b) {
+    const std::string p = "bank" + std::to_string(b) + ".";
+    const std::string sb = std::to_string(b);
+    // Read mode: first beat exactly 2 K cycles after the request, second
+    // beat pending on the following K#. K-edge taps are visible to
+    // KS-clocked monitors (they clear at the next K#).
+    ovl::assert_next(flat, bank, "read_latency_b" + sb, ks,
+                     flat.ref(p + "read_start_q"),
+                     flat.ref(p + "dout_valid_k_q"), 2);
+    ovl::assert_implication(flat, bank, "read_burst_b" + sb, ks,
+                            flat.ref(p + "dout_valid_k_q"),
+                            flat.ref(p + "beat1_pend"));
+    ovl::assert_implication(flat, bank, "write_ready_b" + sb, k,
+                            flat.ref(p + "addr_captured_q"),
+                            flat.ref(p + "w_ready"));
+    enables.push_back(flat.ref(p + "en_q"));
+  }
+  ovl::assert_zero_one_hot(flat, bank, "exclusive_drive", banks > 1 ? ks : k,
+                           banks > 1 ? flat.concat(enables)
+                                     : enables.front());
 }
 
 }  // namespace la1::core

@@ -21,6 +21,10 @@
 #include "rtl/bitblast.hpp"
 #include "rtl/netlist.hpp"
 
+namespace la1::ovl {
+class OvlBank;
+}
+
 namespace la1::core {
 
 struct RtlConfig {
@@ -85,5 +89,11 @@ std::vector<std::pair<std::string, psl::PropPtr>> rtl_properties(
 
 /// The read-mode property alone (Table 2 checks the Read Mode).
 psl::PropPtr rtl_read_mode_property(const RtlConfig& cfg);
+
+/// The device's OVL monitor set, instantiated into the (possibly mutated)
+/// flat module of a `banks`-bank device so the monitor logic simulates with
+/// the design: per bank read_latency_b<i>, read_burst_b<i> and
+/// write_ready_b<i>, plus exclusive_drive over the bank DOUT enables.
+void attach_ovl_monitors(rtl::Module& flat, ovl::OvlBank& bank, int banks);
 
 }  // namespace la1::core

@@ -1,9 +1,9 @@
 #include "util/mem.hpp"
 
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 
 namespace la1::util {
 
@@ -14,11 +14,25 @@ std::size_t current_rss_bytes() {
   long pages_resident = 0;
   const int got = std::fscanf(f, "%ld %ld", &pages_total, &pages_resident);
   std::fclose(f);
-  if (got != 2) return 0;
-  return static_cast<std::size_t>(pages_resident) * 4096u;
+  const long page = sysconf(_SC_PAGESIZE);
+  if (got != 2 || page <= 0) return 0;
+  return static_cast<std::size_t>(pages_resident) *
+         static_cast<std::size_t>(page);
 }
 
 std::size_t peak_rss_bytes() {
+  // VmHWM is this image's own high-water mark. getrusage's ru_maxrss is
+  // not: Linux carries it across execve, so a process launched from a large
+  // parent reports the parent's footprint. It is only the fallback.
+  if (FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    long kb = -1;
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      if (std::sscanf(line, "VmHWM: %ld kB", &kb) == 1) break;
+    }
+    std::fclose(f);
+    if (kb >= 0) return static_cast<std::size_t>(kb) * 1024u;
+  }
   rusage usage{};
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   // ru_maxrss is in kilobytes on Linux.

@@ -2,6 +2,8 @@
 // bench_table* binary with a small workload, parse the emitted file with
 // util::Json, and check the canonical {bench, params, metrics} shape.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdlib>
@@ -181,6 +183,37 @@ util::Json random_doc(util::Rng& rng, int depth) {
       return obj;
     }
   }
+}
+
+// peak_rss_bytes is the bench's own high-water mark. Linux carries
+// getrusage's ru_maxrss across execve, so a cheap bench fork+exec'd from a
+// process holding 128 MB must still report only its own footprint.
+TEST(BenchJson, PeakRssExcludesLauncherFootprint) {
+  std::vector<char> ballast(128u << 20);
+  for (std::size_t i = 0; i < ballast.size(); i += 4096) ballast[i] = 1;
+  std::string bench = std::string(LA1_BENCH_DIR) + "/bench_fig3_read_timing";
+  std::string flag = "--json";
+  std::string json_path = testing::TempDir() + "peak_rss_probe.json";
+  std::remove(json_path.c_str());
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (std::freopen("/dev/null", "w", stdout) == nullptr) _exit(126);
+    char* argv[] = {bench.data(), flag.data(), json_path.data(), nullptr};
+    execv(bench.c_str(), argv);
+    _exit(127);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << bench;
+  ASSERT_EQ(WEXITSTATUS(status), 0) << bench;
+  EXPECT_EQ(ballast[4096], 1);  // the ballast stayed resident throughout
+
+  const util::Json doc = util::Json::parse(read_file(json_path));
+  expect_report_shape(doc, "bench_fig3_read_timing");
+  const double peak =
+      doc.find("resources")->find("peak_rss_bytes")->as_double();
+  EXPECT_LT(peak, 64.0 * 1024 * 1024);
 }
 
 // Multithreaded resources accounting: CpuStopwatch reads process CPU (all

@@ -293,6 +293,70 @@ TEST(Lockstep, CatchesInjectedRtlMutation) {
   EXPECT_TRUE(clean.ok) << clean.mismatch;
 }
 
+// The interpreted (CycleSim) and compiled (csim lane 0) RTL adapters are
+// observation-interchangeable: lockstepped against each other they agree on
+// every tap, every read beat and the final memory image.
+TEST(CsimAdapter, LockstepAgreesWithInterpreted) {
+  for (int banks : {1, 2, 4}) {
+    const core::RtlConfig rcfg = rtl_config(banks, 2);
+    harness::RtlDevice interp =
+        harness::make_rtl_device(rcfg, harness::RtlBackend::kInterpreted);
+    harness::RtlDevice compiled =
+        harness::make_rtl_device(rcfg, harness::RtlBackend::kCompiled);
+    harness::StimulusOptions so;
+    so.banks = banks;
+    so.data_bits = kDataBits;
+    so.mem_addr_bits = 2;
+    harness::StimulusStream stream(so,
+                                   4000 + static_cast<std::uint64_t>(banks));
+    harness::LockstepOptions lo;
+    lo.transactions = 600;
+    const harness::LockstepReport r = harness::run_lockstep(
+        {interp.model.get(), compiled.model.get()}, stream, lo);
+    EXPECT_TRUE(r.ok) << "banks=" << banks << ": " << r.mismatch;
+    EXPECT_EQ(r.transactions, 600u);
+    EXPECT_GT(r.comparisons, 0u);
+    const harness::Geometry& g = interp.model->geometry();
+    for (int b = 0; b < g.banks; ++b) {
+      for (std::uint64_t a = 0; a < g.mem_depth(); ++a) {
+        EXPECT_EQ(interp.model->memory_word(b, a),
+                  compiled.model->memory_word(b, a))
+            << "banks=" << banks << " b" << b << "[" << a << "]";
+      }
+    }
+  }
+}
+
+// The DOUT double-driver mutation of Lockstep.CatchesInjectedRtlMutation,
+// applied to both backends, diverges from the behavioural model on the
+// same edge.
+TEST(CsimAdapter, MutationDivergesOnSameEdge) {
+  const int banks = 1;
+  const core::RtlConfig rcfg = rtl_config(banks, 2);
+  auto mutate = [&rcfg](rtl::Module& m) {
+    m.tristate(m.find_net("DOUT"), m.ref("bank0.read_start_q"),
+               m.lit_uint(0, rcfg.beat_pins()));
+  };
+  harness::StimulusOptions so;
+  so.banks = banks;
+  so.data_bits = kDataBits;
+  so.read_rate = 0.9;
+  harness::LockstepOptions lo;
+  lo.transactions = 400;
+
+  std::vector<harness::LockstepReport> reports;
+  for (harness::RtlBackend backend :
+       {harness::RtlBackend::kInterpreted, harness::RtlBackend::kCompiled}) {
+    harness::BehavioralDeviceModel beh(behavioural_config(banks, 2));
+    harness::RtlDevice dev = harness::make_rtl_device(rcfg, backend, mutate);
+    harness::StimulusStream stream(so, 6);
+    reports.push_back(
+        harness::run_lockstep({&beh, dev.model.get()}, stream, lo));
+    EXPECT_FALSE(reports.back().ok) << harness::to_string(backend);
+  }
+  EXPECT_EQ(reports[0].ticks_run, reports[1].ticks_run);
+}
+
 // Geometry disagreement is a caller error, not a silent partial compare.
 TEST(Lockstep, RejectsGeometryMismatch) {
   harness::BehavioralDeviceModel a(behavioural_config(1, 2));

@@ -143,6 +143,14 @@ struct FaultCase {
   const char* expected_property;  // substring of the failing property name
 };
 
+// gtest's default printer dumps a struct's raw bytes, so the string pointer
+// and the padding would make every run's test names differ; print the case
+// by value instead.
+void PrintTo(const FaultCase& fc, std::ostream* os) {
+  *os << "Fault(" << static_cast<int>(fc.fault) << ") -> "
+      << fc.expected_property;
+}
+
 class FaultInjection : public ::testing::TestWithParam<FaultCase> {};
 
 TEST_P(FaultInjection, MonitorsCatchFault) {

@@ -213,8 +213,8 @@ TEST(JsonErrors, ModerateNestingStillParses) {
 TEST(Stopwatch, MeasuresNonNegative) {
   Stopwatch w;
   CpuStopwatch c;
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  volatile unsigned sink = 0;  // unsigned: the sum wraps instead of overflowing
+  for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(w.seconds(), 0.0);
   EXPECT_GE(c.seconds(), 0.0);
 }

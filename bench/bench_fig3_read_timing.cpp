@@ -1,8 +1,9 @@
 // Figure 3 — Sequence Diagram for the Reading Mode, reproduced as a
 // cycle-annotated trace of the behavioural model (run as a harness
-// DeviceModel) and checked against the UML sequence diagram's tick
-// annotations. The edge-by-edge observations go through a TraceRecorder,
-// so the run can be exported as JSON (--json) or VCD (--vcd).
+// DeviceModel) and checked against the tick annotations of the read-mode
+// chart's mandatory timeline (examples/read_mode.msc). The edge-by-edge
+// observations go through a TraceRecorder, so the run can be exported as
+// JSON (--json) or VCD (--vcd).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -10,15 +11,13 @@
 #include "harness/adapters.hpp"
 #include "harness/trace.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/msc_spec.hpp"
-#include "uml/render.hpp"
+#include "msc/charts.hpp"
 #include "util/bench_report.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const bool show_plantuml = cli.get_bool("plantuml", false);
   const std::string vcd_path = cli.get("vcd", "");
   util::BenchReport report("bench_fig3_read_timing");
   cli.get("json", "");
@@ -28,16 +27,12 @@ int main(int argc, char** argv) {
   }
 
   std::puts("Figure 3 - Sequence Diagram for the Reading Mode\n");
-  const uml::SequenceDiagram sd = core::read_mode_sequence();
-  std::puts("UML specification (modified sequence diagram annotations):");
-  for (const auto& m : sd.messages()) {
-    std::printf("  %-18s -> %-18s : %s  (tick %d)\n", m.from.c_str(),
-                m.to.c_str(), uml::SequenceDiagram::annotation(m).c_str(),
-                uml::SequenceDiagram::tick_of(m));
-  }
-  if (show_plantuml) {
-    std::puts("\nPlantUML source:");
-    std::fputs(uml::to_plantuml(sd).c_str(), stdout);
+  const msc::Chart chart = msc::read_mode_chart();
+  const std::vector<const msc::Message*> spec = chart.mandatory();
+  std::puts("Specification (examples/read_mode.msc, mandatory timeline):");
+  for (const msc::Message* m : spec) {
+    std::printf("  %-18s -> %-18s : %s  (tick %d)\n", m->from.c_str(),
+                m->to.c_str(), m->annotation().c_str(), m->tick_lo());
   }
 
   // Execute a single read on the behavioural model and record the trace.
@@ -96,11 +91,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(last_beat));
 
   // Cross-check the trace against the diagram's annotations.
-  bool ok = events.size() == sd.messages().size();
+  bool ok = events.size() == spec.size();
   for (std::size_t i = 0; ok && i < events.size(); ++i) {
-    ok = events[i].tick ==
-             uml::SequenceDiagram::tick_of(sd.messages()[i]) &&
-         events[i].what == uml::SequenceDiagram::annotation(sd.messages()[i]);
+    ok = events[i].tick == spec[i]->tick_lo() &&
+         events[i].what == spec[i]->annotation();
   }
   std::printf("\n%s: the executed trace %s the Figure-3 annotations\n",
               ok ? "PASS" : "FAIL", ok ? "matches" : "DIVERGES FROM");
@@ -115,7 +109,7 @@ int main(int argc, char** argv) {
   }
 
   report.param("messages",
-               util::Json(static_cast<std::int64_t>(sd.messages().size())));
+               util::Json(static_cast<std::int64_t>(spec.size())));
   for (const Event& e : events) {
     util::Json row = util::Json::object();
     row.set("tick", util::Json(e.tick));

@@ -25,7 +25,7 @@
 #include "cov/coverage.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
-#include "la1/msc_spec.hpp"
+#include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "psl/monitor.hpp"
 #include "psl/parse.hpp"
@@ -74,7 +74,7 @@ VerdictRow run_verdict(std::uint64_t seed, int read_latency) {
   util::Rng rng(seed);
   h.host().push_random(rng, 150);
 
-  psl::VUnitRunner compiled(msc::to_psl(core::read_mode_chart()).vunit());
+  psl::VUnitRunner compiled(msc::to_psl(msc::read_mode_chart()).vunit());
   psl::VUnitRunner hand(hand_written_read());
   h.run_ticks(500, [&](int) {
     compiled.step(h.env());
@@ -101,7 +101,7 @@ std::uint64_t transactions_to_cover(const harness::Geometry& g,
                                     const tgen::Profile& profile,
                                     std::uint64_t seed, std::uint64_t cap,
                                     bool* covered) {
-  msc::ScenarioCoverage scenario(core::read_mode_chart(), g);
+  msc::ScenarioCoverage scenario(msc::read_mode_chart(), g);
   std::vector<tgen::CoveragePlugin*> plugins{&scenario};
   tgen::ConstrainedStream stream(g, profile, seed);
   const std::uint64_t chunk = 50;
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     opt.target = 1.0;
     opt.transactions_per_epoch = per_epoch;
     opt.budget.max_epochs = epochs;
-    msc::ScenarioCoverage scenario(core::read_mode_chart(), opt.geometry);
+    msc::ScenarioCoverage scenario(msc::read_mode_chart(), opt.geometry);
     opt.plugins.push_back(&scenario);
     const tgen::ClosureResult closure = tgen::run_closure(opt);
 
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     bool biased_done = false;
     bool uniform_done = false;
     const std::uint64_t biased_txns = transactions_to_cover(
-        g, msc::to_profile(core::read_mode_chart()), s, cap, &biased_done);
+        g, msc::to_profile(msc::read_mode_chart()), s, cap, &biased_done);
     const std::uint64_t uniform_txns =
         transactions_to_cover(g, tgen::Profile{}, s, cap, &uniform_done);
     all_biased_done = all_biased_done && biased_done;

@@ -57,10 +57,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Shared geometry: 8-bit beats (the narrowest the RTL's byte lanes
-  // allow), ASM data domain in the low bits of each beat.
-  constexpr int kDataBits = 8;
-
   std::puts("3-way lockstep: ASM machine + behavioural model + RTL netlist");
   std::puts("one shared stimulus stream, every shared tap compared per edge\n");
 
@@ -72,29 +68,27 @@ int main(int argc, char** argv) {
     core::AsmConfig acfg;
     acfg.banks = banks;
     acfg.mem_addr_bits = mem_addr_bits;
-    harness::AsmDeviceModel asm_model(acfg, kDataBits);
+    harness::AsmDeviceModel asm_model(acfg);
+    // Shared geometry: the ASM's canonical beat width, its data domain in
+    // the low bits of each beat.
+    const int data_bits = asm_model.geometry().data_bits;
 
     core::Config bcfg;
     bcfg.banks = banks;
-    bcfg.data_bits = kDataBits;
+    bcfg.data_bits = data_bits;
     bcfg.addr_bits = mem_addr_bits + bcfg.bank_bits();
     harness::BehavioralDeviceModel beh_model(bcfg);
 
     core::RtlConfig rcfg;
     rcfg.banks = banks;
-    rcfg.data_bits = kDataBits;
+    rcfg.data_bits = data_bits;
     rcfg.mem_addr_bits = mem_addr_bits;
     rcfg.read_latency = bcfg.read_latency;
     harness::RtlDeviceModel rtl_model(rcfg);
 
     // The stream honours the ASM machine's domains: beat values below
     // data_values, full-word writes (the ASM has no byte enables).
-    harness::StimulusOptions so;
-    so.banks = banks;
-    so.mem_addr_bits = mem_addr_bits;
-    so.data_bits = kDataBits;
-    so.data_values = static_cast<std::uint64_t>(acfg.data_values);
-    so.full_word_writes = true;
+    const harness::StimulusOptions so = asm_model.stimulus_options();
     harness::StimulusStream stream(so, seed);
 
     const std::vector<harness::DeviceModel*> models = {&asm_model, &beh_model,

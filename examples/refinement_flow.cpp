@@ -1,15 +1,15 @@
 // The complete Figure-2 methodology, end to end, with the intermediate
-// artifacts printed: the UML class diagram (PlantUML), the MSC spec source
-// and the properties compiled from it, the per-stage verification results,
-// and the final synthesizable Verilog.
+// artifacts printed: the MSC spec source and the properties compiled from
+// it, the per-stage verification results, and the final synthesizable
+// Verilog.
 //
 //   $ ./refinement_flow [--banks N] [--quiet]
 #include <cstdio>
 
 #include "la1/msc_spec.hpp"
+#include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "refine/flow.hpp"
-#include "uml/render.hpp"
 #include "util/cli.hpp"
 
 int main(int argc, char** argv) {
@@ -20,13 +20,11 @@ int main(int argc, char** argv) {
   opt.banks = static_cast<int>(cli.get_int("banks", 1));
 
   if (!quiet) {
-    std::puts("=== UML level: class diagram (PlantUML) ===");
-    std::fputs(uml::to_plantuml(core::la1_class_diagram()).c_str(), stdout);
-    std::puts("\n=== spec level: read-mode chart (examples/read_mode.msc) ===");
+    std::puts("=== spec level: read-mode chart (examples/read_mode.msc) ===");
     std::fputs(core::read_mode_msc(), stdout);
 
     std::puts("\n=== properties compiled from the chart ===");
-    const msc::MonitorSuite suite = msc::to_psl(core::read_mode_chart());
+    const msc::MonitorSuite suite = msc::to_psl(msc::read_mode_chart());
     for (const auto& d : suite.asserts) {
       std::printf("  %-40s %s\n", d.name.c_str(), d.source.c_str());
       std::printf("    %s\n", psl::to_string(*d.prop).c_str());

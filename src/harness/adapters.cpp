@@ -9,11 +9,14 @@ namespace la1::harness {
 
 namespace {
 
-Geometry asm_geometry(const core::AsmConfig& cfg, int data_bits) {
+// The ASM's canonical beat width (see AsmDeviceModel).
+constexpr int kAsmBeatBits = 8;
+
+Geometry asm_geometry(const core::AsmConfig& cfg) {
   Geometry g;
   g.banks = cfg.banks;
   g.mem_addr_bits = cfg.mem_addr_bits;
-  g.data_bits = data_bits;
+  g.data_bits = kAsmBeatBits;
   return g;
 }
 
@@ -59,16 +62,26 @@ std::vector<std::string> concat_names(std::vector<std::string> a,
 
 // --- AsmDeviceModel -----------------------------------------------------
 
-AsmDeviceModel::AsmDeviceModel(const core::AsmConfig& cfg, int data_bits)
-    : DeviceModel("asm", asm_geometry(cfg, data_bits)),
+AsmDeviceModel::AsmDeviceModel(const core::AsmConfig& cfg)
+    : DeviceModel("asm", asm_geometry(cfg)),
       cfg_(cfg),
       machine_(core::build_asm_model(cfg)) {
-  if (cfg.data_values > (1 << data_bits)) {
+  if (cfg.data_values > (1 << kAsmBeatBits)) {
     throw std::invalid_argument(
         "AsmDeviceModel: data_values exceeds the canonical beat width");
   }
   tap_names_ = concat_names(bank_read_taps(cfg.banks), device_taps());
   do_reset();
+}
+
+StimulusOptions AsmDeviceModel::stimulus_options() const {
+  StimulusOptions so;
+  so.banks = cfg_.banks;
+  so.mem_addr_bits = cfg_.mem_addr_bits;
+  so.data_bits = geometry().data_bits;
+  so.data_values = static_cast<std::uint64_t>(cfg_.data_values);
+  so.full_word_writes = true;
+  return so;
 }
 
 void AsmDeviceModel::do_reset() {

@@ -22,6 +22,7 @@
 #include "csim/compile.hpp"
 #include "csim/machine.hpp"
 #include "harness/device_model.hpp"
+#include "harness/stimulus.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/rtl_model.hpp"
@@ -29,15 +30,19 @@
 
 namespace la1::harness {
 
-/// The ASM machine as a DeviceModel. The machine's data domain
-/// (`cfg.data_values`) may be narrower than the canonical beat width;
-/// beats outside the domain are a caller error (the StimulusStream's
-/// `data_values` option keeps streams inside it).
+/// The ASM machine as a DeviceModel. Its canonical beat is 8 bits wide,
+/// the narrowest the RTL's byte lanes allow; the machine's data domain
+/// (`cfg.data_values`, at most 256) rides in the low bits of each beat.
+/// Beats outside the domain are a caller error (stimulus_options() keeps
+/// streams inside it).
 class AsmDeviceModel : public DeviceModel {
  public:
-  /// `data_bits` is the canonical beat width of the co-executed levels;
-  /// requires cfg.data_values <= 2^data_bits.
-  AsmDeviceModel(const core::AsmConfig& cfg, int data_bits);
+  explicit AsmDeviceModel(const core::AsmConfig& cfg);
+
+  /// Stimulus constrained to the machine's domains: this geometry, beat
+  /// values below data_values, and full-word writes (the ASM has no byte
+  /// enables). Every level co-executed with the ASM must share it.
+  StimulusOptions stimulus_options() const;
 
   void apply_edge(const EdgePins& pins) override;
   bool tap(const std::string& name) const override;

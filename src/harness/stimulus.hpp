@@ -1,8 +1,8 @@
 // Seeded random LA-1 traffic: the single source of stimulus for every
-// level of the flow. One StimulusSource drives the N-way lockstep engine,
-// the conformance/lockstep refine checks, and the benches, so a divergence
-// is always replayable from (options, seed) alone — or, for recorded
-// streams, from the serialized transaction list itself.
+// level of the flow. One StimulusSource drives the N-way lockstep engine
+// (the flow's conformance and lockstep stages included) and the benches,
+// so a divergence is always replayable from (options, seed) alone — or,
+// for recorded streams, from the serialized transaction list itself.
 #pragma once
 
 #include <cstdint>

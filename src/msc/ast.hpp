@@ -1,12 +1,11 @@
 // Clock-annotated message sequence charts as a validated AST.
 //
-// This is the textual successor of the hand-built `uml::SequenceDiagram`
-// (paper §4.1, Figure 3): one `.msc` source file is the single authoritative
-// description of a protocol scenario, and everything else — the PSL monitor
-// suite, the functional-coverage groups and the biased stimulus profile —
-// is compiled from it (compile.hpp). The format keeps the paper's
-// `OnReadRequest[0]()@K` annotation verbatim and adds what the derived
-// artifacts need:
+// The spec layer of the flow (paper §4.1, Figure 3): one `.msc` source
+// file is the single authoritative description of a protocol scenario, and
+// everything else — the PSL monitor suite, the functional-coverage groups
+// and the biased stimulus profile — is compiled from it (compile.hpp). The
+// format keeps the paper's `OnReadRequest[0]()@K` annotation verbatim and
+// adds what the derived artifacts need:
 //
 //   * latency bounds     `op[2..4]()@K` — the message may fire anywhere in
 //                        the cycle window, compiled to a ranged PSL check,
@@ -108,7 +107,7 @@ struct Chart {
   const SignalBinding* binding(const std::string& operation) const;
 
   /// Top-level messages in order (regions skipped) — the mandatory
-  /// timeline that lowers to `uml::SequenceDiagram`.
+  /// timeline of the scenario.
   std::vector<const Message*> mandatory() const;
 
   /// Every message, regions included, in document order.

@@ -32,8 +32,8 @@ std::string signal_of(const Chart& chart, const Message& m,
 }
 
 /// The latency property for one consecutive message pair on a timeline.
-/// Exact annotations reproduce uml::derive_latency_properties' shape;
-/// windows widen the consequent to true[*lo:hi].
+/// Exact annotations give `always (a -> next[dt] b)`; windows widen the
+/// consequent to true[*lo:hi].
 CompiledProperty pair_property(const Chart& chart, const std::string& prefix,
                                const Message& a, const Message& b,
                                const CompileOptions& opts) {
@@ -180,35 +180,6 @@ MonitorSuite to_psl(const Chart& chart, const CompileOptions& opts) {
     ++index;
   }
   return suite;
-}
-
-uml::SequenceDiagram to_uml(const Chart& chart) {
-  uml::SequenceDiagram sd(chart.name);
-  for (const std::string& l : chart.lifelines) sd.add_lifeline(l);
-  for (const Message* m : chart.mandatory()) {
-    sd.add_message({m->from, m->to, m->operation, m->cycle_lo,
-                    m->clock == Clock::kKs ? uml::ClockRef::kKs
-                                           : uml::ClockRef::kK,
-                    m->duration});
-  }
-  return sd;
-}
-
-Chart from_uml(const uml::SequenceDiagram& sd) {
-  Chart chart;
-  chart.name = sd.name();
-  chart.lifelines = sd.lifelines();
-  for (const uml::Message& m : sd.messages()) {
-    Message out;
-    out.from = m.from;
-    out.to = m.to;
-    out.operation = m.operation;
-    out.cycle_lo = out.cycle_hi = m.cycle;
-    out.clock = m.clock == uml::ClockRef::kKs ? Clock::kKs : Clock::kK;
-    out.duration = m.duration;
-    chart.items.push_back(Item::of(std::move(out)));
-  }
-  return chart;
 }
 
 std::vector<cov::Covergroup> to_coverage(const Chart& chart) {

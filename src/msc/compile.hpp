@@ -4,17 +4,14 @@
 //   to_coverage  chart -> cov::Covergroup list  (occurrence / gap / window)
 //   to_profile   chart -> tgen::Profile         (stimulus biased at the spec)
 //
-// plus the lowering to the legacy `uml::SequenceDiagram` representation
-// (to_uml / from_uml, which together with msc::to_text make the round trip
-// testable) and a GraphViz rendering (to_dot).
+// plus a GraphViz rendering (to_dot).
 //
 // Compilation semantics, in terms of the chart's half-cycle tick timeline:
 //
 //   * Consecutive mandatory messages (a, b) with exact annotations become
-//     `always (sig_a -> next[dt] sig_b)` with dt the tick distance — the
-//     same shape uml::derive_latency_properties produced, so monitors
-//     compiled from the Figure-3 chart are verdict-identical to the
-//     hand-written P1/P2 properties.
+//     `always (sig_a -> next[dt] sig_b)` with dt the tick distance, so
+//     monitors compiled from the Figure-3 chart are verdict-identical to
+//     the hand-written P1/P2 properties.
 //   * A latency window (`[lo..hi]` on either side) becomes
 //     `always ({sig_a} |-> {true[*lo':hi']; sig_b})` with the window
 //     clamped to non-negative tick distances.
@@ -40,7 +37,6 @@
 #include "psl/temporal.hpp"
 #include "tgen/closure.hpp"
 #include "tgen/constrained.hpp"
-#include "uml/model.hpp"
 
 namespace la1::msc {
 
@@ -80,16 +76,6 @@ struct MonitorSuite {
 };
 
 MonitorSuite to_psl(const Chart& chart, const CompileOptions& opts = {});
-
-/// Lowers the mandatory top-level timeline to the legacy representation.
-/// Regions are verification artifacts (covers, coverage, stimulus) and do
-/// not lower; latency windows lower to their earliest cycle.
-uml::SequenceDiagram to_uml(const Chart& chart);
-
-/// Lifts a legacy diagram into a chart (no signals, read trigger) so it
-/// can be rendered with msc::to_text — the uml -> text direction of the
-/// round trip.
-Chart from_uml(const uml::SequenceDiagram& sd);
 
 /// The coverage artifact: zero-hit covergroups named "msc.<chart>.*":
 ///

@@ -1,6 +1,7 @@
 #include "psl/parse.hpp"
 
 #include <cctype>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -120,9 +121,16 @@ class Lexer {
     }
     if (std::isdigit(static_cast<unsigned char>(c))) {
       current_.kind = Tok::kNumber;
+      // Every count in the grammar is consumed as an int; reject anything
+      // larger here, before the accumulation could overflow.
+      constexpr std::int64_t kMax = std::numeric_limits<int>::max();
       while (pos_ < text_.size() &&
              std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        current_.number = current_.number * 10 + (text_[pos_] - '0');
+        const int digit = text_[pos_] - '0';
+        if (current_.number > (kMax - digit) / 10) {
+          throw ParseError("number too large", current_.at);
+        }
+        current_.number = current_.number * 10 + digit;
         ++pos_;
       }
       return;

@@ -1,5 +1,6 @@
 #include "refine/flow.hpp"
 
+#include <set>
 #include <sstream>
 
 #include "la1/asm_model.hpp"
@@ -7,21 +8,21 @@
 #include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "la1/rtl_model.hpp"
-#include "la1/msc_spec.hpp"
 #include "dfa/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "flow/analyze.hpp"
+#include "harness/adapters.hpp"
+#include "harness/lockstep.hpp"
 #include "lint/netlist_lint.hpp"
 #include "lint/psl_lint.hpp"
 #include "lint/seq_lint.hpp"
 #include "mc/explicit.hpp"
 #include "mc/symbolic.hpp"
+#include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "ovl/ovl.hpp"
 #include "plan/plan.hpp"
 #include "psl/monitor.hpp"
-#include "refine/conformance.hpp"
-#include "refine/lockstep.hpp"
 #include "rtl/verilog.hpp"
 #include "tgen/closure.hpp"
 #include "util/rng.hpp"
@@ -63,20 +64,20 @@ FlowReport run_flow(const FlowOptions& options) {
   FlowReport report;
   const int banks = options.banks;
 
-  // 1. Spec compilation: validate the class diagram and the shipped .msc
-  // charts, then compile the three artifacts the later stages consume —
-  // monitors (stage 4), coverage bins and biased stimulus (stage 11).
+  // 1. Spec compilation: validate the shipped .msc charts, then compile
+  // the three artifacts the later stages consume — monitors (stage 4),
+  // coverage bins and biased stimulus (stage 12).
   stage(report, "MSC spec compilation", [&](std::string& detail) {
-    const uml::ClassDiagram cd = core::la1_class_diagram();
-    const msc::Chart read_chart = core::read_mode_chart();
-    const msc::Chart write_chart = core::write_mode_chart();
-    auto issues = cd.validate();
-    for (const auto& i : read_chart.validate()) issues.push_back(i);
+    const msc::Chart read_chart = msc::read_mode_chart();
+    const msc::Chart write_chart = msc::write_mode_chart();
+    auto issues = read_chart.validate();
     for (const auto& i : write_chart.validate()) issues.push_back(i);
+    std::set<std::string> lifelines;
     std::size_t asserts = 0;
     std::size_t covers = 0;
     std::size_t bins = 0;
     for (const msc::Chart* chart : {&read_chart, &write_chart}) {
+      lifelines.insert(chart->lifelines.begin(), chart->lifelines.end());
       const msc::MonitorSuite suite = msc::to_psl(*chart);
       asserts += suite.asserts.size();
       covers += suite.covers.size();
@@ -84,7 +85,7 @@ FlowReport run_flow(const FlowOptions& options) {
         bins += g.bins.size();
       }
     }
-    detail = std::to_string(cd.classes().size()) + " classes, 2 charts -> " +
+    detail = std::to_string(lifelines.size()) + " lifelines, 2 charts -> " +
              std::to_string(asserts) + " asserts, " + std::to_string(covers) +
              " covers, " + std::to_string(bins) + " coverage bins";
     return issues.empty();
@@ -108,12 +109,25 @@ FlowReport run_flow(const FlowOptions& options) {
     return held == outcomes.size();
   });
 
-  // 3. ASM -> behavioural conformance (the AsmL conformance test).
+  // 3. ASM -> behavioural conformance (the AsmL conformance test): both
+  // levels co-executed edge by edge on one stream drawn from the ASM rule
+  // domains, every shared tap compared after every edge and the memories
+  // at the end.
   stage(report, "ASM/behavioural conformance", [&](std::string& detail) {
-    const ConformanceResult r =
-        conformance_test(acfg, options.conformance_steps, options.seed);
+    harness::AsmDeviceModel asm_model(acfg);
+    core::Config ccfg;
+    ccfg.banks = banks;
+    ccfg.data_bits = asm_model.geometry().data_bits;
+    ccfg.addr_bits = acfg.mem_addr_bits + ccfg.bank_bits();
+    harness::BehavioralDeviceModel beh_model(ccfg);
+    harness::StimulusStream stream(asm_model.stimulus_options(), options.seed);
+    harness::LockstepOptions lo;
+    lo.transactions = static_cast<std::uint64_t>(options.conformance_steps / 2);
+    lo.drain_ticks = options.conformance_steps % 2;
+    const harness::LockstepReport r =
+        harness::run_lockstep({&asm_model, &beh_model}, stream, lo);
     detail = std::to_string(r.comparisons) + " comparisons over " +
-             std::to_string(r.steps_run) + " edges";
+             std::to_string(r.ticks_run) + " edges";
     if (!r.ok) detail += "; mismatch: " + r.mismatch;
     return r.ok;
   });
@@ -133,14 +147,14 @@ FlowReport run_flow(const FlowOptions& options) {
       msc::CompileOptions copts;
       copts.bank = b;
       const msc::MonitorSuite suite =
-          msc::to_psl(core::read_mode_chart(), copts);
+          msc::to_psl(msc::read_mode_chart(), copts);
       for (const msc::CompiledProperty& d : suite.asserts) {
         derived.add_assert("b" + std::to_string(b) + "." + d.name, d.prop,
                            psl::DirSeverity::kMajor, d.source);
       }
     }
     for (const msc::CompiledProperty& d :
-         msc::to_psl(core::write_mode_chart()).asserts) {
+         msc::to_psl(msc::write_mode_chart()).asserts) {
       derived.add_assert(d.name, d.prop, psl::DirSeverity::kMajor, d.source);
     }
     psl::VUnitRunner derived_runner(derived);
@@ -159,10 +173,26 @@ FlowReport run_flow(const FlowOptions& options) {
            harness.host().parity_errors() == 0;
   });
 
-  // 5. Behavioural -> RTL lockstep.
+  // 5. Behavioural -> RTL lockstep: the same pin activity into both models,
+  // every registered RTL tap and each valid DOUT beat compared per edge.
   stage(report, "behavioural/RTL lockstep", [&](std::string& detail) {
-    const LockstepResult r =
-        lockstep_compare(bcfg, options.lockstep_transactions, options.seed);
+    harness::BehavioralDeviceModel beh_model(bcfg);
+    core::RtlConfig lcfg;
+    lcfg.banks = banks;
+    lcfg.data_bits = bcfg.data_bits;
+    lcfg.mem_addr_bits = bcfg.mem_addr_bits();
+    lcfg.read_latency = bcfg.read_latency;
+    harness::RtlDeviceModel rtl_model(lcfg);
+    harness::StimulusOptions so;
+    so.banks = banks;
+    so.mem_addr_bits = bcfg.mem_addr_bits();
+    so.data_bits = bcfg.data_bits;
+    harness::StimulusStream stream(so, options.seed);
+    harness::LockstepOptions lo;
+    lo.transactions =
+        static_cast<std::uint64_t>(options.lockstep_transactions);
+    const harness::LockstepReport r =
+        harness::run_lockstep({&beh_model, &rtl_model}, stream, lo);
     detail = std::to_string(r.comparisons) + " comparisons over " +
              std::to_string(r.ticks_run) + " ticks";
     if (!r.ok) detail += "; mismatch: " + r.mismatch;
@@ -332,7 +362,7 @@ FlowReport run_flow(const FlowOptions& options) {
     copt.budget.max_epochs = options.closure_epochs;
     // The stage-1 chart contributes its scenario bins to the closure
     // target, and its compiled profile to the re-bias rule table.
-    msc::ScenarioCoverage scenario(core::read_mode_chart(), copt.geometry);
+    msc::ScenarioCoverage scenario(msc::read_mode_chart(), copt.geometry);
     copt.plugins.push_back(&scenario);
     const tgen::ClosureResult closure = tgen::run_closure(copt);
     std::ostringstream os;

@@ -1,6 +1,6 @@
 // The end-to-end design & verification flow of paper Figure 2:
 //
-//   UML -> ASM (model checking, PSL) -> behavioural model (conformance +
+//   MSC spec -> ASM (model checking, PSL) -> behavioural model (conformance +
 //   ABV with compiled PSL monitors) -> RTL (lockstep + symbolic model
 //   checking + OVL) -> Verilog emission.
 //

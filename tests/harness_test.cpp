@@ -20,16 +20,6 @@ namespace {
 
 constexpr int kDataBits = 8;
 
-harness::StimulusOptions asm_domain_options(const core::AsmConfig& cfg) {
-  harness::StimulusOptions so;
-  so.banks = cfg.banks;
-  so.mem_addr_bits = cfg.mem_addr_bits;
-  so.data_bits = kDataBits;
-  so.data_values = static_cast<std::uint64_t>(cfg.data_values);
-  so.full_word_writes = true;
-  return so;
-}
-
 core::Config behavioural_config(int banks, int mem_addr_bits) {
   core::Config cfg;
   cfg.banks = banks;
@@ -198,10 +188,10 @@ TEST(Lockstep, ZeroTransactionStream) {
   core::AsmConfig acfg;
   acfg.banks = 2;
   acfg.mem_addr_bits = 2;
-  harness::AsmDeviceModel asm_model(acfg, kDataBits);
+  harness::AsmDeviceModel asm_model(acfg);
   harness::BehavioralDeviceModel beh(behavioural_config(2, 2));
   harness::RtlDeviceModel rtl(rtl_config(2, 2));
-  harness::StimulusStream stream(asm_domain_options(acfg), 77);
+  harness::StimulusStream stream(asm_model.stimulus_options(), 77);
   harness::LockstepOptions lo;
   lo.transactions = 0;
   const harness::LockstepReport r =
@@ -219,7 +209,7 @@ TEST(Lockstep, TapIntersectionIsSharedSubset) {
   core::AsmConfig acfg;
   acfg.banks = 2;
   acfg.mem_addr_bits = 2;
-  harness::AsmDeviceModel asm_model(acfg, kDataBits);
+  harness::AsmDeviceModel asm_model(acfg);
   harness::BehavioralDeviceModel beh(behavioural_config(2, 2));
   harness::RtlDeviceModel rtl(rtl_config(2, 2));
 
@@ -244,11 +234,11 @@ TEST(Lockstep, ThreeWaySweepAgrees) {
     core::AsmConfig acfg;
     acfg.banks = banks;
     acfg.mem_addr_bits = 2;
-    harness::AsmDeviceModel asm_model(acfg, kDataBits);
+    harness::AsmDeviceModel asm_model(acfg);
     harness::BehavioralDeviceModel beh(behavioural_config(banks, 2));
     core::RtlConfig rcfg = rtl_config(banks, 2);
     harness::RtlDeviceModel rtl(rcfg);
-    harness::StimulusStream stream(asm_domain_options(acfg),
+    harness::StimulusStream stream(asm_model.stimulus_options(),
                                    1000 + static_cast<std::uint64_t>(banks));
     harness::LockstepOptions lo;
     lo.transactions = 1000;
@@ -373,7 +363,7 @@ TEST(Adapters, AsmCanonicalMemoryWord) {
   core::AsmConfig acfg;
   acfg.banks = 1;
   acfg.mem_addr_bits = 1;
-  harness::AsmDeviceModel asm_model(acfg, kDataBits);
+  harness::AsmDeviceModel asm_model(acfg);
   harness::BehavioralDeviceModel beh(behavioural_config(1, 1));
 
   harness::Stimulus w;

@@ -8,9 +8,9 @@
 #include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "la1/rtl_model.hpp"
-#include "la1/msc_spec.hpp"
 #include "mc/explicit.hpp"
 #include "mc/symbolic.hpp"
+#include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "psl/parse.hpp"
 #include "util/rng.hpp"
@@ -28,7 +28,7 @@ TEST(Integration, PropertySourcesParse) {
 
 TEST(Integration, MscDerivedPropertiesHoldOnBehavioralModel) {
   // Figure 3 (.msc spec) -> compiled latency monitors over the kernel model.
-  const msc::MonitorSuite suite = msc::to_psl(core::read_mode_chart());
+  const msc::MonitorSuite suite = msc::to_psl(msc::read_mode_chart());
   ASSERT_FALSE(suite.asserts.empty());
 
   core::Config cfg;

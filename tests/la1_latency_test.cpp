@@ -2,11 +2,14 @@
 // pipelines must keep the protocol contract at every level.
 #include <gtest/gtest.h>
 
+#include "harness/adapters.hpp"
+#include "harness/lockstep.hpp"
+#include "harness/stimulus.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
+#include "la1/rtl_model.hpp"
 #include "psl/monitor.hpp"
-#include "refine/lockstep.hpp"
 #include "util/rng.hpp"
 
 namespace la1::core {
@@ -70,7 +73,22 @@ TEST_P(LatencySweep, LockstepWithDeepRtlPipeline) {
   const int latency = GetParam();
   Config cfg = latency_config(1, latency);
   cfg.data_bits = 16;
-  const refine::LockstepResult r = refine::lockstep_compare(cfg, 80, 5);
+  harness::BehavioralDeviceModel beh_model(cfg);
+  RtlConfig rcfg;
+  rcfg.banks = cfg.banks;
+  rcfg.data_bits = cfg.data_bits;
+  rcfg.mem_addr_bits = cfg.mem_addr_bits();
+  rcfg.read_latency = cfg.read_latency;
+  harness::RtlDeviceModel rtl_model(rcfg);
+  harness::StimulusOptions so;
+  so.banks = cfg.banks;
+  so.mem_addr_bits = cfg.mem_addr_bits();
+  so.data_bits = cfg.data_bits;
+  harness::StimulusStream stream(so, 5);
+  harness::LockstepOptions lo;
+  lo.transactions = 80;
+  const harness::LockstepReport r =
+      harness::run_lockstep({&beh_model, &rtl_model}, stream, lo);
   EXPECT_TRUE(r.ok) << r.mismatch;
 }
 

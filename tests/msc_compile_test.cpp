@@ -11,7 +11,7 @@
 #include "cov/coverage.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
-#include "la1/msc_spec.hpp"
+#include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "msc/parse.hpp"
 #include "psl/monitor.hpp"
@@ -41,7 +41,7 @@ psl::VUnit hand_written_read(int latency_ticks) {
 /// {msc_failures, hand_failures}.
 std::pair<std::uint64_t, std::uint64_t> run_lockstep(const core::Config& cfg,
                                                      std::uint64_t seed) {
-  const MonitorSuite suite = to_psl(core::read_mode_chart());
+  const MonitorSuite suite = to_psl(read_mode_chart());
   psl::VUnitRunner derived(suite.vunit());
   psl::VUnitRunner hand(hand_written_read(4));
 
@@ -79,7 +79,7 @@ TEST(MscToPsl, VerdictMatchesHandWrittenOnLatencyFault) {
 }
 
 TEST(MscToPsl, SuiteShapeAndProvenance) {
-  const MonitorSuite suite = to_psl(core::read_mode_chart());
+  const MonitorSuite suite = to_psl(read_mode_chart());
   // Three pairwise latency asserts over the 4-message mandatory timeline.
   ASSERT_EQ(suite.asserts.size(), 3u);
   EXPECT_NE(suite.asserts[0].source.find("OnReadRequest[0]()@K"),
@@ -90,10 +90,32 @@ TEST(MscToPsl, SuiteShapeAndProvenance) {
             suite.asserts.size() + suite.covers.size());
 }
 
+TEST(DeriveTest, LatencyPropertiesFromFigure3) {
+  const Chart chart = read_mode_chart();
+  EXPECT_TRUE(chart.validate().empty());
+  const MonitorSuite suite = to_psl(chart);
+  ASSERT_GE(suite.asserts.size(), 3u);
+  // Request -> fetch is 2 ticks (1 K cycle).
+  EXPECT_NE(suite.asserts[0].source.find("OnReadRequest[0]()@K"),
+            std::string::npos);
+  // The compiled property mentions the bound tap names.
+  std::set<std::string> sigs;
+  psl::collect_signals(*suite.asserts[0].prop, sigs);
+  EXPECT_TRUE(sigs.count("b0.read_start"));
+  EXPECT_TRUE(sigs.count("b0.fetch"));
+}
+
+TEST(DeriveTest, CoversPerMessage) {
+  const Chart chart = read_mode_chart();
+  const MonitorSuite suite = to_psl(chart);
+  // One occurrence cover per distinct mandatory message, plus the loop cover.
+  EXPECT_GE(suite.covers.size(), chart.mandatory().size());
+}
+
 TEST(MscToPsl, BankSubstitution) {
   CompileOptions opts;
   opts.bank = 2;
-  const MonitorSuite suite = to_psl(core::read_mode_chart(), opts);
+  const MonitorSuite suite = to_psl(read_mode_chart(), opts);
   std::set<std::string> sigs;
   for (const auto& d : suite.asserts) psl::collect_signals(*d.prop, sigs);
   EXPECT_TRUE(sigs.count("b2.read_start"));
@@ -146,27 +168,20 @@ TEST(MscToPsl, OptRegionAnchorsAndCovers) {
 
 // ---- lowering --------------------------------------------------------
 
-TEST(MscLowering, ToUmlKeepsMandatoryTimelineOnly) {
-  const uml::SequenceDiagram sd = to_uml(core::read_mode_chart());
-  ASSERT_EQ(sd.messages().size(), 4u);  // the loop region does not lower
-  EXPECT_EQ(uml::SequenceDiagram::tick_of(sd.messages()[0]), 0);
-  EXPECT_EQ(uml::SequenceDiagram::tick_of(sd.messages()[3]), 5);
-  EXPECT_TRUE(sd.validate().empty());
-}
-
-TEST(MscLowering, FromUmlRoundTripsThroughText) {
-  const uml::SequenceDiagram sd = core::read_mode_sequence();
-  const Chart lifted = from_uml(sd);
-  const Chart reparsed = parse_chart(to_text(lifted));
-  ASSERT_EQ(reparsed.mandatory().size(), sd.messages().size());
-  for (std::size_t i = 0; i < sd.messages().size(); ++i) {
-    EXPECT_EQ(reparsed.mandatory()[i]->annotation(),
-              uml::SequenceDiagram::annotation(sd.messages()[i]));
+TEST(MscLowering, MandatoryTimelineOnly) {
+  const Chart chart = read_mode_chart();
+  const std::vector<const Message*> timeline = chart.mandatory();
+  ASSERT_EQ(timeline.size(), 4u);  // the loop region is not on the timeline
+  EXPECT_EQ(timeline[0]->tick_lo(), 0);
+  EXPECT_EQ(timeline[3]->tick_lo(), 5);
+  for (const Message* m : timeline) {
+    EXPECT_TRUE(m->exact()) << m->annotation();
   }
+  EXPECT_TRUE(chart.validate().empty());
 }
 
 TEST(MscLowering, ToDotNamesLifelinesAndMessages) {
-  const std::string dot = to_dot(core::read_mode_chart());
+  const std::string dot = to_dot(read_mode_chart());
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("NetworkProcessor"), std::string::npos);
   EXPECT_NE(dot.find("OnReadRequest[0]()@K"), std::string::npos);
@@ -183,7 +198,7 @@ harness::Geometry small_geometry() {
 }
 
 TEST(MscCoverage, GroupShape) {
-  const auto groups = to_coverage(core::read_mode_chart());
+  const auto groups = to_coverage(read_mode_chart());
   ASSERT_EQ(groups.size(), 3u);
   EXPECT_EQ(groups[0].name, "msc.ReadMode.ops");
   EXPECT_EQ(groups[0].bins.size(), 4u);
@@ -194,7 +209,7 @@ TEST(MscCoverage, GroupShape) {
 
   // No top-level loop on the write chart -> no window group; a write
   // trigger would anyway lack the read-address bins.
-  const auto wgroups = to_coverage(core::write_mode_chart());
+  const auto wgroups = to_coverage(write_mode_chart());
   ASSERT_EQ(wgroups.size(), 2u);
   EXPECT_EQ(wgroups[0].name, "msc.WriteMode.ops");
   EXPECT_EQ(wgroups[1].name, "msc.WriteMode.gap");
@@ -205,7 +220,7 @@ TEST(MscCoverage, GapAndWindowBinsAgreeWithCovDecode) {
   // plugin: the shared bins must agree bin-for-bin.
   const harness::Geometry g = small_geometry();
   cov::CoverageCollector collector(g);
-  ScenarioCoverage scenario(core::read_mode_chart(), g);
+  ScenarioCoverage scenario(read_mode_chart(), g);
 
   tgen::Profile profile;
   profile.read_burst = 0.6;
@@ -258,7 +273,7 @@ TEST(MscCoverage, ClosureWithPluginReachesAllSpecBins) {
   opt.target = 1.0;
   opt.transactions_per_epoch = 250;
   opt.budget.max_epochs = 40;
-  ScenarioCoverage scenario(core::read_mode_chart(), opt.geometry);
+  ScenarioCoverage scenario(read_mode_chart(), opt.geometry);
   opt.plugins.push_back(&scenario);
 
   const tgen::ClosureResult result = tgen::run_closure(opt);
@@ -272,7 +287,7 @@ TEST(MscCoverage, ClosureWithPluginReachesAllSpecBins) {
 // ---- stimulus --------------------------------------------------------
 
 TEST(MscProfile, BiasFollowsTheChart) {
-  const tgen::Profile read = to_profile(core::read_mode_chart());
+  const tgen::Profile read = to_profile(read_mode_chart());
   // Traffic on the trigger port, burst bias from the loop [3] region,
   // idle bursts so the long-gap bins stay reachable.
   EXPECT_GE(read.read_rate, 0.4);
@@ -281,14 +296,14 @@ TEST(MscProfile, BiasFollowsTheChart) {
   EXPECT_GT(read.idle_burst, 0.0);
   EXPECT_LT(read.write_rate, read.read_rate);
 
-  const tgen::Profile write = to_profile(core::write_mode_chart());
+  const tgen::Profile write = to_profile(write_mode_chart());
   EXPECT_GE(write.write_rate, 0.4);
   EXPECT_LT(write.read_rate, write.write_rate);
 }
 
 TEST(MscProfile, PluginProfileForTargetsItsBins) {
   const harness::Geometry g = small_geometry();
-  ScenarioCoverage scenario(core::read_mode_chart(), g);
+  ScenarioCoverage scenario(read_mode_chart(), g);
   EXPECT_TRUE(scenario.owns("msc.ReadMode.gap"));
   EXPECT_FALSE(scenario.owns("read_gap"));
   const tgen::Profile burst =

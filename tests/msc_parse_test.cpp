@@ -8,7 +8,7 @@
 
 #include "la1/msc_spec.hpp"
 #include "msc/ast.hpp"
-#include "msc/compile.hpp"
+#include "msc/charts.hpp"
 #include "msc/parse.hpp"
 #include "proptest.hpp"
 #include "util/rng.hpp"
@@ -66,6 +66,63 @@ TEST(MscParse, ShippedFixturesParseAndValidate) {
   EXPECT_TRUE(write.validate().empty());
   EXPECT_EQ(write.trigger, Trigger::kWrite);
   EXPECT_EQ(write.mandatory().size(), 3u);
+}
+
+// The Figure-3 read scenario as the flow consumes it: request at K(0),
+// SRAM access at K(1), the two DDR beats at K(2) and K#(2).
+TEST(La1Spec, ReadModeTicksMatchFigure3) {
+  const Chart chart = read_mode_chart();
+  const std::vector<const Message*> msgs = chart.mandatory();
+  ASSERT_EQ(msgs.size(), 4u);
+  EXPECT_EQ(msgs[0]->tick_lo(), 0);  // request at K(0)
+  EXPECT_EQ(msgs[1]->tick_lo(), 2);  // SRAM at K(1)
+  EXPECT_EQ(msgs[2]->tick_lo(), 4);  // beat0 at K(2)
+  EXPECT_EQ(msgs[3]->tick_lo(), 5);  // beat1 at K#(2)
+  EXPECT_EQ(msgs[3]->annotation(), "ReleaseBeat1[2]()@K#");
+}
+
+TEST(La1Spec, WriteModeValidates) {
+  EXPECT_TRUE(write_mode_chart().validate().empty());
+}
+
+TEST(SequenceDiagramTest, AnnotationFormat) {
+  Message m;
+  m.operation = "OnReadRequest";
+  m.cycle_lo = m.cycle_hi = 2;
+  m.clock = Clock::kKs;
+  EXPECT_EQ(m.annotation(), "OnReadRequest[2]()@K#");
+  EXPECT_EQ(m.tick_lo(), 5);
+  m.cycle_lo = m.cycle_hi = 1;
+  m.clock = Clock::kK;
+  EXPECT_EQ(m.tick_lo(), 2);
+}
+
+TEST(SequenceDiagramTest, ValidateOrderAndLifelines) {
+  const auto msg = [](std::string from, std::string to, std::string op,
+                      int cycle) {
+    Message m;
+    m.from = std::move(from);
+    m.to = std::move(to);
+    m.operation = std::move(op);
+    m.cycle_lo = m.cycle_hi = cycle;
+    return Item::of(std::move(m));
+  };
+  Chart unknown;
+  unknown.name = "s";
+  unknown.lifelines = {"A"};
+  unknown.items = {msg("A", "B", "op", 0)};  // unknown B
+  EXPECT_FALSE(unknown.validate().empty());
+
+  Chart ordered;
+  ordered.name = "o";
+  ordered.lifelines = {"A"};
+  ordered.items = {msg("A", "A", "second", 1),
+                   msg("A", "A", "first", 0)};  // goes back in time
+  bool found_order_issue = false;
+  for (const auto& issue : ordered.validate()) {
+    if (issue.find("order") != std::string::npos) found_order_issue = true;
+  }
+  EXPECT_TRUE(found_order_issue);
 }
 
 TEST(MscParse, RoundTripIsByteStable) {

@@ -93,6 +93,25 @@ TEST(Parse, ErrorCarriesOffset) {
   }
 }
 
+// Counts are ints: a literal above INT_MAX is a diagnostic at the literal,
+// never a wrapped (negative) count or signed overflow in the lexer.
+TEST(Parse, OversizedCountIsRejectedAtTheLiteral) {
+  const auto offset_of = [](const std::string& text) -> std::size_t {
+    try {
+      parse_property(text);
+    } catch (const ParseError& e) {
+      return e.offset;
+    }
+    ADD_FAILURE() << "expected ParseError on: " << text;
+    return 0;
+  };
+  EXPECT_EQ(offset_of("always (a -> next[12345678901234567890] b)"), 18u);
+  EXPECT_EQ(offset_of("never {a[*3000000000]}"), 10u);
+  EXPECT_EQ(offset_of("never {a[*2147483648]; b}"), 10u);
+  // INT_MAX itself is still a legal literal.
+  EXPECT_NO_THROW(parse_sere("a[*2147483647]"));
+}
+
 /// Semantic round trip: the parsed property behaves like the built one.
 class PairEnv : public Env {
  public:

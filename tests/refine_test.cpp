@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "harness/adapters.hpp"
+#include "harness/lockstep.hpp"
+#include "harness/stimulus.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
-#include "refine/conformance.hpp"
 #include "refine/flow.hpp"
-#include "refine/lockstep.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
 
@@ -15,13 +16,26 @@ namespace {
 class ConformanceSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
+// ASM <-> behavioural conformance (paper §5.1): 600 clock edges of one
+// stream drawn from the ASM rule domains, every shared tap compared.
 TEST_P(ConformanceSweep, AsmAndBehavioralAgree) {
   const auto [banks, seed] = GetParam();
   core::AsmConfig cfg;
   cfg.banks = banks;
-  const ConformanceResult r = conformance_test(cfg, 600, seed);
+  harness::AsmDeviceModel asm_model(cfg);
+  core::Config bcfg;
+  bcfg.banks = banks;
+  bcfg.data_bits = asm_model.geometry().data_bits;
+  bcfg.addr_bits = cfg.mem_addr_bits + bcfg.bank_bits();
+  harness::BehavioralDeviceModel beh_model(bcfg);
+  harness::StimulusStream stream(asm_model.stimulus_options(), seed);
+  harness::LockstepOptions lo;
+  lo.transactions = 300;
+  lo.drain_ticks = 0;
+  const harness::LockstepReport r =
+      harness::run_lockstep({&asm_model, &beh_model}, stream, lo);
   EXPECT_TRUE(r.ok) << r.mismatch;
-  EXPECT_EQ(r.steps_run, 600);
+  EXPECT_EQ(r.ticks_run, 600u);
   EXPECT_GT(r.comparisons, 1000u);
 }
 
@@ -33,13 +47,29 @@ INSTANTIATE_TEST_SUITE_P(
 class LockstepSweep
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
+// Behavioural <-> RTL lockstep: 150 random transactions into both models.
 TEST_P(LockstepSweep, BehavioralAndRtlAgree) {
   const auto [banks, seed] = GetParam();
   core::Config cfg;
   cfg.banks = banks;
   cfg.data_bits = 16;
   cfg.addr_bits = 5;
-  const LockstepResult r = lockstep_compare(cfg, 150, seed);
+  harness::BehavioralDeviceModel beh_model(cfg);
+  core::RtlConfig rcfg;
+  rcfg.banks = banks;
+  rcfg.data_bits = cfg.data_bits;
+  rcfg.mem_addr_bits = cfg.mem_addr_bits();
+  rcfg.read_latency = cfg.read_latency;
+  harness::RtlDeviceModel rtl_model(rcfg);
+  harness::StimulusOptions so;
+  so.banks = banks;
+  so.mem_addr_bits = cfg.mem_addr_bits();
+  so.data_bits = cfg.data_bits;
+  harness::StimulusStream stream(so, seed);
+  harness::LockstepOptions lo;
+  lo.transactions = 150;
+  const harness::LockstepReport r =
+      harness::run_lockstep({&beh_model, &rtl_model}, stream, lo);
   EXPECT_TRUE(r.ok) << r.mismatch;
   EXPECT_GT(r.reads_issued, 0u);
   EXPECT_GT(r.writes_issued, 0u);
@@ -101,6 +131,8 @@ TEST(Flow, EndToEndOneBank) {
   const FlowReport report = run_flow(opt);
   EXPECT_TRUE(report.ok) << report.render();
   EXPECT_EQ(report.stages.size(), 14u);
+  EXPECT_NE(report.stages[0].detail.find("2 charts"), std::string::npos)
+      << report.stages[0].detail;
   EXPECT_NE(report.verilog.find("module la1_device"), std::string::npos);
   const std::string rendered = report.render();
   EXPECT_NE(rendered.find("MSC spec compilation"), std::string::npos);

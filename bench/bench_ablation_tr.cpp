@@ -1,10 +1,16 @@
 // Ablation A — transition-relation strategy in the symbolic checker:
 // partitioned conjuncts with early quantification vs one monolithic
 // transition-relation BDD (DESIGN.md ablation index).
+//
+//   --banks N         bank count (default 1)
+//   --node-limit N    live-BDD-node budget (default 8000000)
+//   --json PATH       write the {bench, params, metrics} report; each row
+//                     carries the BDD engine counters
 #include <cstdio>
 
 #include "la1/rtl_model.hpp"
 #include "mc/symbolic.hpp"
+#include "util/bench_report.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -14,6 +20,10 @@ int main(int argc, char** argv) {
   const int banks = static_cast<int>(cli.get_int("banks", 1));
   const std::uint64_t node_limit =
       static_cast<std::uint64_t>(cli.get_int("node-limit", 8000000));
+  util::BenchReport report("bench_ablation_tr");
+  report.param("banks", util::Json(banks))
+      .param("node_limit", util::Json(node_limit));
+  cli.get("json", "");
   for (const auto& unused : cli.unused()) {
     std::fprintf(stderr, "unknown option --%s\n", unused.c_str());
     return 2;
@@ -51,11 +61,20 @@ int main(int argc, char** argv) {
                    util::fmt_double(r.cpu_seconds, 2),
                    util::fmt_count(r.peak_bdd_nodes),
                    std::to_string(r.iterations)});
+    util::Json metric = util::Json::object();
+    metric.set("strategy", util::Json(row.name));
+    metric.set("state_bits", util::Json(r.state_bits));
+    metric.set("result", util::Json(outcome));
+    metric.set("cpu_seconds", util::Json(r.cpu_seconds));
+    metric.set("peak_bdd_nodes", util::Json(r.peak_bdd_nodes));
+    metric.set("iterations", util::Json(r.iterations));
+    metric.set("bdd", r.bdd_stats.to_json());
+    report.metric(std::move(metric));
     std::fflush(stdout);
   }
   std::fputs(table.render().c_str(), stdout);
   std::puts("\nExpected: cone-of-influence reduction collapses the problem to"
             "\nthe property's control cone; without it, partitioning still"
             "\nbeats the monolithic relation's node peak.");
-  return 0;
+  return report.finish(cli) ? 0 : 1;
 }

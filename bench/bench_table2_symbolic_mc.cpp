@@ -86,6 +86,7 @@ int main(int argc, char** argv) {
             util::Json(static_cast<std::int64_t>(r.peak_bdd_nodes)));
     row.set("iterations", util::Json(static_cast<std::int64_t>(r.iterations)));
     row.set("result", util::Json(result));
+    row.set("bdd", r.bdd_stats.to_json());
     report.metric(std::move(row));
     std::fflush(stdout);
     if (r.outcome == mc::SymbolicResult::Outcome::kStateExplosion) {

@@ -1,24 +1,67 @@
 #include "bdd/bdd.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 namespace la1::bdd {
 
+namespace {
+
+// Unique table: starts at 4K buckets, doubles at load factor 1.
+constexpr int kInitialBucketBits = 12;
+// Computed cache: one entry per live node, between 4K and 1M entries.
+constexpr int kMinCacheBits = 12;
+constexpr int kMaxCacheBits = 20;
+// Op tags in the top bits of a cache entry's `c`. ITE keeps a node id
+// there, so node ids stay below the first tag.
+constexpr std::uint32_t kTagShift = 29;
+constexpr NodeId kMaxNodes = 1u << kTagShift;
+constexpr std::uint32_t kOpExists = 1u << kTagShift;
+constexpr std::uint32_t kOpAndExists = 2u << kTagShift;
+constexpr std::uint32_t kOpRename = 3u << kTagShift;
+constexpr std::uint32_t kOpCofactor = 4u << kTagShift;
+
+/// Multiplicative hash of a key triple; callers take the top bits.
+std::uint64_t hash3(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+  std::uint64_t h = a * 0x9E3779B97F4A7C15ull;
+  h = (h ^ b) * 0xC2B2AE3D27D4EB4Full;
+  return (h ^ (h >> 29) ^ c) * 0x165667B19E3779F9ull;
+}
+
+/// Smallest cache size (as log2) holding one entry per live node.
+int cache_bits_for(std::uint64_t live) {
+  int bits = kMinCacheBits;
+  while (bits < kMaxCacheBits && (std::uint64_t{1} << bits) < live) ++bits;
+  return bits;
+}
+
+}  // namespace
+
 Manager::Manager(int var_count) : var_count_(var_count) {
   if (var_count < 0) throw std::invalid_argument("negative var count");
+  if (var_count >= (1 << (kTagShift - 1))) {
+    throw std::invalid_argument("var count exceeds the cofactor cache key");
+  }
   // Terminal nodes. var = var_count acts as the "past the last level" rank
   // so ordering comparisons work without special cases.
-  nodes_.push_back(Node{var_count, kFalse, kFalse, 1});
-  nodes_.push_back(Node{var_count, kTrue, kTrue, 1});
+  nodes_.push_back(Node{var_count, kFalse, kFalse, 1, 0});
+  nodes_.push_back(Node{var_count, kTrue, kTrue, 1, 0});
+  bucket_bits_ = kInitialBucketBits;
+  buckets_.assign(std::size_t{1} << bucket_bits_, 0);
+  resize_cache(kMinCacheBits);
 }
 
 NodeId Manager::make(int var, NodeId low, NodeId high) {
   if (low == high) return low;
-  const UniqueKey key{var, low, high};
-  auto it = unique_.find(key);
-  if (it != unique_.end()) return it->second;
+  ++stats_.unique_lookups;
+  NodeId& head = buckets_[unique_slot(var, low, high)];
+  for (NodeId id = head; id != 0; id = nodes_[id].next) {
+    const Node& n = nodes_[id];
+    if (n.low == low && n.high == high && n.var == var) return id;
+  }
 
   if (node_limit_ != 0 && live_nodes_ >= node_limit_) {
     throw ResourceExhausted{live_nodes_, node_limit_};
@@ -28,17 +71,105 @@ NodeId Manager::make(int var, NodeId low, NodeId high) {
   if (!free_list_.empty()) {
     id = free_list_.back();
     free_list_.pop_back();
-    nodes_[id] = Node{var, low, high, 0};
   } else {
+    if (nodes_.size() >= kMaxNodes) {
+      throw std::length_error("bdd: node id space exhausted");
+    }
     id = static_cast<NodeId>(nodes_.size());
-    nodes_.push_back(Node{var, low, high, 0});
+    nodes_.emplace_back();
   }
+  nodes_[id] = Node{var, low, high, 0, head};
+  head = id;
   ++nodes_[low].refs;
   ++nodes_[high].refs;
   ++live_nodes_;
   ++created_nodes_;
   if (live_nodes_ > peak_live_nodes_) peak_live_nodes_ = live_nodes_;
-  unique_[key] = id;
+  if (live_nodes_ > buckets_.size()) grow_unique();
+  if (cache_bits_ < kMaxCacheBits && live_nodes_ > cache_.size()) {
+    resize_cache(cache_bits_ + 1);
+  }
+  return id;
+}
+
+void Manager::grow_unique() {
+  std::vector<NodeId> old(std::size_t{2} << bucket_bits_, 0);
+  old.swap(buckets_);
+  ++bucket_bits_;
+  for (NodeId id : old) {
+    while (id != 0) {
+      Node& n = nodes_[id];
+      const NodeId next = n.next;
+      NodeId& head = buckets_[unique_slot(n.var, n.low, n.high)];
+      n.next = head;
+      head = id;
+      id = next;
+    }
+  }
+}
+
+std::size_t Manager::unique_slot(int var, NodeId low, NodeId high) const {
+  return static_cast<std::size_t>(
+      hash3(static_cast<std::uint32_t>(var), low, high) >> (64 - bucket_bits_));
+}
+
+void Manager::resize_cache(int log2) {
+  std::vector<CacheEntry> old(std::size_t{1} << log2);
+  old.swap(cache_);
+  cache_bits_ = log2;
+  for (const CacheEntry& e : old) {
+    if (e.a != 0) cache_[cache_slot(e.a, e.b, e.c)] = e;
+  }
+}
+
+std::size_t Manager::cache_slot(NodeId a, NodeId b, std::uint32_t c) const {
+  return static_cast<std::size_t>(hash3(a, b, c) >> (64 - cache_bits_));
+}
+
+bool Manager::cache_find(NodeId a, NodeId b, std::uint32_t c, NodeId& result) {
+  ++stats_.cache_lookups;
+  const CacheEntry& e = cache_[cache_slot(a, b, c)];
+  if (e.a != a || e.b != b || e.c != c) return false;
+  ++stats_.cache_hits;
+  result = e.result;
+  return true;
+}
+
+void Manager::cache_store(NodeId a, NodeId b, std::uint32_t c, NodeId result) {
+  cache_[cache_slot(a, b, c)] = CacheEntry{a, b, c, result};
+}
+
+Manager::MaskInfo Manager::intern_mask(const std::vector<bool>& mask) {
+  const auto it = mask_ids_.find(mask);
+  if (it != mask_ids_.end()) return it->second;
+  MaskInfo info;
+  info.id = static_cast<std::uint32_t>(mask_ids_.size());
+  // Clamped below the terminals' rank, so the recursions stop at them.
+  const auto vars = static_cast<std::size_t>(var_count_);
+  for (std::size_t v = std::min(mask.size(), vars); v-- > 0;) {
+    if (mask[v]) {
+      info.last = static_cast<int>(v);
+      break;
+    }
+  }
+  mask_ids_.emplace(mask, info);
+  return info;
+}
+
+std::uint32_t Manager::intern_rename(const std::vector<int>& ren) {
+  const auto it = rename_ids_.find(ren);
+  if (it != rename_ids_.end()) return it->second;
+  // Order compatibility is the caller's contract; violating it silently
+  // builds a non-canonical DAG, so verify every new mapping (cheap).
+  // Non-decreasing suffices: equal images are fine when only one of the two
+  // variables can occur in f (the checker's quantify-then-rename usage).
+  for (std::size_t i = 1; i < ren.size(); ++i) {
+    if (ren[i] < ren[i - 1]) {
+      throw std::invalid_argument("rename: order-incompatible mapping");
+    }
+  }
+  const auto id = static_cast<std::uint32_t>(rename_ids_.size());
+  rename_ids_.emplace(ren, id);
   return id;
 }
 
@@ -50,24 +181,36 @@ NodeId Manager::low(NodeId f) const { return nodes_[f].low; }
 NodeId Manager::high(NodeId f) const { return nodes_[f].high; }
 
 NodeId Manager::ite(NodeId f, NodeId g, NodeId h) {
-  // Terminal cases.
+  ++stats_.ite_calls;
+  // Terminal cases, after the standard-triple rewrites
+  // ite(f, f, h) = ite(f, 1, h) and ite(f, g, f) = ite(f, g, 0).
   if (f == kTrue) return g;
   if (f == kFalse) return h;
+  if (g == f) g = kTrue;
+  if (h == f) h = kFalse;
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
+  // AND = ite(f, g, 0) and OR = ite(f, 1, h) commute: one cache key each.
+  if (h == kFalse) {
+    if (g < f) std::swap(f, g);
+  } else if (g == kTrue) {
+    if (h < f) std::swap(f, h);
+  }
 
-  const IteKey key{f, g, h};
-  auto it = ite_cache_.find(key);
-  if (it != ite_cache_.end()) return it->second;
-
-  const int v = std::min(nodes_[f].var, std::min(nodes_[g].var, nodes_[h].var));
-  auto cof = [&](NodeId n, bool hi) {
-    return nodes_[n].var == v ? (hi ? nodes_[n].high : nodes_[n].low) : n;
+  NodeId out;
+  if (cache_find(f, g, h, out)) return out;
+  const Node nf = nodes_[f];
+  const Node ng = nodes_[g];
+  const Node nh = nodes_[h];
+  const int v = std::min(nf.var, std::min(ng.var, nh.var));
+  auto cof = [v](const Node& n, NodeId id, bool hi) {
+    return n.var == v ? (hi ? n.high : n.low) : id;
   };
-  const NodeId lo = ite(cof(f, false), cof(g, false), cof(h, false));
-  const NodeId hi = ite(cof(f, true), cof(g, true), cof(h, true));
-  const NodeId out = make(v, lo, hi);
-  ite_cache_[key] = out;
+  const NodeId lo =
+      ite(cof(nf, f, false), cof(ng, g, false), cof(nh, h, false));
+  const NodeId hi = ite(cof(nf, f, true), cof(ng, g, true), cof(nh, h, true));
+  out = make(v, lo, hi);
+  cache_store(f, g, h, out);
   return out;
 }
 
@@ -75,108 +218,110 @@ NodeId Manager::apply_xor(NodeId f, NodeId g) {
   return ite(f, apply_not(g), g);
 }
 
-NodeId Manager::exists_rec(NodeId f, const std::vector<bool>& mask,
-                           std::unordered_map<NodeId, NodeId>& memo) {
-  if (is_const(f)) return f;
-  auto it = memo.find(f);
-  if (it != memo.end()) return it->second;
+NodeId Manager::exists_rec(NodeId f, const std::vector<bool>& mask, int last,
+                           std::uint32_t tag) {
+  // Nothing to quantify below the mask's last variable (constants included:
+  // their rank is var_count).
   const Node n = nodes_[f];
-  const NodeId lo = exists_rec(n.low, mask, memo);
-  const NodeId hi = exists_rec(n.high, mask, memo);
-  const NodeId out = mask[static_cast<std::size_t>(n.var)]
-                         ? apply_or(lo, hi)
-                         : make(n.var, lo, hi);
-  memo[f] = out;
+  if (n.var > last) return f;
+  NodeId out;
+  if (cache_find(f, 0, tag, out)) return out;
+  const NodeId lo = exists_rec(n.low, mask, last, tag);
+  const NodeId hi = exists_rec(n.high, mask, last, tag);
+  out = mask[static_cast<std::size_t>(n.var)] ? apply_or(lo, hi)
+                                              : make(n.var, lo, hi);
+  cache_store(f, 0, tag, out);
   return out;
 }
 
 NodeId Manager::exists(NodeId f, const std::vector<bool>& mask) {
-  std::unordered_map<NodeId, NodeId> memo;
-  return exists_rec(f, mask, memo);
+  const MaskInfo m = intern_mask(mask);
+  return exists_rec(f, mask, m.last, kOpExists | m.id);
 }
 
 NodeId Manager::forall(NodeId f, const std::vector<bool>& mask) {
   return apply_not(exists(apply_not(f), mask));
 }
 
-NodeId Manager::and_exists_rec(NodeId f, NodeId g, const std::vector<bool>& mask,
-                               std::unordered_map<std::uint64_t, NodeId>& memo) {
+NodeId Manager::and_exists_rec(NodeId f, NodeId g,
+                               const std::vector<bool>& mask, int last,
+                               std::uint32_t mask_id) {
   if (f == kFalse || g == kFalse) return kFalse;
-  if (f == kTrue && g == kTrue) return kTrue;
-  if (f == kTrue) {
-    std::unordered_map<NodeId, NodeId> m2;
-    return exists_rec(g, mask, m2);
-  }
-  if (g == kTrue) {
-    std::unordered_map<NodeId, NodeId> m2;
-    return exists_rec(f, mask, m2);
-  }
+  // One TRUE operand leaves plain quantification: share exists' entries.
+  if (f == kTrue) return exists_rec(g, mask, last, kOpExists | mask_id);
+  if (g == kTrue) return exists_rec(f, mask, last, kOpExists | mask_id);
   if (f > g) std::swap(f, g);
-  const std::uint64_t key = (static_cast<std::uint64_t>(f) << 32) | g;
-  auto it = memo.find(key);
-  if (it != memo.end()) return it->second;
+  const Node nf = nodes_[f];
+  const Node ng = nodes_[g];
+  const int v = std::min(nf.var, ng.var);
+  if (v > last) return apply_and(f, g);
 
-  const int v = std::min(nodes_[f].var, nodes_[g].var);
-  auto cof = [&](NodeId n, bool hi) {
-    return nodes_[n].var == v ? (hi ? nodes_[n].high : nodes_[n].low) : n;
-  };
-  const NodeId lo = and_exists_rec(cof(f, false), cof(g, false), mask, memo);
+  const std::uint32_t tag = kOpAndExists | mask_id;
   NodeId out;
+  if (cache_find(f, g, tag, out)) return out;
+  auto cof = [v](const Node& n, NodeId node, bool hi) {
+    return n.var == v ? (hi ? n.high : n.low) : node;
+  };
+  const NodeId lo = and_exists_rec(cof(nf, f, false), cof(ng, g, false),
+                                   mask, last, mask_id);
   if (mask[static_cast<std::size_t>(v)]) {
     if (lo == kTrue) {
       out = kTrue;  // early termination: OR with TRUE
     } else {
-      const NodeId hi = and_exists_rec(cof(f, true), cof(g, true), mask, memo);
+      const NodeId hi = and_exists_rec(cof(nf, f, true), cof(ng, g, true),
+                                       mask, last, mask_id);
       out = apply_or(lo, hi);
     }
   } else {
-    const NodeId hi = and_exists_rec(cof(f, true), cof(g, true), mask, memo);
+    const NodeId hi = and_exists_rec(cof(nf, f, true), cof(ng, g, true),
+                                     mask, last, mask_id);
     out = make(v, lo, hi);
   }
-  memo[key] = out;
+  cache_store(f, g, tag, out);
   return out;
 }
 
 NodeId Manager::and_exists(NodeId f, NodeId g, const std::vector<bool>& mask) {
-  std::unordered_map<std::uint64_t, NodeId> memo;
-  return and_exists_rec(f, g, mask, memo);
+  const MaskInfo m = intern_mask(mask);
+  return and_exists_rec(f, g, mask, m.last, m.id);
 }
 
 NodeId Manager::rename_rec(NodeId f, const std::vector<int>& rename,
-                           std::unordered_map<NodeId, NodeId>& memo) {
+                           std::uint32_t tag) {
   if (is_const(f)) return f;
-  auto it = memo.find(f);
-  if (it != memo.end()) return it->second;
+  NodeId out;
+  if (cache_find(f, 0, tag, out)) return out;
   const Node n = nodes_[f];
-  const NodeId lo = rename_rec(n.low, rename, memo);
-  const NodeId hi = rename_rec(n.high, rename, memo);
-  const NodeId out = make(rename[static_cast<std::size_t>(n.var)], lo, hi);
-  memo[f] = out;
+  const NodeId lo = rename_rec(n.low, rename, tag);
+  const NodeId hi = rename_rec(n.high, rename, tag);
+  out = make(rename[static_cast<std::size_t>(n.var)], lo, hi);
+  cache_store(f, 0, tag, out);
   return out;
 }
 
 NodeId Manager::rename(NodeId f, const std::vector<int>& ren) {
-  // Order compatibility is the caller's contract; violating it silently
-  // builds a non-canonical DAG, so verify always (cheap). Non-decreasing
-  // suffices: equal images are fine when only one of the two variables can
-  // occur in f (the checker's quantify-then-rename usage).
-  for (std::size_t i = 1; i < ren.size(); ++i) {
-    if (ren[i] < ren[i - 1]) {
-      throw std::invalid_argument("rename: order-incompatible mapping");
-    }
-  }
-  std::unordered_map<NodeId, NodeId> memo;
-  return rename_rec(f, ren, memo);
+  return rename_rec(f, ren, kOpRename | intern_rename(ren));
+}
+
+NodeId Manager::cofactor_rec(NodeId f, int v, bool value, std::uint32_t tag) {
+  const Node n = nodes_[f];
+  if (n.var > v) return f;  // constants included
+  if (n.var == v) return value ? n.high : n.low;
+  NodeId out;
+  if (cache_find(f, 0, tag, out)) return out;
+  const NodeId lo = cofactor_rec(n.low, v, value, tag);
+  const NodeId hi = cofactor_rec(n.high, v, value, tag);
+  out = make(n.var, lo, hi);
+  cache_store(f, 0, tag, out);
+  return out;
 }
 
 NodeId Manager::cofactor(NodeId f, int v, bool value) {
-  if (is_const(f)) return f;
-  const Node n = nodes_[f];
-  if (n.var > v) return f;
-  if (n.var == v) return value ? n.high : n.low;
-  const NodeId lo = cofactor(n.low, v, value);
-  const NodeId hi = cofactor(n.high, v, value);
-  return make(n.var, lo, hi);
+  // No node sits at a level outside [0, var_count): f is unchanged.
+  if (v < 0 || v >= var_count_) return f;
+  const std::uint32_t literal =
+      (static_cast<std::uint32_t>(v) << 1) | (value ? 1u : 0u);
+  return cofactor_rec(f, v, value, kOpCofactor | literal);
 }
 
 bool Manager::eval(NodeId f, const std::vector<bool>& assignment) const {
@@ -266,8 +411,8 @@ void Manager::deref(NodeId f) {
 }
 
 std::uint64_t Manager::collect_garbage() {
-  // The computed table may hold dead operands; drop it wholesale.
-  ite_cache_.clear();
+  const auto t0 = std::chrono::steady_clock::now();
+  ++stats_.gc_runs;
   std::uint64_t reclaimed = 0;
   // Worklist sweep: free every refs==0 node; freeing may push children to 0.
   std::vector<NodeId> dead;
@@ -279,7 +424,6 @@ std::uint64_t Manager::collect_garbage() {
     dead.pop_back();
     Node& n = nodes_[id];
     if (n.var < 0 || n.refs != 0) continue;  // resurrected or already freed
-    unique_.erase(UniqueKey{n.var, n.low, n.high});
     for (NodeId child : {n.low, n.high}) {
       if (--nodes_[child].refs == 0 && child > kTrue && nodes_[child].var >= 0) {
         dead.push_back(child);
@@ -290,13 +434,51 @@ std::uint64_t Manager::collect_garbage() {
     --live_nodes_;
     ++reclaimed;
   }
+  // Unlink the tombstones from their unique-table chains.
+  for (NodeId& head : buckets_) {
+    NodeId* link = &head;
+    while (*link != 0) {
+      Node& n = nodes_[*link];
+      if (n.var < 0) {
+        *link = n.next;
+      } else {
+        link = &n.next;
+      }
+    }
+  }
+  // The computed cache may hold dead operands and results; drop it and
+  // size it for the survivors.
+  cache_.clear();
+  resize_cache(cache_bits_for(live_nodes_));
+  stats_.gc_ns += static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   return reclaimed;
 }
 
 std::uint64_t Manager::memory_bytes() const {
   return nodes_.capacity() * sizeof(Node) +
-         unique_.size() * (sizeof(UniqueKey) + sizeof(NodeId) + 16) +
-         ite_cache_.size() * (sizeof(IteKey) + sizeof(NodeId) + 16);
+         buckets_.capacity() * sizeof(NodeId) +
+         cache_.capacity() * sizeof(CacheEntry);
+}
+
+util::Json Stats::to_json() const {
+  util::Json j = util::Json::object();
+  j.set("ite_calls", ite_calls);
+  j.set("cache_lookups", cache_lookups);
+  j.set("cache_hits", cache_hits);
+  j.set("unique_lookups", unique_lookups);
+  j.set("unique_buckets", unique_buckets);
+  j.set("gc_runs", gc_runs);
+  j.set("gc_ns", gc_ns);
+  return j;
+}
+
+Stats Manager::stats() const {
+  Stats s = stats_;
+  s.unique_buckets = buckets_.size();
+  return s;
 }
 
 std::string Manager::to_dot(

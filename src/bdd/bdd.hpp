@@ -1,23 +1,39 @@
 // Reduced Ordered Binary Decision Diagrams.
 //
 // This is the symbolic engine behind the RuleBase-style model checker
-// (paper §5.2, Table 2). It is a classic ROBDD package: a unique table for
-// canonicity, an ITE operation with a computed-table cache, existential /
-// universal quantification, variable substitution (compose-by-renaming for
-// the transition-relation image), reference-counted garbage collection, and
-// node accounting so the benchmark can report "Number of BDDs" and memory
-// the way RuleBase does.
+// (paper §5.2, Table 2). It is a classic ROBDD package in the layout of
+// Brace, Rudell and Bryant ("Efficient implementation of a BDD package",
+// DAC 1990):
+//
+//   - a unique table for canonicity: a power-of-two bucket array chained
+//     through each node's `next` field, doubled at load factor 1;
+//   - one computed cache shared by every recursive operation: a
+//     direct-mapped, lossy array of {a, b, c, result} entries. ITE keys on
+//     its (normalized) triple; quantification, renaming and cofactoring put
+//     an op tag plus an interned mask / rename-vector id (or the cofactor
+//     literal) in `c`, so their results survive across calls. Its size
+//     follows the live-node count and it is cleared by garbage collection;
+//   - existential / universal quantification, AND-EXISTS (the relational
+//     image workhorse), variable substitution (compose-by-renaming for the
+//     transition-relation image) and cofactors;
+//   - reference-counted garbage collection, and node accounting so the
+//     benchmark can report "Number of BDDs" and memory the way RuleBase
+//     does, plus engine counters (`Manager::stats`).
 //
 // Node 0 is the constant FALSE, node 1 the constant TRUE. Complement edges
-// are not used; negation materializes nodes (simpler invariants, adequate
-// for the design sizes in the paper).
+// are not used and the variable order is static, so the node set of every
+// function is canonical: a change to the tables can move time and memory
+// but never the node counts.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "util/json.hpp"
 
 namespace la1::bdd {
 
@@ -32,6 +48,21 @@ inline constexpr NodeId kTrue = 1;
 struct ResourceExhausted {
   std::uint64_t live_nodes = 0;
   std::uint64_t limit = 0;
+};
+
+/// Engine counters, cumulative over the manager's lifetime. Plain
+/// increments on the hot paths; `unique_buckets` is the current size of the
+/// unique table.
+struct Stats {
+  std::uint64_t ite_calls = 0;       // ite() entries, recursive ones included
+  std::uint64_t cache_lookups = 0;   // computed-cache probes, all ops
+  std::uint64_t cache_hits = 0;
+  std::uint64_t unique_lookups = 0;  // unique-table probes, low != high
+  std::uint64_t unique_buckets = 0;
+  std::uint64_t gc_runs = 0;
+  std::uint64_t gc_ns = 0;           // wall time spent in collect_garbage
+
+  util::Json to_json() const;
 };
 
 /// The BDD manager: owns all nodes of one variable order.
@@ -105,6 +136,8 @@ class Manager {
   std::uint64_t created_nodes() const { return created_nodes_; }
   /// Approximate bytes held by the manager (nodes + tables).
   std::uint64_t memory_bytes() const;
+  /// Engine counters (computed-cache hit rate, unique-table load, GC).
+  Stats stats() const;
 
   /// Sets a live-node budget; operations throw ResourceExhausted beyond it.
   /// 0 disables the budget.
@@ -115,62 +148,56 @@ class Manager {
 
  private:
   struct Node {
-    int var = -1;
+    int var = -1;  // -1 marks a freed slot
     NodeId low = 0;
     NodeId high = 0;
     std::uint32_t refs = 0;
+    NodeId next = 0;  // unique-table chain; 0 ends it (FALSE is never chained)
   };
-
-  struct UniqueKey {
-    int var;
-    NodeId low;
-    NodeId high;
-    bool operator==(const UniqueKey& o) const {
-      return var == o.var && low == o.low && high == o.high;
-    }
+  struct CacheEntry {
+    NodeId a = 0;  // 0 marks an empty slot: no lookup has a FALSE first key
+    NodeId b = 0;
+    std::uint32_t c = 0;
+    NodeId result = 0;
   };
-  struct UniqueKeyHash {
-    std::size_t operator()(const UniqueKey& k) const {
-      std::size_t h = static_cast<std::size_t>(k.var);
-      h = h * 1000003u ^ k.low;
-      h = h * 1000003u ^ k.high;
-      return h;
-    }
+  /// An interned quantification mask: its id and its last masked variable.
+  struct MaskInfo {
+    std::uint32_t id = 0;
+    int last = -1;
   };
-  struct IteKey {
-    NodeId f, g, h;
-    bool operator==(const IteKey& o) const {
-      return f == o.f && g == o.g && h == o.h;
-    }
-  };
-  struct IteKeyHash {
-    std::size_t operator()(const IteKey& k) const {
-      std::size_t h = k.f;
-      h = h * 1000003u ^ k.g;
-      h = h * 1000003u ^ k.h;
-      return h;
-    }
-  };
-
   NodeId make(int var, NodeId low, NodeId high);
-  NodeId exists_rec(NodeId f, const std::vector<bool>& mask,
-                    std::unordered_map<NodeId, NodeId>& memo);
+  std::size_t unique_slot(int var, NodeId low, NodeId high) const;
+  void grow_unique();
+  void resize_cache(int log2);
+  std::size_t cache_slot(NodeId a, NodeId b, std::uint32_t c) const;
+  bool cache_find(NodeId a, NodeId b, std::uint32_t c, NodeId& result);
+  void cache_store(NodeId a, NodeId b, std::uint32_t c, NodeId result);
+  MaskInfo intern_mask(const std::vector<bool>& mask);
+  std::uint32_t intern_rename(const std::vector<int>& rename);
+  NodeId exists_rec(NodeId f, const std::vector<bool>& mask, int last,
+                    std::uint32_t tag);
   NodeId and_exists_rec(NodeId f, NodeId g, const std::vector<bool>& mask,
-                        std::unordered_map<std::uint64_t, NodeId>& memo);
+                        int last, std::uint32_t mask_id);
   NodeId rename_rec(NodeId f, const std::vector<int>& rename,
-                    std::unordered_map<NodeId, NodeId>& memo);
+                    std::uint32_t tag);
+  NodeId cofactor_rec(NodeId f, int v, bool value, std::uint32_t tag);
   std::uint64_t dag_size_rec(NodeId f, std::vector<bool>& seen) const;
   double sat_count_rec(NodeId f, std::unordered_map<NodeId, double>& memo) const;
 
   int var_count_;
   std::vector<Node> nodes_;
-  std::unordered_map<UniqueKey, NodeId, UniqueKeyHash> unique_;
-  std::unordered_map<IteKey, NodeId, IteKeyHash> ite_cache_;
+  std::vector<NodeId> buckets_;  // unique table, power-of-two size
+  int bucket_bits_ = 0;
+  std::vector<CacheEntry> cache_;  // computed cache, power-of-two size
+  int cache_bits_ = 0;
+  std::unordered_map<std::vector<bool>, MaskInfo> mask_ids_;
+  std::map<std::vector<int>, std::uint32_t> rename_ids_;
   std::vector<NodeId> free_list_;
   std::uint64_t live_nodes_ = 2;
   std::uint64_t peak_live_nodes_ = 2;
   std::uint64_t created_nodes_ = 2;
   std::uint64_t node_limit_ = 0;
+  Stats stats_;
 };
 
 }  // namespace la1::bdd

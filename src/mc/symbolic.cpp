@@ -135,7 +135,11 @@ struct Encoding {
   std::vector<int> rename_next_to_cur;
   std::vector<int> state_at_rank;      // rank -> index into bb->state_vars
   std::vector<int> input_pos;          // encoded j -> index into bb->input_vars
-  std::vector<int> last_use;           // per var: last conjunct mentioning it
+  /// Early-quantification schedule: per conjunct, the current/input
+  /// variables no later conjunct mentions (empty when there are none), and
+  /// those no conjunct mentions at all, quantified out of `from` at the end.
+  std::vector<std::vector<bool>> quantify_after;
+  std::vector<bool> quantify_rest;
 
   std::string state_bit_name(int rank) const;
 };
@@ -334,26 +338,16 @@ bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
   }
 
   // Early quantification: a current/input variable is quantified right
-  // after the last conjunct mentioning it has been conjoined (enc.last_use
-  // is precomputed — the conjuncts never change).
-  const std::size_t nvars = enc.quantify_mask.size();
-  const std::vector<int>& last_use = enc.last_use;
-
+  // after the last conjunct mentioning it has been conjoined (the masks are
+  // precomputed — the conjuncts never change).
   bdd::NodeId acc = from;
   mgr.ref(acc);
   for (std::size_t ci = 0; ci < enc.conjuncts.size(); ++ci) {
     if (enc.deadline != nullptr) enc.deadline->poll();
-    std::vector<bool> mask(nvars, false);
-    bool any = false;
-    for (std::size_t v = 0; v < nvars; ++v) {
-      if (enc.quantify_mask[v] && last_use[v] == static_cast<int>(ci)) {
-        mask[v] = true;
-        any = true;
-      }
-    }
+    const std::vector<bool>& mask = enc.quantify_after[ci];
     const bdd::NodeId next_acc =
-        any ? mgr.and_exists(acc, enc.conjuncts[ci], mask)
-            : mgr.apply_and(acc, enc.conjuncts[ci]);
+        mask.empty() ? mgr.apply_and(acc, enc.conjuncts[ci])
+                     : mgr.and_exists(acc, enc.conjuncts[ci], mask);
     mgr.ref(next_acc);
     mgr.deref(acc);
     acc = next_acc;
@@ -368,17 +362,9 @@ bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
       }
     }
   }
-  // Variables never mentioned by any conjunct (e.g. unused inputs) still
-  // need quantification out of `from`.
-  std::vector<bool> rest(nvars, false);
-  bool any_rest = false;
-  for (std::size_t v = 0; v < nvars; ++v) {
-    if (enc.quantify_mask[v] && last_use[v] < 0) {
-      rest[v] = true;
-      any_rest = true;
-    }
-  }
-  const bdd::NodeId quantified = any_rest ? mgr.exists(acc, rest) : acc;
+  const bdd::NodeId quantified = enc.quantify_rest.empty()
+                                     ? acc
+                                     : mgr.exists(acc, enc.quantify_rest);
   const bdd::NodeId out = mgr.rename(quantified, enc.rename_next_to_cur);
   mgr.deref(acc);
   return out;
@@ -597,6 +583,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
     result.peak_bdd_nodes = mgr.peak_live_nodes();
     result.created_bdd_nodes = mgr.created_nodes();
     result.memory_mb = util::to_mb(mgr.memory_bytes());
+    result.bdd_stats = mgr.stats();
     result.cpu_seconds = cpu.seconds();
   };
 
@@ -832,15 +819,25 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
           nxt_state ? v - 1 : v;
     }
 
-    // Precompute the early-quantification schedule.
-    enc.last_use.assign(static_cast<std::size_t>(mgr.var_count()), -1);
+    // Precompute the early-quantification schedule: the last conjunct
+    // mentioning each quantified variable, then one mask per conjunct.
+    const std::size_t nvars = enc.quantify_mask.size();
+    std::vector<int> last_use(nvars, -1);
     for (std::size_t ci = 0; ci < enc.conjuncts.size(); ++ci) {
       const std::vector<bool> sup = mgr.support(enc.conjuncts[ci]);
-      for (std::size_t v = 0; v < sup.size(); ++v) {
-        if (sup[v] && enc.quantify_mask[v]) {
-          enc.last_use[v] = static_cast<int>(ci);
-        }
+      for (std::size_t v = 0; v < nvars; ++v) {
+        if (sup[v] && enc.quantify_mask[v]) last_use[v] = static_cast<int>(ci);
       }
+    }
+    enc.quantify_after.assign(enc.conjuncts.size(), {});
+    for (std::size_t v = 0; v < nvars; ++v) {
+      if (!enc.quantify_mask[v]) continue;
+      std::vector<bool>& mask =
+          last_use[v] < 0
+              ? enc.quantify_rest
+              : enc.quantify_after[static_cast<std::size_t>(last_use[v])];
+      if (mask.empty()) mask.assign(nvars, false);
+      mask[v] = true;
     }
 
     // Protect the long-lived BDDs so garbage collection between iterations

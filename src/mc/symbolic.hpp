@@ -129,6 +129,10 @@ struct SymbolicResult {
   std::uint64_t created_bdd_nodes = 0;
   double memory_mb = 0.0;
   double cpu_seconds = 0.0;
+  /// BDD engine counters of the attempt reported here (computed-cache hit
+  /// rate, unique-table load, GC). A diagnostic: it depends on the cache
+  /// layout, so no hashed report includes it.
+  bdd::Stats bdd_stats;
   int state_bits = 0;
   int input_bits = 0;
   /// State bits substituted away by use_invariants (0 when disabled).

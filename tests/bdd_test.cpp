@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -223,6 +226,178 @@ TEST(Bdd, SatCountWide) {
   // x0 | x1: 3/4 of assignments -> 3 * 2^8.
   const NodeId f = m.apply_or(m.var(0), m.var(1));
   EXPECT_DOUBLE_EQ(m.sat_count(f), 3.0 * 256.0);
+}
+
+// --- computed-cache tests over 6-variable truth tables ---------------------
+// A function of 6 variables is a 64-bit truth table: bit a holds f(a), where
+// assignment a gives variable v the value of a's bit v.
+
+constexpr int kTruthVars = 6;
+using Truth = std::uint64_t;
+
+Truth tabulate(const std::function<bool(unsigned)>& fn) {
+  Truth t = 0;
+  for (unsigned a = 0; a < 64; ++a) {
+    if (fn(a)) t |= Truth{1} << a;
+  }
+  return t;
+}
+
+Truth truth(const Manager& m, NodeId f) {
+  return tabulate([&](unsigned a) {
+    std::vector<bool> x(kTruthVars);
+    for (int v = 0; v < kTruthVars; ++v) {
+      x[static_cast<std::size_t>(v)] = ((a >> v) & 1u) != 0;
+    }
+    return m.eval(f, x);
+  });
+}
+
+Truth var_truth(int v) {
+  return tabulate([v](unsigned a) { return ((a >> v) & 1u) != 0; });
+}
+
+/// Existential quantification of a truth table: per masked variable v,
+/// OR the v=0 and v=1 halves and spread the result over both.
+Truth exists_truth(Truth t, const std::vector<bool>& mask) {
+  for (int v = 0; v < kTruthVars; ++v) {
+    if (!mask[static_cast<std::size_t>(v)]) continue;
+    const unsigned shift = 1u << v;
+    const Truth low_half = (t | (t >> shift)) & ~var_truth(v);
+    t = low_half | (low_half << shift);
+  }
+  return t;
+}
+
+/// A random function built through the manager, with its truth table.
+std::pair<NodeId, Truth> random_function(Manager& m, util::Rng& rng) {
+  const int first = static_cast<int>(rng.below(kTruthVars));
+  std::pair<NodeId, Truth> acc{m.var(first), var_truth(first)};
+  for (int step = 0; step < 8; ++step) {
+    const int v = static_cast<int>(rng.below(kTruthVars));
+    switch (rng.below(3)) {
+      case 0:
+        acc = {m.apply_and(acc.first, m.nvar(v)), acc.second & ~var_truth(v)};
+        break;
+      case 1:
+        acc = {m.apply_or(acc.first, m.var(v)), acc.second | var_truth(v)};
+        break;
+      default:
+        acc = {m.apply_xor(acc.first, m.var(v)), acc.second ^ var_truth(v)};
+        break;
+    }
+  }
+  return acc;
+}
+
+std::vector<bool> random_mask(util::Rng& rng) {
+  std::vector<bool> mask(kTruthVars);
+  for (int v = 0; v < kTruthVars; ++v) {
+    mask[static_cast<std::size_t>(v)] = rng.next_bool();
+  }
+  return mask;
+}
+
+/// Runs every cached operation on (f, g) and checks each result against
+/// its truth table.
+void check_ops(Manager& m, std::pair<NodeId, Truth> f,
+               std::pair<NodeId, Truth> g, const std::vector<bool>& mask) {
+  const auto [fn, ft] = f;
+  const auto [gn, gt] = g;
+  const NodeId h = m.apply_xor(fn, m.var(0));
+  const Truth ht = ft ^ var_truth(0);
+  EXPECT_EQ(truth(m, m.ite(fn, gn, h)), (ft & gt) | (~ft & ht));
+  EXPECT_EQ(truth(m, m.and_exists(fn, gn, mask)), exists_truth(ft & gt, mask));
+  EXPECT_EQ(truth(m, m.exists(fn, mask)), exists_truth(ft, mask));
+  EXPECT_EQ(m.and_exists(fn, kTrue, mask), m.exists(fn, mask));
+  for (int v = 0; v < kTruthVars; ++v) {
+    for (const bool value : {false, true}) {
+      const Truth expected = tabulate([&](unsigned a) {
+        const unsigned fixed = value ? a | (1u << v) : a & ~(1u << v);
+        return ((ft >> fixed) & 1u) != 0;
+      });
+      EXPECT_EQ(truth(m, m.cofactor(fn, v, value)), expected);
+    }
+  }
+  // Renaming moves each even variable onto its odd neighbour, so it applies
+  // to f with its odd variables quantified away.
+  const std::vector<bool> odd{false, true, false, true, false, true};
+  const NodeId even = m.exists(fn, odd);
+  const Truth even_t = exists_truth(ft, odd);
+  EXPECT_EQ(truth(m, m.exists(even, mask)), exists_truth(even_t, mask));
+  const std::vector<int> shift{1, 1, 3, 3, 5, 5};
+  EXPECT_EQ(truth(m, m.rename(even, shift)), tabulate([&](unsigned a) {
+              unsigned moved = 0;
+              for (int v = 0; v < kTruthVars; v += 2) {
+                if (((a >> (v + 1)) & 1u) != 0) moved |= 1u << v;
+              }
+              return ((even_t >> moved) & 1u) != 0;
+            }));
+}
+
+TEST(Bdd, CacheTagsSeparateMasks) {
+  // and_exists, exists, rename and cofactor on the same operands share one
+  // computed cache; the op tag and the interned mask id in each entry must
+  // keep their results apart, including on repeated calls served from it.
+  Manager m(kTruthVars);
+  util::Rng rng(2024);
+  for (int round = 0; round < 20; ++round) {
+    const auto f = random_function(m, rng);
+    const auto g = random_function(m, rng);
+    const std::vector<bool> a = random_mask(rng);
+    std::vector<bool> b = a;
+    b[rng.below(kTruthVars)].flip();
+    check_ops(m, f, g, a);
+    check_ops(m, f, g, b);
+    check_ops(m, f, g, a);
+  }
+}
+
+TEST(Bdd, GcReusedIdsDoNotHitStaleCache) {
+  // Fill the cache over functions that then die, collect them, and rebuild
+  // different functions on the freed ids: no entry keyed on an old id may
+  // answer for a new function.
+  Manager m(kTruthVars);
+  util::Rng rng(77);
+  NodeId highest = 0;
+  for (int round = 0; round < 20; ++round) {
+    const auto f = random_function(m, rng);
+    const auto g = random_function(m, rng);
+    check_ops(m, f, g, random_mask(rng));
+    highest = std::max({highest, f.first, g.first});
+  }
+  EXPECT_GT(m.collect_garbage(), 0u);
+  util::Rng fresh(78);
+  bool reused = false;
+  for (int round = 0; round < 20; ++round) {
+    const auto f = random_function(m, fresh);
+    const auto g = random_function(m, fresh);
+    reused = reused || f.first <= highest || g.first <= highest;
+    check_ops(m, f, g, random_mask(fresh));
+  }
+  EXPECT_TRUE(reused);
+}
+
+TEST(Bdd, CofactorOnWideXorChain) {
+  // A 64-variable XOR chain has two nodes per level but 2^63 paths to its
+  // last level: cofactor must work per node, not per path.
+  constexpr int kVars = 64;
+  Manager m(kVars);
+  NodeId f = kFalse;
+  for (int v = 0; v < kVars; ++v) f = m.apply_xor(f, m.var(v));
+  util::Rng rng(64);
+  for (const int v : {0, 31, 62, 63}) {
+    for (const bool value : {false, true}) {
+      const NodeId c = m.cofactor(f, v, value);
+      for (int trial = 0; trial < 32; ++trial) {
+        std::vector<bool> x(kVars);
+        for (std::size_t i = 0; i < x.size(); ++i) x[i] = rng.next_bool();
+        std::vector<bool> fixed = x;
+        fixed[static_cast<std::size_t>(v)] = value;
+        EXPECT_EQ(m.eval(c, x), m.eval(f, fixed));
+      }
+    }
+  }
 }
 
 TEST(Bdd, ToDotRenders) {

@@ -87,6 +87,10 @@ TEST(BenchJson, Table2SymbolicMc) {
   const util::Json& row = doc.find("metrics")->items().front();
   ASSERT_NE(row.find("banks"), nullptr);
   ASSERT_NE(row.find("result"), nullptr);
+  const util::Json* bdd = row.find("bdd");
+  ASSERT_NE(bdd, nullptr);
+  ASSERT_NE(bdd->find("cache_hits"), nullptr);
+  EXPECT_GT(bdd->find("cache_lookups")->as_int(), 0);
 }
 
 TEST(BenchJson, Table3AbvSim) {

@@ -349,5 +349,26 @@ TEST(Symbolic, SemanticConeSubsumesUseInvariants) {
   EXPECT_LT(a.input_bits, inv.input_bits);
 }
 
+TEST(Symbolic, Table2ReadModeOneBankPinned) {
+  // Paper Table 2 row 1 in the RuleBase configuration: the read-mode
+  // property on the unreduced 1-bank RTL under a 2M-node budget. The BDD
+  // package has no complement edges and no reordering, so the ROBDD node
+  // set is canonical: the peak and created node counts pin it, and any
+  // change to the unique table, the computed cache or the quantification
+  // recursions must leave them exactly as they are.
+  const core::RtlConfig cfg = core::RtlConfig::model_checking(1);
+  core::RtlDevice dev = core::build_device(cfg);
+  const rtl::Module flat = rtl::expand_memories(dev.flatten());
+  const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
+  SymbolicOptions opt;
+  opt.node_limit = 2'000'000;
+  opt.cone_of_influence = false;
+  const SymbolicResult r = check(bb, core::rtl_read_mode_property(cfg), opt);
+  EXPECT_EQ(r.verdict.kind, Verdict::Kind::kProven);
+  EXPECT_EQ(r.iterations, 9);
+  EXPECT_EQ(r.peak_bdd_nodes, 935'004u);
+  EXPECT_EQ(r.created_bdd_nodes, 935'004u);
+}
+
 }  // namespace
 }  // namespace la1::mc

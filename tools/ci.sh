@@ -451,6 +451,17 @@ fi
 "$build_dir/examples/nway_lockstep" --banks-list 1,2 --transactions 200 \
   --json "$smoke_dir/nway.json" > /dev/null
 
+# Table 2 row 1 (the unreduced 1-bank read-mode check) must verify at its
+# fixpoint depth: a BDD-engine change may move time and memory, never that.
+table2_row1=$(sed -n '/"banks": 1,/,/"result"/p' "$smoke_dir/table2.json")
+case "$table2_row1" in
+  *'"iterations": 9,'*'"result": "verified"'*) ;;
+  *)
+    echo "ci: Table 2 row 1 is not verified in 9 iterations" >&2
+    exit 1
+    ;;
+esac
+
 for f in table1 table2 BENCH_table2_invariants table3 coi plan nway; do
   # Minimal validity check without external tools: the canonical report
   # shape starts with {"bench": and names its metrics array.

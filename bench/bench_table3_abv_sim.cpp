@@ -171,6 +171,7 @@ double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
   ovl::OvlBank bank;
   harness::CsimDeviceModel model(cfg, ovl_instrument(bank, banks));
   csim::Machine& machine = model.machine();
+  machine.set_lanes(kLanes);  // the adapter itself only drives lane 0
   const rtl::Module& flat = model.flat();
   const rtl::NetId r_n = flat.find_net("R_n");
   const rtl::NetId w_n = flat.find_net("W_n");

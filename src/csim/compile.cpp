@@ -1,6 +1,8 @@
 #include "csim/compile.hpp"
 
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace la1::csim {
@@ -12,6 +14,126 @@ namespace {
 // layout).
 plan::BitClass class_of(const plan::NetSafetySummary& s, int bit) {
   return plan::bit_class_from_char(s.classes.at(static_cast<std::size_t>(bit)));
+}
+
+/// The plan's two-state proof holds for the unforced netlist only. A forced
+/// lane can reach states the proof never saw, so a force is X-safe only
+/// when no net its register feeds both has a two-state bit and lies
+/// downstream of a possible X/Z source (see compile()). Entry i is such a
+/// net of forces[i], or kInvalidId when forces[i] is X-safe. Net
+/// granularity keeps this one linear graph walk per forced register.
+std::vector<rtl::NetId> endangered_nets(const rtl::Module& module,
+                                        const plan::CompilePlan& plan,
+                                        const std::vector<Force>& forces) {
+  const int nets = module.net_count();
+  const int mems = static_cast<int>(module.memories().size());
+  const int exprs = module.expr_count();
+  if (plan.nets.size() != static_cast<std::size_t>(nets + mems)) {
+    throw std::invalid_argument(
+        "csim::compile: plan does not match the module (net table size)");
+  }
+  for (const Force& f : forces) {
+    if (f.reg < 0 || f.reg >= nets) {
+      throw std::invalid_argument("csim::compile: force target is not a net");
+    }
+  }
+  const auto mem_node = [nets](rtl::MemId m) { return nets + m; };
+  const auto expr_node = [nets, mems](rtl::ExprId e) { return nets + mems + e; };
+  std::vector<std::vector<int>> out(static_cast<std::size_t>(nets + mems + exprs));
+  const auto link = [&out](int from, int to) {
+    out[static_cast<std::size_t>(from)].push_back(to);
+  };
+  std::vector<int> sources;
+  for (rtl::ExprId id = 0; id < exprs; ++id) {
+    const rtl::Expr& e = module.expr(id);
+    for (rtl::ExprId op : {e.a, e.b, e.c}) {
+      if (op != rtl::kInvalidId) link(expr_node(op), expr_node(id));
+    }
+    for (rtl::ExprId op : e.parts) link(expr_node(op), expr_node(id));
+    if (e.op == rtl::Op::kNet) link(e.net, expr_node(id));
+    if (e.op == rtl::Op::kMemRead) {
+      link(mem_node(e.mem), expr_node(id));
+      const int addr_bits = module.expr(e.a).width;
+      const int depth = module.memories()[static_cast<std::size_t>(e.mem)].depth;
+      if (addr_bits >= 63 || (1ll << addr_bits) > depth) {
+        sources.push_back(expr_node(id));  // may read past the end: X
+      }
+    }
+  }
+  for (const rtl::ContAssign& a : module.assigns()) {
+    link(expr_node(a.value), a.target);
+  }
+  for (const rtl::TriDriver& t : module.tristates()) {
+    link(expr_node(t.enable), t.target);
+    link(expr_node(t.value), t.target);
+    sources.push_back(t.target);  // an undriven or contended bus
+  }
+  for (const rtl::Process& p : module.processes()) {
+    for (const rtl::SeqAssign& sa : p.assigns) {
+      link(expr_node(sa.value), sa.target);
+    }
+    for (const rtl::MemWrite& w : p.mem_writes) {
+      link(expr_node(w.addr), mem_node(w.mem));
+      link(expr_node(w.data), mem_node(w.mem));
+      link(expr_node(w.wen), mem_node(w.mem));
+      for (rtl::ExprId be : w.byte_enables) link(expr_node(be), mem_node(w.mem));
+    }
+  }
+  const char two_state = plan::to_char(plan::BitClass::kProven2State);
+  std::vector<bool> has_two_state(static_cast<std::size_t>(nets), false);
+  for (int i = 0; i < nets + mems; ++i) {
+    const std::string& cls = plan.nets[static_cast<std::size_t>(i)].classes;
+    if (cls.find_first_not_of(two_state) != std::string::npos) {
+      sources.push_back(i);
+    }
+    if (i < nets) {
+      has_two_state[static_cast<std::size_t>(i)] =
+          cls.find(two_state) != std::string::npos;
+    }
+  }
+
+  const auto reach = [&out](const std::vector<int>& from) {
+    std::vector<bool> seen(out.size(), false);
+    std::vector<int> work;
+    for (int f : from) {
+      if (!seen[static_cast<std::size_t>(f)]) {
+        seen[static_cast<std::size_t>(f)] = true;
+        work.push_back(f);
+      }
+    }
+    while (!work.empty()) {
+      const int at = work.back();
+      work.pop_back();
+      for (int to : out[static_cast<std::size_t>(at)]) {
+        if (!seen[static_cast<std::size_t>(to)]) {
+          seen[static_cast<std::size_t>(to)] = true;
+          work.push_back(to);
+        }
+      }
+    }
+    return seen;
+  };
+  const std::vector<bool> tainted = reach(sources);
+  std::map<rtl::NetId, rtl::NetId> by_reg;  // forced register -> endangered
+  std::vector<rtl::NetId> endangered;
+  for (const Force& f : forces) {
+    auto it = by_reg.find(f.reg);
+    if (it == by_reg.end()) {
+      // The force itself only ever writes defined values into the
+      // register's two-state bits; the register is at risk only when its
+      // own next state reads something the force reaches.
+      rtl::NetId hit = rtl::kInvalidId;
+      const std::vector<bool> affected =
+          reach(out[static_cast<std::size_t>(f.reg)]);
+      for (rtl::NetId n = 0; n < nets && hit == rtl::kInvalidId; ++n) {
+        const auto i = static_cast<std::size_t>(n);
+        if (affected[i] && tainted[i] && has_two_state[i]) hit = n;
+      }
+      it = by_reg.emplace(f.reg, hit).first;
+    }
+    endangered.push_back(it->second);
+  }
+  return endangered;
 }
 
 }  // namespace
@@ -30,14 +152,16 @@ std::int64_t Compiled::total_instructions() const {
 /// two-state forms on plan-proven bits without a separate lowering path.
 class Compiler {
  public:
-  Compiler(const rtl::Module& flat, const plan::CompilePlan& plan)
-      : module_(&flat) {
+  Compiler(const rtl::Module& flat, const plan::CompilePlan& plan,
+           const std::vector<Force>& forces)
+      : module_(&flat), forces_(&forces) {
     out_.module_ = &flat;
     out_.plan_ = plan;
   }
 
   Compiled run() {
     validate();
+    validate_forces();
     allocate_net_slots();
     for (const rtl::Memory& m : module_->memories()) {
       out_.mems_.push_back(MemLayout{m.depth, m.width});
@@ -92,6 +216,78 @@ class Compiler {
 
   std::int32_t alloc() { return next_slot_++; }
 
+  // --- per-lane forces -----------------------------------------------------
+
+  /// The (clock, edge) step keys whose processes commit `reg`.
+  std::vector<std::pair<rtl::NetId, rtl::Edge>> committing_steps(
+      rtl::NetId reg) const {
+    std::vector<std::pair<rtl::NetId, rtl::Edge>> keys;
+    for (const rtl::Process& p : module_->processes()) {
+      for (const rtl::SeqAssign& sa : p.assigns) {
+        if (sa.target != reg) continue;
+        const auto key = std::make_pair(p.clock, p.edge);
+        bool found = false;
+        for (const auto& k : keys) found = found || k == key;
+        if (!found) keys.push_back(key);
+      }
+    }
+    return keys;
+  }
+
+  void validate_forces() {
+    std::uint64_t lanes = 0;
+    for (const Force& f : *forces_) {
+      if (f.lane < 0 || f.lane >= 64) {
+        throw std::invalid_argument("csim::compile: force lane " +
+                                    std::to_string(f.lane) +
+                                    " is outside [0, 64)");
+      }
+      if (((lanes >> f.lane) & 1) != 0) {
+        throw std::invalid_argument("csim::compile: two forces on lane " +
+                                    std::to_string(f.lane));
+      }
+      lanes |= 1ull << f.lane;
+      if (f.reg < 0 || f.reg >= module_->net_count() ||
+          module_->net(f.reg).kind != rtl::NetKind::kReg) {
+        throw std::invalid_argument(
+            "csim::compile: force target is not a register");
+      }
+      const rtl::Net& n = module_->net(f.reg);
+      if (f.bit < 0 || f.bit >= n.width) {
+        throw std::invalid_argument("csim::compile: force bit " +
+                                    std::to_string(f.bit) + " outside " +
+                                    n.name);
+      }
+      if (committing_steps(f.reg).empty()) {
+        throw std::invalid_argument(
+            "csim::compile: forced register is never assigned: " + n.name);
+      }
+      if (f.kind == ForceKind::kFlip && f.edge < 0) {
+        throw std::invalid_argument(
+            "csim::compile: negative bit-flip edge on " + n.name);
+      }
+    }
+    if (forces_->empty()) return;
+    const std::vector<rtl::NetId> endangered =
+        endangered_nets(*module_, out_.plan_, *forces_);
+    for (std::size_t i = 0; i < endangered.size(); ++i) {
+      if (endangered[i] == rtl::kInvalidId) continue;
+      throw std::invalid_argument(
+          "csim::compile: force on " + module_->net((*forces_)[i].reg).name +
+          " could steer X/Z into plan-proven two-state bits of " +
+          module_->net(endangered[i]).name);
+    }
+  }
+
+  /// A pinned constant slot holding `value` in the reset image.
+  std::int32_t mask_slot(std::uint64_t value) {
+    const auto it = masks_.find(value);
+    if (it != masks_.end()) return it->second;
+    const std::int32_t slot = alloc();
+    masks_.emplace(value, slot);
+    return slot;
+  }
+
   void allocate_net_slots() {
     out_.nets_.resize(static_cast<std::size_t>(module_->net_count()));
     for (rtl::NetId id = 0; id < module_->net_count(); ++id) {
@@ -117,6 +313,9 @@ class Compiler {
   void build_reset_image() {
     out_.reset_image_.assign(static_cast<std::size_t>(next_slot_), 0);
     out_.reset_image_[kOnesSlot] = ~0ull;
+    for (const auto& [value, slot] : masks_) {
+      out_.reset_image_[static_cast<std::size_t>(slot)] = value;
+    }
     for (rtl::NetId id = 0; id < module_->net_count(); ++id) {
       const rtl::Net& n = module_->net(id);
       if (n.kind != rtl::NetKind::kReg) continue;
@@ -593,6 +792,14 @@ class Compiler {
   // --- step programs (one per distinct clock/edge) ----------------------
 
   void compile_steps() {
+    // A bit flip arms on the n-th edge of the clock of the first process
+    // assigning its register (apply_structural's SEU counter); every step
+    // committing the register compares against that edge's counter.
+    for (const Force& f : *forces_) {
+      if (f.kind != ForceKind::kFlip) continue;
+      const auto key = committing_steps(f.reg).front();
+      if (edge_counters_.count(key) == 0) edge_counters_.emplace(key, alloc());
+    }
     std::vector<std::pair<rtl::NetId, rtl::Edge>> keys;
     for (const rtl::Process& p : module_->processes()) {
       const auto key = std::make_pair(p.clock, p.edge);
@@ -681,13 +888,38 @@ class Compiler {
       }
     }
 
+    // Forces on registers this step commits; a dropped update latches the
+    // register's pre-commit value while it still holds it.
+    std::vector<const Force*> forces;
+    std::vector<std::vector<BitRef>> held;
+    for (const Force& f : *forces_) {
+      bool here = false;
+      for (const Commit& c : commits) here = here || c.target == f.reg;
+      if (!here) continue;
+      forces.push_back(&f);
+      std::vector<BitRef> bits;
+      if (f.kind == ForceKind::kDrop) {
+        const NetSlots& ns = out_.nets_[static_cast<std::size_t>(f.reg)];
+        for (std::size_t i = 0; i < ns.a.size(); ++i) {
+          bits.push_back(snapshot(BitRef{ns.a[i], ns.b[i]}, mutated));
+        }
+      }
+      held.push_back(std::move(bits));
+    }
+
     // Phase B: the clock net flips to its post-edge value in every lane.
     emit(OpCode::kConst, cs.a[0], 0, 0, 0,
          edge == rtl::Edge::kPos ? ~0ull : 0);
     if (cs.b[0] != kZeroSlot) emit(OpCode::kConst, cs.b[0], 0, 0, 0, 0);
 
-    // Phase C: register commits, in process order.
+    // Phase C: register commits, in process order, then the forces; this
+    // step's edge counter (if a bit flip counts its edges) ticks last.
     for (const Commit& c : commits) store_net(c.target, c.value);
+    for (std::size_t i = 0; i < forces.size(); ++i) {
+      emit_force(*forces[i], held[i]);
+    }
+    const auto counter = edge_counters_.find({clock, edge});
+    if (counter != edge_counters_.end()) emit(OpCode::kCount, counter->second);
 
     // Phase D: memory write ports, in process order.
     for (std::size_t w : writes) {
@@ -695,7 +927,48 @@ class Compiler {
     }
   }
 
+  /// One force, after the commits: lane mask M selects the forced lane.
+  void emit_force(const Force& f, const std::vector<BitRef>& held) {
+    const NetSlots& ns = out_.nets_[static_cast<std::size_t>(f.reg)];
+    const std::int32_t m = mask_slot(1ull << f.lane);
+    const auto k = static_cast<std::size_t>(f.bit);
+    const auto z_to_x = [&] {  // the XOR's X/Z rule: Z becomes X
+      for (std::size_t i = 0; i < ns.a.size(); ++i) {
+        if (ns.b[i] != kZeroSlot) emit(OpCode::kAndOr, ns.a[i], ns.b[i], m);
+      }
+    };
+    switch (f.kind) {
+      case ForceKind::kStuck0:
+      case ForceKind::kStuck1:
+        emit(f.kind == ForceKind::kStuck1 ? OpCode::kOr : OpCode::kAndn,
+             ns.a[k], ns.a[k], m);
+        if (ns.b[k] != kZeroSlot) emit(OpCode::kAndn, ns.b[k], ns.b[k], m);
+        break;
+      case ForceKind::kInvert:
+        emit(OpCode::kXor, ns.a[k], ns.a[k], m);
+        z_to_x();
+        break;
+      case ForceKind::kFlip:
+        emit(OpCode::kXorAt, ns.a[k], m,
+             edge_counters_.at(committing_steps(f.reg).front()), 0,
+             static_cast<std::uint64_t>(f.edge));
+        z_to_x();
+        break;
+      case ForceKind::kDrop:
+        for (std::size_t i = 0; i < ns.a.size(); ++i) {
+          emit(OpCode::kMux, ns.a[i], held[i].a, ns.a[i], m);
+          if (ns.b[i] != kZeroSlot) {
+            emit(OpCode::kMux, ns.b[i], held[i].b, ns.b[i], m);
+          }
+        }
+        break;
+    }
+  }
+
   const rtl::Module* module_;
+  const std::vector<Force>* forces_;
+  std::map<std::uint64_t, std::int32_t> masks_;  // lane mask -> pinned slot
+  std::map<std::pair<rtl::NetId, rtl::Edge>, std::int32_t> edge_counters_;
   Compiled out_;
   rtl::TopoSchedule sched_;
   std::int32_t next_slot_ = 2;  // 0 = all-zero, 1 = all-ones
@@ -704,8 +977,19 @@ class Compiler {
   std::vector<bool> expr_done_;
 };
 
-Compiled compile(const rtl::Module& flat, const plan::CompilePlan& plan) {
-  return Compiler(flat, plan).run();
+Compiled compile(const rtl::Module& flat, const plan::CompilePlan& plan,
+                 const std::vector<Force>& forces) {
+  return Compiler(flat, plan, forces).run();
+}
+
+std::vector<bool> x_safe_forces(const rtl::Module& flat,
+                                const plan::CompilePlan& plan,
+                                const std::vector<Force>& forces) {
+  std::vector<bool> safe;
+  for (rtl::NetId n : endangered_nets(flat, plan, forces)) {
+    safe.push_back(n == rtl::kInvalidId);
+  }
+  return safe;
 }
 
 Compiled compile(const rtl::Module& flat,

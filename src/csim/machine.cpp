@@ -94,6 +94,12 @@ void Machine::run(const Program& p) {
       case OpCode::kAndOr:
         s[in.d] |= s[in.s0] & s[in.s1];
         break;
+      case OpCode::kCount:
+        ++s[in.d];
+        break;
+      case OpCode::kXorAt:
+        if (s[in.s1] == in.imm) s[in.d] ^= s[in.s0];
+        break;
       case OpCode::kMemRead:
         exec_mem_read(
             compiled_->mem_reads()[static_cast<std::size_t>(in.imm)]);
@@ -266,6 +272,24 @@ void Machine::set_input_lane(rtl::NetId net, int lane, const rtl::LVec& value) {
           slots_[static_cast<std::size_t>(ns.b[static_cast<std::size_t>(i)])];
       wb = b ? (wb | m) : (wb & ~m);
     }
+  }
+}
+
+void Machine::set_input_uint(rtl::NetId net, std::uint64_t value) {
+  const rtl::Net& n = compiled_->module().net(net);
+  if (n.kind != rtl::NetKind::kInput) {
+    throw std::invalid_argument("set_input on non-input net: " + n.name);
+  }
+  if (n.width > 64) {
+    throw std::invalid_argument("set_input_uint: " + n.name +
+                                " is wider than 64 bits");
+  }
+  const NetSlots& ns = compiled_->net_slots(net);
+  for (int i = 0; i < n.width; ++i) {
+    slots_[static_cast<std::size_t>(ns.a[static_cast<std::size_t>(i)])] =
+        ((value >> i) & 1) != 0 ? ~0ull : 0;
+    const std::int32_t bs = ns.b[static_cast<std::size_t>(i)];
+    if (bs != kZeroSlot) slots_[static_cast<std::size_t>(bs)] = 0;
   }
 }
 

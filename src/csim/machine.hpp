@@ -53,6 +53,9 @@ class Machine {
   void set_input(rtl::NetId net, const rtl::LVec& value);
   void set_input(const std::string& name, std::uint64_t value);
   void set_input_bit(const std::string& name, bool value);
+  /// Two-state broadcast: bit i of `value` drives bit i of the net in
+  /// every lane (nets wider than 64 are rejected), X/Z sidebands cleared.
+  void set_input_uint(rtl::NetId net, std::uint64_t value);
   /// Writes one lane only (read-modify-write of the lane's bit column).
   void set_input_lane(rtl::NetId net, int lane, const rtl::LVec& value);
   /// Two-state fast path of set_input_lane: bit i of `value` drives bit i
@@ -73,6 +76,13 @@ class Machine {
   rtl::LVec get(const std::string& name, int lane) const;
   /// Throws std::runtime_error when the lane's value has X/Z bits.
   std::uint64_t get_uint(const std::string& name, int lane) const;
+
+  /// Raw slot word `slot` (see Compiled::net_slots): bit l is lane l's
+  /// aval or bval of one net bit. The word-level view lane batches compare
+  /// all lanes through at once.
+  std::uint64_t slot(std::int32_t slot) const {
+    return slots_[static_cast<std::size_t>(slot)];
+  }
 
   /// Whether >= 2 tristate drivers of `net` were enabled in `lane` at the
   /// last settle (the harness's bus_conflict tap). False for non-buses.

@@ -51,6 +51,8 @@ enum class OpCode : std::uint8_t {
   kAndOr,    // d |= s0 & s1
   kMemRead,  // built-in: mem_reads()[imm]
   kMemWrite, // built-in: mem_writes()[imm]
+  kCount,    // d += 1                 (a step program's edge counter)
+  kXorAt,    // d ^= s0 when s1 == imm (bit-flip force on its edge)
 };
 
 struct Instr {
@@ -104,8 +106,9 @@ struct MemWriteDesc {
 
 /// One compiled clock-edge step: evaluate every sequential right-hand side
 /// and write-port operand into temps, flip the clock slot, commit registers,
-/// then apply the write descriptors — the two-phase nonblocking semantics
-/// of CycleSim::edge in straight-line form.
+/// apply the per-lane register forces (csim::Force), then apply the write
+/// descriptors — the two-phase nonblocking semantics of CycleSim::edge in
+/// straight-line form.
 struct StepProgram {
   rtl::NetId clock = rtl::kInvalidId;
   rtl::Edge edge = rtl::Edge::kPos;

@@ -1,16 +1,18 @@
 #include "fault/campaign.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "harness/adapters.hpp"
-#include "harness/lockstep.hpp"
+#include "harness/lane_batch.hpp"
 #include "harness/stimulus.hpp"
 #include "la1/rtl_model.hpp"
 #include "mc/symbolic.hpp"
 #include "ovl/ovl.hpp"
-#include "psl/monitor.hpp"
+#include "psl/dfa.hpp"
 #include "psl/parse.hpp"
 #include "rtl/bitblast.hpp"
 #include "util/table.hpp"
@@ -91,124 +93,6 @@ psl::VUnit campaign_vunit(int banks, int latency_ticks) {
   vunit.add_assert("P4_exclusive_drive",
                    psl::parse_property("never {bus_conflict}"));
   return vunit;
-}
-
-/// Env adapter: PSL atoms are harness tap names of the observed model.
-class TapEnv : public psl::Env {
- public:
-  explicit TapEnv(const harness::DeviceModel& model) : model_(&model) {}
-  bool sample(const std::string& signal) const override {
-    return model_->tap(signal);
-  }
-
- private:
-  const harness::DeviceModel* model_;
-};
-
-/// Simulation-side verdicts of one mutant run.
-struct SimVerdicts {
-  std::size_t psl_failures = 0;
-  std::string psl_detail;
-  std::size_t ovl_failures = 0;
-  bool lockstep_diverged = false;
-  std::string lockstep_detail;
-};
-
-/// Drives `model` and a pristine reference in lockstep over the campaign's
-/// seeded traffic, stepping the PSL monitors on the mutant's taps every
-/// edge. Unlike harness::run_lockstep this never stops at the first
-/// divergence — every checker observes the full run.
-SimVerdicts run_sim(const CampaignOptions& options,
-                    harness::DeviceModel& model,
-                    harness::DeviceModel& reference, psl::VUnitRunner& runner,
-                    const core::RtlConfig& rtl_cfg) {
-  SimVerdicts v;
-  model.reset();
-  reference.reset();
-  runner.reset();
-
-  harness::StimulusOptions sopt;
-  sopt.banks = options.banks;
-  sopt.mem_addr_bits = options.mem_addr_bits;
-  sopt.data_bits = options.data_bits;
-  harness::StimulusStream stream(sopt, options.seed);
-  harness::Transactor transactor(sopt.geometry());
-
-  const std::vector<std::string> taps =
-      harness::tap_intersection({&reference, &model});
-  const TapEnv env(model);
-
-  int issued = 0;
-  const std::uint64_t total_ticks =
-      2ull * static_cast<std::uint64_t>(options.transactions) +
-      static_cast<std::uint64_t>(options.drain_ticks);
-  for (std::uint64_t tick = 0; tick < total_ticks; ++tick) {
-    const harness::Edge edge = harness::edge_of_tick(static_cast<int>(tick % 2));
-    if (edge == harness::Edge::kK && issued < options.transactions) {
-      transactor.enqueue(stream.next());
-      ++issued;
-    }
-    const harness::EdgePins pins = transactor.next(edge);
-    reference.apply_edge(pins);
-    model.apply_edge(pins);
-    runner.step(env);
-
-    if (!v.lockstep_diverged) {
-      for (const std::string& name : taps) {
-        const bool expect = reference.tap(name);
-        const bool got = model.tap(name);
-        if (got != expect) {
-          v.lockstep_diverged = true;
-          std::ostringstream os;
-          os << "tick " << tick << " (" << harness::edge_name(edge)
-             << "): tap '" << name << "' ref=" << expect << " mutant=" << got;
-          v.lockstep_detail = os.str();
-          break;
-        }
-      }
-    }
-    if (!v.lockstep_diverged && reference.models_dout() && model.models_dout()) {
-      const harness::DoutSample a = reference.dout();
-      const harness::DoutSample b = model.dout();
-      if (!(a == b)) {
-        v.lockstep_diverged = true;
-        std::ostringstream os;
-        os << "tick " << tick << " (" << harness::edge_name(edge)
-           << "): dout diverges";
-        v.lockstep_detail = os.str();
-      }
-    }
-  }
-
-  if (!v.lockstep_diverged) {
-    const harness::Geometry g = model.geometry();
-    for (int bank = 0; bank < g.banks && !v.lockstep_diverged; ++bank) {
-      for (std::uint64_t addr = 0; addr < g.mem_depth(); ++addr) {
-        if (model.memory_word(bank, addr) !=
-            reference.memory_word(bank, addr)) {
-          v.lockstep_diverged = true;
-          std::ostringstream os;
-          os << "end of run: memory b" << bank << "[" << addr << "] diverges";
-          v.lockstep_detail = os.str();
-          break;
-        }
-      }
-    }
-  }
-
-  v.psl_failures = runner.failures();
-  if (v.psl_failures > 0) {
-    const auto& dirs = runner.vunit().directives();
-    for (std::size_t i = 0; i < dirs.size(); ++i) {
-      if (dirs[i].kind == psl::DirectiveKind::kAssert &&
-          runner.verdict(i) == psl::Verdict::kFailed) {
-        v.psl_detail = dirs[i].name + " failed";
-        break;
-      }
-    }
-  }
-  (void)rtl_cfg;
-  return v;
 }
 
 /// The symbolic-MC column: re-applies the structural fault to the reduced
@@ -328,17 +212,30 @@ void schedule_bitflips(std::vector<FaultSpec>& plan,
   }
 }
 
+/// The most mutants one lane batch holds: lane 0 is the golden device.
+constexpr std::size_t kMaxBatchMutants = 63;
+
 /// Everything both campaign entry points derive before the per-fault work:
-/// the simulation geometry, the activation-scheduled fault plan, and the
-/// shared PSL suite. Pure function of `options`.
+/// the simulation geometry, the activation-scheduled fault plan, the lane
+/// batch size, the shared PSL suite and its determinized monitors (one
+/// table per assert or assume directive, in vunit order). Pure function of
+/// `options`.
 struct CampaignSetup {
   core::RtlConfig rtl_cfg;
   std::vector<FaultSpec> plan;
+  /// Mutants per lane batch: a compiled batch fills one Machine; on the
+  /// interpreted backend every fault is its own batch (and its own shard).
+  std::size_t batch_mutants = 1;
   psl::VUnit vunit;
+  std::vector<psl::DfaTable> monitors;
+
+  std::size_t batches() const {
+    return (plan.size() + batch_mutants - 1) / batch_mutants;
+  }
 };
 
 CampaignSetup campaign_setup(const CampaignOptions& options) {
-  CampaignSetup s{core::RtlConfig{}, {}, psl::VUnit("fault_campaign")};
+  CampaignSetup s{core::RtlConfig{}, {}, 1, psl::VUnit("fault_campaign"), {}};
   s.rtl_cfg.banks = options.banks;
   s.rtl_cfg.data_bits = options.data_bits;
   s.rtl_cfg.mem_addr_bits = options.mem_addr_bits;
@@ -348,38 +245,362 @@ CampaignSetup campaign_setup(const CampaignOptions& options) {
     s.plan = plan_faults(flat, options.plan, options.seed);
   }
   schedule_bitflips(s.plan, options);
+  if (options.backend == harness::RtlBackend::kCompiled) {
+    s.batch_mutants = kMaxBatchMutants;
+  }
   s.vunit = campaign_vunit(options.banks, s.rtl_cfg.latency_ticks());
+  for (const psl::Directive& d : s.vunit.directives()) {
+    if (d.kind != psl::DirectiveKind::kCover) {
+      s.monitors.push_back(psl::determinize(d.prop));
+    }
+  }
   return s;
 }
 
-/// Control run: every checker over the unmutated device. Any alarm here is
-/// a false alarm and poisons the whole campaign. Shared verbatim by the
-/// sequential and parallel paths so their reports stay byte-identical.
+/// The campaign's PSL suite on every lane at once: each determinized
+/// monitor reads its atoms from pre-resolved tap words, one table lookup
+/// per lane and edge — no string Env per step.
+class LaneMonitors {
+ public:
+  LaneMonitors(const CampaignSetup& setup,
+               const std::vector<std::string>& tap_names, int lanes)
+      : setup_(&setup), lanes_(lanes) {
+    for (const psl::DfaTable& t : setup.monitors) {
+      std::vector<std::size_t> taps;
+      for (const std::string& atom : t.atoms) {
+        const auto it = std::find(tap_names.begin(), tap_names.end(), atom);
+        if (it == tap_names.end()) {
+          throw std::invalid_argument("campaign PSL atom is not a tap: " + atom);
+        }
+        taps.push_back(static_cast<std::size_t>(it - tap_names.begin()));
+      }
+      atom_taps_.push_back(std::move(taps));
+      states_.emplace_back(static_cast<std::size_t>(lanes), t.init_state);
+    }
+  }
+
+  void step(const std::vector<std::uint64_t>& tap_words) {
+    for (std::size_t m = 0; m < states_.size(); ++m) {
+      const psl::DfaTable& table = setup_->monitors[m];
+      const std::vector<std::size_t>& taps = atom_taps_[m];
+      std::vector<int>& states = states_[m];
+      for (int l = 1; l < lanes_; ++l) {
+        unsigned letter = 0;
+        for (std::size_t a = 0; a < taps.size(); ++a) {
+          letter |= static_cast<unsigned>((tap_words[taps[a]] >> l) & 1) << a;
+        }
+        int& st = states[static_cast<std::size_t>(l)];
+        st = table.step(st, letter);  // failed states are absorbing
+      }
+    }
+  }
+
+  /// The psl cell of lane `l`: caught when any monitor failed, naming the
+  /// first failed assert (psl::VUnitRunner's reading).
+  CampaignCell cell(int l) const {
+    CampaignCell cell;
+    cell.checker = "psl";
+    std::size_t m = 0;
+    for (const psl::Directive& d : setup_->vunit.directives()) {
+      if (d.kind == psl::DirectiveKind::kCover) continue;
+      const psl::DfaTable& table = setup_->monitors[m];
+      const int st = states_[m][static_cast<std::size_t>(l)];
+      ++m;
+      if (table.verdict[static_cast<std::size_t>(st)] !=
+          psl::Verdict::kFailed) {
+        continue;
+      }
+      cell.outcome = CellOutcome::kCaught;
+      if (d.kind == psl::DirectiveKind::kAssert && cell.detail.empty()) {
+        cell.detail = d.name + " failed";
+      }
+    }
+    return cell;
+  }
+
+ private:
+  const CampaignSetup* setup_;
+  int lanes_;
+  std::vector<std::vector<std::size_t>> atom_taps_;  // per monitor, per atom
+  std::vector<std::vector<int>> states_;             // per monitor, per lane
+};
+
+/// One lane batch and what the checkers read from it: lane 0 is the
+/// reference every other lane is held against, `models[l]` is lane l as
+/// the checkers drive it (a protocol fault's lane behind its
+/// ProtocolFaultModel), and OVL flags read back through `ovl(l)`.
+struct Batch {
+  std::unique_ptr<harness::LaneBatch> lanes;
+  std::vector<ovl::OvlBank> ovl_banks;  // one shared bank, or one per lane
+  std::vector<std::unique_ptr<ProtocolFaultModel>> wrappers;
+  std::vector<harness::DeviceModel*> models;
+
+  const ovl::OvlBank& ovl(int lane) const {
+    return ovl_banks[ovl_banks.size() == 1 ? 0 : static_cast<std::size_t>(lane)];
+  }
+
+  /// Fills `models`: lane l + 1 carries `faults[l]`, wrapped when it is a
+  /// protocol fault.
+  void wrap(const std::vector<const FaultSpec*>& faults) {
+    models.push_back(&lanes->lane(0));
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      harness::DeviceModel& lane = lanes->lane(static_cast<int>(i) + 1);
+      if (faults[i] != nullptr && !is_structural(faults[i]->kind)) {
+        wrappers.push_back(std::make_unique<ProtocolFaultModel>(lane, *faults[i]));
+        models.push_back(wrappers.back().get());
+      } else {
+        models.push_back(&lane);
+      }
+    }
+  }
+};
+
+/// One netlist model per lane on the campaign's backend: lane 0 the golden
+/// OVL-instrumented device, lane l the OVL-instrumented mutant of
+/// `faults[l - 1]` (an apply_structural netlist for a structural fault).
+/// The interpreted backend's batches, and the independent oracle for the
+/// compiled backend's lane forces.
+Batch netlist_batch(const CampaignOptions& options, const core::RtlConfig& cfg,
+                    const std::vector<const FaultSpec*>& faults) {
+  Batch b;
+  const std::size_t lanes = 1 + faults.size();
+  b.ovl_banks.resize(lanes);
+  std::vector<std::unique_ptr<harness::NetlistDeviceModel>> models;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const FaultSpec* spec = l == 0 ? nullptr : faults[l - 1];
+    ovl::OvlBank& bank = b.ovl_banks[l];
+    models.push_back(
+        harness::make_rtl_device(cfg, options.backend, [&](rtl::Module& m) {
+          if (spec != nullptr && is_structural(spec->kind)) {
+            apply_structural(m, *spec);
+          }
+          core::attach_ovl_monitors(m, bank, options.banks);
+        }).model);
+  }
+  b.lanes = std::make_unique<harness::ModelLaneBatch>(std::move(models));
+  b.wrap(faults);
+  return b;
+}
+
+using LaneCells = std::vector<std::vector<CampaignCell>>;
+
+/// The psl, ovl and lockstep cells of lanes 1.. of `b`, held against lane
+/// 0 over the campaign's seeded traffic. Every checker observes the full
+/// run (no stop at the first divergence). nullopt when `cancel` was raised
+/// before the run finished.
+std::optional<LaneCells> lane_cells(const CampaignOptions& options,
+                                    const CampaignSetup& setup, Batch& b,
+                                    const std::atomic<bool>* cancel) {
+  harness::LaneBatch& batch = *b.lanes;
+  const int lanes = batch.lanes();
+  const std::uint64_t checked =
+      (lanes == 64 ? ~0ull : (1ull << lanes) - 1) & ~1ull;
+  batch.reset();
+  for (auto& w : b.wrappers) w->reset();
+
+  harness::StimulusOptions sopt;
+  sopt.banks = options.banks;
+  sopt.mem_addr_bits = options.mem_addr_bits;
+  sopt.data_bits = options.data_bits;
+  harness::StimulusStream stream(sopt, options.seed);
+  harness::Transactor transactor(sopt.geometry());
+
+  const std::vector<std::string>& taps = batch.tap_names();
+  LaneMonitors psl_monitors(setup, taps, lanes);
+  std::vector<std::uint64_t> words(taps.size());
+  std::uint64_t diverged = 0;
+  std::vector<std::string> lockstep_detail(static_cast<std::size_t>(lanes));
+
+  int issued = 0;
+  const std::uint64_t total_ticks =
+      2ull * static_cast<std::uint64_t>(options.transactions) +
+      static_cast<std::uint64_t>(options.drain_ticks);
+  for (std::uint64_t tick = 0; tick < total_ticks; ++tick) {
+    if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+      return std::nullopt;
+    }
+    const harness::Edge edge = harness::edge_of_tick(static_cast<int>(tick % 2));
+    if (edge == harness::Edge::kK && issued < options.transactions) {
+      transactor.enqueue(stream.next());
+      ++issued;
+    }
+    const harness::EdgePins pins = transactor.next(edge);
+    for (harness::DeviceModel* m : b.models) m->apply_edge(pins);
+    batch.edge();
+
+    // Taps: one XOR per tap against lane 0's broadcast bit.
+    std::uint64_t differs = 0;
+    for (std::size_t t = 0; t < taps.size(); ++t) {
+      words[t] = batch.tap_word(t);
+      differs |= words[t] ^ (0 - (words[t] & 1));
+    }
+    psl_monitors.step(words);
+    for (std::uint64_t fresh = differs & checked & ~diverged; fresh != 0;
+         fresh &= fresh - 1) {
+      const int l = __builtin_ctzll(fresh);
+      for (std::size_t t = 0; t < taps.size(); ++t) {
+        const bool expect = (words[t] & 1) != 0;
+        const bool got = ((words[t] >> l) & 1) != 0;
+        if (got == expect) continue;
+        std::ostringstream os;
+        os << "tick " << tick << " (" << harness::edge_name(edge)
+           << "): tap '" << taps[t] << "' ref=" << expect
+           << " mutant=" << got;
+        lockstep_detail[static_cast<std::size_t>(l)] = os.str();
+        break;
+      }
+    }
+    diverged |= differs & checked;
+
+    const harness::DoutSample golden = b.models.front()->dout();
+    for (std::uint64_t rest = checked & ~diverged; rest != 0;
+         rest &= rest - 1) {
+      const int l = __builtin_ctzll(rest);
+      if (b.models[static_cast<std::size_t>(l)]->dout() == golden) continue;
+      diverged |= 1ull << l;
+      std::ostringstream os;
+      os << "tick " << tick << " (" << harness::edge_name(edge)
+         << "): dout diverges";
+      lockstep_detail[static_cast<std::size_t>(l)] = os.str();
+    }
+  }
+
+  const harness::Geometry g = b.models.front()->geometry();
+  for (std::uint64_t rest = checked & ~diverged; rest != 0; rest &= rest - 1) {
+    const int l = __builtin_ctzll(rest);
+    const harness::DeviceModel& model = *b.models[static_cast<std::size_t>(l)];
+    for (int bank = 0; bank < g.banks && ((diverged >> l) & 1) == 0; ++bank) {
+      for (std::uint64_t addr = 0; addr < g.mem_depth(); ++addr) {
+        if (model.memory_word(bank, addr) !=
+            b.models.front()->memory_word(bank, addr)) {
+          diverged |= 1ull << l;
+          std::ostringstream os;
+          os << "end of run: memory b" << bank << "[" << addr << "] diverges";
+          lockstep_detail[static_cast<std::size_t>(l)] = os.str();
+          break;
+        }
+      }
+    }
+  }
+
+  LaneCells out;
+  for (int l = 1; l < lanes; ++l) {
+    std::vector<CampaignCell> cells;
+    cells.push_back(psl_monitors.cell(l));
+
+    CampaignCell ovl_cell;
+    ovl_cell.checker = "ovl";
+    const std::size_t ovl_failures = b.ovl(l).failures(
+        [&batch, l](rtl::NetId flag) { return batch.net_is_one(l, flag); });
+    ovl_cell.outcome =
+        ovl_failures > 0 ? CellOutcome::kCaught : CellOutcome::kMissed;
+    if (ovl_failures > 0) {
+      ovl_cell.detail = std::to_string(ovl_failures) + " monitor failures";
+    }
+    cells.push_back(std::move(ovl_cell));
+
+    CampaignCell ls_cell;
+    ls_cell.checker = "lockstep";
+    ls_cell.outcome = ((diverged >> l) & 1) != 0 ? CellOutcome::kCaught
+                                                 : CellOutcome::kMissed;
+    ls_cell.detail = lockstep_detail[static_cast<std::size_t>(l)];
+    cells.push_back(std::move(ls_cell));
+    out.push_back(std::move(cells));
+  }
+  return out;
+}
+
+/// The psl, ovl and lockstep cells of `faults` (one lane batch of the
+/// plan), in order. The compiled backend runs the batch as one Machine
+/// with every structural fault a lane force; a force the plan cannot keep
+/// X-safe (csim::x_safe_forces) runs on its own mutant netlist instead.
+/// The interpreted backend runs netlist_batch. nullopt when cancelled.
+std::optional<LaneCells> batch_cells(const CampaignOptions& options,
+                                     const CampaignSetup& setup,
+                                     const std::vector<const FaultSpec*>& faults,
+                                     const std::atomic<bool>* cancel) {
+  if (options.backend != harness::RtlBackend::kCompiled) {
+    Batch b = netlist_batch(options, setup.rtl_cfg, faults);
+    return lane_cells(options, setup, b, cancel);
+  }
+  Batch b;
+  b.ovl_banks.resize(1);
+  rtl::Module flat = core::build_device(setup.rtl_cfg).flatten();
+  core::attach_ovl_monitors(flat, b.ovl_banks.front(), options.banks);
+  const plan::CompilePlan plan = harness::device_plan(flat);
+  std::vector<csim::Force> forces;
+  for (const FaultSpec* f : faults) {
+    if (is_structural(f->kind)) forces.push_back(lane_force(flat, *f, 0));
+  }
+  const std::vector<bool> safe = csim::x_safe_forces(flat, plan, forces);
+
+  std::vector<const FaultSpec*> on_machine;
+  std::vector<const FaultSpec*> apart;
+  std::vector<csim::Force> lane_forces;
+  std::size_t next_force = 0;
+  for (const FaultSpec* f : faults) {
+    if (!is_structural(f->kind)) {
+      on_machine.push_back(f);
+    } else if (safe[next_force]) {
+      on_machine.push_back(f);
+      lane_forces.push_back(forces[next_force]);
+      lane_forces.back().lane = static_cast<int>(on_machine.size());
+      ++next_force;
+    } else {
+      apart.push_back(f);
+      ++next_force;
+    }
+  }
+  b.lanes = std::make_unique<harness::CsimLaneBatch>(
+      setup.rtl_cfg, std::move(flat), plan,
+      1 + static_cast<int>(on_machine.size()), lane_forces);
+  b.wrap(on_machine);
+  std::optional<LaneCells> machine_cells = lane_cells(options, setup, b, cancel);
+  if (!machine_cells || apart.empty()) return machine_cells;
+
+  Batch rest = netlist_batch(options, setup.rtl_cfg, apart);
+  std::optional<LaneCells> apart_cells = lane_cells(options, setup, rest, cancel);
+  if (!apart_cells) return std::nullopt;
+  LaneCells out;
+  std::size_t m = 0;
+  std::size_t a = 0;
+  for (const FaultSpec* f : faults) {
+    const bool on = a == apart.size() || apart[a] != f;
+    out.push_back(std::move(on ? (*machine_cells)[m++] : (*apart_cells)[a++]));
+  }
+  return out;
+}
+
+/// Control run: every checker over the unmutated device, as a two-lane
+/// batch on the campaign's backend — lane 0 the uninstrumented stock
+/// device, lane 1 the OVL-instrumented one every fault batch uses as its
+/// golden lane, so a clean control also proves that lane a faithful
+/// lockstep reference. Any alarm here is a false alarm and poisons the
+/// whole campaign. Shared verbatim by the sequential and parallel paths so
+/// their reports stay byte-identical.
 std::vector<std::string> control_alarms(const CampaignOptions& options,
-                                        const psl::VUnit& vunit,
-                                        const core::RtlConfig& rtl_cfg) {
+                                        const CampaignSetup& setup) {
+  Batch b;
+  b.ovl_banks.resize(2);
+  std::vector<std::unique_ptr<harness::NetlistDeviceModel>> models;
+  models.push_back(
+      harness::make_rtl_device(setup.rtl_cfg, options.backend).model);
+  models.push_back(harness::make_rtl_device(
+                       setup.rtl_cfg, options.backend,
+                       [&](rtl::Module& m) {
+                         core::attach_ovl_monitors(m, b.ovl_banks[1],
+                                                   options.banks);
+                       })
+                       .model);
+  b.lanes = std::make_unique<harness::ModelLaneBatch>(std::move(models));
+  b.wrap({nullptr});
+
   std::vector<std::string> alarms;
-  ovl::OvlBank ovl_bank;
-  harness::RtlDevice device =
-      harness::make_rtl_device(rtl_cfg, options.backend, [&](rtl::Module& m) {
-        core::attach_ovl_monitors(m, ovl_bank, options.banks);
-      });
-  harness::RtlDevice reference =
-      harness::make_rtl_device(rtl_cfg, options.backend);
-  psl::VUnitRunner runner(vunit);
-  const SimVerdicts v =
-      run_sim(options, *device.model, *reference.model, runner, rtl_cfg);
-  if (v.psl_failures != 0) {
-    alarms.push_back("psl: " + v.psl_detail);
-  }
-  const std::size_t ovl_failures = ovl_bank.failures(
-      [&device](rtl::NetId flag) { return device.model->net_is_one(flag); });
-  if (ovl_failures != 0) {
-    alarms.push_back("ovl: " + std::to_string(ovl_failures) +
-                     " monitor failures");
-  }
-  if (v.lockstep_diverged) {
-    alarms.push_back("lockstep: " + v.lockstep_detail);
+  const LaneCells cells = *lane_cells(options, setup, b, /*cancel=*/nullptr);
+  for (const CampaignCell& c : cells.front()) {
+    if (c.outcome == CellOutcome::kCaught) {
+      alarms.push_back(c.checker + ": " + c.detail);
+    }
   }
   if (options.run_mc) {
     const core::RtlConfig mc_cfg =
@@ -401,69 +622,55 @@ std::vector<std::string> control_alarms(const CampaignOptions& options,
   return alarms;
 }
 
-/// One mutant through the full detection stack — the unit of work a
-/// parallel shard executes. Pure function of (options, spec).
-CampaignRow mutant_row(const CampaignOptions& options, const psl::VUnit& vunit,
-                       const core::RtlConfig& rtl_cfg, const FaultSpec& spec) {
-  CampaignRow row;
-  row.fault = spec;
-
-  ovl::OvlBank ovl_bank;
-  auto instrument = [&](rtl::Module& m) {
-    if (is_structural(spec.kind)) apply_structural(m, spec);
-    core::attach_ovl_monitors(m, ovl_bank, options.banks);
-  };
-  harness::RtlDevice rtl_dev =
-      harness::make_rtl_device(rtl_cfg, options.backend, instrument);
-  const harness::NetlistDeviceModel& netlist = *rtl_dev.model;
-  std::unique_ptr<harness::DeviceModel> mutant;
-  if (is_structural(spec.kind)) {
-    mutant = std::move(rtl_dev.model);
-  } else {
-    mutant =
-        std::make_unique<ProtocolFaultModel>(std::move(rtl_dev.model), spec);
+/// The faults of lane batch `index`: plan order, at most
+/// setup.batch_mutants.
+std::vector<const FaultSpec*> batch_faults(const CampaignSetup& setup,
+                                           std::size_t index) {
+  std::vector<const FaultSpec*> out;
+  const std::size_t first = index * setup.batch_mutants;
+  for (std::size_t i = first;
+       i < setup.plan.size() && i < first + setup.batch_mutants; ++i) {
+    out.push_back(&setup.plan[i]);
   }
-  harness::RtlDevice reference =
-      harness::make_rtl_device(rtl_cfg, options.backend);
-  psl::VUnitRunner runner(vunit);
-  const SimVerdicts v =
-      run_sim(options, *mutant, *reference.model, runner, rtl_cfg);
+  return out;
+}
 
-  CampaignCell psl_cell;
-  psl_cell.checker = "psl";
-  psl_cell.outcome =
-      v.psl_failures > 0 ? CellOutcome::kCaught : CellOutcome::kMissed;
-  psl_cell.detail = v.psl_detail;
-  row.cells.push_back(std::move(psl_cell));
+/// Whether `spec` gets a symbolic check (its own shard when parallel).
+bool needs_mc_check(const CampaignOptions& options, const FaultSpec& spec) {
+  return options.run_mc && is_structural(spec.kind);
+}
 
-  CampaignCell ovl_cell;
-  ovl_cell.checker = "ovl";
-  const std::size_t ovl_failures = ovl_bank.failures(
-      [&netlist](rtl::NetId flag) { return netlist.net_is_one(flag); });
-  ovl_cell.outcome =
-      ovl_failures > 0 ? CellOutcome::kCaught : CellOutcome::kMissed;
-  if (ovl_failures > 0) {
-    ovl_cell.detail = std::to_string(ovl_failures) + " monitor failures";
+/// The mc cell of `spec`: the symbolic check, n/a for a protocol fault, or
+/// n/a with the column disabled.
+CampaignCell mc_column(const CampaignOptions& options, const FaultSpec& spec) {
+  if (options.run_mc) return mc_cell(options, spec);
+  CampaignCell cell;
+  cell.checker = "mc";
+  cell.outcome = CellOutcome::kNotApplicable;
+  cell.detail = "mc column disabled";
+  return cell;
+}
+
+util::Json cell_to_json(const CampaignCell& c) {
+  util::Json cell = util::Json::object();
+  cell.set("checker", c.checker);
+  cell.set("outcome", to_string(c.outcome));
+  cell.set("detail", c.detail);
+  return cell;
+}
+
+CampaignCell cell_from_json(const util::Json& cell_j) {
+  CampaignCell cell;
+  if (const util::Json* v = cell_j.find("checker")) {
+    cell.checker = v->as_string();
   }
-  row.cells.push_back(std::move(ovl_cell));
-
-  CampaignCell ls_cell;
-  ls_cell.checker = "lockstep";
-  ls_cell.outcome =
-      v.lockstep_diverged ? CellOutcome::kCaught : CellOutcome::kMissed;
-  ls_cell.detail = v.lockstep_detail;
-  row.cells.push_back(std::move(ls_cell));
-
-  if (options.run_mc) {
-    row.cells.push_back(mc_cell(options, spec));
-  } else {
-    CampaignCell cell;
-    cell.checker = "mc";
-    cell.outcome = CellOutcome::kNotApplicable;
-    cell.detail = "mc column disabled";
-    row.cells.push_back(std::move(cell));
+  if (const util::Json* v = cell_j.find("outcome")) {
+    cell.outcome = cell_outcome_from_string(v->as_string());
   }
-  return row;
+  if (const util::Json* v = cell_j.find("detail")) {
+    cell.detail = v->as_string();
+  }
+  return cell;
 }
 
 util::Json row_to_json(const CampaignRow& r) {
@@ -471,13 +678,7 @@ util::Json row_to_json(const CampaignRow& r) {
   row.set("fault", r.fault.to_json());
   row.set("caught", r.caught());
   util::Json cells = util::Json::array();
-  for (const CampaignCell& c : r.cells) {
-    util::Json cell = util::Json::object();
-    cell.set("checker", c.checker);
-    cell.set("outcome", to_string(c.outcome));
-    cell.set("detail", c.detail);
-    cells.push(std::move(cell));
-  }
+  for (const CampaignCell& c : r.cells) cells.push(cell_to_json(c));
   row.set("cells", std::move(cells));
   return row;
 }
@@ -489,40 +690,24 @@ CampaignRow row_from_json(const util::Json& row_j) {
   }
   if (const util::Json* cells = row_j.find("cells")) {
     for (const util::Json& cell_j : cells->items()) {
-      CampaignCell cell;
-      if (const util::Json* v = cell_j.find("checker")) {
-        cell.checker = v->as_string();
-      }
-      if (const util::Json* v = cell_j.find("outcome")) {
-        cell.outcome = cell_outcome_from_string(v->as_string());
-      }
-      if (const util::Json* v = cell_j.find("detail")) {
-        cell.detail = v->as_string();
-      }
-      row.cells.push_back(std::move(cell));
+      row.cells.push_back(cell_from_json(cell_j));
     }
   }
   return row;
 }
 
-/// Quarantined row for a shard the executor could not complete: every
-/// checker cell is kTimeout with the shard's disposition, so the report
-/// shape (and mutation-score denominator) is unchanged.
-CampaignRow degraded_row(const FaultSpec& spec,
-                         const std::vector<std::string>& checkers,
-                         const exec::ShardResult& r) {
-  CampaignRow row;
-  row.fault = spec;
-  std::string detail = std::string("shard ") + exec::to_string(r.status);
-  if (!r.error.empty()) detail += ": " + r.error;
-  for (const std::string& checker : checkers) {
-    CampaignCell cell;
-    cell.checker = checker;
-    cell.outcome = CellOutcome::kTimeout;
-    cell.detail = detail;
-    row.cells.push_back(std::move(cell));
-  }
-  return row;
+/// Quarantined cell for a shard the executor could not complete: kTimeout
+/// with the shard's disposition, so the report shape (and mutation-score
+/// denominator) is unchanged. A failed lane-batch shard degrades only its
+/// lanes' psl/ovl/lockstep cells, a failed MC shard only its mc cell.
+CampaignCell degraded_cell(const std::string& checker,
+                           const exec::ShardResult& r) {
+  CampaignCell cell;
+  cell.checker = checker;
+  cell.outcome = CellOutcome::kTimeout;
+  cell.detail = std::string("shard ") + exec::to_string(r.status);
+  if (!r.error.empty()) cell.detail += ": " + r.error;
+  return cell;
 }
 
 /// options with the cancellation flag threaded into the per-check budget,
@@ -549,17 +734,27 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 
   const CampaignSetup setup = campaign_setup(opt);
 
-  report.clean_alarms = control_alarms(opt, setup.vunit, setup.rtl_cfg);
+  report.clean_alarms = control_alarms(opt, setup);
   report.clean_ok = report.clean_alarms.empty();
 
-  for (const FaultSpec& spec : setup.plan) {
-    // Graceful ^C: stop between faults; the rows so far form a valid
-    // partial report.
-    if (opt.cancel != nullptr &&
-        opt.cancel->load(std::memory_order_relaxed)) {
-      break;
+  // Graceful ^C: a row finished while the flag was up may carry a
+  // cancelled check, so it is dropped; the rows kept are a prefix of the
+  // uncancelled report.
+  const auto cancelled = [&opt] {
+    return opt.cancel != nullptr && opt.cancel->load(std::memory_order_relaxed);
+  };
+  for (std::size_t index = 0; index < setup.batches(); ++index) {
+    const std::vector<const FaultSpec*> faults = batch_faults(setup, index);
+    std::optional<LaneCells> sim = batch_cells(opt, setup, faults, opt.cancel);
+    if (!sim) break;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      CampaignRow row;
+      row.fault = *faults[i];
+      row.cells = std::move((*sim)[i]);
+      row.cells.push_back(mc_column(opt, row.fault));
+      if (cancelled()) return report;
+      report.rows.push_back(std::move(row));
     }
-    report.rows.push_back(mutant_row(opt, setup.vunit, setup.rtl_cfg, spec));
   }
   return report;
 }
@@ -583,26 +778,46 @@ CampaignReport run_campaign_parallel(const CampaignOptions& options,
   eopt.backoff_ms = parallel.backoff_ms;
   eopt.cancel = parallel.cancel;
 
-  // Shard 0 is the control run; shard i (i >= 1) is fault plan[i-1]. The
-  // merge below walks results in shard order, so the report is a pure
-  // function of the shard bodies regardless of worker count.
-  const int shard_count = 1 + static_cast<int>(setup.plan.size());
+  // Shard 0 is the control run, shards 1..B the lane batches, then one MC
+  // shard per fault that gets a symbolic check. The merge below walks the
+  // plan in order, so the report is a pure function of the shard bodies
+  // regardless of worker count.
+  const std::size_t batches = setup.batches();
+  std::vector<std::size_t> mc_faults;  // plan index of each MC shard
+  std::vector<std::size_t> mc_shard(setup.plan.size(), 0);
+  for (std::size_t i = 0; i < setup.plan.size(); ++i) {
+    if (!needs_mc_check(options, setup.plan[i])) continue;
+    mc_shard[i] = 1 + batches + mc_faults.size();
+    mc_faults.push_back(i);
+  }
+  const int shard_count = static_cast<int>(1 + batches + mc_faults.size());
   const auto body = [&](const exec::Context& ctx) -> util::Json {
     const CampaignOptions opt = with_cancel(options, ctx.cancel_flag());
-    if (ctx.shard() == 0) {
-      const std::vector<std::string> alarms =
-          control_alarms(opt, setup.vunit, setup.rtl_cfg);
-      util::Json j = util::Json::object();
+    const auto shard = static_cast<std::size_t>(ctx.shard());
+    util::Json j = util::Json::object();
+    if (shard == 0) {
       util::Json arr = util::Json::array();
-      for (const std::string& a : alarms) arr.push(a);
+      for (const std::string& a : control_alarms(opt, setup)) arr.push(a);
       j.set("alarms", std::move(arr));
-      ctx.poll();  // a cancelled control run must not pass for clean
-      return j;
+    } else if (shard <= batches) {
+      const std::optional<LaneCells> sim =
+          batch_cells(opt, setup, batch_faults(setup, shard - 1), opt.cancel);
+      // Cancelled through CampaignOptions::cancel alone: ctx.poll() below
+      // would not notice, and a short batch must not pass for a finished one.
+      if (!sim) throw exec::ShardInterrupted{/*cancelled=*/true};
+      util::Json lanes = util::Json::array();
+      for (const auto& cells : *sim) {
+        util::Json lane = util::Json::array();
+        for (const CampaignCell& c : cells) lane.push(cell_to_json(c));
+        lanes.push(std::move(lane));
+      }
+      j.set("lanes", std::move(lanes));
+    } else {
+      j.set("mc", cell_to_json(
+                      mc_cell(opt, setup.plan[mc_faults[shard - 1 - batches]])));
     }
-    const FaultSpec& spec = setup.plan[static_cast<std::size_t>(ctx.shard()) - 1];
-    const CampaignRow row = mutant_row(opt, setup.vunit, setup.rtl_cfg, spec);
-    ctx.poll();  // ditto: discard rows finished after cancellation
-    return row_to_json(row);
+    ctx.poll();  // a cancelled shard must not pass for a finished one
+    return j;
   };
   const std::vector<exec::ShardResult> results =
       exec::run_shards(shard_count, body, eopt, stats);
@@ -622,13 +837,29 @@ CampaignReport run_campaign_parallel(const CampaignOptions& options,
   }
   report.clean_ok = report.clean_alarms.empty();
 
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    const exec::ShardResult& r = results[i];
-    if (r.ok()) {
-      report.rows.push_back(row_from_json(r.value));
+  for (std::size_t i = 0; i < setup.plan.size(); ++i) {
+    CampaignRow row;
+    row.fault = setup.plan[i];
+    const exec::ShardResult& sim = results[1 + i / setup.batch_mutants];
+    if (sim.ok()) {
+      const util::Json& lane =
+          sim.value.find("lanes")->items().at(i % setup.batch_mutants);
+      for (const util::Json& c : lane.items()) {
+        row.cells.push_back(cell_from_json(c));
+      }
     } else {
-      report.rows.push_back(degraded_row(setup.plan[i - 1], report.checkers, r));
+      for (const char* checker : {"psl", "ovl", "lockstep"}) {
+        row.cells.push_back(degraded_cell(checker, sim));
+      }
     }
+    if (!needs_mc_check(options, row.fault)) {
+      row.cells.push_back(mc_column(options, row.fault));
+    } else if (const exec::ShardResult& mc = results[mc_shard[i]]; mc.ok()) {
+      row.cells.push_back(cell_from_json(*mc.value.find("mc")));
+    } else {
+      row.cells.push_back(degraded_cell("mc", mc));
+    }
+    report.rows.push_back(std::move(row));
   }
   return report;
 }

@@ -11,9 +11,18 @@
 //   mc        symbolic model checking of the reduced geometry under a
 //             resource Budget (mc/verdict.hpp); structural faults only
 //
-// A control run of the unmutated device under the identical stimulus
-// guards against false alarms — a checker that fires on the pristine
-// device invalidates the whole campaign. Reports render as util::Table and
+// The simulation checkers (psl, ovl, lockstep) run in lane batches: lane 0
+// the golden OVL-instrumented device, lanes 1.. the mutants of consecutive
+// plan entries, stepped together (harness/lane_batch.hpp). On the compiled
+// backend a batch is one csim::Machine of up to 63 mutants with every
+// structural fault a per-lane force (fault::lane_force); the interpreted
+// backend runs the same loop one fault per batch over one CycleSim per
+// lane, the oracle for the forces.
+//
+// A control run of the unmutated device under the identical stimulus —
+// the same loop over the uninstrumented device (lane 0) and the golden
+// lane (lane 1) — guards against false alarms: a checker that fires on
+// the pristine device invalidates the whole campaign. Reports render as util::Table and
 // round-trip through util::Json.
 #pragma once
 
@@ -69,9 +78,12 @@ struct CampaignOptions {
   mc::Budget mc_budget{/*wall_ms=*/5000, /*bdd_nodes=*/500'000,
                        /*max_cycles=*/64};
   /// Cooperative cancellation (e.g. the SIGINT token in exec/signal.hpp):
-  /// polled between faults and forwarded into every symbolic check's
-  /// Budget. A cancelled campaign returns a valid *partial* report with
-  /// rows for the faults finished so far. Non-owning.
+  /// polled every simulated edge of a fault batch (not the control run)
+  /// and between faults, and forwarded into every symbolic check's Budget.
+  /// A cancelled run_campaign returns a valid *partial* report whose rows
+  /// are a prefix of the full report's; in run_campaign_parallel a batch
+  /// shard it stops reports cancelled and degrades like any failed shard.
+  /// Non-owning.
   const std::atomic<bool>* cancel = nullptr;
   /// Simulator behind every RTL model (mutant, control, and lockstep
   /// reference alike). The report is required to be byte-identical across
@@ -79,16 +91,18 @@ struct CampaignOptions {
   harness::RtlBackend backend = harness::RtlBackend::kInterpreted;
 };
 
-/// Scheduling knobs for run_campaign_parallel (one shard per fault plus
-/// the control run). The merged report is byte-identical to the
-/// sequential run_campaign at any worker count / steal seed as long as no
-/// shard is degraded by a deadline, crash, or cancellation.
+/// Scheduling knobs for run_campaign_parallel (the control run, one shard
+/// per lane batch, one per symbolic check). The merged report is
+/// byte-identical to the sequential run_campaign at any worker count /
+/// steal seed as long as no shard is degraded by a deadline, crash, or
+/// cancellation.
 struct ParallelOptions {
   int workers = 1;
   std::uint64_t steal_seed = 1;
   /// Per-shard cooperative wall deadline; 0 = none. A shard that overruns
-  /// is retried (exponential backoff) and finally degraded to a row whose
-  /// cells are all kTimeout — the campaign itself never wedges.
+  /// is retried (exponential backoff) and finally degraded: its cells turn
+  /// kTimeout (a lane batch's psl/ovl/lockstep cells, a symbolic check's
+  /// mc cell) — the campaign itself never wedges.
   std::uint64_t shard_wall_ms = 0;
   int max_retries = 1;
   std::uint64_t backoff_ms = 10;
@@ -114,13 +128,15 @@ struct CampaignReport {
   std::string render() const;
 };
 
-/// Runs the full campaign: plan, control run, one pass per mutant.
+/// Runs the full campaign: plan, control run, one simulation pass per lane
+/// batch, one symbolic check per structural fault.
 CampaignReport run_campaign(const CampaignOptions& options);
 
-/// The same campaign on the work-stealing executor: the control run and
-/// every mutant become shards, merged back in plan order. Crashed or
-/// timed-out shards degrade to quarantined rows instead of taking the
-/// campaign down. `stats`, when non-null, receives pool telemetry.
+/// The same campaign on the work-stealing executor: shard 0 is the control
+/// run, then one shard per lane batch, then one per symbolic check; rows
+/// merge back in plan order. Crashed or timed-out shards degrade to
+/// quarantined cells instead of taking the campaign down. `stats`, when
+/// non-null, receives pool telemetry.
 CampaignReport run_campaign_parallel(const CampaignOptions& options,
                                      const ParallelOptions& parallel,
                                      exec::PoolStats* stats = nullptr);

@@ -253,10 +253,42 @@ void apply_structural(rtl::Module& flat, const FaultSpec& spec) {
   }
 }
 
+csim::Force lane_force(const rtl::Module& flat, const FaultSpec& spec,
+                       int lane) {
+  if (!is_structural(spec.kind)) {
+    throw std::invalid_argument("lane_force: '" +
+                                std::string(to_string(spec.kind)) +
+                                "' is a protocol fault");
+  }
+  csim::Force f;
+  f.reg = flat.find_net(spec.net);
+  if (f.reg == rtl::kInvalidId) {
+    throw std::invalid_argument("lane_force: no such net: " + spec.net);
+  }
+  f.bit = spec.bit % flat.net(f.reg).width;
+  f.lane = lane;
+  f.edge = spec.cycle;
+  switch (spec.kind) {
+    case FaultKind::kStuckAt0: f.kind = csim::ForceKind::kStuck0; break;
+    case FaultKind::kStuckAt1: f.kind = csim::ForceKind::kStuck1; break;
+    case FaultKind::kInvertedDriver: f.kind = csim::ForceKind::kInvert; break;
+    case FaultKind::kBitFlip: f.kind = csim::ForceKind::kFlip; break;
+    case FaultKind::kDroppedUpdate:
+    default: f.kind = csim::ForceKind::kDrop; break;
+  }
+  return f;
+}
+
 ProtocolFaultModel::ProtocolFaultModel(
     std::unique_ptr<harness::DeviceModel> inner, const FaultSpec& spec)
-    : DeviceModel(inner->name() + "+" + spec.id(), inner->geometry()),
-      inner_(std::move(inner)),
+    : ProtocolFaultModel(*inner, spec) {
+  owned_ = std::move(inner);
+}
+
+ProtocolFaultModel::ProtocolFaultModel(harness::DeviceModel& inner,
+                                       const FaultSpec& spec)
+    : DeviceModel(inner.name() + "+" + spec.id(), inner.geometry()),
+      inner_(&inner),
       spec_(spec) {
   if (is_structural(spec_.kind)) {
     throw std::invalid_argument("ProtocolFaultModel: '" +

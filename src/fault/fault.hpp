@@ -16,6 +16,10 @@
 //     any DeviceModel in a ProtocolFaultModel decorator: corrupted read
 //     data, glitched bank select, dropped transfer, delayed transfer.
 //
+// Each structural fault also exists as a per-lane csim::Force
+// (lane_force), so one compiled Machine carries the golden device and up
+// to 63 mutants without rebuilding the netlist per mutant.
+//
 // Fault plans are a pure function of (module, options, seed): same inputs,
 // byte-identical plan, on every platform.
 #pragma once
@@ -25,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "csim/compile.hpp"
 #include "harness/device_model.hpp"
 #include "rtl/netlist.hpp"
 #include "util/json.hpp"
@@ -91,6 +96,13 @@ std::vector<FaultSpec> plan_faults(const rtl::Module& flat,
 /// Verilog emitter) accepts it.
 void apply_structural(rtl::Module& flat, const FaultSpec& spec);
 
+/// The same structural fault as a per-lane csim force on `lane` of a
+/// compiled `flat` (csim::Force): one lane of a csim::Machine then steps
+/// exactly like a CycleSim of the apply_structural mutant. Throws
+/// std::invalid_argument like apply_structural.
+csim::Force lane_force(const rtl::Module& flat, const FaultSpec& spec,
+                       int lane);
+
 /// Protocol-fault decorator: forwards everything to the wrapped model but
 /// corrupts the pin traffic (glitched bank select, dropped or delayed
 /// transfer) or the read-data observation (corrupted beat) once the
@@ -100,6 +112,9 @@ class ProtocolFaultModel : public harness::DeviceModel {
  public:
   ProtocolFaultModel(std::unique_ptr<harness::DeviceModel> inner,
                      const FaultSpec& spec);
+  /// Borrows `inner` (a lane of a harness::LaneBatch, say), which must
+  /// outlive the decorator.
+  ProtocolFaultModel(harness::DeviceModel& inner, const FaultSpec& spec);
 
   void apply_edge(const harness::EdgePins& pins) override;
   bool tap(const std::string& name) const override;
@@ -113,7 +128,8 @@ class ProtocolFaultModel : public harness::DeviceModel {
   void do_reset() override;
 
  private:
-  std::unique_ptr<harness::DeviceModel> inner_;
+  std::unique_ptr<harness::DeviceModel> owned_;
+  harness::DeviceModel* inner_;
   FaultSpec spec_;
   int k_cycles_ = 0;     // rising-K edges seen since reset
   bool fired_ = false;   // one-shot faults (drop/delay) already triggered

@@ -175,89 +175,137 @@ namespace {
 /// The pin drive of one edge, shared by both backends (CycleSim and
 /// csim::Machine expose the same input/edge surface).
 template <typename Sim>
-void drive_edge(Sim& sim, const EdgePins& pins, int data_bits) {
-  sim.set_input_bit("R_n", pins.r_sel_n);
-  sim.set_input_bit("W_n", pins.w_sel_n);
-  sim.set_input("A", pins.addr);
-  sim.set_input("D", core::pack_beat(pins.din_data, data_bits));
-  sim.set_input("BWE_n", pins.bwe_n);
-  sim.edge(pins.edge == Edge::kK ? "K" : "KS", rtl::Edge::kPos);
+void drive_edge(Sim& sim, const rtl::Module& flat, const NetlistTaps& taps,
+                const EdgePins& pins) {
+  for (const PinDrive& d : taps.drives(pins)) {
+    sim.set_input(d.net, rtl::LVec::from_uint(d.value, flat.net(d.net).width));
+  }
+  sim.edge(taps.clock(pins), rtl::Edge::kPos);
 }
 
 }  // namespace
 
-NetlistDeviceModel::NetlistDeviceModel(
-    std::string name, const core::RtlConfig& cfg,
-    const std::function<void(rtl::Module&)>& instrument)
-    : DeviceModel(std::move(name), rtl_geometry(cfg)),
-      flat_(core::build_device(cfg).flatten()) {
-  if (cfg.data_bits % 8 != 0) {
-    throw std::invalid_argument(
-        "NetlistDeviceModel: harness co-execution needs byte-multiple beats");
-  }
-  if (instrument) instrument(flat_);
-
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string nets = "bank" + std::to_string(b) + ".";
-    const std::string taps = "b" + std::to_string(b) + ".";
-    for (const char* t : kBankReadTaps) {
-      taps_[taps + t] = {flat_.find_net(nets + t + "_q")};
-    }
-    for (const char* t : kBankWriteTaps) {
-      const rtl::NetId net = flat_.find_net(nets + t + "_q");
-      taps_[taps + t] = {net};
-      taps_[t].push_back(net);  // the device-level tap ORs every bank
-    }
-    dout_valid_nets_.push_back(taps_[taps + "dout_valid_k"].front());
-    dout_valid_nets_.push_back(taps_[taps + "dout_valid_ks"].front());
-
-    const auto& mems = flat_.memories();
-    const auto mem = std::find_if(mems.begin(), mems.end(), [&](const auto& m) {
-      return m.name == nets + "sram";
-    });
-    if (mem == mems.end()) {
-      throw std::logic_error("NetlistDeviceModel: missing " + nets + "sram");
-    }
-    bank_mems_.push_back(static_cast<rtl::MemId>(mem - mems.begin()));
-  }
-  dout_net_ = flat_.find_net("DOUT");
-
-  tap_names_ = concat_names(
+NetlistTaps::NetlistTaps(const rtl::Module& flat, const core::RtlConfig& cfg)
+    : data_bits(cfg.data_bits) {
+  names = concat_names(
       concat_names(bank_read_taps(cfg.banks), bank_write_taps(cfg.banks)),
       device_taps());
+  nets.resize(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) by_name_[names[i]] = i;
+  bus_conflict = index("bus_conflict");
+
+  for (int b = 0; b < cfg.banks; ++b) {
+    const std::string prefix = "bank" + std::to_string(b) + ".";
+    const std::string tap = "b" + std::to_string(b) + ".";
+    for (const char* t : kBankReadTaps) {
+      nets[index(tap + t)] = {flat.find_net(prefix + t + "_q")};
+    }
+    for (const char* t : kBankWriteTaps) {
+      const rtl::NetId net = flat.find_net(prefix + t + "_q");
+      nets[index(tap + t)] = {net};
+      nets[index(t)].push_back(net);  // the device-level tap ORs every bank
+    }
+    dout_valid.push_back(nets[index(tap + "dout_valid_k")].front());
+    dout_valid.push_back(nets[index(tap + "dout_valid_ks")].front());
+
+    const auto& mems = flat.memories();
+    const auto mem = std::find_if(mems.begin(), mems.end(), [&](const auto& m) {
+      return m.name == prefix + "sram";
+    });
+    if (mem == mems.end()) {
+      throw std::logic_error("NetlistTaps: missing " + prefix + "sram");
+    }
+    bank_mems.push_back(static_cast<rtl::MemId>(mem - mems.begin()));
+  }
+  dout_bus = flat.find_net("DOUT");
+  const auto pin = [&flat](const char* name) {
+    const rtl::NetId id = flat.find_net(name);
+    if (id == rtl::kInvalidId) {
+      throw std::logic_error(std::string("NetlistTaps: missing pin ") + name);
+    }
+    return id;
+  };
+  r_n = pin("R_n");
+  w_n = pin("W_n");
+  addr = pin("A");
+  din = pin("D");
+  bwe_n = pin("BWE_n");
+  k = pin("K");
+  ks = pin("KS");
 }
 
-bool NetlistDeviceModel::any_one(const std::vector<rtl::NetId>& nets) const {
+std::size_t NetlistTaps::index(const std::string& name) const {
+  const auto it = by_name_.find(name);
+  if (it == by_name_.end()) {
+    throw std::invalid_argument("NetlistDeviceModel: unknown tap: " + name);
+  }
+  return it->second;
+}
+
+std::array<PinDrive, 5> NetlistTaps::drives(const EdgePins& pins) const {
+  return {PinDrive{r_n, pins.r_sel_n ? 1u : 0u},
+          PinDrive{w_n, pins.w_sel_n ? 1u : 0u}, PinDrive{addr, pins.addr},
+          PinDrive{din, core::pack_beat(pins.din_data, data_bits)},
+          PinDrive{bwe_n, pins.bwe_n}};
+}
+
+bool NetlistTaps::any_one(const NetReader& r,
+                          const std::vector<rtl::NetId>& nets) const {
   for (rtl::NetId net : nets) {
-    if (net_is_one(net)) return true;
+    if (r.net_is_one(net)) return true;
   }
   return false;
 }
 
-bool NetlistDeviceModel::tap(const std::string& name) const {
-  if (name == "bus_conflict") return bus_conflict(dout_net_);
-  auto it = taps_.find(name);
-  if (it == taps_.end()) {
-    throw std::invalid_argument("NetlistDeviceModel: unknown tap: " + name);
-  }
-  return any_one(it->second);
+bool NetlistTaps::tap(const NetReader& r, std::size_t i) const {
+  if (i == bus_conflict) return r.bus_conflict(dout_bus);
+  return any_one(r, nets[i]);
 }
 
-DoutSample NetlistDeviceModel::dout() const {
+DoutSample NetlistTaps::dout(const NetReader& r) const {
   DoutSample s;
-  s.valid = any_one(dout_valid_nets_);
+  s.valid = any_one(r, dout_valid);
   if (s.valid) {
-    const auto beat = net_value(dout_net_);
+    const auto beat = r.net_value(dout_bus);
     s.defined = beat.has_value();
     s.beat = beat.value_or(0);
   }
   return s;
 }
 
+std::uint64_t NetlistTaps::memory_word(const NetReader& r, int bank,
+                                       std::uint64_t addr) const {
+  return r.mem_value(bank_mems[static_cast<std::size_t>(bank)], addr)
+      .value_or(~0ull);
+}
+
+NetlistDeviceModel::NetlistDeviceModel(
+    std::string name, const core::RtlConfig& cfg,
+    const std::function<void(rtl::Module&)>& instrument)
+    : DeviceModel(std::move(name), rtl_geometry(cfg)),
+      flat_([&] {
+        if (cfg.data_bits % 8 != 0) {
+          throw std::invalid_argument(
+              "NetlistDeviceModel: harness co-execution needs byte-multiple "
+              "beats");
+        }
+        rtl::Module flat = core::build_device(cfg).flatten();
+        if (instrument) instrument(flat);
+        return flat;
+      }()),
+      taps_(flat_, cfg) {
+  tap_names_ = taps_.names;
+}
+
+bool NetlistDeviceModel::tap(const std::string& name) const {
+  return taps_.tap(*this, taps_.index(name));
+}
+
+DoutSample NetlistDeviceModel::dout() const { return taps_.dout(*this); }
+
 std::uint64_t NetlistDeviceModel::memory_word(int bank,
                                               std::uint64_t addr) const {
-  const auto word = mem_value(bank_mems_[static_cast<std::size_t>(bank)], addr);
-  return word.value_or(~0ull);  // X never equals a defined reference word
+  return taps_.memory_word(*this, bank, addr);
 }
 
 // --- RtlDeviceModel -----------------------------------------------------
@@ -274,7 +322,7 @@ void RtlDeviceModel::do_reset() {
 }
 
 void RtlDeviceModel::apply_edge(const EdgePins& pins) {
-  drive_edge(*sim_, pins, geometry().data_bits);
+  drive_edge(*sim_, flat(), taps(), pins);
 }
 
 bool RtlDeviceModel::net_is_one(rtl::NetId net) const {
@@ -301,12 +349,12 @@ CsimDeviceModel::CsimDeviceModel(
     const std::function<void(rtl::Module&)>& instrument)
     : NetlistDeviceModel("csim", cfg, instrument),
       compiled_(csim::compile(flat(), core::clock_schedule(flat()))),
-      machine_(compiled_, 64) {}
+      machine_(compiled_, 1) {}
 
 void CsimDeviceModel::do_reset() { machine_.reset(); }
 
 void CsimDeviceModel::apply_edge(const EdgePins& pins) {
-  drive_edge(machine_, pins, geometry().data_bits);
+  drive_edge(machine_, flat(), taps(), pins);
 }
 
 bool CsimDeviceModel::net_is_one(rtl::NetId net) const {

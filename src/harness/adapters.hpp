@@ -6,14 +6,15 @@
 //                           driven externally, one kernel tick per edge,
 //   NetlistDeviceModel    — the elaborated RTL netlist (la1/rtl_model.hpp)
 //                           behind either simulator: RtlDeviceModel (the
-//                           interpreted CycleSim) or CsimDeviceModel (lane 0
-//                           of the compiled csim::Machine), one edge per tick.
+//                           interpreted CycleSim) or CsimDeviceModel (a
+//                           1-lane compiled csim::Machine), one edge per tick.
 //
 // Each adapter maps the canonical tap names ("b0.read_start", "write_commit",
 // "bus_conflict", ...) onto its level's native observables, so the N-way
 // lockstep engine can compare any combination of levels directly.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -81,6 +82,77 @@ class BehavioralDeviceModel : public DeviceModel {
   std::unique_ptr<core::KernelHarness> harness_;
 };
 
+/// Raw reads of one simulated copy of a flat netlist — the only thing a
+/// simulator backend (or one lane of it) supplies; NetlistTaps decodes the
+/// canonical observables from them.
+class NetReader {
+ public:
+  /// Whether the 1-bit `net` reads 1 after the last edge.
+  virtual bool net_is_one(rtl::NetId net) const = 0;
+  /// `net` as an unsigned value; nullopt while any bit is X or Z.
+  virtual std::optional<std::uint64_t> net_value(rtl::NetId net) const = 0;
+  /// Word `addr` of memory `mem`; nullopt while any bit is X.
+  virtual std::optional<std::uint64_t> mem_value(rtl::MemId mem,
+                                                 std::uint64_t addr) const = 0;
+  /// Whether two or more tristate drivers drove `bus` at the last settle.
+  virtual bool bus_conflict(rtl::NetId bus) const = 0;
+
+ protected:
+  ~NetReader() = default;
+};
+
+/// One input pin value of an edge.
+struct PinDrive {
+  rtl::NetId net = rtl::kInvalidId;
+  std::uint64_t value = 0;
+};
+
+/// Where the canonical observables of a flat LA-1 netlist live, resolved
+/// once per module: the input pins an EdgePins drives, the nets behind each
+/// tap (a tap reads 1 when any of its nets does — a per-bank tap has one
+/// net, a device-level tap one per bank; `bus_conflict` has none and reads
+/// the DOUT bus's driver count), the DOUT bus and its valid nets, and each
+/// bank's SRAM. The decoding from raw reads lives here, once, for every
+/// backend.
+struct NetlistTaps {
+  NetlistTaps(const rtl::Module& flat, const core::RtlConfig& cfg);
+
+  /// Position of `name` in `names`; throws std::invalid_argument when the
+  /// netlist has no such tap.
+  std::size_t index(const std::string& name) const;
+
+  /// The pin values of `pins` (R_n, W_n, A, D, BWE_n), in that order.
+  std::array<PinDrive, 5> drives(const EdgePins& pins) const;
+  /// The clock net `pins` fires (K or KS).
+  rtl::NetId clock(const EdgePins& pins) const {
+    return pins.edge == Edge::kK ? k : ks;
+  }
+
+  bool tap(const NetReader& r, std::size_t i) const;
+  DoutSample dout(const NetReader& r) const;
+  /// X (any undefined bit) reads as ~0, which never equals a defined word.
+  std::uint64_t memory_word(const NetReader& r, int bank,
+                            std::uint64_t addr) const;
+
+  std::vector<std::string> names;              // the canonical tap order
+  std::vector<std::vector<rtl::NetId>> nets;   // per tap
+  std::size_t bus_conflict = 0;                // index of "bus_conflict"
+  rtl::NetId dout_bus = rtl::kInvalidId;
+  std::vector<rtl::NetId> dout_valid;  // every bank's K and K# beat
+  std::vector<rtl::MemId> bank_mems;
+  int data_bits = 0;
+  // The input pins.
+  rtl::NetId r_n = rtl::kInvalidId, w_n = rtl::kInvalidId,
+             addr = rtl::kInvalidId, din = rtl::kInvalidId,
+             bwe_n = rtl::kInvalidId, k = rtl::kInvalidId,
+             ks = rtl::kInvalidId;
+
+ private:
+  bool any_one(const NetReader& r, const std::vector<rtl::NetId>& nets) const;
+
+  std::map<std::string, std::size_t> by_name_;  // name -> index in names
+};
+
 /// The elaborated RTL netlist as a DeviceModel, whichever simulator runs
 /// it. The base builds the stock device, runs the `instrument` hook on its
 /// flat module, and decodes taps, dout and memory words from the same nets
@@ -88,16 +160,14 @@ class BehavioralDeviceModel : public DeviceModel {
 /// the raw net/memory/bus-conflict reads. RtlDeviceModel and CsimDeviceModel
 /// are therefore observation-interchangeable by construction (the
 /// CsimAdapter tests hold them in lockstep).
-class NetlistDeviceModel : public DeviceModel {
+class NetlistDeviceModel : public DeviceModel, public NetReader {
  public:
   bool tap(const std::string& name) const override;
+  /// Tap `i` of tap_names(), without the name lookup.
+  bool tap_at(std::size_t i) const { return taps_.tap(*this, i); }
   DoutSample dout() const override;
   bool models_dout() const override { return true; }
   std::uint64_t memory_word(int bank, std::uint64_t addr) const override;
-
-  /// Whether the 1-bit `net` reads 1 after the last edge — the readback
-  /// OVL verdicts are collected through (`OvlBank::failures`).
-  virtual bool net_is_one(rtl::NetId net) const = 0;
 
   const rtl::Module& flat() const { return flat_; }
 
@@ -109,26 +179,11 @@ class NetlistDeviceModel : public DeviceModel {
   NetlistDeviceModel(std::string name, const core::RtlConfig& cfg,
                      const std::function<void(rtl::Module&)>& instrument);
 
-  /// `net` as an unsigned value; nullopt while any bit is X or Z.
-  virtual std::optional<std::uint64_t> net_value(rtl::NetId net) const = 0;
-  /// Word `addr` of memory `mem`; nullopt while any bit is X.
-  virtual std::optional<std::uint64_t> mem_value(rtl::MemId mem,
-                                                 std::uint64_t addr) const = 0;
-  /// Whether two or more tristate drivers drove `bus` at the last settle.
-  virtual bool bus_conflict(rtl::NetId bus) const = 0;
+  const NetlistTaps& taps() const { return taps_; }
 
  private:
-  bool any_one(const std::vector<rtl::NetId>& nets) const;
-
   rtl::Module flat_;
-  std::vector<rtl::MemId> bank_mems_;
-  rtl::NetId dout_net_ = rtl::kInvalidId;
-  std::vector<rtl::NetId> dout_valid_nets_;  // every bank's K and K# beat
-  // Each tap reads 1 when any of its nets does (a per-bank tap has one net,
-  // a device-level tap one per bank). Ordered on purpose: every container
-  // on the stimulus/trace path iterates deterministically so traces are
-  // byte-reproducible from seed.
-  std::map<std::string, std::vector<rtl::NetId>> taps_;
+  NetlistTaps taps_;
 };
 
 /// The netlist in the interpreted cycle simulator, one edge() per tick.
@@ -156,7 +211,8 @@ class RtlDeviceModel : public NetlistDeviceModel {
 
 /// The netlist behind the compiled bit-parallel backend (src/csim): lowered
 /// once through plan::analyze + csim::compile, every tick runs the
-/// straight-line programs in lane 0 of a 64-lane csim::Machine.
+/// straight-line programs of a 1-lane csim::Machine (only lane 0 is ever
+/// read, and the per-lane memory built-ins cost per active lane).
 class CsimDeviceModel : public NetlistDeviceModel {
  public:
   explicit CsimDeviceModel(

@@ -179,6 +179,8 @@ class ProbeEnv : public psl::Env {
   ProbeEnv(const Config& cfg, const La1Device& device, const Pins& pins);
 
   bool sample(const std::string& signal) const override;
+  /// Whether `signal` names a probe sample() accepts.
+  bool has(const std::string& signal) const { return probes_.count(signal) != 0; }
 
   /// Registers an additional named probe.
   void add(const std::string& name, std::function<bool()> probe);

@@ -340,7 +340,7 @@ class Parser {
       if (lex_.peek().kind == Tok::kGotoArrow) {
         // b[->n] applies to a boolean primary.
         lex_.take();
-        const Token n = lex_.expect(Tok::kNumber, "repetition count");
+        const Token n = count("repetition count");
         lex_.expect(Tok::kRBracket, "']'");
         if (base->kind != Sere::Kind::kBool) {
           throw ParseError("[->n] applies to a boolean", n.at);
@@ -352,12 +352,23 @@ class Parser {
     }
   }
 
+  /// A count token, bounded by kMaxCount.
+  Token count(const char* what) {
+    const Token t = lex_.expect(Tok::kNumber, what);
+    if (t.number > kMaxCount) {
+      throw ParseError(std::string(what) + " " + std::to_string(t.number) +
+                           " exceeds the limit of " + std::to_string(kMaxCount),
+                       t.at);
+    }
+    return t;
+  }
+
   SerePtr repetition(SerePtr base) {
     if (lex_.accept(Tok::kStar)) {
       if (lex_.accept(Tok::kRBracket)) return s_star(std::move(base));
-      const Token n = lex_.expect(Tok::kNumber, "repetition count");
+      const Token n = count("repetition count");
       if (lex_.accept(Tok::kColon)) {
-        const Token m = lex_.expect(Tok::kNumber, "repetition bound");
+        const Token m = count("repetition bound");
         lex_.expect(Tok::kRBracket, "']'");
         return s_star(std::move(base), static_cast<int>(n.number),
                       static_cast<int>(m.number));
@@ -371,7 +382,7 @@ class Parser {
       return s_plus(std::move(base));
     }
     if (lex_.accept(Tok::kEq)) {
-      const Token n = lex_.expect(Tok::kNumber, "occurrence count");
+      const Token n = count("occurrence count");
       lex_.expect(Tok::kRBracket, "']'");
       if (base->kind != Sere::Kind::kBool) {
         throw ParseError("[=n] applies to a boolean", n.at);
@@ -489,7 +500,7 @@ class Parser {
     lex_.expect(Tok::kNext, "'next'");
     int n = 1;
     if (lex_.accept(Tok::kLBracket)) {
-      const Token t = lex_.expect(Tok::kNumber, "cycle count");
+      const Token t = count("cycle count");
       lex_.expect(Tok::kRBracket, "']'");
       n = static_cast<int>(t.number);
     }

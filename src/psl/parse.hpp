@@ -17,7 +17,9 @@
 //   bexpr    := the boolean layer with ! && || -> <-> ( ) true false ids
 //
 // Signal identifiers may contain letters, digits, '_', '.', and '#'
-// (e.g. bank0.dout_valid, W#).
+// (e.g. bank0.dout_valid, W#). Every count (repetition, occurrence, goto,
+// next) is at most kMaxCount: a SERE repetition unrolls into one NFA copy
+// per count, so an unbounded count is a parse error, not a hang.
 #pragma once
 
 #include <stdexcept>
@@ -26,6 +28,10 @@
 #include "psl/temporal.hpp"
 
 namespace la1::psl {
+
+/// The largest count the parser accepts in [*n], [*n:m], [->n], [=n] and
+/// next[n].
+inline constexpr int kMaxCount = 1024;
 
 class ParseError : public std::runtime_error {
  public:

@@ -277,26 +277,45 @@ Nfa nfa_and(const Nfa& a_in, const Nfa& b_in) {
                   std::move(accepts), std::move(trans));
 }
 
-/// Accepts exactly the empty word.
-Nfa nfa_empty_word() { return make_nfa(1, {0}, {0}, {}); }
-
-/// A? — matches A or the empty word.
-Nfa nfa_optional(const Nfa& a) {
-  const int s = a.state_count();
-  std::vector<Nfa::Trans> trans = a.transitions();
-  for (int st : a.starts()) trans.push_back(Nfa::Trans{s, nullptr, st});
-  std::vector<int> accepts = a.accepts();
-  accepts.push_back(s);
-  return make_nfa(a.state_count() + 1, {s}, std::move(accepts), std::move(trans));
-}
-
-/// A[*] — Kleene closure (includes the empty word).
-Nfa nfa_kleene(const Nfa& a) {
-  const int s = a.state_count();
-  std::vector<Nfa::Trans> trans = a.transitions();
-  for (int st : a.starts()) trans.push_back(Nfa::Trans{s, nullptr, st});
-  for (int acc : a.accepts()) trans.push_back(Nfa::Trans{acc, nullptr, s});
-  return make_nfa(a.state_count() + 1, {s}, {s}, std::move(trans));
+/// a[*min:max], Thompson-style: state 0 matches the empty prefix, then
+/// `min` mandatory copies of `base`, then max - min optional copies (each
+/// with a hub that skips it) or, when unbounded, one Kleene loop through a
+/// hub. Appended in one pass, so the build is linear in the automaton's
+/// size — a fold of pairwise concatenations copied the whole prefix per
+/// count.
+Nfa nfa_repeat(const Nfa& base, int min, int max) {
+  std::vector<Nfa::Trans> trans;
+  const auto eps = [&trans](int from, int to) {
+    trans.push_back(Nfa::Trans{from, nullptr, to});
+  };
+  int states = 1;
+  std::vector<int> ends{0};  // where the prefix built so far may end
+  const auto append_base = [&] {
+    const int off = states;
+    append_shifted(base, off, trans);
+    states += base.state_count();
+    return off;
+  };
+  for (int i = 0; i < min; ++i) {
+    const int off = append_base();
+    for (int e : ends) {
+      for (int st : base.starts()) eps(e, st + off);
+    }
+    ends = shifted(base.accepts(), off);
+  }
+  const int optional = max < 0 ? 1 : max - min;
+  for (int i = 0; i < optional; ++i) {
+    const int off = append_base();
+    const int hub = states++;
+    for (int st : base.starts()) eps(hub, st + off);
+    if (max < 0) {
+      for (int acc : base.accepts()) eps(acc + off, hub);
+    }
+    for (int e : ends) eps(e, hub);
+    ends = max < 0 ? std::vector<int>{hub} : shifted(base.accepts(), off);
+    if (max >= 0) ends.push_back(hub);
+  }
+  return make_nfa(states, {0}, std::move(ends), std::move(trans));
 }
 
 Nfa build_rec(const Sere& s) {
@@ -306,19 +325,7 @@ Nfa build_rec(const Sere& s) {
     case Sere::Kind::kFusion: return nfa_fusion(build_rec(*s.a), build_rec(*s.b));
     case Sere::Kind::kOr: return nfa_or(build_rec(*s.a), build_rec(*s.b));
     case Sere::Kind::kAnd: return nfa_and(build_rec(*s.a), build_rec(*s.b));
-    case Sere::Kind::kStar: {
-      const Nfa base = build_rec(*s.a);
-      Nfa out = nfa_empty_word();
-      for (int i = 0; i < s.min; ++i) out = nfa_concat(out, base);
-      if (s.max < 0) {
-        out = nfa_concat(out, nfa_kleene(base));
-      } else {
-        for (int i = s.min; i < s.max; ++i) {
-          out = nfa_concat(out, nfa_optional(base));
-        }
-      }
-      return out;
-    }
+    case Sere::Kind::kStar: return nfa_repeat(build_rec(*s.a), s.min, s.max);
   }
   throw std::logic_error("unreachable SERE kind");
 }
@@ -336,14 +343,17 @@ Nfa prune_coaccessible(const Nfa& nfa) {
     }
   }
   // Backward closure over all edges (guards ignored — conservative).
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Nfa::Trans& t : nfa.transitions()) {
-      if (live[static_cast<std::size_t>(t.to)] &&
-          !live[static_cast<std::size_t>(t.from)]) {
-        live[static_cast<std::size_t>(t.from)] = true;
-        changed = true;
+  std::vector<std::vector<int>> preds(live.size());
+  for (const Nfa::Trans& t : nfa.transitions()) {
+    preds[static_cast<std::size_t>(t.to)].push_back(t.from);
+  }
+  while (!work.empty()) {
+    const int at = work.back();
+    work.pop_back();
+    for (int p : preds[static_cast<std::size_t>(at)]) {
+      if (!live[static_cast<std::size_t>(p)]) {
+        live[static_cast<std::size_t>(p)] = true;
+        work.push_back(p);
       }
     }
   }

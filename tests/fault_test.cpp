@@ -4,8 +4,13 @@
 // campaign's mutation score / false-alarm gate at 1 and 2 banks.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <memory>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/campaign.hpp"
@@ -18,6 +23,7 @@
 #include "rtl/bitblast.hpp"
 #include "rtl/verilog.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace la1 {
 namespace {
@@ -381,6 +387,141 @@ TEST(Campaign, SameSeedSameReport) {
   const fault::CampaignReport a = fault::run_campaign(opt);
   const fault::CampaignReport b = fault::run_campaign(opt);
   EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+}
+
+/// The benchmark's campaign (perfbench `campaign`): 2 banks, seed 1, 20
+/// structural + 4 protocol faults, 300 transactions, MC column on.
+fault::CampaignOptions benchmark_campaign(harness::RtlBackend backend) {
+  fault::CampaignOptions opt;
+  opt.banks = 2;
+  opt.seed = 1;
+  opt.transactions = 300;
+  opt.plan.structural = 20;
+  opt.plan.protocol = 4;
+  opt.run_mc = true;
+  opt.backend = backend;
+  return opt;
+}
+
+std::string report_hash(const fault::CampaignReport& report) {
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(
+                    util::fnv1a64(report.to_json().dump())));
+  return hex;
+}
+
+constexpr const char* kBenchmarkReportHash = "7711c8457d5b9656";
+
+class BenchmarkCampaign
+    : public ::testing::TestWithParam<harness::RtlBackend> {};
+
+TEST_P(BenchmarkCampaign, SequentialReportHashIsPinned) {
+  EXPECT_EQ(report_hash(fault::run_campaign(benchmark_campaign(GetParam()))),
+            kBenchmarkReportHash);
+}
+
+TEST_P(BenchmarkCampaign, ParallelReportHashIsPinnedAtOneAndTwoWorkers) {
+  for (int workers : {1, 2}) {
+    fault::ParallelOptions par;
+    par.workers = workers;
+    exec::PoolStats stats;
+    const fault::CampaignReport report = fault::run_campaign_parallel(
+        benchmark_campaign(GetParam()), par, &stats);
+    EXPECT_EQ(report_hash(report), kBenchmarkReportHash)
+        << workers << " worker(s)";
+    // Control run, the lane batches (one compiled Machine for all 24
+    // faults; one interpreted batch per fault), one MC shard per
+    // structural fault.
+    const int batches = GetParam() == harness::RtlBackend::kCompiled ? 1 : 24;
+    EXPECT_EQ(stats.shards, 1 + batches + 20);
+    EXPECT_EQ(stats.ok, stats.shards);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, BenchmarkCampaign,
+    ::testing::Values(harness::RtlBackend::kInterpreted,
+                      harness::RtlBackend::kCompiled),
+    [](const ::testing::TestParamInfo<harness::RtlBackend>& info) {
+      return std::string(harness::to_string(info.param));
+    });
+
+// More than 63 faults split into several lane batches; the compiled
+// batches (one Machine each) must report exactly what the interpreted
+// lanes (one CycleSim per mutant) report.
+TEST(Campaign, MultiBatchPlanCompiledMatchesInterpreted) {
+  fault::CampaignOptions opt;
+  opt.banks = 2;
+  opt.seed = 3;
+  opt.transactions = 60;
+  opt.plan.structural = 70;
+  opt.plan.protocol = 8;
+  opt.run_mc = false;
+  const fault::CampaignReport interpreted = fault::run_campaign(opt);
+  opt.backend = harness::RtlBackend::kCompiled;
+  const fault::CampaignReport compiled = fault::run_campaign(opt);
+  ASSERT_EQ(compiled.rows.size(), 78u);
+  EXPECT_EQ(compiled.to_json().dump(), interpreted.to_json().dump());
+
+  fault::ParallelOptions par;
+  par.workers = 2;
+  exec::PoolStats stats;
+  const fault::CampaignReport parallel =
+      fault::run_campaign_parallel(opt, par, &stats);
+  EXPECT_EQ(stats.shards, 1 + 2);  // control + two lane batches, no MC
+  EXPECT_EQ(parallel.to_json().dump(), compiled.to_json().dump());
+}
+
+// ^C mid-campaign: whatever was finished is a prefix of the full report.
+TEST(Campaign, CancelledRunReturnsPrefixOfFullReport) {
+  fault::CampaignOptions opt = small_campaign(1);
+  opt.backend = harness::RtlBackend::kCompiled;
+  const util::Json full_rows = *fault::run_campaign(opt).to_json().find("rows");
+  for (int delay_ms : {0, 5, 20, 60}) {
+    std::atomic<bool> cancel{false};
+    opt.cancel = &cancel;
+    std::thread raiser([&cancel, delay_ms] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      cancel.store(true);
+    });
+    const fault::CampaignReport partial = fault::run_campaign(opt);
+    raiser.join();
+    const util::Json rows = *partial.to_json().find("rows");
+    ASSERT_LE(rows.items().size(), full_rows.items().size());
+    for (std::size_t i = 0; i < rows.items().size(); ++i) {
+      EXPECT_EQ(rows.items()[i].dump(), full_rows.items()[i].dump())
+          << "row " << i << " after a " << delay_ms << " ms cancel";
+    }
+  }
+}
+
+// A flag raised through CampaignOptions::cancel alone (no executor
+// token) still stops every lane batch: its shard reports cancelled and its
+// rows degrade to timeout cells instead of reading a half-run batch.
+TEST(Campaign, ParallelCancelThroughCampaignOptionsDegradesBatchShards) {
+  for (harness::RtlBackend backend :
+       {harness::RtlBackend::kInterpreted, harness::RtlBackend::kCompiled}) {
+    SCOPED_TRACE(harness::to_string(backend));
+    fault::CampaignOptions opt = small_campaign(1);
+    opt.backend = backend;
+    const std::atomic<bool> cancel{true};
+    opt.cancel = &cancel;
+    fault::ParallelOptions par;
+    par.workers = 2;
+    const fault::CampaignReport report = fault::run_campaign_parallel(opt, par);
+    ASSERT_EQ(report.rows.size(), 14u);
+    for (const fault::CampaignRow& row : report.rows) {
+      ASSERT_EQ(row.cells.size(), 4u) << row.fault.id();
+      for (const char* checker : {"psl", "ovl", "lockstep"}) {
+        const fault::CampaignCell* cell = row.cell(checker);
+        ASSERT_NE(cell, nullptr);
+        EXPECT_EQ(cell->outcome, fault::CellOutcome::kTimeout)
+            << row.fault.id() << " " << checker;
+        EXPECT_EQ(cell->detail, "shard cancelled: cancelled");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -108,8 +108,34 @@ TEST(Parse, OversizedCountIsRejectedAtTheLiteral) {
   EXPECT_EQ(offset_of("always (a -> next[12345678901234567890] b)"), 18u);
   EXPECT_EQ(offset_of("never {a[*3000000000]}"), 10u);
   EXPECT_EQ(offset_of("never {a[*2147483648]; b}"), 10u);
-  // INT_MAX itself is still a legal literal.
-  EXPECT_NO_THROW(parse_sere("a[*2147483647]"));
+  // INT_MAX still lexes as a number; the count bound rejects it at the
+  // same literal.
+  EXPECT_EQ(offset_of("never {a[*2147483647]; b}"), 10u);
+}
+
+// A repetition unrolls one NFA copy per count, so a huge count used to
+// hang monitor construction; every count is now bounded by kMaxCount.
+TEST(Parse, CountsAboveTheLimitAreADiagnostic) {
+  const std::string over = std::to_string(kMaxCount + 1);
+  const std::string at = std::to_string(kMaxCount);
+  for (const std::string& form :
+       {"never {a[*N]; b}", "never {a[*1:N]}", "never {a[->N]}",
+        "never {a[=N]}", "always (a -> next[N] b)"}) {
+    std::string bad = form;
+    bad.replace(bad.find('N'), 1, over);
+    try {
+      parse_property(bad);
+      ADD_FAILURE() << "expected ParseError on: " << bad;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("exceeds the limit of " + at),
+                std::string::npos)
+          << e.what();
+    }
+    std::string good = form;
+    good.replace(good.find('N'), 1, at);
+    EXPECT_NO_THROW(parse_property(good)) << good;
+  }
+  EXPECT_THROW(parse_property("never {a[*100000]; b}"), ParseError);
 }
 
 /// Semantic round trip: the parsed property behaves like the built one.

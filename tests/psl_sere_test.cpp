@@ -167,6 +167,36 @@ TEST(Sere, StarBounds) {
   EXPECT_EQ(scan(nfa, trace), (std::vector<bool>{false, true, true}));
 }
 
+TEST(Sere, LongRepetitionUnrollsLinearly) {
+  // a[*1024]: state 0 plus one two-state copy of {a} per count, built in
+  // one pass (the old fold copied the whole prefix once per count).
+  const Nfa nfa = build_nfa(*s_rep(b_sig("a"), 1024));
+  EXPECT_EQ(nfa.state_count(), 1 + 2 * 1024);
+  const std::vector<bool> hits =
+      scan(nfa, std::vector<Letter>(1025, Letter{true, false}));
+  EXPECT_FALSE(hits[1022]);
+  EXPECT_TRUE(hits[1023]);
+  EXPECT_TRUE(hits[1024]);
+}
+
+// Bounded repetitions with both bounds drawn, against the reference matcher.
+TEST(Sere, BoundedRepetitionMatchesReference) {
+  util::Rng rng(2004);
+  for (int round = 0; round < 40; ++round) {
+    const int min = static_cast<int>(rng.below(3));
+    const int max = min + static_cast<int>(rng.below(3));
+    const SerePtr sere = s_concat(s_star(random_sere(rng, 1), min, max),
+                                  s_bool(b_sig("b")));
+    std::vector<Letter> trace(7);
+    for (Letter& l : trace) {
+      l.a = rng.next_bool();
+      l.b = rng.next_bool();
+    }
+    EXPECT_EQ(scan(build_nfa(*sere), trace), scan_reference(*sere, trace))
+        << "sere: " << to_string(*sere);
+  }
+}
+
 TEST(Sere, GotoEndsAtNthOccurrence) {
   // b[->2]: ends exactly at the 2nd b.
   const Nfa nfa = build_nfa(*s_goto(b_sig("b"), 2));

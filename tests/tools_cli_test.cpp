@@ -13,6 +13,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 namespace la1 {
 namespace {
 
@@ -35,15 +38,25 @@ const std::set<std::string> kExpected = {
 // The batch tool's own dispatcher.
 const std::set<std::string> kBatchExpected = {"run", "example"};
 
-std::string run_tool_help(const std::string& binary, int* exit_code) {
-  const std::string out_path = testing::TempDir() + "la1_tool_help.txt";
-  std::remove(out_path.c_str());
-  const std::string cmd = binary + " --help > " + out_path + " 2>&1";
-  *exit_code = std::system(cmd.c_str());
-  std::ifstream in(out_path);
+/// A scratch file of this test process: ctest runs the cases of this
+/// binary as concurrent processes, so a shared name would race.
+std::string temp_path(const std::string& name) {
+  return testing::TempDir() + std::to_string(::getpid()) + "_" + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
   std::ostringstream buf;
   buf << in.rdbuf();
   return buf.str();
+}
+
+std::string run_tool_help(const std::string& binary, int* exit_code) {
+  const std::string out_path = temp_path("la1_tool_help.txt");
+  std::remove(out_path.c_str());
+  const std::string cmd = binary + " --help > " + out_path + " 2>&1";
+  *exit_code = std::system(cmd.c_str());
+  return read_file(out_path);
 }
 
 std::string run_help(int* exit_code) {
@@ -161,6 +174,26 @@ TEST(ToolsCli, CompiledFaultsReportMatchesInterpretedByteForByte) {
   jb << b.rdbuf();
   ASSERT_FALSE(ja.str().empty());
   EXPECT_EQ(ja.str(), jb.str());
+}
+
+TEST(ToolsCli, SimBoundsRepetitionCountsAndChecksAtomsFirst) {
+  // A SERE repetition unrolls one NFA copy per count: a huge count is a
+  // parse diagnostic, and an unknown atom fails before any unrolling
+  // (both used to hang, or fail only after the unroll).
+  const std::string out = temp_path("la1_sim_repetition.txt");
+  const auto sim = [&out](const std::string& prop) {
+    const int status = std::system(("timeout 5 " + std::string(LA1_LA1CHECK) +
+                                    " sim --prop '" + prop + "' > " + out +
+                                    " 2>&1")
+                                       .c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(sim("never {a[*100000]; b}"), 2);
+  EXPECT_NE(read_file(out).find("exceeds the limit of 1024"), std::string::npos)
+      << read_file(out);
+  EXPECT_EQ(sim("never {a[*1000]; b}"), 2);
+  EXPECT_NE(read_file(out).find("unknown signal: a"), std::string::npos)
+      << read_file(out);
 }
 
 TEST(ToolsCli, CsimSubcommandProvesParityAndReportsSpeedup) {

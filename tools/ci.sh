@@ -14,7 +14,8 @@
 #                               # resumes after a kill, zero crashed shards
 #   tools/ci.sh --plan          # also run the lowering-legality compile-plan gate
 #   tools/ci.sh --csim          # also run the compiled-simulation gate: parity
-#                               # suites, backend hash-equality, and (on hosts
+#                               # and lane-force suites, backend hash-equality
+#                               # at 1 bank and at 2 and 4 banks with MC, and (on hosts
 #                               # with >= 4 cores) the >=10x per-stream speedup
 #                               # smoke — smaller hosts skip the timing check
 #   tools/ci.sh --line-cov      # gcov line-coverage build in a separate tree,
@@ -312,16 +313,20 @@ fi
 
 # Compiled-simulation gate (opt-in: --csim): the 64-lane bit-parallel
 # backend must (a) pass the differential suites — the random-netlist
-# lockstep proof and the lane-discipline tests, (b) prove full-device
+# lockstep proof, the lane-discipline tests, the per-lane fault forces
+# against CycleSim mutants and the lane-batch tests, (b) prove full-device
 # parity against the interpreter through `la1check csim` at every bank
 # count the Table-3 benches exercise, and (c) produce a byte-identical
-# fault-campaign report on both backends. The >=10x per-stream speedup
+# fault-campaign report on both backends — a tiny 1-bank plan, and the
+# benchmark's 2-bank plan and the default 4-bank plan with the MC column
+# on, where the compiled backend runs every mutant as a lane of one
+# Machine. The >=10x per-stream speedup
 # smoke only arms on hosts with at least 4 cores — on a loaded or tiny
 # machine the timing signal is noise, so the gate degrades to a skip
 # notice there; the exactness checks always run.
 if [ "$csim" -eq 1 ]; then
   (cd "$build_dir" && ctest --output-on-failure -j "$jobs" \
-    --timeout "$test_timeout" -R 'Csim')
+    --timeout "$test_timeout" -R 'Csim|LaneForces|LaneBatch')
   for banks in 1 2 4; do
     "$build_dir/tools/la1check" csim --banks "$banks" --cycles 200 \
       --parity-cycles 100 --json "$smoke_dir/csim-$banks.json" > /dev/null
@@ -332,11 +337,21 @@ if [ "$csim" -eq 1 ]; then
       --structural 2 --protocol 1 --no-mc --backend "$backend" \
       --json "$smoke_dir/csim-faults-$backend.json" > /dev/null
   done
-  if ! cmp -s "$smoke_dir/csim-faults-interpreted.json" \
-       "$smoke_dir/csim-faults-compiled.json"; then
-    echo "ci: compiled fault-campaign report differs from interpreted" >&2
-    exit 1
-  fi
+  for backend in interpreted compiled; do
+    "$build_dir/tools/la1check" faults --banks 2 --seed 1 --transactions 300 \
+      --structural 20 --protocol 4 --backend "$backend" \
+      --json "$smoke_dir/csim-faults-2bank-$backend.json" > /dev/null
+    "$build_dir/tools/la1check" faults --banks 4 --seed 1 --transactions 300 \
+      --backend "$backend" \
+      --json "$smoke_dir/csim-faults-4bank-$backend.json" > /dev/null
+  done
+  for plan in faults faults-2bank faults-4bank; do
+    if ! cmp -s "$smoke_dir/csim-$plan-interpreted.json" \
+         "$smoke_dir/csim-$plan-compiled.json"; then
+      echo "ci: compiled fault-campaign report ($plan) differs from interpreted" >&2
+      exit 1
+    fi
+  done
   cores=$(nproc 2>/dev/null || echo 1)
   if [ "$cores" -ge 4 ]; then
     speedup=$(sed -n 's/.*"per_stream_speedup": \([0-9.]*\).*/\1/p' \

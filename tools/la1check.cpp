@@ -54,6 +54,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "cov/coverage.hpp"
@@ -174,6 +175,20 @@ int run_sim(const util::Cli& cli) {
   }
 
   core::KernelHarness h(cfg);
+  // Unknown atoms fail here, before the monitors unroll any repetition.
+  for (const psl::Directive& d : vunit.directives()) {
+    std::set<std::string> signals;
+    if (d.kind == psl::DirectiveKind::kCover) {
+      psl::collect_signals(*d.cover_sere, signals);
+    } else {
+      psl::collect_signals(*d.prop, signals);
+    }
+    for (const std::string& signal : signals) {
+      if (!h.env().has(signal)) {
+        throw std::invalid_argument("ProbeEnv: unknown signal: " + signal);
+      }
+    }
+  }
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
   h.host().push_random(rng, ticks / 2);
   psl::VUnitRunner monitors(vunit);

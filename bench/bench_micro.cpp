@@ -1,11 +1,16 @@
 // Micro-benchmarks of the substrate layers (google-benchmark): kernel
-// delta-cycle throughput, RTL cycle simulation, BDD operations, PSL monitor
-// stepping, ASM rule firing. These give the per-operation costs behind the
-// table-level results.
+// delta-cycle throughput, RTL cycle simulation, compiled-simulation edges,
+// BDD operations, PSL monitor stepping, ASM rule firing. These give the
+// per-operation costs behind the table-level results.
 #include <benchmark/benchmark.h>
+
+#include <array>
+#include <vector>
 
 #include "asml/machine.hpp"
 #include "bdd/bdd.hpp"
+#include "csim/compile.hpp"
+#include "csim/machine.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
@@ -69,6 +74,57 @@ void BM_RtlEdge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RtlEdge)->Arg(1)->Arg(4)->Arg(8);
+
+// One compiled clock edge with every active lane driven separately through
+// set_input_lane_uint — the per-tick path of a 64-stream run. Args: banks,
+// active lanes. Time per iteration is the cost of one edge (drive included)
+// for all lanes together; the 1-lane rows track the lane-by-lane paths the
+// Machine keeps below its transpose crossovers.
+void BM_CsimEdge(benchmark::State& state) {
+  core::RtlConfig cfg;
+  cfg.banks = static_cast<int>(state.range(0));
+  cfg.mem_addr_bits = 8 - cfg.bank_bits();
+  const int lanes = static_cast<int>(state.range(1));
+  core::RtlDevice dev = core::build_device(cfg);
+  const rtl::Module flat = dev.flatten();
+  const csim::Compiled compiled = csim::compile(flat, core::clock_schedule(flat));
+  csim::Machine machine(compiled, lanes);
+  const rtl::NetId k = flat.find_net("K");
+  const rtl::NetId ks = flat.find_net("KS");
+  const std::array<rtl::NetId, 5> pins = {
+      flat.find_net("R_n"), flat.find_net("W_n"), flat.find_net("A"),
+      flat.find_net("D"), flat.find_net("BWE_n")};
+
+  // Random two-state pin values, 64 edges per lane, replayed cyclically.
+  constexpr int kEdges = 64;
+  util::Rng rng(11);
+  std::vector<std::uint64_t> values;
+  for (int i = 0; i < kEdges * lanes; ++i) {
+    for (const rtl::NetId pin : pins) {
+      const int width = flat.net(pin).width;
+      values.push_back(rng.next_u64() & (width >= 64 ? ~0ull : (1ull << width) - 1));
+    }
+  }
+  machine.set_input_bit("K", false);
+  machine.set_input_bit("KS", false);
+  int edge = 0;
+  for (auto _ : state) {
+    const std::uint64_t* v =
+        values.data() + static_cast<std::size_t>(edge % kEdges) *
+                            static_cast<std::size_t>(lanes) * pins.size();
+    for (int lane = 0; lane < lanes; ++lane) {
+      for (const rtl::NetId pin : pins) machine.set_input_lane_uint(pin, lane, *v++);
+    }
+    machine.edge(edge % 2 == 0 ? k : ks, rtl::Edge::kPos);
+    benchmark::ClobberMemory();
+    ++edge;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["stream_edges_per_s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * lanes,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CsimEdge)->ArgsProduct({{1, 4}, {1, 64}});
 
 void BM_BddIte(benchmark::State& state) {
   // ITE of moderate, linear-sized functions (XOR chains): measures the

@@ -27,6 +27,7 @@
 //   --json PATH          write the {bench, params, metrics} report
 #include <cstdio>
 
+#include "csim/machine.hpp"
 #include "harness/adapters.hpp"
 #include "harness/stimulus.hpp"
 #include "la1/behavioral.hpp"
@@ -163,9 +164,9 @@ double run_rtl_level(int banks, int ticks, std::uint64_t seed,
 /// all 64 bit-lanes occupied: 64 independent transactors feed 64 stimulus
 /// streams (seed, seed+1, ...) through one machine, so each pass over the
 /// bytecode advances every stream by one edge. Failures accumulate the OVL
-/// verdicts of all 64 lanes.
+/// verdicts of all 64 lanes; `stats` receives the machine's work counters.
 double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
-                           std::size_t* failures) {
+                           std::size_t* failures, csim::MachineStats* stats) {
   constexpr int kLanes = 64;
   const core::RtlConfig cfg = rtl_config(banks);
   ovl::OvlBank bank;
@@ -207,6 +208,7 @@ double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
     machine.edge(edge == harness::Edge::kK ? "K" : "KS", rtl::Edge::kPos);
   }
   const double seconds = watch.seconds();
+  *stats = machine.stats();
 
   *failures = 0;
   for (int lane = 0; lane < kLanes; ++lane) {
@@ -269,6 +271,7 @@ int main(int argc, char** argv) {
     std::size_t rtl_failures = 0;
     std::size_t csim_failures = 0;
     std::size_t lane_failures = 0;
+    csim::MachineStats lane_stats;
     const double d_sc = run_system_level(banks, sc_ticks, seed, &sc_failures);
     const double d_ovl =
         run_rtl_level(banks, rtl_ticks, seed,
@@ -277,7 +280,8 @@ int main(int argc, char** argv) {
         run_rtl_level(banks, rtl_ticks, seed, harness::RtlBackend::kCompiled,
                       &csim_failures);
     const double d_lane =
-        run_rtl_level_lanes(banks, rtl_ticks, seed, &lane_failures);
+        run_rtl_level_lanes(banks, rtl_ticks, seed, &lane_failures,
+                            &lane_stats);
     const bool row_equal = rtl_failures == csim_failures;
     verdicts_equal = verdicts_equal && row_equal;
     table.add_row({std::to_string(banks), util::fmt_sci(d_sc, 2),
@@ -304,6 +308,7 @@ int main(int argc, char** argv) {
     row.set("rtl_lane64_failures",
             util::Json(static_cast<std::int64_t>(lane_failures)));
     row.set("verdicts_equal", util::Json(row_equal));
+    row.set("lane64_machine", lane_stats.to_json());
     report.metric(std::move(row));
     std::fflush(stdout);
   }

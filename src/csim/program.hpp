@@ -17,8 +17,11 @@
 //
 // Memory ports do not lower to straight-line decode trees: kMemRead and
 // kMemWrite reference descriptor tables and run as interpreter built-ins
-// that gather/scatter per active lane (each lane has its own address), so a
-// port costs O(active_lanes * width) like one interpreted access per lane.
+// (each lane has its own address). A read port with few active lanes costs
+// O(active_lanes * width) bit moves; at occupancy it costs two or three
+// 64x64 bit transposes plus one image gather per lane. A write port visits
+// only the lanes whose write enable is not 0, and decodes their addresses
+// and data by transposes too when enough of them write.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +82,8 @@ struct Program {
 
 /// Combinational read port: per active lane, decode the address from the
 /// addr bit slots, gather the word (all-X on an undefined or out-of-range
-/// address, mirroring CycleSim) and scatter it into the out bit slots.
+/// address, mirroring CycleSim) and scatter it into the out bit slots; the
+/// out bits of inactive lanes are left as they are.
 struct MemReadDesc {
   rtl::MemId mem = rtl::kInvalidId;
   int depth = 0;
@@ -91,7 +95,7 @@ struct MemReadDesc {
 
 /// Synchronous write port, applied at the clock edge with the operand
 /// values phase-1 of the step program already evaluated. Per active lane:
-/// wen 0 skips, an undefined address Xes the whole lane image, a known
+/// wen 0 skips (such lanes are never visited), an undefined address Xes the whole lane image, a known
 /// out-of-range address is ignored (SRAM decode), an undefined wen or byte
 /// enable Xes the touched word/lanes — exactly CycleSim::edge's rules.
 struct MemWriteDesc {

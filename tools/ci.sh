@@ -15,7 +15,8 @@
 #   tools/ci.sh --plan          # also run the lowering-legality compile-plan gate
 #   tools/ci.sh --csim          # also run the compiled-simulation gate: parity
 #                               # and lane-force suites, backend hash-equality
-#                               # at 1 bank and at 2 and 4 banks with MC, and (on hosts
+#                               # at 1 bank and at 2 and 4 banks with MC, the
+#                               # 4-bank 64-stream Table-3 run, and (on hosts
 #                               # with >= 4 cores) the >=10x per-stream speedup
 #                               # smoke — smaller hosts skip the timing check
 #   tools/ci.sh --line-cov      # gcov line-coverage build in a separate tree,
@@ -320,7 +321,10 @@ fi
 # fault-campaign report on both backends — a tiny 1-bank plan, and the
 # benchmark's 2-bank plan and the default 4-bank plan with the MC column
 # on, where the compiled backend runs every mutant as a lane of one
-# Machine. The >=10x per-stream speedup
+# Machine — and (d) run the Table-3 64-stream loop at 4 banks, every lane
+# driven separately through the staged, transposed input path, with OVL
+# verdicts equal to the interpreter's and no failure in any lane (no timing
+# gate on this one). The >=10x per-stream speedup
 # smoke only arms on hosts with at least 4 cores — on a loaded or tiny
 # machine the timing signal is noise, so the gate degrades to a skip
 # notice there; the exactness checks always run.
@@ -352,6 +356,13 @@ if [ "$csim" -eq 1 ]; then
       exit 1
     fi
   done
+  "$build_dir/bench/bench_table3_abv_sim" --banks-list 4 --rtl-ticks 400 \
+    --json "$smoke_dir/csim-table3.json" > /dev/null
+  if ! grep -q '"verdicts_equal": true' "$smoke_dir/csim-table3.json" ||
+     ! grep -q '"rtl_lane64_failures": 0,' "$smoke_dir/csim-table3.json"; then
+    echo "ci: Table-3 64-stream run disagrees with the interpreter or fails a lane" >&2
+    exit 1
+  fi
   cores=$(nproc 2>/dev/null || echo 1)
   if [ "$cores" -ge 4 ]; then
     speedup=$(sed -n 's/.*"per_stream_speedup": \([0-9.]*\).*/\1/p' \

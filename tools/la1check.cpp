@@ -1015,6 +1015,7 @@ int run_csim(const util::Cli& cli) {
   doc.set("csim_us_per_cycle", util::Json(csim_us));
   doc.set("per_stream_us_per_cycle", util::Json(per_stream_us));
   doc.set("per_stream_speedup", util::Json(speedup));
+  doc.set("machine", machine.stats().to_json());
   if (json == "-") {
     std::fputs((doc.dump(2) + "\n").c_str(), stdout);
     return 0;

@@ -4,10 +4,10 @@
 // exploration cost for a fixed bank count.
 #include <cstdio>
 
-#include "asml/explore.hpp"
 #include "la1/asm_model.hpp"
+#include "mc/explicit.hpp"
+#include "psl/temporal.hpp"
 #include "util/cli.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -26,6 +26,10 @@ int main(int argc, char** argv) {
   util::Table table({"Data domain", "Addr bits/bank", "CPU Time (s)",
                      "FSM Nodes", "FSM Transitions", "Complete"});
 
+  // Plain reachability: the always-true property never stops the search.
+  const psl::PropPtr reachability =
+      psl::p_always(psl::p_bool(psl::b_const(true)));
+
   struct Point {
     int data_values;
     int mem_addr_bits;
@@ -36,16 +40,16 @@ int main(int argc, char** argv) {
     cfg.data_values = p.data_values;
     cfg.mem_addr_bits = p.mem_addr_bits;
     const asml::Machine machine = core::build_asm_model(cfg);
-    asml::ExploreConfig ecfg;
-    ecfg.max_states = max_states;
-    ecfg.max_transitions = max_states * 16;
-    ecfg.record_states = false;
-    util::CpuStopwatch cpu;
-    const asml::ExploreResult r = asml::explore(machine, ecfg);
+    mc::ExplicitOptions opt;
+    opt.max_states = max_states;
+    opt.max_transitions = max_states * 16;
+    const mc::ExplicitResult r = mc::check(machine, reachability, opt);
     table.add_row({std::to_string(p.data_values),
                    std::to_string(p.mem_addr_bits),
-                   util::fmt_double(cpu.seconds(), 2), util::fmt_count(r.states),
-                   util::fmt_count(r.transitions), r.complete ? "yes" : "no"});
+                   util::fmt_double(r.cpu_seconds, 2),
+                   util::fmt_count(r.fsm_states),
+                   util::fmt_count(r.product_transitions),
+                   r.complete ? "yes" : "no"});
     std::fflush(stdout);
   }
 

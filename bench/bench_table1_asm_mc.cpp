@@ -12,7 +12,6 @@
 //   --json PATH        write the {bench, params, metrics} report
 #include <cstdio>
 
-#include "asml/explore.hpp"
 #include "la1/asm_model.hpp"
 #include "mc/explicit.hpp"
 #include "psl/temporal.hpp"

@@ -1,6 +1,5 @@
 #include "asml/machine.hpp"
 
-#include <cctype>
 #include <sstream>
 
 namespace la1::asml {
@@ -65,37 +64,6 @@ std::vector<Args> Machine::argument_tuples(const Rule& rule) {
     tuples = std::move(next);
   }
   return tuples;
-}
-
-State Machine::fire_label(const std::string& label, const State& s) const {
-  const std::size_t paren = label.find('(');
-  const std::string name = label.substr(0, paren);
-  Args args;
-  if (paren != std::string::npos) {
-    if (label.back() != ')') {
-      throw std::invalid_argument("malformed label: " + label);
-    }
-    const std::string inner = label.substr(paren + 1, label.size() - paren - 2);
-    std::size_t start = 0;
-    while (start < inner.size()) {
-      std::size_t comma = inner.find(',', start);
-      if (comma == std::string::npos) comma = inner.size();
-      const std::string tok = inner.substr(start, comma - start);
-      if (tok == "true") {
-        args.emplace_back(true);
-      } else if (tok == "false") {
-        args.emplace_back(false);
-      } else if (!tok.empty() &&
-                 (std::isdigit(static_cast<unsigned char>(tok[0])) != 0 ||
-                  tok[0] == '-')) {
-        args.emplace_back(static_cast<std::int64_t>(std::stoll(tok)));
-      } else {
-        args.push_back(Value::symbol(tok));
-      }
-      start = comma + 1;
-    }
-  }
-  return fire(rule(name), args, s);
 }
 
 State Machine::fire(const Rule& rule, const Args& args, const State& s) const {

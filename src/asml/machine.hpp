@@ -119,11 +119,6 @@ class Machine {
   /// precondition fails.
   State fire(const Rule& rule, const Args& args, const State& s) const;
 
-  /// Fires a transition given its explorer label, e.g. "TickK(true,0)".
-  /// Argument tokens parse as bool / int / symbol by shape. Throws on an
-  /// unknown rule or a disabled precondition.
-  State fire_label(const std::string& label, const State& s) const;
-
  private:
   std::string name_;
   State initial_;

@@ -52,37 +52,50 @@ ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
   tuples.reserve(rules.size());
   for (const auto* r : rules) tuples.push_back(asml::Machine::argument_tuples(*r));
 
+  // ASM states and monitor states are each interned once, keyed by their
+  // canonical encodings; a product state is the pair of their ids. The
+  // deque keeps references to stored states valid while it grows.
+  std::deque<asml::State> machine_states;
+  std::unordered_map<std::string, std::uint32_t> machine_ids;
+  std::vector<std::unique_ptr<psl::Monitor>> monitors;
+  std::unordered_map<std::string, std::uint32_t> monitor_ids;
+
   struct ProductState {
-    asml::State state;
-    std::unique_ptr<psl::Monitor> monitor;
-    std::int64_t parent = -1;
-    std::string label;
+    std::uint32_t state = 0;    // index into machine_states
+    std::uint32_t monitor = 0;  // index into monitors
+    std::int64_t parent = -1;   // BFS tree, for counterexamples
+    std::size_t rule = 0;       // the step from the parent:
+    std::size_t tuple = 0;      // rules[rule] fired with tuples[rule][tuple]
   };
-
   std::vector<ProductState> states;
-  std::unordered_map<std::string, std::uint32_t> interned;
-  std::unordered_map<std::string, bool> fsm_states;
+  std::unordered_map<std::uint64_t, std::uint32_t> product_ids;
 
-  auto intern = [&](asml::State s, std::unique_ptr<psl::Monitor> m,
-                    std::int64_t parent,
-                    std::string label) -> std::pair<std::uint32_t, bool> {
-    const std::string state_key = s.encode();
-    fsm_states.emplace(state_key, true);
-    const std::string key = state_key + "##" + m->encode();
-    auto it = interned.find(key);
-    if (it != interned.end()) return {it->second, false};
-    const auto id = static_cast<std::uint32_t>(states.size());
-    interned.emplace(key, id);
-    states.push_back(
-        ProductState{std::move(s), std::move(m), parent, std::move(label)});
-    return {id, true};
+  auto intern_state = [&](asml::State s) {
+    const auto [it, fresh] = machine_ids.try_emplace(
+        s.encode(), static_cast<std::uint32_t>(machine_states.size()));
+    if (fresh) machine_states.push_back(std::move(s));
+    return it->second;
+  };
+  auto intern_monitor = [&](std::unique_ptr<psl::Monitor> m) {
+    const auto [it, fresh] = monitor_ids.try_emplace(
+        m->encode(), static_cast<std::uint32_t>(monitors.size()));
+    if (fresh) monitors.push_back(std::move(m));
+    return it->second;
+  };
+  auto intern = [&](const ProductState& p) -> std::pair<std::uint32_t, bool> {
+    const std::uint64_t key = (std::uint64_t{p.state} << 32) | p.monitor;
+    const auto [it, fresh] = product_ids.try_emplace(
+        key, static_cast<std::uint32_t>(states.size()));
+    if (fresh) states.push_back(p);
+    return {it->second, fresh};
   };
 
   auto counterexample_to = [&](std::uint32_t target) {
     std::vector<std::string> path;
-    for (std::int64_t at = target; states[static_cast<std::size_t>(at)].parent >= 0;
-         at = states[static_cast<std::size_t>(at)].parent) {
-      path.push_back(states[static_cast<std::size_t>(at)].label);
+    for (std::size_t at = target; states[at].parent >= 0;
+         at = static_cast<std::size_t>(states[at].parent)) {
+      const ProductState& p = states[at];
+      path.push_back(label_of(*rules[p.rule], tuples[p.rule][p.tuple]));
     }
     std::reverse(path.begin(), path.end());
     return path;
@@ -90,7 +103,7 @@ ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
 
   auto finish = [&](ExplicitResult r) {
     r.product_states = states.size();
-    r.fsm_states = fsm_states.size();
+    r.fsm_states = machine_states.size();
     r.cpu_seconds = cpu.seconds();
     return r;
   };
@@ -104,7 +117,8 @@ ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
       result.violated = true;
       return finish(std::move(result));
     }
-    intern(machine.initial(), std::move(monitor), -1, "");
+    intern({intern_state(machine.initial()),
+            intern_monitor(std::move(monitor))});
   }
 
   std::deque<std::uint32_t> frontier{0};
@@ -113,11 +127,12 @@ ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
   while (!frontier.empty() && !truncated) {
     const std::uint32_t at = frontier.front();
     frontier.pop_front();
-    // Copy: `states` may reallocate during expansion.
-    const asml::State current = states[at].state;
+    const asml::State& current = machine_states[states[at].state];
+    const psl::Monitor& current_monitor = *monitors[states[at].monitor];
 
     for (std::size_t r = 0; r < rules.size() && !truncated; ++r) {
-      for (const asml::Args& args : tuples[r]) {
+      for (std::size_t t = 0; t < tuples[r].size(); ++t) {
+        const asml::Args& args = tuples[r][t];
         if (!rules[r]->enabled(current, args)) continue;
         if (result.product_transitions >= options.max_transitions) {
           truncated = true;
@@ -125,13 +140,13 @@ ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
         }
         ++result.product_transitions;
         asml::State next = machine.fire(*rules[r], args, current);
-        auto monitor = states[at].monitor->clone();
+        auto monitor = current_monitor.clone();
         StateEnv env(next);
         monitor->step(env);
         const bool failed = monitor->current() == psl::Verdict::kFailed;
         const auto [id, is_new] =
-            intern(std::move(next), std::move(monitor), at,
-                   label_of(*rules[r], args));
+            intern({intern_state(std::move(next)),
+                    intern_monitor(std::move(monitor)), at, r, t});
         if (failed) {
           result.violated = true;
           result.counterexample = counterexample_to(id);

@@ -6,13 +6,17 @@
 // monitor state). The monitor carries the paper's (P_status, P_value)
 // encoding; a product state with P_status && !P_value is the stop filter,
 // and the BFS tree path to it is the counterexample.
+//
+// This is the one breadth-first explorer of ASM state spaces. Plain
+// reachability (the generated-FSM size) is a check of the always-true
+// property, whose monitor has a single state, so product states and
+// transitions are exactly the machine's.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "asml/explore.hpp"
 #include "asml/machine.hpp"
 #include "psl/monitor.hpp"
 
@@ -26,7 +30,6 @@ class StateEnv : public psl::Env {
  public:
   explicit StateEnv(const asml::State& s) : state_(&s) {}
   bool sample(const std::string& signal) const override;
-  void rebind(const asml::State& s) { state_ = &s; }
 
  private:
   const asml::State* state_;
@@ -55,8 +58,8 @@ struct ExplicitResult {
 ExplicitResult check(const asml::Machine& machine, const psl::PropPtr& prop,
                      const ExplicitOptions& options = {});
 
-/// Convenience: explore first (Table 1 reports the generated-FSM size), then
-/// check each property over the same machine.
+/// Convenience: checks each property separately over the same machine and
+/// reports one outcome per property.
 struct PropertyOutcome {
   std::string name;
   bool holds = false;

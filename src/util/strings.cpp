@@ -50,16 +50,6 @@ std::string to_binary(std::uint64_t value, int bits) {
   return out;
 }
 
-std::string escape_label(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::uint64_t fnv1a64(std::string_view text) {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : text) {

@@ -22,9 +22,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// Renders an unsigned value as a fixed-width binary string, MSB first.
 std::string to_binary(std::uint64_t value, int bits);
 
-/// Escapes a string for inclusion in a DOT label.
-std::string escape_label(std::string_view text);
-
 /// FNV-1a 64-bit hash. Used by the determinism tests to pin a golden hash
 /// of a serialized trace: platform-independent, stable across runs, and
 /// cheap enough to recompute on every CI run.

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "asml/explore.hpp"
 #include "asml/machine.hpp"
 
 namespace la1::asml {
@@ -118,88 +117,6 @@ TEST(Machine, EmptyDomainRejected) {
   r.name = "R";
   r.params = {ArgDomain{"a", {}}};
   EXPECT_THROW(Machine::argument_tuples(r), std::invalid_argument);
-}
-
-TEST(Explore, CounterReachesAllResidues) {
-  const Machine m = counter_machine(6);
-  const ExploreResult r = explore(m);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.states, 6u);
-  // Inc from every state + Reset from 5 non-zero states.
-  EXPECT_EQ(r.transitions, 11u);
-  EXPECT_EQ(r.fsm.node_count(), 6u);
-  EXPECT_EQ(r.fsm.transition_count(), 11u);
-}
-
-TEST(Explore, RuleFilterRestrictsBehavior) {
-  const Machine m = counter_machine(6);
-  ExploreConfig cfg;
-  cfg.enabled_rules = {"Inc"};
-  const ExploreResult r = explore(m, cfg);
-  EXPECT_EQ(r.states, 6u);
-  EXPECT_EQ(r.transitions, 6u);  // cycle only
-}
-
-TEST(Explore, BoundsTruncate) {
-  const Machine m = counter_machine(100);
-  ExploreConfig cfg;
-  cfg.max_states = 10;
-  const ExploreResult r = explore(m, cfg);
-  EXPECT_FALSE(r.complete);
-  EXPECT_LE(r.states, 11u);
-}
-
-TEST(Explore, StopFilterProducesCounterexample) {
-  const Machine m = counter_machine(8);
-  ExploreConfig cfg;
-  cfg.stop_filter = [](const State& s) { return s.get_int("count") == 3; };
-  const ExploreResult r = explore(m, cfg);
-  EXPECT_TRUE(r.stopped_on_filter);
-  ASSERT_EQ(r.counterexample.size(), 3u);  // Inc, Inc, Inc
-  EXPECT_EQ(r.counterexample[0].label, "Inc");
-  EXPECT_EQ(r.counterexample.back().state.get_int("count"), 3);
-}
-
-TEST(Explore, StopFilterOnInitialState) {
-  const Machine m = counter_machine(4);
-  ExploreConfig cfg;
-  cfg.stop_filter = [](const State& s) { return s.get_int("count") == 0; };
-  const ExploreResult r = explore(m, cfg);
-  EXPECT_TRUE(r.stopped_on_filter);
-  EXPECT_TRUE(r.counterexample.empty());
-}
-
-TEST(Explore, ParameterizedRulesEnumerateDomains) {
-  Machine m("adder");
-  m.initial().set("sum", Value(0));
-  Rule add;
-  add.name = "Add";
-  add.params = {ArgDomain{"v", {Value(1), Value(2)}}};
-  add.require = [](const State& s, const Args&) { return s.get_int("sum") < 4; };
-  add.update = [](const State& s, const Args& a, UpdateSet& u) {
-    u.set("sum", Value(std::min<std::int64_t>(4, s.get_int("sum") + a[0].as_int())));
-  };
-  m.add_rule(std::move(add));
-  const ExploreResult r = explore(m);
-  EXPECT_TRUE(r.complete);
-  EXPECT_EQ(r.states, 5u);  // sums 0..4
-}
-
-TEST(Fsm, DotExport) {
-  const Machine m = counter_machine(3);
-  const ExploreResult r = explore(m);
-  const std::string dot = r.fsm.to_dot();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("Inc"), std::string::npos);
-}
-
-TEST(Explore, RecordStatesOffStillCounts) {
-  const Machine m = counter_machine(5);
-  ExploreConfig cfg;
-  cfg.record_states = false;
-  const ExploreResult r = explore(m, cfg);
-  EXPECT_EQ(r.states, 5u);
-  EXPECT_EQ(r.fsm.node_count(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "asml/explore.hpp"
 #include "la1/asm_model.hpp"
 #include "mc/explicit.hpp"
 
@@ -82,23 +81,52 @@ TEST(AsmModel, WritePipelineCommitsMergedWord) {
   EXPECT_EQ(s.get_int("b0.mem1"), 1 + 2 * 1);  // word = beat0 + 2*beat1
 }
 
+/// Plain reachability: the always-true property never stops the search.
+psl::PropPtr always_true() {
+  return psl::p_always(psl::p_bool(psl::b_const(true)));
+}
+
 TEST(AsmModel, ExplorationGrowsWithBanks) {
-  asml::ExploreConfig ecfg;
-  ecfg.max_states = 25000;
-  ecfg.max_transitions = 1000000;
-  ecfg.record_states = false;
+  mc::ExplicitOptions opt;
+  opt.max_states = 25000;
+  opt.max_transitions = 1000000;
 
   AsmConfig one;
   one.banks = 1;
-  const auto r1 = asml::explore(build_asm_model(one), ecfg);
+  const auto r1 = mc::check(build_asm_model(one), always_true(), opt);
   AsmConfig two;
   two.banks = 2;
-  const auto r2 = asml::explore(build_asm_model(two), ecfg);
+  const auto r2 = mc::check(build_asm_model(two), always_true(), opt);
   // One bank explores completely under the budget; two banks outgrow it —
   // the AsmL-style under-approximation the paper describes.
   EXPECT_TRUE(r1.complete);
   EXPECT_FALSE(r2.complete);
-  EXPECT_GE(r2.states, r1.states);
+  EXPECT_GE(r2.fsm_states, r1.fsm_states);
+}
+
+TEST(AsmModel, Table1OneBankPinned) {
+  // Table 1, row 1: the combined suite at the bench's 120,000-state budget.
+  AsmConfig cfg;
+  cfg.banks = 1;
+  const asml::Machine m = build_asm_model(cfg);
+  std::vector<psl::PropPtr> all;
+  for (const auto& [name, p] : asm_properties(cfg)) all.push_back(p);
+  mc::ExplicitOptions opt;
+  opt.max_states = 120000;
+  opt.max_transitions = 1200000;
+  const mc::ExplicitResult r = mc::check(m, psl::p_and(std::move(all)), opt);
+  EXPECT_TRUE(r.holds);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.fsm_states, 19459u);
+  EXPECT_EQ(r.product_states, 19459u);
+  EXPECT_EQ(r.product_transitions, 198418u);
+
+  // The suite's monitor adds no product states: plain reachability of the
+  // same machine is the same graph.
+  const mc::ExplicitResult reach = mc::check(m, always_true(), opt);
+  EXPECT_TRUE(reach.complete);
+  EXPECT_EQ(reach.fsm_states, 19459u);
+  EXPECT_EQ(reach.product_transitions, 198418u);
 }
 
 TEST(AsmModel, PropertiesHoldOnOneBank) {

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mc/explicit.hpp"
 #include "psl/parse.hpp"
+#include "psl/temporal.hpp"
 
 namespace la1::mc {
 namespace {
@@ -77,6 +80,96 @@ Machine handshake_machine(int latency, bool buggy) {
     m.add_rule(std::move(drop));
   }
   return m;
+}
+
+// Plain reachability is a check of the always-true property: its monitor
+// has one state, so the product is exactly the machine's state graph.
+psl::PropPtr always_true() {
+  return psl::p_always(psl::p_bool(psl::b_const(true)));
+}
+
+/// A counter machine modulo n with a reset rule enabled off zero.
+Machine counter_machine(int n) {
+  Machine m("counter");
+  m.initial().set("count", Value(0));
+  Rule inc;
+  inc.name = "Inc";
+  inc.update = [n](const State& s, const Args&, UpdateSet& u) {
+    u.set("count", Value((s.get_int("count") + 1) % n));
+  };
+  m.add_rule(std::move(inc));
+  Rule reset;
+  reset.name = "Reset";
+  reset.require = [](const State& s, const Args&) {
+    return s.get_int("count") != 0;
+  };
+  reset.update = [](const State&, const Args&, UpdateSet& u) {
+    u.set("count", Value(0));
+  };
+  m.add_rule(std::move(reset));
+  return m;
+}
+
+TEST(Explore, CounterReachesAllResidues) {
+  const ExplicitResult r = check(counter_machine(6), always_true());
+  EXPECT_TRUE(r.holds);
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.fsm_states, 6u);
+  EXPECT_EQ(r.product_states, 6u);
+  // Inc from every state + Reset from 5 non-zero states.
+  EXPECT_EQ(r.product_transitions, 11u);
+}
+
+TEST(Explore, RuleFilterRestrictsBehavior) {
+  ExplicitOptions opt;
+  opt.enabled_rules = {"Inc"};
+  const ExplicitResult r = check(counter_machine(6), always_true(), opt);
+  EXPECT_EQ(r.fsm_states, 6u);
+  EXPECT_EQ(r.product_transitions, 6u);  // cycle only
+}
+
+TEST(Explore, BoundsTruncate) {
+  ExplicitOptions opt;
+  opt.max_states = 10;
+  const ExplicitResult r = check(counter_machine(100), always_true(), opt);
+  EXPECT_TRUE(r.holds);
+  EXPECT_FALSE(r.complete);
+  EXPECT_LE(r.fsm_states, 11u);
+}
+
+TEST(Explore, StopFilterProducesCounterexample) {
+  const Machine m = counter_machine(8);
+  const ExplicitResult r = check(m, psl::parse_property("never {count=3}"));
+  EXPECT_TRUE(r.violated);
+  EXPECT_EQ(r.counterexample, (std::vector<std::string>{"Inc", "Inc", "Inc"}));
+  State s = m.initial();
+  for (const std::string& label : r.counterexample) {
+    s = m.fire(m.rule(label), {}, s);
+  }
+  EXPECT_EQ(s.get_int("count"), 3);
+}
+
+TEST(Explore, StopFilterOnInitialState) {
+  const ExplicitResult r =
+      check(counter_machine(4), psl::parse_property("never {count=0}"));
+  EXPECT_TRUE(r.violated);
+  EXPECT_TRUE(r.counterexample.empty());
+}
+
+TEST(Explore, ParameterizedRulesEnumerateDomains) {
+  Machine m("adder");
+  m.initial().set("sum", Value(0));
+  Rule add;
+  add.name = "Add";
+  add.params = {ArgDomain{"v", {Value(1), Value(2)}}};
+  add.require = [](const State& s, const Args&) { return s.get_int("sum") < 4; };
+  add.update = [](const State& s, const Args& a, UpdateSet& u) {
+    u.set("sum", Value(std::min<std::int64_t>(4, s.get_int("sum") + a[0].as_int())));
+  };
+  m.add_rule(std::move(add));
+  const ExplicitResult r = check(m, always_true());
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.fsm_states, 5u);  // sums 0..4
 }
 
 TEST(StateEnvTest, SamplesBoolsAndComparisons) {

@@ -196,6 +196,21 @@ TEST(ToolsCli, SimBoundsRepetitionCountsAndChecksAtomsFirst) {
       << read_file(out);
 }
 
+TEST(ToolsCli, UnknownFailOnIsRejectedBeforeAnyAnalysis) {
+  // A bad --fail-on value is a usage error reported up front: no findings
+  // table, cost table or sweep listing is printed before it.
+  const std::string out = temp_path("la1_fail_on.txt");
+  for (const std::string command : {"lint", "dfa", "flowan", "plan"}) {
+    const int status =
+        std::system((std::string(LA1_LA1CHECK) + " " + command +
+                     " --fail-on bogus > " + out + " 2>&1")
+                        .c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_EQ(read_file(out), "error: unknown severity: bogus\n") << command;
+  }
+}
+
 TEST(ToolsCli, CsimSubcommandProvesParityAndReportsSpeedup) {
   const std::string dir = testing::TempDir();
   const std::string out = dir + "la1_csim.json";

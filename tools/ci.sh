@@ -476,6 +476,21 @@ fi
   --json "$smoke_dir/plan.json" > /dev/null
 "$build_dir/examples/nway_lockstep" --banks-list 1,2 --transactions 200 \
   --json "$smoke_dir/nway.json" > /dev/null
+# Ablation C is the only non-test caller of plain ASM reachability; run it
+# small so that path keeps working (exit status only).
+"$build_dir/bench/bench_ablation_domains" --max-states 2000 > /dev/null
+
+# Table 1 row 1 (the combined ASM suite at 1 bank) must explore the whole
+# generated FSM inside the 20,000-state smoke budget and verify it: an
+# explorer change may move time, never these counts.
+table1_row1=$(sed -n '/"banks": 1,/,/"result"/p' "$smoke_dir/table1.json")
+case "$table1_row1" in
+  *'"fsm_states": 19459,'*'"fsm_transitions": 198418,'*'"result": "verified"'*) ;;
+  *)
+    echo "ci: Table 1 row 1 is not 19459 states / 198418 transitions, verified" >&2
+    exit 1
+    ;;
+esac
 
 # Table 2 row 1 (the unreduced 1-bank read-mode check) must verify at its
 # fixpoint depth: a BDD-engine change may move time and memory, never that.

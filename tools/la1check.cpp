@@ -54,6 +54,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -149,6 +150,35 @@ void print_usage(std::FILE* out) {
 int usage() {
   print_usage(stderr);
   return 2;
+}
+
+/// Parses --fail-on before any work is done: the severity at which findings
+/// fail the command, or nullopt for "never". An unknown value throws, which
+/// main() reports with exit status 2.
+std::optional<lint::Severity> fail_threshold(const util::Cli& cli) {
+  const std::string text = cli.get("fail-on", "error");
+  if (text == "never") return std::nullopt;
+  return lint::severity_from_string(text);
+}
+
+/// The --json FILE|- sink: "-" prints `doc` to stdout, a path writes it and
+/// says so, naming the contents `what`; empty writes nothing. False when the
+/// file cannot be written.
+bool write_json(const std::string& dest, const util::Json& doc,
+                const char* what) {
+  if (dest.empty()) return true;
+  if (dest == "-") {
+    std::fputs((doc.dump(2) + "\n").c_str(), stdout);
+    return true;
+  }
+  std::ofstream f(dest);
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", dest.c_str());
+    return false;
+  }
+  f << doc.dump(2) << '\n';
+  std::printf("wrote %s to %s\n", what, dest.c_str());
+  return true;
 }
 
 int run_sim(const util::Cli& cli) {
@@ -303,7 +333,7 @@ int run_verilog(const util::Cli& cli) {
 }
 
 int run_lint(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
+  const std::optional<lint::Severity> fail_on = fail_threshold(cli);
   lint::LintReport report;
   std::string target;
 
@@ -345,28 +375,16 @@ int run_lint(const util::Cli& cli) {
   }
 
   const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((report.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
+  if (json != "-") {
     std::printf("lint target: %s\n", target.c_str());
     std::fputs(report.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << report.to_json().dump(2) << '\n';
-      std::printf("wrote findings to %s\n", json.c_str());
-    }
   }
-
-  if (fail_on == "never") return 0;
-  return report.fails(lint::severity_from_string(fail_on)) ? 1 : 0;
+  if (!write_json(json, report.to_json(), "findings")) return 2;
+  return fail_on && report.fails(*fail_on) ? 1 : 0;
 }
 
 int run_dfa(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
+  const std::optional<lint::Severity> fail_on = fail_threshold(cli);
   const int banks = static_cast<int>(cli.get_int("banks", 1));
 
   // Sequential analyses need the bit-blastable model-checking geometry —
@@ -386,9 +404,7 @@ int run_dfa(const util::Cli& cli) {
   if (const util::Json* arr = inv_json.find("invariants")) {
     out.set("invariants", *arr);
   }
-  if (json == "-") {
-    std::fputs((out.dump(2) + "\n").c_str(), stdout);
-  } else {
+  if (json != "-") {
     std::printf("dfa target: %d-bank device (model-checking geometry)\n",
                 banks);
     std::fputs(report.render().c_str(), stdout);
@@ -412,19 +428,9 @@ int run_dfa(const util::Cli& cli) {
           break;
       }
     }
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << out.dump(2) << '\n';
-      std::printf("wrote findings to %s\n", json.c_str());
-    }
   }
-
-  if (fail_on == "never") return 0;
-  return report.fails(lint::severity_from_string(fail_on)) ? 1 : 0;
+  if (!write_json(json, out, "findings")) return 2;
+  return fail_on && report.fails(*fail_on) ? 1 : 0;
 }
 
 int run_faults(const util::Cli& cli) {
@@ -460,20 +466,8 @@ int run_faults(const util::Cli& cli) {
   }
 
   const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((report.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(report.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << report.to_json().dump(2) << '\n';
-      std::printf("wrote report to %s\n", json.c_str());
-    }
-  }
+  if (json != "-") std::fputs(report.render().c_str(), stdout);
+  if (!write_json(json, report.to_json(), "report")) return 2;
 
   if (exec::interrupted()) {
     std::fprintf(stderr, "interrupted: %zu fault row(s) completed\n",
@@ -635,9 +629,7 @@ int run_cov(const util::Cli& cli) {
   const tgen::ClosureResult result = tgen::run_closure(opt);
 
   const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((result.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
+  if (json != "-") {
     std::fputs(result.report.render().c_str(), stdout);
     std::printf("closure: %d epoch(s), %llu transaction(s), target %.0f%% %s\n",
                 result.epochs,
@@ -646,16 +638,8 @@ int run_cov(const util::Cli& cli) {
                 result.reached_target ? "reached"
                 : result.budget_exhausted ? "NOT reached (budget exhausted)"
                                           : "NOT reached");
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << result.to_json().dump(2) << '\n';
-      std::printf("wrote report to %s\n", json.c_str());
-    }
   }
+  if (!write_json(json, result.to_json(), "report")) return 2;
 
   if (exec::interrupted()) {
     std::fprintf(stderr, "interrupted after %d epoch(s)\n", result.epochs);
@@ -671,6 +655,7 @@ int run_cov(const util::Cli& cli) {
 }
 
 int run_msc(const util::Cli& cli) {
+  const std::optional<lint::Severity> fail_on = fail_threshold(cli);
   const std::string path = cli.positional()[1];
   std::ifstream in(path);
   if (!in) {
@@ -759,25 +744,9 @@ int run_msc(const util::Cli& cli) {
                           suite.covers.size())));
     doc.set("coverage_bins", util::Json(static_cast<std::int64_t>(bins)));
     if (do_lint) doc.set("lint", lint_report.to_json());
-    if (json == "-") {
-      std::fputs((doc.dump(2) + "\n").c_str(), stdout);
-    } else {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << doc.dump(2) << '\n';
-      std::printf("wrote summary to %s\n", json.c_str());
-    }
+    if (!write_json(json, doc, "summary")) return 2;
   }
-
-  const std::string fail_on = cli.get("fail-on", "error");
-  if (do_lint && fail_on != "never" &&
-      lint_report.fails(lint::severity_from_string(fail_on))) {
-    return 1;
-  }
-  return 0;
+  return do_lint && fail_on && lint_report.fails(*fail_on) ? 1 : 0;
 }
 
 int run_flow(const util::Cli& cli) {
@@ -789,7 +758,7 @@ int run_flow(const util::Cli& cli) {
 }
 
 int run_flowan(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
+  const std::optional<lint::Severity> fail_on = fail_threshold(cli);
   flow::FlowReport report;
 
   if (cli.has("inject")) {
@@ -825,27 +794,13 @@ int run_flowan(const util::Cli& cli) {
   }
 
   const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((report.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(report.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << report.to_json().dump(2) << '\n';
-      std::printf("wrote flow report to %s\n", json.c_str());
-    }
-  }
-
-  if (fail_on == "never") return 0;
-  return report.clean(lint::severity_from_string(fail_on)) ? 0 : 1;
+  if (json != "-") std::fputs(report.render().c_str(), stdout);
+  if (!write_json(json, report.to_json(), "flow report")) return 2;
+  return fail_on && !report.clean(*fail_on) ? 1 : 0;
 }
 
 int run_plan(const util::Cli& cli) {
-  const std::string fail_on = cli.get("fail-on", "error");
+  const std::optional<lint::Severity> fail_on = fail_threshold(cli);
   const double min_two_state = cli.get_double("min-two-state", -1.0);
 
   plan::CompilePlan p;
@@ -867,26 +822,10 @@ int run_plan(const util::Cli& cli) {
   }
 
   const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((p.to_json().dump(2) + "\n").c_str(), stdout);
-  } else {
-    std::fputs(p.render().c_str(), stdout);
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << p.to_json().dump(2) << '\n';
-      std::printf("wrote compile plan to %s\n", json.c_str());
-    }
-  }
+  if (json != "-") std::fputs(p.render().c_str(), stdout);
+  if (!write_json(json, p.to_json(), "compile plan")) return 2;
 
-  int rc = 0;
-  if (fail_on != "never" &&
-      p.findings.fails(lint::severity_from_string(fail_on))) {
-    rc = 1;
-  }
+  int rc = fail_on && p.findings.fails(*fail_on) ? 1 : 0;
   const double state_pct = 100.0 * p.two_state_fraction(true);
   if (min_two_state >= 0.0 && state_pct < min_two_state) {
     std::fprintf(stderr,
@@ -1016,34 +955,22 @@ int run_csim(const util::Cli& cli) {
   doc.set("per_stream_us_per_cycle", util::Json(per_stream_us));
   doc.set("per_stream_speedup", util::Json(speedup));
   doc.set("machine", machine.stats().to_json());
-  if (json == "-") {
-    std::fputs((doc.dump(2) + "\n").c_str(), stdout);
-    return 0;
+  if (json != "-") {
+    std::printf("compiled %d-bank device: %zu net(s) -> %d word slot(s), "
+                "%zu instruction(s), %.1f%% of state bits proven two-state\n",
+                banks, flat.nets().size(), compiled.slot_count(),
+                compiled.total_instructions(),
+                100.0 * p.two_state_fraction(true));
+    std::printf("parity: %d cycle(s), %llu net comparison(s) vs the "
+                "interpreter -> identical\n",
+                parity_cycles, static_cast<unsigned long long>(comparisons));
+    std::printf("throughput over %d cycle(s):\n", cycles);
+    std::printf("  interpreter      %8.2f us/cycle\n", interp_us);
+    std::printf("  compiled pass    %8.2f us/cycle (64 lanes)\n", csim_us);
+    std::printf("  per stream       %8.2f us/cycle  (%.1fx the interpreter)\n",
+                per_stream_us, speedup);
   }
-
-  std::printf("compiled %d-bank device: %zu net(s) -> %d word slot(s), "
-              "%zu instruction(s), %.1f%% of state bits proven two-state\n",
-              banks, flat.nets().size(), compiled.slot_count(),
-              compiled.total_instructions(),
-              100.0 * p.two_state_fraction(true));
-  std::printf("parity: %d cycle(s), %llu net comparison(s) vs the "
-              "interpreter -> identical\n",
-              parity_cycles, static_cast<unsigned long long>(comparisons));
-  std::printf("throughput over %d cycle(s):\n", cycles);
-  std::printf("  interpreter      %8.2f us/cycle\n", interp_us);
-  std::printf("  compiled pass    %8.2f us/cycle (64 lanes)\n", csim_us);
-  std::printf("  per stream       %8.2f us/cycle  (%.1fx the interpreter)\n",
-              per_stream_us, speedup);
-  if (!json.empty()) {
-    std::ofstream f(json);
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", json.c_str());
-      return 2;
-    }
-    f << doc.dump(2) << '\n';
-    std::printf("wrote report to %s\n", json.c_str());
-  }
-  return 0;
+  return write_json(json, doc, "report") ? 0 : 2;
 }
 
 }  // namespace

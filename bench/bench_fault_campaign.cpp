@@ -41,25 +41,6 @@
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
-namespace {
-
-std::vector<int> parse_workers(const std::string& list) {
-  std::vector<int> out;
-  std::string cur;
-  for (char c : list + ",") {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(std::stoi(cur));
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  if (out.empty()) out.push_back(1);
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
@@ -67,8 +48,14 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const int transactions = static_cast<int>(cli.get_int("transactions", 300));
   const bool run_mc = !cli.get_bool("no-mc", false);
-  const std::vector<int> workers_list =
-      parse_workers(cli.get("workers", "1,2,4,8"));
+  std::vector<int> workers_list;
+  try {
+    workers_list =
+        util::parse_positive_list(cli.get("workers", "1,2,4,8"), "--workers");
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   const std::uint64_t steal_seed =
       static_cast<std::uint64_t>(cli.get_int("steal-seed", 1));
   util::BenchReport report("bench_fault_campaign");

@@ -25,10 +25,10 @@
 #include "cov/coverage.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
+#include "la1/properties.hpp"
 #include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "psl/monitor.hpp"
-#include "psl/parse.hpp"
 #include "tgen/closure.hpp"
 #include "tgen/constrained.hpp"
 #include "util/bench_report.hpp"
@@ -40,13 +40,13 @@ namespace {
 
 using namespace la1;
 
+/// The catalog's bank-0 read mode (P1, P2) at the spec latency.
 psl::VUnit hand_written_read() {
   psl::VUnit v("hand_written");
-  v.add_assert("P1", psl::parse_property(
-                         "always (b0.read_start -> next[4] b0.dout_valid_k)"));
-  v.add_assert("P2", psl::parse_property(
-                         "always (b0.dout_valid_k -> next[1] "
-                         "b0.dout_valid_ks)"));
+  for (auto& [name, prop] : core::read_mode_suite(core::Level::kBehavioural,
+                                                  core::kReadLatencyTicks)) {
+    v.add_assert(std::move(name), std::move(prop));
+  }
   return v;
 }
 

@@ -1,5 +1,6 @@
 #include "la1/asm_model.hpp"
 
+#include "la1/properties.hpp"
 #include "la1/spec.hpp"
 
 namespace la1::core {
@@ -241,30 +242,7 @@ asml::Machine build_asm_model(const AsmConfig& cfg) {
 
 std::vector<std::pair<std::string, psl::PropPtr>> asm_properties(
     const AsmConfig& cfg) {
-  using psl::b_sig;
-  std::vector<std::pair<std::string, psl::PropPtr>> props;
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
-    props.emplace_back(
-        "P1_read_latency_b" + std::to_string(b),
-        psl::p_impl_next(b_sig(p + "read_start"), kReadLatencyTicks,
-                         b_sig(p + "dout_valid_k")));
-    props.emplace_back(
-        "P2_read_burst_b" + std::to_string(b),
-        psl::p_impl_next(b_sig(p + "dout_valid_k"), 1,
-                         b_sig(p + "dout_valid_ks")));
-    props.emplace_back("P7_no_spurious_b" + std::to_string(b),
-                       psl::p_never(psl::s_bool(b_sig(p + "dout_spurious"))));
-  }
-  props.emplace_back("P3_write_addr_edge",
-                     psl::p_impl_next(b_sig("write_start"), 1,
-                                      b_sig("addr_captured")));
-  props.emplace_back(
-      "P3b_write_commit",
-      psl::p_impl_next(b_sig("addr_captured"), 1, b_sig("write_commit")));
-  props.emplace_back("P4_exclusive_drive",
-                     psl::p_never(psl::s_bool(b_sig("bus_conflict"))));
-  return props;
+  return level_suite(Level::kAsm, cfg.banks, kReadLatencyTicks);
 }
 
 }  // namespace la1::core

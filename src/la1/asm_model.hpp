@@ -9,8 +9,8 @@
 // arguments over finite domains, which is exactly AsmL's exploration
 // configuration (§5.1): the explorer enumerates the domains exhaustively.
 //
-// Locations reuse the behavioural tap names ("b0.read_start", ...), so the
-// same PSL property text checks both levels.
+// Locations reuse the canonical tap names ("b0.read_start", ...), so the
+// catalog's rows bind to the ASM unrenamed (la1/properties.hpp).
 #pragma once
 
 #include <string>
@@ -36,8 +36,8 @@ struct AsmConfig {
 /// Builds the LA-1 ASM machine.
 asml::Machine build_asm_model(const AsmConfig& cfg);
 
-/// The PSL property suite instantiated for the ASM level (per-bank read
-/// latency and burst, device-level write discipline, bus exclusivity).
+/// The catalog rows the ASM observes (level_suite(Level::kAsm)) at the
+/// spec read latency.
 std::vector<std::pair<std::string, psl::PropPtr>> asm_properties(
     const AsmConfig& cfg);
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "la1/properties.hpp"
 #include "la1/spec.hpp"
 #include "ovl/ovl.hpp"
 
@@ -229,37 +230,25 @@ std::vector<rtl::ClockStep> clock_schedule(const rtl::Module& flat) {
 
 std::vector<std::pair<std::string, psl::PropPtr>> rtl_properties(
     const RtlConfig& cfg) {
-  using psl::b_sig;
-  std::vector<std::pair<std::string, psl::PropPtr>> props;
-  for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "bank" + std::to_string(b) + ".";
-    props.emplace_back(
-        "P1_read_latency_b" + std::to_string(b),
-        psl::p_impl_next(b_sig(p + "read_start_q"), cfg.latency_ticks(),
-                         b_sig(p + "dout_valid_k_q")));
-    props.emplace_back(
-        "P2_read_burst_b" + std::to_string(b),
-        psl::p_impl_next(b_sig(p + "dout_valid_k_q"), 1,
-                         b_sig(p + "dout_valid_ks_q")));
-    props.emplace_back(
-        "P3_write_addr_edge_b" + std::to_string(b),
-        psl::p_impl_next(b_sig(p + "addr_captured_q"), 1,
-                         b_sig(p + "write_commit_q")));
-  }
-  props.emplace_back("P4_exclusive_drive",
-                     psl::p_never(psl::s_bool(b_sig("DOUT.__conflict"))));
-  return props;
+  return level_suite(Level::kRtl, cfg.banks, cfg.latency_ticks());
 }
 
 psl::PropPtr rtl_read_mode_property(const RtlConfig& cfg) {
-  using psl::b_sig;
   // Read mode for bank 0: request -> first beat after the documented
-  // latency -> second beat on the following edge.
-  return psl::p_and(
-      {psl::p_impl_next(b_sig("bank0.read_start_q"), cfg.latency_ticks(),
-                        b_sig("bank0.dout_valid_k_q")),
-       psl::p_impl_next(b_sig("bank0.dout_valid_k_q"), 1,
-                        b_sig("bank0.dout_valid_ks_q"))});
+  // latency -> second beat on the following edge (catalog rows P1 and P2).
+  std::vector<psl::PropPtr> read_mode;
+  for (auto& [name, prop] : read_mode_suite(Level::kRtl, cfg.latency_ticks())) {
+    read_mode.push_back(std::move(prop));
+  }
+  return psl::p_and(std::move(read_mode));
+}
+
+std::vector<std::pair<std::string, psl::PropPtr>> rtl_mc_properties(
+    const RtlConfig& cfg) {
+  std::vector<std::pair<std::string, psl::PropPtr>> props;
+  props.emplace_back("READ_MODE", rtl_read_mode_property(cfg));
+  for (auto& p : rtl_properties(cfg)) props.push_back(std::move(p));
+  return props;
 }
 
 void attach_ovl_monitors(rtl::Module& flat, ovl::OvlBank& bank, int banks) {

@@ -82,13 +82,19 @@ RtlDevice build_device(const RtlConfig& cfg);
 /// rising K#.
 std::vector<rtl::ClockStep> clock_schedule(const rtl::Module& flat);
 
-/// The RTL property suite; atom names are flattened net names
-/// ("bank0.read_start_q", "DOUT.__conflict").
+/// The catalog rows the netlist observes (level_suite(Level::kRtl)); atom
+/// names are flattened net names ("bank0.read_start_q", "DOUT.__conflict").
 std::vector<std::pair<std::string, psl::PropPtr>> rtl_properties(
     const RtlConfig& cfg);
 
-/// The read-mode property alone (Table 2 checks the Read Mode).
+/// The read-mode property alone (Table 2 checks the Read Mode): bank 0's
+/// P1 and P2 conjoined.
 psl::PropPtr rtl_read_mode_property(const RtlConfig& cfg);
+
+/// "READ_MODE" followed by rtl_properties(cfg): the set flow analysis and
+/// the cone-of-influence bench check.
+std::vector<std::pair<std::string, psl::PropPtr>> rtl_mc_properties(
+    const RtlConfig& cfg);
 
 /// The device's OVL monitor set, instantiated into the (possibly mutated)
 /// flat module of a `banks`-bank device so the monitor logic simulates with

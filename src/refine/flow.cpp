@@ -40,6 +40,24 @@ std::string FlowReport::render() const {
     if (!s.detail.empty()) out << " — " << s.detail;
     out << '\n';
   }
+  if (!properties.empty()) {
+    std::vector<std::string> header = {"Property"};
+    for (core::Level level : core::kLevels) {
+      header.emplace_back(core::to_string(level));
+    }
+    util::Table matrix(std::move(header));
+    for (const core::MatrixRow& row : properties) {
+      std::vector<std::string> cells = {row.name};
+      for (const core::LevelBinding& b : row.levels) {
+        cells.push_back(b.missing_tap.empty()
+                            ? core::to_string(b.status)
+                            : std::string(core::to_string(b.status)) +
+                                  ": no " + b.missing_tap);
+      }
+      matrix.add_row(std::move(cells));
+    }
+    out << "property x level:\n" << matrix.render();
+  }
   out << (ok ? "flow complete: all stages passed\n" : "flow FAILED\n");
   return out.str();
 }
@@ -63,6 +81,8 @@ void stage(FlowReport& report, const std::string& name, Fn&& body) {
 FlowReport run_flow(const FlowOptions& options) {
   FlowReport report;
   const int banks = options.banks;
+  report.properties =
+      core::property_matrix(banks, core::Config{}.latency_ticks());
 
   // 1. Spec compilation: validate the shipped .msc charts, then compile
   // the three artifacts the later stages consume — monitors (stage 4),
@@ -249,10 +269,8 @@ FlowReport run_flow(const FlowOptions& options) {
   stage(report, "flow analysis (taint + cones)", [&](std::string& detail) {
     core::RtlDevice dev = core::build_device(mc_cfg);
     const rtl::Module flat = dev.flatten();
-    std::vector<std::pair<std::string, psl::PropPtr>> props;
-    props.emplace_back("READ_MODE", core::rtl_read_mode_property(mc_cfg));
-    for (auto& p : core::rtl_properties(mc_cfg)) props.push_back(p);
-    const flow::FlowReport fr = flow::analyze(flat, props);
+    const flow::FlowReport fr =
+        flow::analyze(flat, core::rtl_mc_properties(mc_cfg));
     detail = std::to_string(fr.findings.size()) + " findings over " +
              std::to_string(fr.banks) + " isolation domain(s), " +
              std::to_string(fr.labels.size()) + " taint labels";

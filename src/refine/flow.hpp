@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "la1/properties.hpp"
+
 namespace la1::refine {
 
 struct FlowStage {
@@ -25,6 +27,9 @@ struct FlowReport {
   bool ok = true;
   std::vector<FlowStage> stages;
   std::string verilog;  // the emitted RTL of the final stage
+  /// Every catalog property at each level: checked there, or unobservable
+  /// with the first tap the level lacks.
+  std::vector<core::MatrixRow> properties;
 
   std::string render() const;
 };

@@ -19,10 +19,18 @@ namespace la1 {
 namespace {
 
 TEST(Integration, PropertySourcesParse) {
-  core::Config cfg;
-  cfg.banks = 4;
-  for (const auto& [name, text] : core::property_sources(cfg)) {
-    EXPECT_NO_THROW(psl::parse_property(text)) << name << ": " << text;
+  // Every catalog row's PSL source parses to the property bound to the
+  // behavioural level (whose taps are the canonical names).
+  const std::vector<core::PropertyRow> rows = core::property_catalog(4, 4);
+  const std::vector<core::MatrixRow> matrix = core::property_matrix(4, 4);
+  ASSERT_EQ(rows.size(), matrix.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    psl::PropPtr parsed;
+    ASSERT_NO_THROW(parsed = psl::parse_property(matrix[i].psl))
+        << matrix[i].name << ": " << matrix[i].psl;
+    EXPECT_EQ(psl::to_string(*parsed),
+              psl::to_string(*core::bind(rows[i], core::Level::kBehavioural)))
+        << matrix[i].name;
   }
 }
 

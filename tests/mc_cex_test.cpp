@@ -15,43 +15,37 @@
 
 #include "dfa/sweep.hpp"
 #include "la1/asm_model.hpp"
+#include "la1/properties.hpp"
 #include "la1/rtl_model.hpp"
 #include "mc/explicit.hpp"
 #include "mc/symbolic.hpp"
-#include "psl/parse.hpp"
 #include "rtl/bitblast.hpp"
 
 namespace la1 {
 namespace {
 
-/// One seeded failing property expressed at both levels, plus the
-/// valuation the violating state must exhibit (the property's target
-/// atom, named at both levels).
+/// One seeded failing property over canonical taps, plus the valuation the
+/// violating state must exhibit (the property's target atom). The ASM and
+/// RTL forms come from the catalog's binding (core::bind, core::bind_tap).
 struct SeededProperty {
-  std::string name;
-  std::string asm_prop;
-  std::string rtl_prop;
-  std::string asm_atom;
-  std::string rtl_bit;
+  core::PropertyRow row;
+  std::string atom;
   bool violating_value;
 };
 
 std::vector<SeededProperty> seeded_properties() {
+  using core::Shape;
   return {
-      {"wrong_read_latency",
-       "always (b0.read_start -> next[2] b0.dout_valid_k)",
-       "always (bank0.read_start_q -> next[2] bank0.dout_valid_k_q)",
-       "b0.dout_valid_k", "bank0.dout_valid_k_q[0]", false},
-      {"wrong_burst_gap",
-       "always (b0.dout_valid_k -> next[2] b0.dout_valid_ks)",
-       "always (bank0.dout_valid_k_q -> next[2] bank0.dout_valid_ks_q)",
-       "b0.dout_valid_ks", "bank0.dout_valid_ks_q[0]", false},
-      {"no_reads_ever", "never {b0.read_start}",
-       "never {bank0.read_start_q}", "b0.read_start",
-       "bank0.read_start_q[0]", true},
-      {"no_valid_ever", "never {b0.dout_valid_k}",
-       "never {bank0.dout_valid_k_q}", "b0.dout_valid_k",
-       "bank0.dout_valid_k_q[0]", true},
+      {{"wrong_read_latency", Shape::kImplNext, "b0.read_start",
+        "b0.dout_valid_k", 2},
+       "b0.dout_valid_k", false},
+      {{"wrong_burst_gap", Shape::kImplNext, "b0.dout_valid_k",
+        "b0.dout_valid_ks", 2},
+       "b0.dout_valid_ks", false},
+      {{"no_reads_ever", Shape::kNever, "b0.read_start", {}},
+       "b0.read_start", true},
+      {{"no_valid_ever", Shape::kNever, "b0.dout_valid_k", {}},
+       "b0.dout_valid_k", true},
   };
 }
 
@@ -133,36 +127,40 @@ TEST_P(CexAgreement, ExplicitAndSymbolicAgree) {
     mc::ExplicitOptions eopt;
     eopt.max_states = 60000;
     const mc::ExplicitResult er =
-        mc::check(machine, psl::parse_property(sp.asm_prop), eopt);
-    ASSERT_TRUE(er.violated) << sp.name;
-    ASSERT_FALSE(er.counterexample.empty()) << sp.name;
+        mc::check(machine, core::bind(sp.row, core::Level::kAsm), eopt);
+    ASSERT_TRUE(er.violated) << sp.row.name;
+    ASSERT_FALSE(er.counterexample.empty()) << sp.row.name;
 
     // Symbolic over the RTL.
     mc::SymbolicOptions sopt;
     sopt.use_invariants = use_invariants;
     const mc::SymbolicResult sr =
-        mc::check(bb, psl::parse_property(sp.rtl_prop), sopt);
-    ASSERT_EQ(sr.outcome, mc::SymbolicResult::Outcome::kFails) << sp.name;
-    EXPECT_EQ(sr.verdict.kind, mc::Verdict::Kind::kFalsified) << sp.name;
-    ASSERT_FALSE(sr.trace.empty()) << sp.name;
+        mc::check(bb, core::bind(sp.row, core::Level::kRtl), sopt);
+    ASSERT_EQ(sr.outcome, mc::SymbolicResult::Outcome::kFails) << sp.row.name;
+    EXPECT_EQ(sr.verdict.kind, mc::Verdict::Kind::kFalsified) << sp.row.name;
+    ASSERT_FALSE(sr.trace.empty()) << sp.row.name;
 
     // Depth agreement: both BFS engines find the shortest violation, and
     // the ASM path carries the two-rule initialization prologue.
     const int rtl_depth = static_cast<int>(sr.trace.size()) - 1;
-    EXPECT_EQ(sr.verdict.depth, rtl_depth) << sp.name;
+    EXPECT_EQ(sr.verdict.depth, rtl_depth) << sp.row.name;
     EXPECT_EQ(static_cast<int>(er.counterexample.size()), rtl_depth + 2)
-        << sp.name << (use_invariants ? " (with invariants)" : "");
+        << sp.row.name << (use_invariants ? " (with invariants)" : "");
 
     // First violating valuation: the property's target atom has the same
     // value in both engines' violating states.
     const asml::State bad_state = replay(machine, er.counterexample);
-    EXPECT_EQ(bad_state.get_bool(sp.asm_atom), sp.violating_value) << sp.name;
+    EXPECT_EQ(bad_state.get_bool(core::bind_tap(core::Level::kAsm, sp.atom)),
+              sp.violating_value)
+        << sp.row.name;
+    const std::string rtl_bit =
+        core::bind_tap(core::Level::kRtl, sp.atom) + "[0]";
     bool found = false;
     const bool rtl_value =
-        trace_value(sr.trace.back(), invariants, sp.rtl_bit, &found);
-    ASSERT_TRUE(found) << sp.name << ": trace lacks " << sp.rtl_bit
+        trace_value(sr.trace.back(), invariants, rtl_bit, &found);
+    ASSERT_TRUE(found) << sp.row.name << ": trace lacks " << rtl_bit
                        << " and no invariant resolves it";
-    EXPECT_EQ(rtl_value, sp.violating_value) << sp.name;
+    EXPECT_EQ(rtl_value, sp.violating_value) << sp.row.name;
   }
 }
 

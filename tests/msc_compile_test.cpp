@@ -11,11 +11,11 @@
 #include "cov/coverage.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
+#include "la1/properties.hpp"
 #include "msc/charts.hpp"
 #include "msc/compile.hpp"
 #include "msc/parse.hpp"
 #include "psl/monitor.hpp"
-#include "psl/parse.hpp"
 #include "tgen/closure.hpp"
 #include "tgen/constrained.hpp"
 #include "util/rng.hpp"
@@ -23,17 +23,14 @@
 namespace la1::msc {
 namespace {
 
-/// Hand-written Figure-3 read-path properties (src/la1/properties.cpp P1/P2)
-/// for one bank at `latency_ticks` half-cycles.
+/// The catalog's Figure-3 read path (P1/P2 of bank 0) at `latency_ticks`
+/// half-cycles.
 psl::VUnit hand_written_read(int latency_ticks) {
   psl::VUnit v("hand_written");
-  v.add_assert("P1", psl::parse_property(
-                         "always (b0.read_start -> next[" +
-                         std::to_string(latency_ticks) +
-                         "] b0.dout_valid_k)"));
-  v.add_assert("P2", psl::parse_property(
-                         "always (b0.dout_valid_k -> next[1] "
-                         "b0.dout_valid_ks)"));
+  for (auto& [name, prop] :
+       core::read_mode_suite(core::Level::kBehavioural, latency_ticks)) {
+    v.add_assert(std::move(name), std::move(prop));
+  }
   return v;
 }
 

@@ -144,6 +144,17 @@ TEST(Flow, EndToEndOneBank) {
   EXPECT_NE(rendered.find("lowering-legality compile plan"), std::string::npos);
   EXPECT_NE(rendered.find("invariants substituted"), std::string::npos);
   EXPECT_NE(rendered.find("Verilog emission"), std::string::npos);
+  // Stage 4 monitors every behavioural catalog row plus three covers.
+  EXPECT_EQ(report.stages[3].detail.rfind("14 directives + ", 0), 0u)
+      << report.stages[3].detail;
+  // Every catalog row appears at every level, checked or with the tap the
+  // level lacks.
+  ASSERT_EQ(report.properties.size(), 11u);
+  for (const core::MatrixRow& row : report.properties) {
+    EXPECT_NE(rendered.find(row.name), std::string::npos) << row.name;
+  }
+  EXPECT_NE(rendered.find("unobservable: no b0.selected"), std::string::npos)
+      << rendered;
 }
 
 }  // namespace

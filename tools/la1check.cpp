@@ -57,6 +57,7 @@
 #include <optional>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "cov/coverage.hpp"
 #include "csim/compile.hpp"
@@ -776,11 +777,8 @@ int run_flowan(const util::Cli& cli) {
         rtl::bitblast(expanded, core::clock_schedule(flat));
     const dfa::InvariantSet invariants = dfa::sweep(bb);
 
-    std::vector<std::pair<std::string, psl::PropPtr>> props;
-    props.emplace_back("READ_MODE", core::rtl_read_mode_property(cfg));
-    for (auto& p : core::rtl_properties(cfg)) props.push_back(p);
-
-    report = flow::analyze(flat, props, {}, &bb, &invariants);
+    report = flow::analyze(flat, core::rtl_mc_properties(cfg), {}, &bb,
+                           &invariants);
   }
 
   if (cli.has("label")) {
@@ -841,6 +839,7 @@ int run_csim(const util::Cli& cli) {
   const int banks = static_cast<int>(cli.get_int("banks", 1));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const int cycles = static_cast<int>(cli.get_int("cycles", 2000));
+  if (cycles < 1) throw std::invalid_argument("--cycles must be at least 1");
   const int parity_cycles =
       static_cast<int>(cli.get_int("parity-cycles", 200));
 

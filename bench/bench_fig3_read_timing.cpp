@@ -11,6 +11,7 @@
 #include "harness/adapters.hpp"
 #include "harness/trace.hpp"
 #include "la1/behavioral.hpp"
+#include "la1/properties.hpp"
 #include "msc/charts.hpp"
 #include "util/bench_report.hpp"
 #include "util/cli.hpp"
@@ -40,8 +41,8 @@ int main(int argc, char** argv) {
   cfg.banks = 1;
   cfg.addr_bits = 4;
   harness::BehavioralDeviceModel model(cfg);
-  harness::TraceRecorder recorder(model.geometry(),
-                                  harness::bank_read_taps(1));
+  harness::TraceRecorder recorder(
+      model.geometry(), core::tap_set(core::Level::kHarness).bank_taps(1));
 
   // Seed the word through the front door, wait out the write, then issue
   // the measured read.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
 
 namespace la1::cov {
 
@@ -135,44 +134,6 @@ util::Json CoverageReport::to_json() const {
   doc.set("coverage", coverage());
   doc.set("groups", std::move(group_list));
   return doc;
-}
-
-CoverageReport CoverageReport::from_json(const util::Json& j) {
-  CoverageReport r;
-  const util::Json* geo = j.find("geometry");
-  if (geo == nullptr) {
-    throw std::invalid_argument("CoverageReport: missing 'geometry'");
-  }
-  if (const util::Json* v = geo->find("banks")) {
-    r.geometry.banks = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = geo->find("mem_addr_bits")) {
-    r.geometry.mem_addr_bits = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = geo->find("data_bits")) {
-    r.geometry.data_bits = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("cycles")) {
-    r.cycles = static_cast<std::uint64_t>(v->as_int());
-  }
-  if (const util::Json* group_list = j.find("groups")) {
-    for (const util::Json& jg : group_list->items()) {
-      Covergroup g;
-      if (const util::Json* v = jg.find("name")) g.name = v->as_string();
-      if (const util::Json* bins = jg.find("bins")) {
-        for (const util::Json& row : bins->items()) {
-          Bin b;
-          if (const util::Json* v = row.find("name")) b.name = v->as_string();
-          if (const util::Json* v = row.find("hits")) {
-            b.hits = static_cast<std::uint64_t>(v->as_int());
-          }
-          g.bins.push_back(std::move(b));
-        }
-      }
-      r.groups.push_back(std::move(g));
-    }
-  }
-  return r;
 }
 
 std::string CoverageReport::render() const {

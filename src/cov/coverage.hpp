@@ -48,8 +48,7 @@ struct Covergroup {
 
 /// The full coverage model plus its accumulated counts. `make_model`
 /// defines the bins for a geometry; the collector increments them; the
-/// report round-trips through JSON so closure trajectories are
-/// machine-checkable.
+/// report's JSON makes closure trajectories machine-checkable.
 struct CoverageReport {
   harness::Geometry geometry;
   std::uint64_t cycles = 0;  // K cycles observed
@@ -64,7 +63,6 @@ struct CoverageReport {
   const Covergroup* group(const std::string& name) const;
 
   util::Json to_json() const;
-  static CoverageReport from_json(const util::Json& j);
   std::string render() const;
 };
 

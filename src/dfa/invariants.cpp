@@ -1,7 +1,5 @@
 #include "dfa/invariants.hpp"
 
-#include <stdexcept>
-
 namespace la1::dfa {
 
 const char* to_string(Invariant::Kind k) {
@@ -11,13 +9,6 @@ const char* to_string(Invariant::Kind k) {
     case Invariant::Kind::kComplement: return "complement";
   }
   return "?";
-}
-
-Invariant::Kind invariant_kind_from_string(const std::string& text) {
-  if (text == "const") return Invariant::Kind::kConst;
-  if (text == "equal") return Invariant::Kind::kEqual;
-  if (text == "complement") return Invariant::Kind::kComplement;
-  throw std::invalid_argument("unknown invariant kind: " + text);
 }
 
 int InvariantSet::count(Invariant::Kind k) const {
@@ -44,41 +35,6 @@ util::Json InvariantSet::to_json() const {
   util::Json j = util::Json::object();
   j.set("invariants", std::move(arr));
   return j;
-}
-
-InvariantSet InvariantSet::from_json(const util::Json& j) {
-  const util::Json* arr = j.find("invariants");
-  if (arr == nullptr || !arr->is_array()) {
-    throw std::invalid_argument("InvariantSet::from_json: no invariants array");
-  }
-  InvariantSet set;
-  for (const util::Json& item : arr->items()) {
-    const util::Json* kind = item.find("kind");
-    const util::Json* a = item.find("a");
-    if (kind == nullptr || a == nullptr) {
-      throw std::invalid_argument("InvariantSet::from_json: incomplete entry");
-    }
-    Invariant inv;
-    inv.kind = invariant_kind_from_string(kind->as_string());
-    inv.a = a->as_string();
-    if (inv.kind == Invariant::Kind::kConst) {
-      const util::Json* value = item.find("value");
-      if (value == nullptr) {
-        throw std::invalid_argument(
-            "InvariantSet::from_json: const invariant without value");
-      }
-      inv.value = value->as_bool();
-    } else {
-      const util::Json* b = item.find("b");
-      if (b == nullptr) {
-        throw std::invalid_argument(
-            "InvariantSet::from_json: pair invariant without b");
-      }
-      inv.b = b->as_string();
-    }
-    set.add(std::move(inv));
-  }
-  return set;
 }
 
 }  // namespace la1::dfa

@@ -35,16 +35,11 @@ struct Invariant {
   std::string a;        // representative state bit, "net[i]"
   std::string b;        // redundant twin (kEqual/kComplement), else empty
   bool value = false;   // kConst only
-
-  bool operator==(const Invariant& o) const = default;
 };
 
 const char* to_string(Invariant::Kind k);
-/// Accepts "const", "equal", "complement". Throws std::invalid_argument.
-Invariant::Kind invariant_kind_from_string(const std::string& text);
 
-/// The set of facts one sweep proved, with a JSON round-trip so reports and
-/// CLI runs can persist them.
+/// The set of facts one sweep proved; to_json() puts them in reports.
 class InvariantSet {
  public:
   void add(Invariant inv) { invariants_.push_back(std::move(inv)); }
@@ -56,12 +51,6 @@ class InvariantSet {
 
   /// {"invariants": [{"kind": "...", "a": "...", ...}, ...]}
   util::Json to_json() const;
-  /// Inverse of to_json(); throws std::invalid_argument on malformed input.
-  static InvariantSet from_json(const util::Json& j);
-
-  bool operator==(const InvariantSet& o) const {
-    return invariants_ == o.invariants_;
-  }
 
  private:
   std::vector<Invariant> invariants_;

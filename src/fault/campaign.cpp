@@ -656,19 +656,6 @@ util::Json row_to_json(const CampaignRow& r) {
   return row;
 }
 
-CampaignRow row_from_json(const util::Json& row_j) {
-  CampaignRow row;
-  if (const util::Json* f = row_j.find("fault")) {
-    row.fault = FaultSpec::from_json(*f);
-  }
-  if (const util::Json* cells = row_j.find("cells")) {
-    for (const util::Json& cell_j : cells->items()) {
-      row.cells.push_back(cell_from_json(cell_j));
-    }
-  }
-  return row;
-}
-
 /// Quarantined cell for a shard the executor could not complete: kTimeout
 /// with the shard's disposition, so the report shape (and mutation-score
 /// denominator) is unchanged. A failed lane-batch shard degrades only its
@@ -857,38 +844,6 @@ util::Json CampaignReport::to_json() const {
   j.set("caught", caught_count());
   j.set("mutation_score", mutation_score());
   return j;
-}
-
-CampaignReport CampaignReport::from_json(const util::Json& j) {
-  CampaignReport report;
-  if (const util::Json* v = j.find("banks")) {
-    report.banks = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("seed")) {
-    report.seed = static_cast<std::uint64_t>(v->as_int());
-  }
-  if (const util::Json* v = j.find("transactions")) {
-    report.transactions = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("checkers")) {
-    for (const util::Json& c : v->items()) {
-      report.checkers.push_back(c.as_string());
-    }
-  }
-  if (const util::Json* rows_j = j.find("rows")) {
-    for (const util::Json& row_j : rows_j->items()) {
-      report.rows.push_back(row_from_json(row_j));
-    }
-  }
-  if (const util::Json* clean = j.find("clean")) {
-    if (const util::Json* v = clean->find("ok")) report.clean_ok = v->as_bool();
-    if (const util::Json* v = clean->find("alarms")) {
-      for (const util::Json& a : v->items()) {
-        report.clean_alarms.push_back(a.as_string());
-      }
-    }
-  }
-  return report;
 }
 
 std::string CampaignReport::render() const {

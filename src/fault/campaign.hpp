@@ -124,7 +124,6 @@ struct CampaignReport {
   double mutation_score() const;
 
   util::Json to_json() const;
-  static CampaignReport from_json(const util::Json& j);
   std::string render() const;
 };
 

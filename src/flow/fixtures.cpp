@@ -1,7 +1,5 @@
 #include "flow/fixtures.hpp"
 
-#include <stdexcept>
-
 #include "flow/analyze.hpp"
 #include "flow/rules.hpp"
 #include "psl/temporal.hpp"
@@ -78,35 +76,26 @@ rtl::Module broken_dead_atom() {
   return m;
 }
 
-std::vector<InjectedDefect> injected_defects() {
-  return {
-      {"bank-leak", kRuleBankLeak},
-      {"ctrl-in-data", kRuleCtrlInData},
-      {"undriven-atom", kRuleUndrivenAtom},
-      {"dead-atom", kRuleDeadAtom},
+const std::vector<lint::Defect<FlowReport>>& injected_defects() {
+  static const std::vector<lint::Defect<FlowReport>> kDefects = {
+      {"bank-leak", kRuleBankLeak,
+       [] { return analyze(broken_bank_leak(), {}); }},
+      {"ctrl-in-data", kRuleCtrlInData,
+       [] { return analyze(broken_ctrl_in_data(), {}); }},
+      {"undriven-atom", kRuleUndrivenAtom,
+       [] {
+         return analyze(
+             broken_undriven_atom(),
+             {{"FREE_HIGH", psl::p_always(psl::p_bool(psl::b_sig("free")))}});
+       }},
+      {"dead-atom", kRuleDeadAtom,
+       [] {
+         return analyze(broken_dead_atom(),
+                        {{"STUCK_LOW", psl::p_always(psl::p_bool(psl::b_not(
+                                           psl::b_sig("stuck"))))}});
+       }},
   };
-}
-
-FlowReport analyze_injected(const std::string& name) {
-  std::vector<std::pair<std::string, psl::PropPtr>> props;
-  if (name == "bank-leak") {
-    return analyze(broken_bank_leak(), props);
-  }
-  if (name == "ctrl-in-data") {
-    return analyze(broken_ctrl_in_data(), props);
-  }
-  if (name == "undriven-atom") {
-    props.emplace_back("FREE_HIGH",
-                       psl::p_always(psl::p_bool(psl::b_sig("free"))));
-    return analyze(broken_undriven_atom(), props);
-  }
-  if (name == "dead-atom") {
-    props.emplace_back(
-        "STUCK_LOW",
-        psl::p_always(psl::p_bool(psl::b_not(psl::b_sig("stuck")))));
-    return analyze(broken_dead_atom(), props);
-  }
-  throw std::invalid_argument("unknown flow fixture: " + name);
+  return kDefects;
 }
 
 }  // namespace la1::flow

@@ -7,10 +7,10 @@
 // rule id, and flow_test uses them directly.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "flow/report.hpp"
+#include "lint/fixtures.hpp"
 #include "rtl/netlist.hpp"
 
 namespace la1::flow {
@@ -31,17 +31,9 @@ rtl::Module broken_undriven_atom();
 /// is statically constant (FLOW-DEAD-ATOM).
 rtl::Module broken_dead_atom();
 
-struct InjectedDefect {
-  std::string name;           // --inject argument
-  std::string expected_rule;  // the one rule it must trip
-};
-
-/// The fixture catalog, in a stable order for CI iteration.
-std::vector<InjectedDefect> injected_defects();
-
-/// Builds the named fixture (with its bundled property, where the rule is
-/// about property atoms) and runs the flow analyzer on it. Throws
-/// std::invalid_argument on an unknown name.
-FlowReport analyze_injected(const std::string& name);
+/// The fixture catalog, in a stable order for CI iteration. Each row runs
+/// the flow analyzer on its fixture, with the fixture's bundled property
+/// where the rule is about property atoms.
+const std::vector<lint::Defect<FlowReport>>& injected_defects();
 
 }  // namespace la1::flow

@@ -1,7 +1,6 @@
 #include "flow/report.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 #include "util/table.hpp"
 
@@ -72,62 +71,6 @@ util::Json FlowReport::to_json() const {
   }
   j.set("cones", std::move(carr));
   return j;
-}
-
-FlowReport FlowReport::from_json(const util::Json& j) {
-  const util::Json* target = j.find("target");
-  const util::Json* banks = j.find("banks");
-  const util::Json* findings = j.find("findings");
-  const util::Json* labels = j.find("labels");
-  const util::Json* cones = j.find("cones");
-  if (target == nullptr || banks == nullptr || findings == nullptr ||
-      labels == nullptr || !labels->is_array() || cones == nullptr ||
-      !cones->is_array()) {
-    throw std::invalid_argument("FlowReport::from_json: malformed report");
-  }
-  FlowReport r;
-  r.target = target->as_string();
-  r.banks = static_cast<int>(banks->as_int());
-  r.findings = lint::LintReport::from_json(*findings);
-  for (const util::Json& item : labels->items()) {
-    const util::Json* label = item.find("label");
-    const util::Json* seed = item.find("seed_bits");
-    const util::Json* reached = item.find("reached_bits");
-    const util::Json* sinks = item.find("tainted_sinks");
-    if (label == nullptr || seed == nullptr || reached == nullptr ||
-        sinks == nullptr || !sinks->is_array()) {
-      throw std::invalid_argument("FlowReport::from_json: malformed label");
-    }
-    LabelFlow l;
-    l.label = label->as_string();
-    l.seed_bits = static_cast<int>(seed->as_int());
-    l.reached_bits = static_cast<int>(reached->as_int());
-    for (const util::Json& s : sinks->items()) {
-      l.tainted_sinks.push_back(s.as_string());
-    }
-    r.labels.push_back(std::move(l));
-  }
-  for (const util::Json& item : cones->items()) {
-    const util::Json* property = item.find("property");
-    const util::Json* cs = item.find("cone_state_bits");
-    const util::Json* ts = item.find("total_state_bits");
-    const util::Json* ci = item.find("cone_inputs");
-    const util::Json* ti = item.find("total_inputs");
-    const util::Json* sub = item.find("substituted");
-    if (property == nullptr || cs == nullptr || ts == nullptr ||
-        ci == nullptr || ti == nullptr || sub == nullptr) {
-      throw std::invalid_argument("FlowReport::from_json: malformed cone");
-    }
-    PropertyCone c;
-    c.property = property->as_string();
-    c.cone_state_bits = static_cast<int>(cs->as_int());
-    c.total_state_bits = static_cast<int>(ts->as_int());
-    c.cone_inputs = static_cast<int>(ci->as_int());
-    c.total_inputs = static_cast<int>(ti->as_int());
-    c.substituted = static_cast<int>(sub->as_int());
-    r.cones.push_back(std::move(c));
-  }
-  return r;
 }
 
 }  // namespace la1::flow

@@ -19,8 +19,6 @@ struct LabelFlow {
   int seed_bits = 0;
   int reached_bits = 0;
   std::vector<std::string> tainted_sinks;
-
-  bool operator==(const LabelFlow& o) const = default;
 };
 
 /// Semantic-cone geometry of one property, as the model checker would
@@ -32,8 +30,6 @@ struct PropertyCone {
   int cone_inputs = 0;
   int total_inputs = 0;
   int substituted = 0;  // invariant substitutions applied
-
-  bool operator==(const PropertyCone& o) const = default;
 };
 
 class FlowReport {
@@ -52,10 +48,6 @@ class FlowReport {
   std::string render() const;
 
   util::Json to_json() const;
-  /// Inverse of to_json(); throws std::invalid_argument on malformed input.
-  static FlowReport from_json(const util::Json& j);
-
-  bool operator==(const FlowReport& o) const = default;
 };
 
 }  // namespace la1::flow

@@ -281,13 +281,10 @@ void ProbeEnv::add(const std::string& name, std::function<bool()> probe) {
   probes_[name] = std::move(probe);
 }
 
-KernelHarness::KernelHarness(const Config& cfg, sim::Time period,
-                             std::uint64_t seed)
-    : cfg_(cfg), period_(period) {
-  (void)seed;
+KernelHarness::KernelHarness(const Config& cfg) : cfg_(cfg) {
   cfg_.validate();
   kernel_ = std::make_unique<sim::Kernel>();
-  pins_ = std::make_unique<Pins>(*kernel_, cfg_, period_);
+  pins_ = std::make_unique<Pins>(*kernel_, cfg_, kPeriod);
   device_ = std::make_unique<La1Device>(*kernel_, "dev", cfg_, *pins_);
   host_ = std::make_unique<HostBfm>(cfg_, *pins_);
   env_ = std::make_unique<ProbeEnv>(cfg_, *device_, *pins_);
@@ -295,28 +292,16 @@ KernelHarness::KernelHarness(const Config& cfg, sim::Time period,
 
 KernelHarness::~KernelHarness() = default;
 
-void KernelHarness::trace_to(const std::string& vcd_path) {
-  tracer_ = std::make_unique<sim::VcdTracer>(*kernel_, vcd_path);
-  tracer_->trace(pins_->clk.k(), "K");
-  tracer_->trace(pins_->clk.ks(), "K_n");
-  tracer_->trace(pins_->r_sel_n, "R_n");
-  tracer_->trace(pins_->w_sel_n, "W_n");
-  tracer_->trace(pins_->addr, "A", cfg_.addr_bits);
-  tracer_->trace(pins_->din, "D", cfg_.beat_pins());
-  tracer_->trace(pins_->bwe_n, "BWE_n", cfg_.lanes());
-  tracer_->trace(pins_->dout, "DOUT", cfg_.beat_pins());
-}
-
 void KernelHarness::run_ticks(int n, const std::function<void(int)>& on_tick) {
   for (int i = 0; i < n; ++i) {
     const int cycle = tick_ / 2;
     if (tick_ % 2 == 0) {
       if (!external_drive_) host_->before_k(tick_);
-      kernel_->run(1 + static_cast<sim::Time>(cycle) * period_);
+      kernel_->run(1 + static_cast<sim::Time>(cycle) * kPeriod);
       if (!external_drive_) host_->after_k(tick_);
     } else {
       if (!external_drive_) host_->before_ks(tick_);
-      kernel_->run(period_ / 2 + static_cast<sim::Time>(cycle) * period_);
+      kernel_->run(kPeriod / 2 + static_cast<sim::Time>(cycle) * kPeriod);
       if (!external_drive_) host_->after_ks(tick_);
     }
     if (on_tick) on_tick(tick_);

@@ -21,7 +21,6 @@
 #include "sim/clock.hpp"
 #include "sim/module.hpp"
 #include "sim/signal.hpp"
-#include "sim/vcd.hpp"
 
 namespace la1::core {
 
@@ -196,9 +195,7 @@ class ProbeEnv : public psl::Env {
 /// after the edge settles — the sampling point for monitors.
 class KernelHarness {
  public:
-  explicit KernelHarness(const Config& cfg,
-                         sim::Time period = 4 * sim::kNanosecond,
-                         std::uint64_t seed = 1);
+  explicit KernelHarness(const Config& cfg);
   ~KernelHarness();
 
   sim::Kernel& kernel() { return *kernel_; }
@@ -215,21 +212,17 @@ class KernelHarness {
   /// caller drives the pins directly between ticks (conformance testing).
   void set_external_drive(bool enable) { external_drive_ = enable; }
 
-  /// Streams the pin bundle to a VCD file (viewable in any waveform
-  /// viewer). Call before the first run_ticks.
-  void trace_to(const std::string& vcd_path);
-
   int ticks_done() const { return tick_; }
 
  private:
+  static constexpr sim::Time kPeriod = 4 * sim::kNanosecond;  // K period
+
   Config cfg_;
-  sim::Time period_;
   std::unique_ptr<sim::Kernel> kernel_;
   std::unique_ptr<Pins> pins_;
   std::unique_ptr<La1Device> device_;
   std::unique_ptr<class HostBfm> host_;
   std::unique_ptr<ProbeEnv> env_;
-  std::unique_ptr<sim::VcdTracer> tracer_;
   int tick_ = 0;
   bool external_drive_ = false;
 };

@@ -1,7 +1,5 @@
 #include "lint/fixtures.hpp"
 
-#include <stdexcept>
-
 #include "lint/netlist_lint.hpp"
 #include "lint/psl_lint.hpp"
 #include "lint/seq_lint.hpp"
@@ -151,30 +149,11 @@ LintReport lint_property_fixture(const std::string& text,
   return lint_property(psl::parse_property(text), name, &signals);
 }
 
-}  // namespace
-
-const std::vector<InjectedDefect>& injected_defects() {
-  static const std::vector<InjectedDefect> kDefects = {
-      {"loop", "NET-COMB-LOOP"},
-      {"double-driver", "NET-MULTI-DRIVE"},
-      {"width-mismatch", "NET-MEM-ADDR"},
-      {"no-reset", "NET-NO-RESET"},
-      {"name-collision", "NET-NAME-COLLISION"},
-      {"stuck-reg", "NET-CONST"},
-      {"x-reset", "NET-X-RESET"},
-      {"dead-logic", "NET-DEAD-LOGIC"},
-      {"dup-reg", "NET-EQUIV-REG"},
-      {"unsat-sere", "PSL-UNSAT"},
-      {"missing-net", "PSL-MISSING-NET"},
-  };
-  return kDefects;
-}
-
-namespace {
-
 /// Netlist fixtures run the full analyzer stack — structural AND
 /// sequential — mirroring what `la1check lint` + `la1check dfa` gate on.
-LintReport lint_netlist_fixture(const rtl::Module& m) {
+template <rtl::Module (*Build)()>
+LintReport lint_netlist_fixture() {
+  const rtl::Module m = Build();
   LintReport report = lint_netlist(m);
   report.merge(lint_sequential(m));
   return report;
@@ -182,34 +161,31 @@ LintReport lint_netlist_fixture(const rtl::Module& m) {
 
 }  // namespace
 
-LintReport lint_injected(const std::string& name) {
-  if (name == "loop") return lint_netlist_fixture(broken_comb_loop());
-  if (name == "double-driver") {
-    return lint_netlist_fixture(broken_double_driver());
-  }
-  if (name == "width-mismatch") {
-    return lint_netlist_fixture(broken_width_mismatch());
-  }
-  if (name == "no-reset") return lint_netlist_fixture(broken_missing_reset());
-  if (name == "name-collision") {
-    return lint_netlist_fixture(broken_name_collision());
-  }
-  if (name == "stuck-reg") return lint_netlist_fixture(broken_stuck_reg());
-  if (name == "x-reset") return lint_netlist_fixture(broken_x_reset());
-  if (name == "dead-logic") return lint_netlist_fixture(broken_dead_logic());
-  if (name == "dup-reg") return lint_netlist_fixture(broken_dup_reg());
-  if (name == "unsat-sere") {
-    return lint_property_fixture(broken_unsat_sere_text(), "unsat_sere");
-  }
-  if (name == "missing-net") {
-    return lint_property_fixture(broken_missing_net_text(), "missing_net");
-  }
-  std::string known;
-  for (const auto& d : injected_defects()) {
-    known += (known.empty() ? "" : ", ") + d.name;
-  }
-  throw std::invalid_argument("unknown injected defect '" + name +
-                              "' (known: " + known + ")");
+const std::vector<Defect<LintReport>>& injected_defects() {
+  static const std::vector<Defect<LintReport>> kDefects = {
+      {"loop", "NET-COMB-LOOP", lint_netlist_fixture<broken_comb_loop>},
+      {"double-driver", "NET-MULTI-DRIVE",
+       lint_netlist_fixture<broken_double_driver>},
+      {"width-mismatch", "NET-MEM-ADDR",
+       lint_netlist_fixture<broken_width_mismatch>},
+      {"no-reset", "NET-NO-RESET", lint_netlist_fixture<broken_missing_reset>},
+      {"name-collision", "NET-NAME-COLLISION",
+       lint_netlist_fixture<broken_name_collision>},
+      {"stuck-reg", "NET-CONST", lint_netlist_fixture<broken_stuck_reg>},
+      {"x-reset", "NET-X-RESET", lint_netlist_fixture<broken_x_reset>},
+      {"dead-logic", "NET-DEAD-LOGIC", lint_netlist_fixture<broken_dead_logic>},
+      {"dup-reg", "NET-EQUIV-REG", lint_netlist_fixture<broken_dup_reg>},
+      {"unsat-sere", "PSL-UNSAT",
+       [] {
+         return lint_property_fixture(broken_unsat_sere_text(), "unsat_sere");
+       }},
+      {"missing-net", "PSL-MISSING-NET",
+       [] {
+         return lint_property_fixture(broken_missing_net_text(),
+                                      "missing_net");
+       }},
+  };
+  return kDefects;
 }
 
 }  // namespace la1::lint

@@ -5,8 +5,11 @@
 // exactly one lint rule family. `la1check lint --inject <name>` runs them
 // from the command line, the CI gate asserts each one fails with its
 // expected rule id, and lint_test uses them directly.
+//
+// The flow and plan fixture catalogs use the same row type and lookup.
 #pragma once
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -57,17 +60,32 @@ std::string broken_unsat_sere_text();
 /// PSL text sampling signals that exist in no LA-1 model.
 std::string broken_missing_net_text();
 
-struct InjectedDefect {
+/// One injected defect: a fixture built to trip exactly one rule, and the
+/// analyzer run that must report it.
+template <typename Report>
+struct Defect {
   std::string name;           // --inject argument
-  std::string expected_rule;  // rule id the fixture must trip
+  std::string expected_rule;  // the one rule the fixture must trip
+  Report (*run)();            // builds the fixture and analyzes it
 };
 
-/// The defect catalog, in a stable order.
-const std::vector<InjectedDefect>& injected_defects();
+/// The catalog row named `name`. Throws std::invalid_argument listing the
+/// catalog's names when there is none.
+template <typename Report>
+const Defect<Report>& find_defect(const std::vector<Defect<Report>>& catalog,
+                                  const std::string& name) {
+  std::string known;
+  for (const Defect<Report>& d : catalog) {
+    if (d.name == name) return d;
+    known += (known.empty() ? "" : ", ") + d.name;
+  }
+  throw std::invalid_argument("unknown injected defect '" + name +
+                              "' (known: " + known + ")");
+}
 
-/// Builds and lints the named fixture (netlist defects lint the broken
-/// module; property defects lint the property against the stock 1-bank
-/// LA-1 RTL). Throws std::invalid_argument for an unknown name.
-LintReport lint_injected(const std::string& name);
+/// The lint catalog, in a stable order. Netlist defects lint the broken
+/// module with the structural and sequential rules; property defects lint
+/// the property against the stock 1-bank LA-1 RTL.
+const std::vector<Defect<LintReport>>& injected_defects();
 
 }  // namespace la1::lint

@@ -129,25 +129,4 @@ util::Json LintReport::to_json() const {
   return j;
 }
 
-LintReport LintReport::from_json(const util::Json& j) {
-  const util::Json* arr = j.find("findings");
-  if (arr == nullptr || !arr->is_array()) {
-    throw std::invalid_argument("LintReport::from_json: no findings array");
-  }
-  LintReport report;
-  for (const util::Json& item : arr->items()) {
-    const util::Json* rule = item.find("rule_id");
-    const util::Json* severity = item.find("severity");
-    const util::Json* location = item.find("location");
-    const util::Json* message = item.find("message");
-    if (rule == nullptr || severity == nullptr || location == nullptr ||
-        message == nullptr) {
-      throw std::invalid_argument("LintReport::from_json: incomplete finding");
-    }
-    report.add(rule->as_string(), severity_from_string(severity->as_string()),
-               location->as_string(), message->as_string());
-  }
-  return report;
-}
-
 }  // namespace la1::lint

@@ -63,10 +63,6 @@ class LintReport {
 
   /// {"findings": [...], "counts": {"errors": E, "warnings": W, "infos": I}}
   util::Json to_json() const;
-  /// Inverse of to_json(); throws std::invalid_argument on malformed input.
-  static LintReport from_json(const util::Json& j);
-
-  bool operator==(const LintReport& o) const { return findings_ == o.findings_; }
 
  private:
   std::vector<Finding> findings_;

@@ -1,7 +1,6 @@
 #include "plan/fixtures.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace la1::plan {
@@ -57,7 +56,7 @@ rtl::Module tristate_lower_model() {
 }
 
 /// A clean two-level combinational chain; the defect is not in the netlist
-/// but in the *emitted order* — analyze_injected validates a permutation
+/// but in the *emitted order* — sched_diverge() validates a permutation
 /// that evaluates the dependent node first.
 rtl::Module sched_diverge_model() {
   rtl::Module m("plan_sched_diverge");
@@ -69,37 +68,30 @@ rtl::Module sched_diverge_model() {
   return m;
 }
 
-}  // namespace
-
-const std::vector<InjectedDefect>& injected_defects() {
-  static const std::vector<InjectedDefect> catalog = {
-      {"x-live-hotpath", kRuleXLiveHotpath,
-       "register next-state samples a floatable tristate bus"},
-      {"port-conflict", kRulePortConflict,
-       "two same-edge write ports with independent enables"},
-      {"tristate-lower", kRuleTristateLower,
-       "tristate enable that is X forever"},
-      {"sched-diverge", kRuleSchedDiverge,
-       "emitted evaluation order contradicts the dependency graph"},
-  };
-  return catalog;
+CompilePlan sched_diverge() {
+  const rtl::Module m = sched_diverge_model();
+  CompilePlan p = analyze(m);
+  // A planner bug that emits the order backwards: w2 before its
+  // dependency w1.
+  rtl::TopoSchedule sched = rtl::topo_schedule(m);
+  std::reverse(sched.nodes.begin(), sched.nodes.end());
+  p.findings.merge(check_schedule_order(m, sched.nodes));
+  return p;
 }
 
-CompilePlan analyze_injected(const std::string& name) {
-  if (name == "x-live-hotpath") return analyze(x_live_hotpath_model());
-  if (name == "port-conflict") return analyze(port_conflict_model());
-  if (name == "tristate-lower") return analyze(tristate_lower_model());
-  if (name == "sched-diverge") {
-    const rtl::Module m = sched_diverge_model();
-    CompilePlan p = analyze(m);
-    // A planner bug that emits the order backwards: w2 before its
-    // dependency w1.
-    rtl::TopoSchedule sched = rtl::topo_schedule(m);
-    std::reverse(sched.nodes.begin(), sched.nodes.end());
-    p.findings.merge(check_schedule_order(m, sched.nodes));
-    return p;
-  }
-  throw std::invalid_argument("unknown plan defect: " + name);
+}  // namespace
+
+const std::vector<lint::Defect<CompilePlan>>& injected_defects() {
+  static const std::vector<lint::Defect<CompilePlan>> kDefects = {
+      {"x-live-hotpath", kRuleXLiveHotpath,
+       [] { return analyze(x_live_hotpath_model()); }},
+      {"port-conflict", kRulePortConflict,
+       [] { return analyze(port_conflict_model()); }},
+      {"tristate-lower", kRuleTristateLower,
+       [] { return analyze(tristate_lower_model()); }},
+      {"sched-diverge", kRuleSchedDiverge, sched_diverge},
+  };
+  return kDefects;
 }
 
 }  // namespace la1::plan

@@ -6,26 +6,16 @@
 // and every rule actually fires on the defect designed for it.
 #pragma once
 
-#include <string>
 #include <vector>
 
+#include "lint/fixtures.hpp"
 #include "plan/plan.hpp"
 
 namespace la1::plan {
 
-struct InjectedDefect {
-  std::string name;           // --inject key, e.g. "x-live-hotpath"
-  std::string expected_rule;  // the one rule the fixture must trip
-  std::string description;
-};
-
-/// The catalog, in stable order.
-const std::vector<InjectedDefect>& injected_defects();
-
-/// Builds the named fixture and runs the full analysis on it (for
-/// "sched-diverge", additionally validates the deliberately tampered
-/// evaluation order the fixture emits). Throws std::invalid_argument on an
-/// unknown name.
-CompilePlan analyze_injected(const std::string& name);
+/// The catalog, in stable order. Each row runs the full analysis on its
+/// fixture ("sched-diverge" additionally validates the deliberately
+/// tampered evaluation order the fixture emits).
+const std::vector<lint::Defect<CompilePlan>>& injected_defects();
 
 }  // namespace la1::plan

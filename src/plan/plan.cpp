@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <stdexcept>
 
 #include "util/table.hpp"
 
@@ -170,14 +169,6 @@ util::Json counts_json(const CompilePlan::BitCounts& c) {
   return j;
 }
 
-const util::Json& need(const util::Json& j, const std::string& key) {
-  const util::Json* v = j.find(key);
-  if (v == nullptr) {
-    throw std::invalid_argument("CompilePlan JSON missing key: " + key);
-  }
-  return *v;
-}
-
 std::string pct(double fraction) {
   return util::fmt_double(100.0 * fraction, 1) + "%";
 }
@@ -293,50 +284,6 @@ util::Json CompilePlan::to_json() const {
 
   j.set("findings", findings.to_json());
   return j;
-}
-
-CompilePlan CompilePlan::from_json(const util::Json& j) {
-  if (!j.is_object()) {
-    throw std::invalid_argument("CompilePlan JSON must be an object");
-  }
-  CompilePlan p;
-  p.target = need(j, "target").as_string();
-  p.banks = static_cast<int>(need(j, "banks").as_int());
-  p.cycles_analyzed = static_cast<int>(need(j, "cycles_analyzed").as_int());
-  p.periodic = need(j, "periodic").as_bool();
-  p.period_start = static_cast<int>(need(j, "period_start").as_int());
-
-  const util::Json& two = need(j, "two_state");
-  for (const util::Json& e : need(two, "nets").items()) {
-    NetSafetySummary n;
-    n.net = need(e, "net").as_string();
-    n.width = static_cast<int>(need(e, "width").as_int());
-    n.is_state = need(e, "state").as_bool();
-    n.classes = need(e, "classes").as_string();
-    n.settle = static_cast<int>(need(e, "settle").as_int());
-    for (char c : n.classes) bit_class_from_char(c);  // validate
-    p.nets.push_back(std::move(n));
-  }
-
-  const util::Json& s = need(j, "schedule");
-  p.schedule.nodes = static_cast<int>(need(s, "nodes").as_int());
-  p.schedule.depth = static_cast<int>(need(s, "depth").as_int());
-  p.schedule.comb_ops = static_cast<int>(need(s, "comb_ops").as_int());
-  p.schedule.seq_ops = static_cast<int>(need(s, "seq_ops").as_int());
-  p.schedule.resident_slots =
-      static_cast<int>(need(s, "resident_slots").as_int());
-  p.schedule.peak_temp_slots =
-      static_cast<int>(need(s, "peak_temp_slots").as_int());
-  p.schedule.peak_slots = static_cast<int>(need(s, "peak_slots").as_int());
-
-  const util::Json& c = need(j, "cost");
-  p.cost.ops_per_cycle = need(c, "ops_per_cycle").as_double();
-  p.cost.slot_pressure = need(c, "slot_pressure").as_double();
-  p.cost.x_sideband_fraction = need(c, "x_sideband_fraction").as_double();
-  p.cost.predicted = need(c, "predicted").as_double();
-
-  p.findings = lint::LintReport::from_json(need(j, "findings"));
-  return p;
 }
 
 std::vector<rtl::ClockStep> default_schedule(const rtl::Module& flat) {

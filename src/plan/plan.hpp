@@ -40,8 +40,6 @@ struct NetSafetySummary {
   bool is_state = false;  // register bit or memory summary word
   std::string classes;
   int settle = 0;
-
-  bool operator==(const NetSafetySummary& o) const = default;
 };
 
 struct ScheduleSummary {
@@ -52,8 +50,6 @@ struct ScheduleSummary {
   int resident_slots = 0;   // 64-bit words pinned for inputs/state/memories
   int peak_temp_slots = 0;  // allocator high-water for combinational temps
   int peak_slots = 0;       // resident + peak temp
-
-  bool operator==(const ScheduleSummary& o) const = default;
 };
 
 /// Static cost model. `predicted` only has to *rank* configurations the
@@ -64,8 +60,6 @@ struct CostModel {
   double slot_pressure = 0;        // peak_slots
   double x_sideband_fraction = 0;  // x-live bits / all net bits
   double predicted = 0;            // ops_per_cycle * (1 + sideband fraction)
-
-  bool operator==(const CostModel& o) const = default;
 };
 
 struct CompilePlan {
@@ -95,10 +89,6 @@ struct CompilePlan {
   /// findings table.
   std::string render() const;
   util::Json to_json() const;
-  /// Inverse of to_json(); throws std::invalid_argument on malformed input.
-  static CompilePlan from_json(const util::Json& j);
-
-  bool operator==(const CompilePlan& o) const = default;
 };
 
 struct PlanOptions {

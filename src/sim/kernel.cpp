@@ -111,7 +111,6 @@ Time Kernel::run(Time until) {
   while (!stopped_ && !timed_.empty()) {
     const Time next = timed_.top().at;
     if (next > until) break;
-    if (on_time_advance_ && next > now_) on_time_advance_(now_);
     now_ = next;
     while (!timed_.empty() && timed_.top().at == now_) {
       // Copy out before pop; the callback may schedule new items.
@@ -121,7 +120,6 @@ Time Kernel::run(Time until) {
     }
     drain_deltas();
   }
-  if (on_time_advance_) on_time_advance_(now_);
   return now_;
 }
 

@@ -55,7 +55,7 @@ class Object {
 };
 
 /// Implemented by primitive channels that defer value commits to the update
-/// phase (Signal, Fifo, ...).
+/// phase (Signal, Wire).
 class UpdateHook {
  public:
   virtual ~UpdateHook() = default;
@@ -160,12 +160,6 @@ class Kernel {
   Time now() const { return now_; }
   const KernelStats& stats() const { return stats_; }
 
-  /// Hook invoked just before simulated time advances past `now()`; the VCD
-  /// tracer uses it to dump each finished timestamp.
-  void set_on_time_advance(std::function<void(Time)> hook) {
-    on_time_advance_ = std::move(hook);
-  }
-
   // --- internal interface used by channels/events ---------------------
   void request_update(UpdateHook& hook);
   void queue_delta_event(Event& event);
@@ -190,7 +184,6 @@ class Kernel {
   std::vector<UpdateHook*> update_queue_;
   std::vector<Event*> delta_events_;
   std::priority_queue<TimedItem, std::vector<TimedItem>, std::greater<>> timed_;
-  std::function<void(Time)> on_time_advance_;
   Time now_ = 0;
   std::uint64_t seq_ = 0;
   bool stopped_ = false;

@@ -14,14 +14,6 @@ void set_weights(util::Json& doc, const char* key,
   doc.set(key, std::move(list));
 }
 
-std::vector<double> get_weights(const util::Json& j, const char* key) {
-  std::vector<double> w;
-  if (const util::Json* list = j.find(key)) {
-    for (const util::Json& v : list->items()) w.push_back(v.as_double());
-  }
-  return w;
-}
-
 }  // namespace
 
 util::Json Profile::to_json() const {
@@ -39,25 +31,6 @@ util::Json Profile::to_json() const {
   set_weights(doc, "read_bank_weight", read_bank_weight);
   set_weights(doc, "write_bank_weight", write_bank_weight);
   return doc;
-}
-
-Profile Profile::from_json(const util::Json& j) {
-  Profile p;
-  if (const util::Json* v = j.find("read_rate")) p.read_rate = v->as_double();
-  if (const util::Json* v = j.find("write_rate")) p.write_rate = v->as_double();
-  if (const util::Json* v = j.find("read_burst")) p.read_burst = v->as_double();
-  if (const util::Json* v = j.find("write_burst")) {
-    p.write_burst = v->as_double();
-  }
-  if (const util::Json* v = j.find("idle_burst")) p.idle_burst = v->as_double();
-  if (const util::Json* v = j.find("same_addr")) p.same_addr = v->as_double();
-  if (const util::Json* v = j.find("raw")) p.raw = v->as_double();
-  if (const util::Json* v = j.find("war")) p.war = v->as_double();
-  if (const util::Json* v = j.find("be_full")) p.be_full = v->as_double();
-  if (const util::Json* v = j.find("be_none")) p.be_none = v->as_double();
-  p.read_bank_weight = get_weights(j, "read_bank_weight");
-  p.write_bank_weight = get_weights(j, "write_bank_weight");
-  return p;
 }
 
 ConstrainedStream::ConstrainedStream(const harness::Geometry& geometry,

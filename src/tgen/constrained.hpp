@@ -35,7 +35,6 @@ struct Profile {
   std::vector<double> write_bank_weight;
 
   util::Json to_json() const;
-  static Profile from_json(const util::Json& j);
 };
 
 /// Deterministic constrained-random stream: same (geometry, profile, seed)

@@ -259,8 +259,11 @@ TEST(Sweep, DeviceSweepFindsTheKnownTapMirrors) {
 }
 
 // ---------------------------------------------------------------------------
-// InvariantSet JSON round-trip.
+// InvariantSet JSON export.
 
+// Invariant sets are write-only: a parse of the JSON text re-dumps it
+// byte for byte, and each kind carries exactly its fields (a const its
+// value, a pair its twin).
 TEST(Invariants, JsonRoundTrip) {
   InvariantSet s;
   s.add({Invariant::Kind::kConst, "z[0]", "", true});
@@ -268,26 +271,12 @@ TEST(Invariants, JsonRoundTrip) {
   s.add({Invariant::Kind::kComplement, "p[0]", "n[0]", false});
 
   const util::Json j = s.to_json();
-  const InvariantSet back =
-      InvariantSet::from_json(util::Json::parse(j.dump(2)));
-  EXPECT_EQ(back, s);
-  EXPECT_EQ(back.count(Invariant::Kind::kEqual), 1);
-  EXPECT_EQ(std::string(to_string(Invariant::Kind::kComplement)),
-            "complement");
-}
-
-TEST(Invariants, FromJsonRejectsMalformedInput) {
-  EXPECT_THROW(InvariantSet::from_json(util::Json::object()),
-               std::invalid_argument);
-  util::Json j = util::Json::object();
-  util::Json arr = util::Json::array();
-  util::Json bad = util::Json::object();
-  bad.set("kind", util::Json("no-such-kind"));
-  bad.set("a", util::Json("x[0]"));
-  arr.push(bad);
-  j.set("invariants", arr);
-  EXPECT_THROW(InvariantSet::from_json(j), std::invalid_argument);
-  EXPECT_THROW(invariant_kind_from_string("bogus"), std::invalid_argument);
+  EXPECT_EQ(util::Json::parse(j.dump(2)).dump(2), j.dump(2));
+  EXPECT_EQ(j.dump(),
+            R"({"invariants":[{"kind":"const","a":"z[0]","value":true},)"
+            R"({"kind":"equal","a":"p[0]","b":"q[0]"},)"
+            R"({"kind":"complement","a":"p[0]","b":"n[0]"}]})");
+  EXPECT_EQ(s.count(Invariant::Kind::kEqual), 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -357,28 +357,46 @@ TEST(Campaign, ProtocolFaultsCaughtByLockstepOnly) {
   EXPECT_EQ(protocol_rows, 4);
 }
 
+// Campaign reports are write-only: a parse of the JSON text re-dumps it
+// byte for byte, and it carries the header, every row's fault and cells,
+// the control run and the score. (The pinned benchmark hash below pins
+// the bytes of one full report.)
 TEST(Campaign, ReportJsonRoundTrip) {
   fault::CampaignOptions opt = small_campaign(1);
-  opt.run_mc = false;  // keep the round-trip fixture fast
+  opt.run_mc = false;  // keep the fixture fast
   const fault::CampaignReport report = fault::run_campaign(opt);
-  const fault::CampaignReport back =
-      fault::CampaignReport::from_json(report.to_json());
-  EXPECT_EQ(back.banks, report.banks);
-  EXPECT_EQ(back.seed, report.seed);
-  EXPECT_EQ(back.transactions, report.transactions);
-  EXPECT_EQ(back.checkers, report.checkers);
-  EXPECT_EQ(back.clean_ok, report.clean_ok);
-  ASSERT_EQ(back.rows.size(), report.rows.size());
+  const std::string text = report.to_json().dump(2);
+  const util::Json j = util::Json::parse(text);
+  EXPECT_EQ(j.dump(2), text);
+  EXPECT_EQ(j.find("banks")->as_int(), report.banks);
+  EXPECT_EQ(j.find("seed")->as_int(), static_cast<std::int64_t>(report.seed));
+  EXPECT_EQ(j.find("transactions")->as_int(), report.transactions);
+  std::vector<std::string> checkers;
+  for (const util::Json& c : j.find("checkers")->items()) {
+    checkers.push_back(c.as_string());
+  }
+  EXPECT_EQ(checkers, report.checkers);
+  EXPECT_EQ(j.find("clean")->find("ok")->as_bool(), report.clean_ok);
+  const util::Json& rows = *j.find("rows");
+  ASSERT_EQ(rows.size(), report.rows.size());
   for (std::size_t i = 0; i < report.rows.size(); ++i) {
-    EXPECT_EQ(back.rows[i].fault, report.rows[i].fault);
-    ASSERT_EQ(back.rows[i].cells.size(), report.rows[i].cells.size());
-    for (std::size_t c = 0; c < report.rows[i].cells.size(); ++c) {
-      EXPECT_EQ(back.rows[i].cells[c].checker, report.rows[i].cells[c].checker);
-      EXPECT_EQ(back.rows[i].cells[c].outcome, report.rows[i].cells[c].outcome);
-      EXPECT_EQ(back.rows[i].cells[c].detail, report.rows[i].cells[c].detail);
+    const fault::CampaignRow& row = report.rows[i];
+    const util::Json& jr = rows.items()[i];
+    EXPECT_EQ(fault::FaultSpec::from_json(*jr.find("fault")), row.fault);
+    EXPECT_EQ(jr.find("caught")->as_bool(), row.caught());
+    const util::Json& cells = *jr.find("cells");
+    ASSERT_EQ(cells.size(), row.cells.size());
+    for (std::size_t c = 0; c < row.cells.size(); ++c) {
+      const util::Json& cell = cells.items()[c];
+      EXPECT_EQ(cell.find("checker")->as_string(), row.cells[c].checker);
+      EXPECT_EQ(cell.find("outcome")->as_string(),
+                fault::to_string(row.cells[c].outcome));
+      EXPECT_EQ(cell.find("detail")->as_string(), row.cells[c].detail);
     }
   }
-  EXPECT_DOUBLE_EQ(back.mutation_score(), report.mutation_score());
+  EXPECT_EQ(j.find("caught")->as_int(), report.caught_count());
+  EXPECT_DOUBLE_EQ(j.find("mutation_score")->as_double(),
+                   report.mutation_score());
 }
 
 TEST(Campaign, SameSeedSameReport) {

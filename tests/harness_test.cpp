@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "harness/adapters.hpp"
 #include "harness/lane_batch.hpp"
@@ -131,13 +134,8 @@ TEST(TraceRecorder, SeedDeterminism) {
   EXPECT_TRUE(first == second);
 }
 
-// Byte-level reproducibility: the serialized trace of a fixed-seed run
-// hashes to a pinned golden value. Any nondeterminism on the stimulus or
-// trace path — hash-ordered containers, unseeded randomness, pointer
-// ordering — breaks this test before it can corrupt a campaign. If a
-// deliberate format or RTL change moves the hash, re-pin it from the
-// printed actual value.
-TEST(TraceRecorder, GoldenHashByteReproducibility) {
+// The fixed-seed 2-bank RTL run whose JSON and VCD exports are pinned.
+harness::TraceRecorder golden_rtl_trace() {
   const harness::Geometry g{2, 2, kDataBits};
   harness::RtlDeviceModel rtl(rtl_config(2, 2));
   harness::TraceRecorder recorder(g, rtl.tap_names());
@@ -156,6 +154,17 @@ TEST(TraceRecorder, GoldenHashByteReproducibility) {
     rtl.apply_edge(pins);
     recorder.record(tick, pins, rtl);
   }
+  return recorder;
+}
+
+// Byte-level reproducibility: the serialized trace of a fixed-seed run
+// hashes to a pinned golden value. Any nondeterminism on the stimulus or
+// trace path — hash-ordered containers, unseeded randomness, pointer
+// ordering — breaks this test before it can corrupt a campaign. If a
+// deliberate format or RTL change moves the hash, re-pin it from the
+// printed actual value.
+TEST(TraceRecorder, GoldenHashByteReproducibility) {
+  const harness::TraceRecorder recorder = golden_rtl_trace();
   const std::uint64_t hash = util::fnv1a64(recorder.to_json().dump());
   EXPECT_EQ(hash, 0x24c7f58d1a722a00ull)
       << "actual hash: 0x" << std::hex << hash;
@@ -181,6 +190,49 @@ TEST(TraceRecorder, JsonExportRoundTrips) {
 
   const std::string vcd = testing::TempDir() + "harness_trace.vcd";
   EXPECT_TRUE(recorder.write_vcd(vcd));
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// TraceRecorder::write_vcd is the one waveform writer: a header declaring
+// every pin and tap, then one timestep per recorded tick.
+TEST(Vcd, ProducesHeaderAndChanges) {
+  harness::BehavioralDeviceModel beh(behavioural_config(1, 2));
+  harness::TraceRecorder recorder(beh.geometry(), beh.tap_names());
+  harness::Stimulus s;
+  s.read = true;
+  s.read_addr = 1;
+  beh.enqueue(s);
+  for (int t = 0; t < 8; ++t) {
+    recorder.record(t, beh.tick(harness::edge_of_tick(t)), beh);
+  }
+  const std::string path = testing::TempDir() + "la1_vcd_test.vcd";
+  ASSERT_TRUE(recorder.write_vcd(path));
+  const std::string vcd = read_file(path);
+  EXPECT_EQ(vcd.rfind("$timescale 1ns $end\n", 0), 0u);
+  EXPECT_NE(vcd.find("$var wire 1 ! K $end"), std::string::npos);
+  EXPECT_NE(vcd.find("$enddefinitions $end"), std::string::npos);
+  EXPECT_NE(vcd.find("\n#7\n"), std::string::npos);
+  EXPECT_NE(vcd.find("\n#8\n"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+// Golden-file regression for the VCD writer: a seeded run must emit a
+// byte-identical file forever. Any nondeterminism on the dump path (wall
+// clock in the header, container ordering, format drift) moves the hash.
+// If a deliberate format change moves it, re-pin from the printed value.
+TEST(Vcd, GoldenHashByteReproducibility) {
+  const std::string path = testing::TempDir() + "la1_vcd_golden.vcd";
+  ASSERT_TRUE(golden_rtl_trace().write_vcd(path));
+  const std::uint64_t hash = util::fnv1a64(read_file(path));
+  EXPECT_EQ(hash, 0x127e2c7ad08aa03eull)
+      << "actual hash: 0x" << std::hex << hash;
+  std::remove(path.c_str());
 }
 
 // A zero-transaction stream is a legal lockstep run: only drain ticks,

@@ -181,8 +181,8 @@ TEST(XSafety, ClassCharsRoundTrip) {
 // Injected-defect fixtures: each trips exactly its own rule.
 
 TEST(PlanRules, EveryFixtureTripsExactlyItsRule) {
-  for (const InjectedDefect& d : injected_defects()) {
-    const CompilePlan p = analyze_injected(d.name);
+  for (const lint::Defect<CompilePlan>& d : injected_defects()) {
+    const CompilePlan p = lint::find_defect(injected_defects(), d.name).run();
     ASSERT_EQ(p.findings.size(), 1u)
         << d.name << " tripped " << p.findings.size() << " findings";
     EXPECT_EQ(p.findings.findings().front().rule_id, d.expected_rule)
@@ -192,7 +192,7 @@ TEST(PlanRules, EveryFixtureTripsExactlyItsRule) {
 
 TEST(PlanRules, CatalogCoversAllFourRules) {
   std::vector<std::string> rules;
-  for (const InjectedDefect& d : injected_defects()) {
+  for (const lint::Defect<CompilePlan>& d : injected_defects()) {
     rules.push_back(d.expected_rule);
   }
   EXPECT_EQ(rules, (std::vector<std::string>{
@@ -201,7 +201,16 @@ TEST(PlanRules, CatalogCoversAllFourRules) {
 }
 
 TEST(PlanRules, UnknownFixtureNameThrows) {
-  EXPECT_THROW(analyze_injected("no-such-defect"), std::invalid_argument);
+  try {
+    lint::find_defect(injected_defects(), "no-such-defect");
+    FAIL() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "known: x-live-hotpath, port-conflict, tristate-lower, "
+                  "sched-diverge"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(PlanRules, ExclusiveWritePortsDoNotConflict) {
@@ -259,13 +268,50 @@ TEST(PlanSummary, WideNetsCostOneSlotPerWord) {
 }
 
 // ---------------------------------------------------------------------------
-// CompilePlan JSON round-trip.
+// CompilePlan JSON export.
+
+// Plans are write-only: a parse of the JSON text re-dumps it byte for byte
+// (doubles included), and it carries every header, per-net, schedule, cost
+// and finding field of the plan.
+void expect_plan_json(const CompilePlan& p) {
+  const std::string text = p.to_json().dump(2);
+  const util::Json j = util::Json::parse(text);
+  EXPECT_EQ(j.dump(2), text);
+  EXPECT_EQ(j.find("target")->as_string(), p.target);
+  EXPECT_EQ(j.find("banks")->as_int(), p.banks);
+  EXPECT_EQ(j.find("cycles_analyzed")->as_int(), p.cycles_analyzed);
+  EXPECT_EQ(j.find("periodic")->as_bool(), p.periodic);
+  EXPECT_EQ(j.find("period_start")->as_int(), p.period_start);
+  const util::Json& nets = *j.find("two_state")->find("nets");
+  ASSERT_EQ(nets.size(), p.nets.size());
+  for (std::size_t i = 0; i < p.nets.size(); ++i) {
+    const util::Json& e = nets.items()[i];
+    EXPECT_EQ(e.find("net")->as_string(), p.nets[i].net);
+    EXPECT_EQ(e.find("width")->as_int(), p.nets[i].width);
+    EXPECT_EQ(e.find("state")->as_bool(), p.nets[i].is_state);
+    EXPECT_EQ(e.find("classes")->as_string(), p.nets[i].classes);
+    EXPECT_EQ(e.find("settle")->as_int(), p.nets[i].settle);
+  }
+  const util::Json& s = *j.find("schedule");
+  EXPECT_EQ(s.find("nodes")->as_int(), p.schedule.nodes);
+  EXPECT_EQ(s.find("depth")->as_int(), p.schedule.depth);
+  EXPECT_EQ(s.find("comb_ops")->as_int(), p.schedule.comb_ops);
+  EXPECT_EQ(s.find("seq_ops")->as_int(), p.schedule.seq_ops);
+  EXPECT_EQ(s.find("resident_slots")->as_int(), p.schedule.resident_slots);
+  EXPECT_EQ(s.find("peak_temp_slots")->as_int(), p.schedule.peak_temp_slots);
+  EXPECT_EQ(s.find("peak_slots")->as_int(), p.schedule.peak_slots);
+  const util::Json& c = *j.find("cost");
+  EXPECT_EQ(c.find("ops_per_cycle")->as_double(), p.cost.ops_per_cycle);
+  EXPECT_EQ(c.find("slot_pressure")->as_double(), p.cost.slot_pressure);
+  EXPECT_EQ(c.find("x_sideband_fraction")->as_double(),
+            p.cost.x_sideband_fraction);
+  EXPECT_EQ(c.find("predicted")->as_double(), p.cost.predicted);
+  EXPECT_TRUE(*j.find("findings") == p.findings.to_json());
+}
 
 TEST(CompilePlanJson, RoundTripIsExact) {
-  const CompilePlan p = analyze_injected("x-live-hotpath");
-  const util::Json j = p.to_json();
-  const CompilePlan back = CompilePlan::from_json(util::Json::parse(j.dump(2)));
-  EXPECT_TRUE(back == p);
+  expect_plan_json(
+      lint::find_defect(injected_defects(), "x-live-hotpath").run());
 }
 
 TEST(CompilePlanJson, StockDeviceRoundTripsThroughText) {
@@ -275,16 +321,7 @@ TEST(CompilePlanJson, StockDeviceRoundTripsThroughText) {
   const rtl::Module flat = dev.flatten();
   PlanOptions opt;
   opt.schedule = core::clock_schedule(flat);
-  const CompilePlan p = analyze(flat, opt);
-  const CompilePlan back = CompilePlan::from_json(util::Json::parse(p.to_json().dump(2)));
-  EXPECT_TRUE(back == p);
-}
-
-TEST(CompilePlanJson, FromJsonRejectsMalformedInput) {
-  EXPECT_THROW(CompilePlan::from_json(util::Json::parse("[]")),
-               std::invalid_argument);
-  EXPECT_THROW(CompilePlan::from_json(util::Json::parse("{\"target\": 3}")),
-               std::invalid_argument);
+  expect_plan_json(analyze(flat, opt));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,19 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "sim/clock.hpp"
-#include "sim/fifo.hpp"
 #include "sim/kernel.hpp"
 #include "sim/module.hpp"
-#include "sim/report.hpp"
 #include "sim/signal.hpp"
-#include "sim/sync.hpp"
-#include "sim/vcd.hpp"
-#include "util/rng.hpp"
-#include "util/strings.hpp"
 
 namespace la1::sim {
 namespace {
@@ -156,128 +146,6 @@ TEST(ClockPair, KAndKsAlternate) {
   for (std::size_t i = 0; i + 1 < sequence.size(); ++i) {
     EXPECT_NE(sequence[i], sequence[i + 1]) << "edges must alternate at " << i;
   }
-}
-
-TEST(Fifo, WriteVisibleNextDelta) {
-  Kernel k;
-  Fifo<int> f(k, "f", 4);
-  EXPECT_TRUE(f.nb_write(1));
-  EXPECT_TRUE(f.empty());  // not yet committed
-  k.run(1);
-  EXPECT_EQ(f.size(), 1u);
-  int out = 0;
-  EXPECT_TRUE(f.nb_read(out));
-  EXPECT_EQ(out, 1);
-}
-
-TEST(Fifo, CapacityRespected) {
-  Kernel k;
-  Fifo<int> f(k, "f", 2);
-  EXPECT_TRUE(f.nb_write(1));
-  EXPECT_TRUE(f.nb_write(2));
-  EXPECT_FALSE(f.nb_write(3));  // full counting staged writes
-  k.run(1);
-  int out = 0;
-  EXPECT_TRUE(f.nb_read(out));
-  EXPECT_TRUE(f.nb_read(out));
-  EXPECT_FALSE(f.nb_read(out));
-}
-
-TEST(Fifo, EventsFire) {
-  Kernel k;
-  Fifo<int> f(k, "f", 2);
-  int written = 0;
-  auto& p = k.create_process("w", [&] { ++written; });
-  p.dont_initialize();
-  f.data_written_event().subscribe(p);
-  f.nb_write(7);
-  k.run(1);
-  EXPECT_EQ(written, 1);
-}
-
-TEST(Sync, MutexAndSemaphore) {
-  Kernel k;
-  Mutex m(k, "m");
-  EXPECT_TRUE(m.trylock());
-  EXPECT_FALSE(m.trylock());
-  m.unlock();
-  EXPECT_TRUE(m.trylock());
-
-  Semaphore s(k, "s", 2);
-  EXPECT_TRUE(s.trywait());
-  EXPECT_TRUE(s.trywait());
-  EXPECT_FALSE(s.trywait());
-  s.post();
-  EXPECT_TRUE(s.trywait());
-}
-
-TEST(Reporter, CountsAndFatalStops) {
-  Kernel k;
-  Reporter r(k);
-  r.report(Severity::kInfo, "t", "info");
-  r.report(Severity::kError, "t", "err");
-  EXPECT_EQ(r.count(Severity::kError), 1u);
-  EXPECT_EQ(r.count(Severity::kInfo), 1u);
-  r.report(Severity::kFatal, "t", "fatal");
-  EXPECT_TRUE(k.stopped());
-}
-
-TEST(Vcd, ProducesHeaderAndChanges) {
-  const std::string path = ::testing::TempDir() + "la1_vcd_test.vcd";
-  {
-    Kernel k;
-    Wire w(k, "w", false);
-    VcdTracer tracer(k, path);
-    tracer.trace(w, "w");
-    k.schedule(5, [&] { w.write(true); });
-    k.schedule(10, [&] { w.write(false); });
-    k.run_to_completion();
-    tracer.close();
-  }
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  const std::string s = text.str();
-  EXPECT_NE(s.find("$timescale"), std::string::npos);
-  EXPECT_NE(s.find("$var wire 1"), std::string::npos);
-  EXPECT_NE(s.find("#5"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// Golden-file regression for the VCD writer: a seeded workload must emit a
-// byte-identical file forever. Any nondeterminism on the dump path (wall
-// clock in the header, container ordering, format drift) moves the hash.
-// If a deliberate format change moves it, re-pin from the printed value.
-TEST(Vcd, GoldenHashByteReproducibility) {
-  const std::string path = ::testing::TempDir() + "la1_vcd_golden.vcd";
-  {
-    Kernel k;
-    Wire strobe(k, "strobe", false);
-    Signal<std::uint32_t> bus(k, "bus", 0);
-    VcdTracer tracer(k, path);
-    tracer.trace(strobe, "strobe");
-    tracer.trace(bus, "bus", 8);
-    util::Rng rng(2004);  // fixed seed: DATE 2004, the source paper
-    Time at = 0;
-    for (int i = 0; i < 64; ++i) {
-      at += 1 + rng.below(9);
-      const bool level = rng.next_bool();
-      const auto word = static_cast<std::uint32_t>(rng.below(256));
-      k.schedule(at, [&strobe, &bus, level, word] {
-        strobe.write(level);
-        bus.write(word);
-      });
-    }
-    k.run_to_completion();
-    tracer.close();
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream text;
-  text << in.rdbuf();
-  const std::uint64_t hash = util::fnv1a64(text.str());
-  EXPECT_EQ(hash, 0x5c60026f4d851fbbull)
-      << "actual hash: 0x" << std::hex << hash;
-  std::remove(path.c_str());
 }
 
 TEST(Kernel, StatsAccumulate) {

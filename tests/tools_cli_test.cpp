@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -209,6 +210,57 @@ TEST(ToolsCli, UnknownFailOnIsRejectedBeforeAnyAnalysis) {
     EXPECT_EQ(WEXITSTATUS(status), 2) << command;
     EXPECT_EQ(read_file(out), "error: unknown severity: bogus\n") << command;
   }
+}
+
+TEST(ToolsCli, UnknownInjectExitsTwoListingTheCatalog) {
+  // The lint, flow and plan fixture catalogs share one lookup: an unknown
+  // --inject name is a usage error that names every fixture it could be.
+  const std::string out = temp_path("la1_bad_inject.txt");
+  const std::vector<std::pair<std::string, std::string>> catalogs = {
+      {"lint",
+       "loop, double-driver, width-mismatch, no-reset, name-collision, "
+       "stuck-reg, x-reset, dead-logic, dup-reg, unsat-sere, missing-net"},
+      {"flowan", "bank-leak, ctrl-in-data, undriven-atom, dead-atom"},
+      {"plan",
+       "x-live-hotpath, port-conflict, tristate-lower, sched-diverge"},
+  };
+  for (const auto& [command, names] : catalogs) {
+    const int status =
+        std::system((std::string(LA1_LA1CHECK) + " " + command +
+                     " --inject bogus > " + out + " 2>&1")
+                        .c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << command;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+    EXPECT_EQ(read_file(out),
+              "error: unknown injected defect 'bogus' (known: " + names +
+                  ")\n")
+        << command;
+  }
+}
+
+TEST(ToolsCli, UnwritableOutputPathExitsTwo) {
+  // Every file la1check writes goes through one checked sink: a path it
+  // cannot open is an error, never a "wrote N bytes" success line.
+  const std::string out = temp_path("la1_unwritable.txt");
+  const std::string missing = temp_path("la1_no_such_dir") + "/";
+  const auto run = [&out](const std::string& args) {
+    const int status = std::system(
+        (std::string(LA1_LA1CHECK) + " " + args + " > " + out + " 2>&1")
+            .c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  EXPECT_EQ(run("verilog --out " + missing + "x.v"), 2);
+  EXPECT_EQ(read_file(out), "cannot write " + missing + "x.v\n");
+  EXPECT_EQ(run("lint --json " + missing + "x.json"), 2);
+  EXPECT_NE(read_file(out).find("cannot write " + missing + "x.json\n"),
+            std::string::npos)
+      << read_file(out);
+  EXPECT_EQ(run("cov --shrink --transactions 20 --out " + missing + "r.json"),
+            2);
+  EXPECT_NE(read_file(out).find("cannot write " + missing + "r.json\n"),
+            std::string::npos)
+      << read_file(out);
+  EXPECT_EQ(read_file(out).find("wrote"), std::string::npos) << read_file(out);
 }
 
 TEST(ToolsCli, MalformedNumbersExitTwoNamingTheFlag) {

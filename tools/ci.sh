@@ -209,27 +209,44 @@ smoke_dir="${TMPDIR:-/tmp}/la1-ci-smoke.$$"
 mkdir -p "$smoke_dir"
 trap 'rm -rf "$smoke_dir"' EXIT
 
+# check_injected COMMAND EXACT DEFECT:RULE...: each injected-defect fixture
+# must fail `la1check COMMAND --inject DEFECT --fail-on warn` and report
+# RULE; with EXACT=1 the report must carry that one finding and no other.
+check_injected() {
+  inj_cmd=$1
+  inj_exact=$2
+  shift 2
+  for pair in "$@"; do
+    defect=${pair%%:*}
+    rule=${pair#*:}
+    inj_json="$smoke_dir/$inj_cmd-$defect.json"
+    if "$build_dir/tools/la1check" "$inj_cmd" --inject "$defect" \
+         --fail-on warn --json "$inj_json" > /dev/null; then
+      echo "ci: $inj_cmd --inject $defect unexpectedly passed" >&2
+      exit 1
+    fi
+    grep -q "\"rule_id\": \"$rule\"" "$inj_json"
+    if [ "$inj_exact" -eq 1 ] &&
+       [ "$(grep -c '"rule_id"' "$inj_json")" -ne 1 ]; then
+      echo "ci: $inj_cmd --inject $defect tripped more than its own rule" >&2
+      exit 1
+    fi
+  done
+}
+
 # Static-lint gate: the stock device must lint clean (no errors), and every
 # injected-defect fixture must fail and report its expected rule id.
 "$build_dir/tools/la1check" lint --banks 4 --fail-on error \
   --json "$smoke_dir/lint.json" > /dev/null
 grep -q '"errors": 0' "$smoke_dir/lint.json"
 
-for pair in loop:NET-COMB-LOOP double-driver:NET-MULTI-DRIVE \
-            width-mismatch:NET-MEM-ADDR no-reset:NET-NO-RESET \
-            name-collision:NET-NAME-COLLISION unsat-sere:PSL-UNSAT \
-            missing-net:PSL-MISSING-NET stuck-reg:NET-CONST \
-            x-reset:NET-X-RESET dead-logic:NET-DEAD-LOGIC \
-            dup-reg:NET-EQUIV-REG; do
-  defect=${pair%%:*}
-  rule=${pair#*:}
-  if "$build_dir/tools/la1check" lint --inject "$defect" --fail-on warn \
-       --json "$smoke_dir/lint-$defect.json" > /dev/null; then
-    echo "ci: lint --inject $defect unexpectedly passed" >&2
-    exit 1
-  fi
-  grep -q "\"rule_id\": \"$rule\"" "$smoke_dir/lint-$defect.json"
-done
+check_injected lint 0 \
+  loop:NET-COMB-LOOP double-driver:NET-MULTI-DRIVE \
+  width-mismatch:NET-MEM-ADDR no-reset:NET-NO-RESET \
+  name-collision:NET-NAME-COLLISION unsat-sere:PSL-UNSAT \
+  missing-net:PSL-MISSING-NET stuck-reg:NET-CONST \
+  x-reset:NET-X-RESET dead-logic:NET-DEAD-LOGIC \
+  dup-reg:NET-EQUIV-REG
 gate_done "static-lint gate passed"
 
 # MSC spec gate: every shipped chart must parse, validate, and compile, and
@@ -266,17 +283,9 @@ for banks in 1 2 4; do
   grep -q '"warnings": 0' "$smoke_dir/flowan-$banks.json"
 done
 
-for pair in bank-leak:FLOW-BANK-LEAK ctrl-in-data:FLOW-CTRL-IN-DATA \
-            undriven-atom:FLOW-UNDRIVEN-ATOM dead-atom:FLOW-DEAD-ATOM; do
-  defect=${pair%%:*}
-  rule=${pair#*:}
-  if "$build_dir/tools/la1check" flowan --inject "$defect" --fail-on warn \
-       --json "$smoke_dir/flowan-$defect.json" > /dev/null; then
-    echo "ci: flowan --inject $defect unexpectedly passed" >&2
-    exit 1
-  fi
-  grep -q "\"rule_id\": \"$rule\"" "$smoke_dir/flowan-$defect.json"
-done
+check_injected flowan 0 \
+  bank-leak:FLOW-BANK-LEAK ctrl-in-data:FLOW-CTRL-IN-DATA \
+  undriven-atom:FLOW-UNDRIVEN-ATOM dead-atom:FLOW-DEAD-ATOM
 gate_done "flow-analysis gate passed"
 
 # Lowering-legality gate (opt-in: --plan): the compile planner must prove at
@@ -291,24 +300,9 @@ if [ "$plan" -eq 1 ]; then
       --min-two-state 90 --json "$smoke_dir/plan-$banks.json" > /dev/null
     grep -q '"findings": \[\]' "$smoke_dir/plan-$banks.json"
   done
-  for pair in x-live-hotpath:PLAN-X-LIVE-HOTPATH \
-              port-conflict:PLAN-PORT-CONFLICT \
-              tristate-lower:PLAN-TRISTATE-LOWER \
-              sched-diverge:PLAN-SCHED-DIVERGE; do
-    defect=${pair%%:*}
-    rule=${pair#*:}
-    if "$build_dir/tools/la1check" plan --inject "$defect" --fail-on warn \
-         --json "$smoke_dir/plan-$defect.json" > /dev/null; then
-      echo "ci: plan --inject $defect unexpectedly passed" >&2
-      exit 1
-    fi
-    grep -q "\"rule_id\": \"$rule\"" "$smoke_dir/plan-$defect.json"
-    # Exactly its rule: the report carries one finding, no stray ids.
-    if [ "$(grep -c '"rule_id"' "$smoke_dir/plan-$defect.json")" -ne 1 ]; then
-      echo "ci: plan --inject $defect tripped more than its own rule" >&2
-      exit 1
-    fi
-  done
+  check_injected plan 1 \
+    x-live-hotpath:PLAN-X-LIVE-HOTPATH port-conflict:PLAN-PORT-CONFLICT \
+    tristate-lower:PLAN-TRISTATE-LOWER sched-diverge:PLAN-SCHED-DIVERGE
   gate_done "lowering-legality gate passed (banks 1, 2 and 4)"
 fi
 

@@ -162,6 +162,19 @@ std::optional<lint::Severity> fail_threshold(const util::Cli& cli) {
   return lint::severity_from_string(text);
 }
 
+/// The one file sink: writes `text` to `path`, or prints
+/// "cannot write <path>" and returns false (the caller exits 2).
+bool write_file(const std::string& path, const std::string& text) {
+  std::ofstream f(path);
+  f << text;
+  f.flush();
+  if (!f) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// The --json FILE|- sink: "-" prints `doc` to stdout, a path writes it and
 /// says so, naming the contents `what`; empty writes nothing. False when the
 /// file cannot be written.
@@ -172,12 +185,7 @@ bool write_json(const std::string& dest, const util::Json& doc,
     std::fputs((doc.dump(2) + "\n").c_str(), stdout);
     return true;
   }
-  std::ofstream f(dest);
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", dest.c_str());
-    return false;
-  }
-  f << doc.dump(2) << '\n';
+  if (!write_file(dest, doc.dump(2) + "\n")) return false;
   std::printf("wrote %s to %s\n", what, dest.c_str());
   return true;
 }
@@ -326,8 +334,7 @@ int run_verilog(const util::Cli& cli) {
   if (out.empty()) {
     std::fputs(verilog.c_str(), stdout);
   } else {
-    std::ofstream f(out);
-    f << verilog;
+    if (!write_file(out, verilog)) return 2;
     std::printf("wrote %zu bytes to %s\n", verilog.size(), out.c_str());
   }
   return 0;
@@ -341,7 +348,7 @@ int run_lint(const util::Cli& cli) {
   if (cli.has("inject")) {
     const std::string name = cli.get("inject", "");
     target = "injected defect '" + name + "'";
-    report = lint::lint_injected(name);
+    report = lint::find_defect(lint::injected_defects(), name).run();
   } else {
     const int banks = static_cast<int>(cli.get_int("banks", 1));
     target = std::to_string(banks) + "-bank device";
@@ -599,12 +606,7 @@ int run_cov_shrink(const util::Cli& cli) {
     doc.set("stream", result.stream.to_json());
     doc.set("fault", spec.to_json());
     doc.set("transactions", transactions);
-    std::ofstream f(out);
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      return 2;
-    }
-    f << doc.dump(2) << '\n';
+    if (!write_file(out, doc.dump(2) + "\n")) return 2;
     std::printf("wrote reproducer to %s\n", out.c_str());
   }
   return result.failure_preserved ? 0 : 1;
@@ -764,7 +766,7 @@ int run_flowan(const util::Cli& cli) {
 
   if (cli.has("inject")) {
     const std::string name = cli.get("inject", "");
-    report = flow::analyze_injected(name);
+    report = lint::find_defect(flow::injected_defects(), name).run();
   } else {
     const int banks = static_cast<int>(cli.get_int("banks", 1));
     // Model-checking geometry: the same netlist the symbolic engine (and
@@ -803,7 +805,8 @@ int run_plan(const util::Cli& cli) {
 
   plan::CompilePlan p;
   if (cli.has("inject")) {
-    p = plan::analyze_injected(cli.get("inject", ""));
+    const std::string name = cli.get("inject", "");
+    p = lint::find_defect(plan::injected_defects(), name).run();
   } else {
     const int banks = static_cast<int>(cli.get_int("banks", 1));
     // Full production geometry: the plan targets the compiled bit-parallel

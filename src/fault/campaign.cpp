@@ -67,55 +67,6 @@ double CampaignReport::mutation_score() const {
 
 namespace {
 
-/// The symbolic-MC column: re-applies the structural fault to the reduced
-/// model-checking geometry and checks the RTL property suite under the
-/// campaign budget. Any Falsified property catches the fault; an
-/// inconclusive (BoundedPass/Unknown) run with no Falsified property is a
-/// timeout, not a miss.
-CampaignCell mc_cell(const CampaignOptions& options, const FaultSpec& spec) {
-  CampaignCell cell;
-  cell.checker = "mc";
-  if (!is_structural(spec.kind)) {
-    cell.outcome = CellOutcome::kNotApplicable;
-    cell.detail = "protocol fault: not expressible as a netlist mutant";
-    return cell;
-  }
-  const core::RtlConfig mc_cfg = core::RtlConfig::model_checking(options.banks);
-  core::RtlDevice dev = core::build_device(mc_cfg);
-  rtl::Module flat = dev.flatten();
-  apply_structural(flat, spec);
-  const rtl::Module expanded = rtl::expand_memories(flat);
-  const rtl::BitBlast bb =
-      rtl::bitblast(expanded, core::clock_schedule(flat));
-
-  mc::SymbolicOptions sopt;
-  sopt.budget = options.mc_budget;
-  bool inconclusive = false;
-  std::string inconclusive_reason;
-  for (const auto& [name, prop] : core::rtl_properties(mc_cfg)) {
-    const mc::SymbolicResult r = mc::check(bb, prop, sopt);
-    if (r.verdict.kind == mc::Verdict::Kind::kFalsified) {
-      cell.outcome = CellOutcome::kCaught;
-      cell.detail = name + " falsified at depth " +
-                    std::to_string(r.verdict.depth);
-      if (r.verdict.retries > 0) cell.detail += " (after retry)";
-      return cell;
-    }
-    if (!r.verdict.decisive()) {
-      inconclusive = true;
-      inconclusive_reason = name + ": " + r.verdict.reason;
-    }
-  }
-  if (inconclusive) {
-    cell.outcome = CellOutcome::kTimeout;
-    cell.detail = inconclusive_reason;
-  } else {
-    cell.outcome = CellOutcome::kMissed;
-    cell.detail = "all properties proven on the mutant";
-  }
-  return cell;
-}
-
 /// Activation-aware SEU scheduling. A transient bit flip is only
 /// observable if it lands while the affected pipeline is live; a flip in
 /// an idle read-data register is recomputed away one cycle later. The
@@ -187,19 +138,43 @@ void schedule_bitflips(std::vector<FaultSpec>& plan,
 /// The most mutants one lane batch holds: lane 0 is the golden device.
 constexpr std::size_t kMaxBatchMutants = 63;
 
+/// The model-checking geometry's device, mutated by `spec` when non-null,
+/// bit-blasted for the symbolic-MC column.
+rtl::BitBlast mc_blast(int banks, const FaultSpec* spec) {
+  core::RtlDevice dev =
+      core::build_device(core::RtlConfig::model_checking(banks));
+  rtl::Module flat = dev.flatten();
+  if (spec != nullptr) apply_structural(flat, *spec);
+  const rtl::Module expanded = rtl::expand_memories(flat);
+  return rtl::bitblast(expanded, core::clock_schedule(flat));
+}
+
+/// One compiled row of the symbolic-MC suite.
+struct McRow {
+  std::string name;
+  mc::Observer observer;
+};
+
 /// Everything both campaign entry points derive before the per-fault work:
 /// the simulation geometry, the activation-scheduled fault plan, the lane
 /// batch size, the shared PSL suite and its determinized monitors (one
-/// table per assert or assume directive, in vunit order). Pure function of
-/// `options`.
+/// table per assert or assume directive, in vunit order), and the
+/// symbolic-MC suite compiled once for the control run and every mutant
+/// check. Pure function of `options`; read-only once built, so shards on
+/// any worker share it.
 struct CampaignSetup {
   core::RtlConfig rtl_cfg;
   std::vector<FaultSpec> plan;
   /// Mutants per lane batch: a compiled batch fills one Machine; on the
   /// interpreted backend every fault is its own batch (and its own shard).
   std::size_t batch_mutants = 1;
-  psl::VUnit vunit;
+  psl::VUnit vunit{"fault_campaign"};
   std::vector<psl::DfaTable> monitors;
+  /// With the MC column on: the stock model-checking blast (the control
+  /// run's design) and one observer per core::rtl_properties row, each
+  /// row linted against that blast. Both empty with the column off.
+  rtl::BitBlast mc_stock;
+  std::vector<McRow> mc_suite;
 
   std::size_t batches() const {
     return (plan.size() + batch_mutants - 1) / batch_mutants;
@@ -207,7 +182,7 @@ struct CampaignSetup {
 };
 
 CampaignSetup campaign_setup(const CampaignOptions& options) {
-  CampaignSetup s{core::RtlConfig{}, {}, 1, psl::VUnit("fault_campaign"), {}};
+  CampaignSetup s;
   s.rtl_cfg.banks = options.banks;
   s.rtl_cfg.data_bits = options.data_bits;
   s.rtl_cfg.mem_addr_bits = options.mem_addr_bits;
@@ -227,7 +202,76 @@ CampaignSetup campaign_setup(const CampaignOptions& options) {
     s.monitors.push_back(psl::determinize(prop));
     s.vunit.add_assert(std::move(name), std::move(prop));
   }
+  // The MC suite depends only on the property, never on the mutant: lint
+  // and determinize each row here, once (a row the lint rejects throws
+  // std::invalid_argument). Atoms are still resolved on every blast.
+  if (options.run_mc) {
+    s.mc_stock = mc_blast(options.banks, nullptr);
+    for (const auto& [name, prop] :
+         core::rtl_properties(core::RtlConfig::model_checking(options.banks))) {
+      mc::preflight_lint(s.mc_stock, prop);
+      s.mc_suite.push_back(McRow{name, mc::build_observer(prop)});
+    }
+  }
   return s;
+}
+
+/// Checks `bb` against the compiled MC suite under the campaign budget,
+/// row by row in catalog order, handing each row's name and result to
+/// `visit`; a false return stops the walk.
+template <typename Visit>
+void check_mc_suite(const CampaignOptions& options, const CampaignSetup& setup,
+                    const rtl::BitBlast& bb, Visit visit) {
+  mc::SymbolicOptions sopt;
+  sopt.budget = options.mc_budget;
+  for (const McRow& row : setup.mc_suite) {
+    if (!visit(row.name, mc::check(bb, row.observer, sopt))) return;
+  }
+}
+
+/// The symbolic-MC column: re-applies the structural fault to the reduced
+/// model-checking geometry and checks the compiled RTL property suite
+/// under the campaign budget. Any Falsified property catches the fault; an
+/// inconclusive (BoundedPass/Unknown) run with no Falsified property is a
+/// timeout, not a miss.
+CampaignCell mc_cell(const CampaignOptions& options, const CampaignSetup& setup,
+                     const FaultSpec& spec) {
+  CampaignCell cell;
+  cell.checker = "mc";
+  if (!is_structural(spec.kind)) {
+    cell.outcome = CellOutcome::kNotApplicable;
+    cell.detail = "protocol fault: not expressible as a netlist mutant";
+    return cell;
+  }
+  bool caught = false;
+  bool inconclusive = false;
+  std::string inconclusive_reason;
+  check_mc_suite(
+      options, setup, mc_blast(options.banks, &spec),
+      [&](const std::string& name, const mc::SymbolicResult& r) {
+        if (r.verdict.kind == mc::Verdict::Kind::kFalsified) {
+          caught = true;
+          cell.detail = name + " falsified at depth " +
+                        std::to_string(r.verdict.depth);
+          if (r.verdict.retries > 0) cell.detail += " (after retry)";
+          return false;
+        }
+        if (!r.verdict.decisive()) {
+          inconclusive = true;
+          inconclusive_reason = name + ": " + r.verdict.reason;
+        }
+        return true;
+      });
+  if (caught) {
+    cell.outcome = CellOutcome::kCaught;
+  } else if (inconclusive) {
+    cell.outcome = CellOutcome::kTimeout;
+    cell.detail = inconclusive_reason;
+  } else {
+    cell.outcome = CellOutcome::kMissed;
+    cell.detail = "all properties proven on the mutant";
+  }
+  return cell;
 }
 
 /// The campaign's PSL suite on every lane at once: each determinized
@@ -576,21 +620,14 @@ std::vector<std::string> control_alarms(const CampaignOptions& options,
     }
   }
   if (options.run_mc) {
-    const core::RtlConfig mc_cfg =
-        core::RtlConfig::model_checking(options.banks);
-    core::RtlDevice dev = core::build_device(mc_cfg);
-    const rtl::Module flat = dev.flatten();
-    const rtl::Module expanded = rtl::expand_memories(flat);
-    const rtl::BitBlast bb =
-        rtl::bitblast(expanded, core::clock_schedule(flat));
-    mc::SymbolicOptions sopt;
-    sopt.budget = options.mc_budget;
-    for (const auto& [name, prop] : core::rtl_properties(mc_cfg)) {
-      const mc::SymbolicResult r = mc::check(bb, prop, sopt);
-      if (r.verdict.kind == mc::Verdict::Kind::kFalsified) {
-        alarms.push_back("mc: " + name + " falsified on the stock device");
-      }
-    }
+    check_mc_suite(
+        options, setup, setup.mc_stock,
+        [&](const std::string& name, const mc::SymbolicResult& r) {
+          if (r.verdict.kind == mc::Verdict::Kind::kFalsified) {
+            alarms.push_back("mc: " + name + " falsified on the stock device");
+          }
+          return true;
+        });
   }
   return alarms;
 }
@@ -615,8 +652,9 @@ bool needs_mc_check(const CampaignOptions& options, const FaultSpec& spec) {
 
 /// The mc cell of `spec`: the symbolic check, n/a for a protocol fault, or
 /// n/a with the column disabled.
-CampaignCell mc_column(const CampaignOptions& options, const FaultSpec& spec) {
-  if (options.run_mc) return mc_cell(options, spec);
+CampaignCell mc_column(const CampaignOptions& options,
+                       const CampaignSetup& setup, const FaultSpec& spec) {
+  if (options.run_mc) return mc_cell(options, setup, spec);
   CampaignCell cell;
   cell.checker = "mc";
   cell.outcome = CellOutcome::kNotApplicable;
@@ -711,7 +749,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
       CampaignRow row;
       row.fault = *faults[i];
       row.cells = std::move((*sim)[i]);
-      row.cells.push_back(mc_column(opt, row.fault));
+      row.cells.push_back(mc_column(opt, setup, row.fault));
       if (cancelled()) return report;
       report.rows.push_back(std::move(row));
     }
@@ -773,8 +811,8 @@ CampaignReport run_campaign_parallel(const CampaignOptions& options,
       }
       j.set("lanes", std::move(lanes));
     } else {
-      j.set("mc", cell_to_json(
-                      mc_cell(opt, setup.plan[mc_faults[shard - 1 - batches]])));
+      j.set("mc", cell_to_json(mc_cell(
+                      opt, setup, setup.plan[mc_faults[shard - 1 - batches]])));
     }
     ctx.poll();  // a cancelled shard must not pass for a finished one
     return j;
@@ -813,7 +851,7 @@ CampaignReport run_campaign_parallel(const CampaignOptions& options,
       }
     }
     if (!needs_mc_check(options, row.fault)) {
-      row.cells.push_back(mc_column(options, row.fault));
+      row.cells.push_back(mc_column(options, setup, row.fault));
     } else if (const exec::ShardResult& mc = results[mc_shard[i]]; mc.ok()) {
       row.cells.push_back(cell_from_json(*mc.value.find("mc")));
     } else {

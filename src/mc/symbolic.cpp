@@ -429,7 +429,7 @@ T tighter(T a, T b) {
 /// One full check under one variable order. Budget exhaustion lands in
 /// result.verdict (BoundedPass/Unknown); the retry policy lives in the
 /// public check().
-SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
+SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
                           const SymbolicOptions& options, VarOrder order) {
   util::CpuStopwatch cpu;
   SymbolicResult result;
@@ -444,17 +444,6 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
   bool bound_established = false;
   std::string exhausted_reason;
 
-  if (options.preflight_lint) {
-    const BitBlastSignals signals(design);
-    const lint::LintReport report =
-        lint::lint_property(prop, "property", &signals);
-    if (report.fails(lint::Severity::kError)) {
-      throw std::invalid_argument(
-          "mc::check: property rejected by static lint\n" + report.render());
-    }
-  }
-
-  const Observer obs = build_observer(prop);
   const unsigned letters = 1u << obs.atoms.size();
 
   // Invariant substitution table (empty when use_invariants and use_coi are
@@ -958,9 +947,20 @@ SymbolicResult check_once(const rtl::BitBlast& design, const psl::PropPtr& prop,
 
 }  // namespace
 
-SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
+void preflight_lint(const rtl::BitBlast& design, const psl::PropPtr& prop) {
+  const BitBlastSignals signals(design);
+  const lint::LintReport report =
+      lint::lint_property(prop, "property", &signals);
+  if (report.fails(lint::Severity::kError)) {
+    throw std::invalid_argument(
+        "mc::check: property rejected by static lint\n" + report.render());
+  }
+}
+
+SymbolicResult check(const rtl::BitBlast& design, const Observer& observer,
                      const SymbolicOptions& options) {
-  SymbolicResult first = check_once(design, prop, options, options.var_order);
+  SymbolicResult first =
+      check_once(design, observer, options, options.var_order);
   // Graceful degradation: one automatic retry under the alternate variable
   // order, with a fresh budget, when a *budgeted* run exhausted a resource.
   // Unbudgeted runs keep the historical single-shot behaviour (the Table-2
@@ -973,7 +973,7 @@ SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
   retry.var_order = options.var_order == VarOrder::kBitMajor
                         ? VarOrder::kRegisterMajor
                         : VarOrder::kBitMajor;
-  SymbolicResult second = check_once(design, prop, retry, retry.var_order);
+  SymbolicResult second = check_once(design, observer, retry, retry.var_order);
   second.cpu_seconds += first.cpu_seconds;
   if (second.verdict.decisive()) {
     second.verdict.retries = 1;
@@ -988,6 +988,17 @@ SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
   SymbolicResult& best = prefer_second ? second : first;
   best.verdict.retries = 1;
   return best;
+}
+
+SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
+                     const SymbolicOptions& options) {
+  util::CpuStopwatch cpu;
+  if (options.preflight_lint) preflight_lint(design, prop);
+  const Observer observer = build_observer(prop);
+  const double compile_cpu = cpu.seconds();
+  SymbolicResult result = check(design, observer, options);
+  result.cpu_seconds += compile_cpu;
+  return result;
 }
 
 }  // namespace la1::mc

@@ -2,7 +2,10 @@
 //
 // Pipeline (paper §5.2, Table 2):
 //   1. `build_observer` — the PSL property's monitor is determinized into a
-//      finite safety observer over its boolean atoms,
+//      finite safety observer over its boolean atoms. The observer depends
+//      only on the property, so it may come precompiled: a caller that
+//      checks one suite on many designs (the fault campaign) builds each
+//      observer once and passes it to the Observer overload of `check`,
 //   2. the bit-blasted RTL (rtl::BitBlast) and the observer are encoded as
 //      BDDs over an interleaved current/next variable order,
 //   3. reachability by image computation — monolithic transition relation or
@@ -86,9 +89,10 @@ struct SymbolicOptions {
   /// Prints per-iteration BDD sizes to stderr (debugging aid).
   bool verbose = false;
   /// Statically lint the property against the blasted design before any
-  /// BDD work; errors (missing signals, empty-language SEREs, nesting the
-  /// monitor compiler rejects) throw std::invalid_argument with the
-  /// rendered findings instead of failing deep inside the encoder.
+  /// BDD work (`preflight_lint`); errors throw std::invalid_argument with
+  /// the rendered findings instead of failing deep inside the encoder.
+  /// Read only by the property overload of `check`: an observer passed in
+  /// was compiled, and linted, by its caller.
   bool preflight_lint = true;
   /// Strengthen the encoding with sweep-proven sequential invariants
   /// (dfa/sweep.hpp) by *substitution*: a provably-constant state bit
@@ -147,7 +151,20 @@ struct SymbolicResult {
   std::vector<std::map<std::string, bool>> trace;
 };
 
-/// Checks `prop` as a safety property of the blasted design.
+/// Statically lints `prop` against the blasted design: errors (missing
+/// signals, empty-language SEREs, nesting the monitor compiler rejects)
+/// throw std::invalid_argument with the rendered findings.
+void preflight_lint(const rtl::BitBlast& design, const psl::PropPtr& prop);
+
+/// Checks the safety property `observer` tracks on the blasted design: the
+/// one engine, with its automatic variable-order retry. Atoms the design
+/// does not export throw std::invalid_argument.
+SymbolicResult check(const rtl::BitBlast& design, const Observer& observer,
+                     const SymbolicOptions& options = {});
+
+/// Checks `prop` as a safety property of the blasted design: the preflight
+/// lint (when enabled), `build_observer`, then the Observer overload.
+/// `cpu_seconds` includes the lint and the observer build.
 SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
                      const SymbolicOptions& options = {});
 

@@ -336,6 +336,11 @@ class Parser {
 
   Region parse_region() {
     const Token keyword = advance();
+    if (depth_ == kMaxDepth) {
+      fail(keyword, keyword.text + " region nested deeper than the limit of " +
+                        std::to_string(kMaxDepth));
+    }
+    ++depth_;
     Region region;
     if (keyword.text == "opt") {
       region.kind = Region::Kind::kOpt;
@@ -360,6 +365,7 @@ class Parser {
       region.items.push_back(parse_item());
     }
     advance();  // '}'
+    --depth_;
     return region;
   }
 
@@ -406,6 +412,7 @@ class Parser {
   std::vector<std::string> lines_;
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // regions open around the current item
 };
 
 }  // namespace

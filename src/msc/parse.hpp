@@ -21,6 +21,10 @@
 //              '[' NUM ('..' NUM)? ']' '(' ')' '@' ('K' | 'K#') ('/' NUM)?
 //   region  := 'opt' '{' item* '}'
 //            | 'loop' '[' NUM ']' ('period' NUM)? '{' item* '}'
+//
+// Regions nest at most kMaxDepth deep: the parser and every pass over the
+// chart recurse once per region, so deeper nesting is a diagnostic, not a
+// stack overflow.
 #pragma once
 
 #include <stdexcept>
@@ -29,6 +33,9 @@
 #include "msc/ast.hpp"
 
 namespace la1::msc {
+
+/// The deepest region nesting the parser accepts.
+inline constexpr int kMaxDepth = 256;
 
 /// One source-anchored finding.
 struct Diagnostic {

@@ -256,6 +256,26 @@ class Parser {
   }
 
  private:
+  /// One level of nesting for the scope of a recursive production,
+  /// bounded by kMaxDepth.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : depth_(&p.depth_) {
+      if (++*depth_ > kMaxDepth) {
+        --*depth_;
+        throw ParseError("nesting deeper than the limit of " +
+                             std::to_string(kMaxDepth),
+                         p.lex_.peek().at);
+      }
+    }
+    ~Nest() { --*depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    int* depth_;
+  };
+
   // --- boolean layer ----------------------------------------------------
   BExprPtr bexpr() { return b_iff_level(); }
 
@@ -287,6 +307,7 @@ class Parser {
   }
 
   BExprPtr b_unary() {
+    const Nest nest(*this);
     if (lex_.accept(Tok::kBang)) return b_not(b_unary());
     if (lex_.accept(Tok::kLParen)) {
       BExprPtr inner = bexpr();
@@ -393,6 +414,7 @@ class Parser {
   }
 
   SerePtr sere_primary() {
+    const Nest nest(*this);
     if (lex_.accept(Tok::kLBrace)) {
       SerePtr inner = sere();
       lex_.expect(Tok::kRBrace, "'}'");
@@ -452,6 +474,7 @@ class Parser {
   }
 
   PropPtr property_inner() {
+    const Nest nest(*this);
     if (lex_.accept(Tok::kAlways)) return p_always(property_inner());
     if (lex_.accept(Tok::kNever)) {
       lex_.expect(Tok::kLBrace, "'{'");
@@ -513,6 +536,7 @@ class Parser {
   }
 
   Lexer lex_;
+  int depth_ = 0;
 };
 
 }  // namespace

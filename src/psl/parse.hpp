@@ -19,7 +19,10 @@
 // Signal identifiers may contain letters, digits, '_', '.', and '#'
 // (e.g. bank0.dout_valid, W#). Every count (repetition, occurrence, goto,
 // next) is at most kMaxCount: a SERE repetition unrolls into one NFA copy
-// per count, so an unbounded count is a parse error, not a hang.
+// per count, so an unbounded count is a parse error, not a hang. Nesting
+// ('(', '{', '!', 'always') is at most kMaxDepth deep: the parser and every
+// pass over the tree recurse once per level, so unbounded nesting is a
+// parse error, not a stack overflow.
 #pragma once
 
 #include <stdexcept>
@@ -32,6 +35,10 @@ namespace la1::psl {
 /// The largest count the parser accepts in [*n], [*n:m], [->n], [=n] and
 /// next[n].
 inline constexpr int kMaxCount = 1024;
+
+/// The deepest nesting of parentheses, braces, '!' and 'always' the parser
+/// accepts.
+inline constexpr int kMaxDepth = 256;
 
 class ParseError : public std::runtime_error {
  public:

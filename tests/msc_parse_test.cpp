@@ -182,6 +182,27 @@ TEST(MscDiagnostics, UnterminatedRegion) {
   EXPECT_NE(d.message.find("unterminated"), std::string::npos);
 }
 
+// The parser recurses once per region: nesting past kMaxDepth is a
+// diagnostic anchored at the first region too deep, not a stack overflow.
+TEST(MscDiagnostics, RegionNestingIsBounded) {
+  const auto nested = [](int depth) {
+    std::string text = "msc X {\n  lifeline A\n";
+    for (int i = 0; i < depth; ++i) {
+      text += i % 2 == 0 ? "opt {\n" : "loop [2] {\n";
+    }
+    text += "A -> A : Op[0]()@K\n";
+    for (int i = 0; i < depth; ++i) text += "}\n";
+    return text + "}\n";
+  };
+  EXPECT_NO_THROW(parse_chart(nested(kMaxDepth)));
+  const Diagnostic d = diag_of(nested(kMaxDepth + 1));
+  EXPECT_EQ(d.line, 3 + kMaxDepth);
+  EXPECT_NE(d.message.find("nested deeper than the limit of " +
+                           std::to_string(kMaxDepth)),
+            std::string::npos)
+      << d.message;
+}
+
 TEST(MscDiagnostics, DuplicateLifeline) {
   const Diagnostic d = diag_of(
       "msc X {\n"

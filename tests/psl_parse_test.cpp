@@ -138,6 +138,45 @@ TEST(Parse, CountsAboveTheLimitAreADiagnostic) {
   EXPECT_THROW(parse_property("never {a[*100000]; b}"), ParseError);
 }
 
+// The parser and every pass over the tree recurse once per nesting level,
+// so nesting past kMaxDepth is a diagnostic, not a stack overflow.
+TEST(Parse, NestingDeeperThanTheLimitIsADiagnostic) {
+  const auto repeat = [](const std::string& s, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += s;
+    return out;
+  };
+  const std::string limit = "nesting deeper than the limit of " +
+                            std::to_string(kMaxDepth);
+  const auto forms = [&](int n) {
+    return std::vector<std::string>{
+        repeat("(", n) + "a" + repeat(")", n),
+        repeat("!", n) + "a",
+        repeat("always ", n) + "a",
+        "never {" + repeat("{", n) + "a" + repeat("}", n) + "}",
+        "always (a -> " + repeat("(", n) + "b" + repeat(")", n) + ")",
+    };
+  };
+  for (const std::string& deep : forms(60000)) {
+    try {
+      parse_property(deep);
+      ADD_FAILURE() << "expected ParseError on: " << deep.substr(0, 40);
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(limit), std::string::npos)
+          << e.what();
+    }
+  }
+  // Well inside the limit every form still parses.
+  for (const std::string& shallow : forms(kMaxDepth / 2)) {
+    EXPECT_NO_THROW(parse_property(shallow)) << shallow.substr(0, 40);
+  }
+  EXPECT_THROW(parse_bexpr(repeat("(", 60000) + "a" + repeat(")", 60000)),
+               ParseError);
+  EXPECT_THROW(parse_vunit("vunit v { assert p : " + repeat("!", 60000) +
+                           "a; }"),
+               ParseError);
+}
+
 /// Semantic round trip: the parsed property behaves like the built one.
 class PairEnv : public Env {
  public:

@@ -197,6 +197,51 @@ TEST(ToolsCli, SimBoundsRepetitionCountsAndChecksAtomsFirst) {
       << read_file(out);
 }
 
+TEST(ToolsCli, SimRejectsNestingDeeperThanTheLimit) {
+  // Each nesting level is one parser frame: 60,000 of them used to
+  // overflow the stack (exit 139) instead of failing with a diagnostic.
+  const std::string out = temp_path("la1_sim_nesting.txt");
+  const auto sim = [&out](const std::string& prop) {
+    const int status = std::system(("timeout 5 " + std::string(LA1_LA1CHECK) +
+                                    " sim --prop '" + prop + "' > " + out +
+                                    " 2>&1")
+                                       .c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  const std::string limit = "nesting deeper than the limit of 256";
+  EXPECT_EQ(sim(std::string(60000, '(') + "a" + std::string(60000, ')')), 2);
+  EXPECT_NE(read_file(out).find(limit), std::string::npos) << read_file(out);
+  EXPECT_EQ(sim(std::string(60000, '!') + "a"), 2);
+  EXPECT_NE(read_file(out).find(limit), std::string::npos) << read_file(out);
+}
+
+TEST(ToolsCli, MscRejectsRegionsNestedDeeperThanTheLimit) {
+  // 100,000 nested regions used to overflow the stack (exit 139); now the
+  // parser stops at the first region past the limit with a located
+  // diagnostic, exit 1 like every other chart syntax error.
+  const std::string chart = temp_path("la1_deep.msc");
+  const std::string out = temp_path("la1_msc_nesting.txt");
+  {
+    std::ofstream f(chart);
+    f << "msc Deep {\n  lifeline A\n  lifeline B\n";
+    for (int i = 0; i < 100000; ++i) f << "opt {\n";
+    f << "A -> B : Op[0]()@K\n";
+    for (int i = 0; i < 100000; ++i) f << "}\n";
+    f << "}\n";
+  }
+  const int status =
+      std::system(("timeout 5 " + std::string(LA1_LA1CHECK) + " msc " + chart +
+                   " > " + out + " 2>&1")
+                      .c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_NE(read_file(out).find(chart +
+                                ":260:1: opt region nested deeper than the "
+                                "limit of 256"),
+            std::string::npos)
+      << read_file(out).substr(0, 400);
+}
+
 TEST(ToolsCli, UnknownFailOnIsRejectedBeforeAnyAnalysis) {
   // A bad --fail-on value is a usage error reported up front: no findings
   // table, cost table or sweep listing is printed before it.

@@ -5,8 +5,8 @@
 #   tools/ci.sh                 # full build + ctest + lint gate + bench smoke
 #   tools/ci.sh --smoke-only    # skip build/ctest, just lint gate + smoke
 #   tools/ci.sh --sanitize      # tier-1 under ASan/UBSan in a separate tree
-#   tools/ci.sh --tsan          # executor/batch tests under ThreadSanitizer
-#                               # in a separate tree
+#   tools/ci.sh --tsan          # executor/batch/csim/campaign tests under
+#                               # ThreadSanitizer in a separate tree
 #   tools/ci.sh --faults        # also run the fixed-seed fault campaign gate
 #   tools/ci.sh --cov           # also run the coverage-closure + shrinker gate
 #   tools/ci.sh --batch         # also run the batch-service gate: fixed-seed
@@ -123,16 +123,20 @@ if [ "$tsan" -eq 1 ]; then
   # parallel campaign/closure drivers they schedule) under ThreadSanitizer,
   # plus the csim differential suites: compiled-backend campaigns run one
   # Machine per worker, so the suites double as a data-race check on the
-  # compile/executor seam. A separate build tree keeps instrumented objects
-  # out of the normal build; only these test binaries are built and run —
-  # TSan and ASan cannot share a process, so this complements --sanitize.
+  # compile/executor seam. The fault_test campaign suites (Campaign.*,
+  # Backends/BenchmarkCampaign.*) run the parallel campaign, whose MC shards
+  # on every worker read one compiled property suite. A separate build tree
+  # keeps instrumented objects out of the normal build; only these test
+  # binaries are built and run — TSan and ASan cannot share a process, so
+  # this complements --sanitize.
   tsan_dir="${LA1_TSAN_BUILD_DIR:-$repo_root/build-tsan}"
   cmake -B "$tsan_dir" -S "$repo_root" -DLA1_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$jobs" \
-    --target exec_determinism_test batch_test csim_parity_test csim_lane_test
+    --target exec_determinism_test batch_test csim_parity_test csim_lane_test \
+    fault_test
   (cd "$tsan_dir" && ctest --output-on-failure -j "$jobs" \
-    --timeout "$test_timeout" -R 'Exec|Batch|Csim')
-  echo "ci: executor/batch/csim tests passed under ThreadSanitizer"
+    --timeout "$test_timeout" -R 'Exec|Batch|Csim|Campaign\.')
+  echo "ci: executor/batch/csim/campaign tests passed under ThreadSanitizer"
   exit 0
 fi
 

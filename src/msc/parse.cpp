@@ -1,6 +1,8 @@
 #include "msc/parse.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -12,13 +14,21 @@ std::string Diagnostic::render() const {
   std::ostringstream out;
   out << file << ':' << line << ':' << column << ": " << message;
   if (!source_line.empty()) {
-    out << '\n' << "  " << source_line << '\n' << "  ";
+    // A long line is clipped to this many characters on each side of the
+    // caret, with "..." where it was cut.
+    constexpr std::size_t kContext = 60;
+    const std::size_t at = std::min(
+        static_cast<std::size_t>(std::max(column, 1) - 1), source_line.size());
+    const std::size_t first = at > kContext ? at - kContext : 0;
+    const std::size_t last = std::min(source_line.size(), at + kContext);
+    const char* left = first > 0 ? "..." : "";
+    out << "\n  " << left << source_line.substr(first, last - first)
+        << (last < source_line.size() ? "..." : "") << "\n  "
+        << std::string(std::strlen(left), ' ');
     // Tabs in the source line keep their width in the caret line so the
     // caret stays under the offending column.
-    for (int i = 1; i < column && i <= static_cast<int>(source_line.size());
-         ++i) {
-      out << (source_line[static_cast<std::size_t>(i - 1)] == '\t' ? '\t'
-                                                                   : ' ');
+    for (std::size_t i = first; i < at; ++i) {
+      out << (source_line[i] == '\t' ? '\t' : ' ');
     }
     out << '^';
   }

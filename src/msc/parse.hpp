@@ -45,7 +45,8 @@ struct Diagnostic {
   std::string message;
   std::string source_line;  // the full offending line, tabs preserved
 
-  /// "file:line:col: message" plus the source line and a caret.
+  /// "file:line:col: message" plus the source line (clipped around the
+  /// column when long) and a caret under the column.
   std::string render() const;
 };
 

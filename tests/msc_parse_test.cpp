@@ -3,6 +3,7 @@
 // randomly generated charts).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,33 @@ TEST(MscDiagnostics, RegionNestingIsBounded) {
                            std::to_string(kMaxDepth)),
             std::string::npos)
       << d.message;
+}
+
+// A chart written on one line (800 KB for 100,000 regions) is not echoed
+// whole into the diagnostic: only a window around the caret is.
+TEST(MscDiagnostics, LongLinesAreClippedAroundTheCaret) {
+  std::string text = "msc X { lifeline A ";
+  for (int i = 0; i < 100000; ++i) text += "opt { ";
+  text += "A -> A : Op[0]()@K ";
+  for (int i = 0; i < 100000; ++i) text += "} ";
+  const Diagnostic d = diag_of(text + "}");
+  ASSERT_EQ(d.line, 1);
+  const std::string rendered = d.render();
+  EXPECT_LT(rendered.size(), 1024u) << rendered.substr(0, 400);
+
+  // Header, clipped source line, caret line.
+  std::istringstream in(rendered);
+  std::string header, shown, caret;
+  std::getline(in, header);
+  std::getline(in, shown);
+  std::getline(in, caret);
+  EXPECT_EQ(shown.substr(0, 5), "  ...");
+  EXPECT_EQ(shown.substr(shown.size() - 3), "...");
+  const std::size_t at = caret.find('^');
+  ASSERT_NE(at, std::string::npos) << rendered;
+  ASSERT_LT(at, shown.size());
+  EXPECT_EQ(shown[at], d.source_line[static_cast<std::size_t>(d.column - 1)]);
+  EXPECT_EQ(shown.substr(at, 5), "opt {") << rendered;
 }
 
 TEST(MscDiagnostics, DuplicateLifeline) {

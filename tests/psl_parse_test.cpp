@@ -118,7 +118,7 @@ TEST(Parse, OversizedCountIsRejectedAtTheLiteral) {
 TEST(Parse, CountsAboveTheLimitAreADiagnostic) {
   const std::string over = std::to_string(kMaxCount + 1);
   const std::string at = std::to_string(kMaxCount);
-  for (const std::string& form :
+  for (const std::string form :
        {"never {a[*N]; b}", "never {a[*1:N]}", "never {a[->N]}",
         "never {a[=N]}", "always (a -> next[N] b)"}) {
     std::string bad = form;

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -16,6 +17,8 @@
 
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "util/cli.hpp"
 
 namespace la1 {
 namespace {
@@ -336,6 +339,88 @@ TEST(ToolsCli, MalformedNumbersExitTwoNamingTheFlag) {
   EXPECT_EQ(run(LA1_LA1BATCH, "run " + job + " --workers 2x"), 2);
   EXPECT_EQ(read_file(out),
             "error: --workers: expected an integer, got '2x'\n");
+}
+
+/// Runs `binary args` with stdout and stderr captured apart; the exit
+/// status, or -1 when the tool did not exit.
+int run_split(const std::string& binary, const std::string& args,
+              std::string* out, std::string* err) {
+  const std::string out_path = temp_path("la1_split_out.txt");
+  const std::string err_path = temp_path("la1_split_err.txt");
+  const int status = std::system((binary + " " + args + " > " + out_path +
+                                  " 2> " + err_path)
+                                     .c_str());
+  *out = read_file(out_path);
+  *err = read_file(err_path);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// A shipped chart, found beside the README.
+std::string example_chart() {
+  const std::string readme = LA1_README;
+  return readme.substr(0, readme.rfind('/') + 1) + "examples/read_mode.msc";
+}
+
+TEST(ToolsCli, UnknownFlagExitsTwoBeforeAnyWork) {
+  // A misspelled flag (`asm --max-state 10`) must not run the command with
+  // the flag ignored: every command refuses it before doing anything, so
+  // nothing reaches stdout and a missing job file is never even opened.
+  const std::string missing = temp_path("la1_no_such_job.json");
+  const auto check = [](const std::string& binary, const std::string& command,
+                        const std::string& operand) {
+    std::string out, err;
+    EXPECT_EQ(run_split(binary, command + operand + " --bnaks 4", &out, &err),
+              2)
+        << command;
+    EXPECT_EQ(out, "") << command;
+    EXPECT_EQ(err, "error: " + command + ": unknown option --bnaks\n")
+        << command;
+  };
+  for (const std::string& command : kExpected) {
+    check(LA1_LA1CHECK, command, command == "msc" ? " " + example_chart() : "");
+  }
+  for (const std::string& command : kBatchExpected) {
+    check(LA1_LA1BATCH, command, command == "run" ? " " + missing : "");
+  }
+}
+
+TEST(ToolsCli, BooleanFlagDoesNotSwallowThePositional) {
+  // `--lint` takes no value, so the chart path after it stays the operand.
+  std::string out, err;
+  EXPECT_EQ(run_split(LA1_LA1CHECK, "msc --lint " + example_chart() +
+                                        " --json -",
+                      &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find(example_chart() + ": chart 'ReadMode' ok"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("\"lint\": {"), std::string::npos) << out;
+}
+
+TEST(ToolsCli, OversizedInputFilesExitTwoBeforeParsing) {
+  // Every file input goes through one bounded reader. A sparse file one
+  // byte over the limit writes no data yet must be refused.
+  const std::string big = temp_path("la1_oversized.txt");
+  std::ofstream(big).close();
+  std::filesystem::resize_file(big, util::kMaxInputBytes + 1);
+  const std::string expected = "error: " + big +
+                               ": larger than the limit of " +
+                               std::to_string(util::kMaxInputBytes) +
+                               " bytes\n";
+  const std::vector<std::pair<std::string, std::string>> runs = {
+      {LA1_LA1CHECK, "msc " + big},
+      {LA1_LA1CHECK, "sim --vunit-file " + big},
+      {LA1_LA1CHECK, "lint --vunit-file " + big},
+      {LA1_LA1CHECK, "cov --replay " + big},
+      {LA1_LA1BATCH, "run " + big},
+  };
+  for (const auto& [binary, args] : runs) {
+    std::string out, err;
+    EXPECT_EQ(run_split(binary, args, &out, &err), 2) << args;
+    EXPECT_EQ(err, expected) << args;
+  }
+  std::remove(big.c_str());
 }
 
 TEST(ToolsCli, CsimSubcommandProvesParityAndReportsSpeedup) {

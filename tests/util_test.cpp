@@ -149,6 +149,29 @@ TEST(Cli, ParsesForms) {
   EXPECT_TRUE(cli.unused().empty());
 }
 
+TEST(Cli, BooleanFlagsNeverTakeTheNextArgument) {
+  const char* argv[] = {"prog", "--lint", "chart.msc", "--json", "-"};
+  Cli cli(5, argv, {"lint"});
+  EXPECT_TRUE(cli.get_bool("lint", false));
+  EXPECT_EQ(cli.get("json", ""), "-");
+  ASSERT_EQ(cli.positional().size(), 1u);
+  EXPECT_EQ(cli.positional()[0], "chart.msc");
+}
+
+TEST(Cli, CommandsMayQueryOnlyTheFlagsTheyDeclare) {
+  // The table is the one list of a command's flags: a handler reading a
+  // flag its row does not declare fails instead of silently defaulting.
+  const std::vector<Command> table = {
+      {"go", "", "does nothing", {{"n", "N"}}, [](const Cli& cli) {
+         return static_cast<int>(cli.get_int("n", 0) + cli.get_int("m", 0));
+       }}};
+  const char* argv[] = {"tool", "go", "--n", "1"};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_command("tool", table, 4, argv), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: query of undeclared flag --m\n");
+}
+
 TEST(Cli, UnusedReported) {
   const char* argv[] = {"prog", "--typo=3"};
   Cli cli(2, argv);

@@ -202,8 +202,8 @@ if [ "$tidy" -eq 1 ]; then
 fi
 
 if [ "$smoke_only" -eq 0 ]; then
-  # Tier-1 verify (ROADMAP.md).
-  cmake -B "$build_dir" -S "$repo_root"
+  # Tier-1 verify (ROADMAP.md); a new warning fails the build.
+  cmake -B "$build_dir" -S "$repo_root" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
   cmake --build "$build_dir" -j "$jobs"
   (cd "$build_dir" && ctest --output-on-failure -j "$jobs" --timeout "$test_timeout")
   gate_done "tier-1 verify passed"

@@ -1,23 +1,17 @@
-// la1batch — batch verification service for the LA-1 stack.
+// la1batch — batch verification service for the LA-1 stack: runs every job
+// of a batch file (faults campaigns, coverage closure, MC sweeps, lockstep
+// soaks) on the deterministic work-stealing executor (src/exec), sharded and
+// merged in canonical order so the report (and its FNV-1a hash) is
+// byte-identical at any worker count. The subcommands and their flags come
+// from the kCommands table at the end of this file.
 //
-//   la1batch run JOB.json [--workers N] [--journal PATH] [--resume]
-//       runs every job in the batch file on the deterministic
-//       work-stealing executor (src/exec): faults campaigns, coverage
-//       closure, MC sweeps, and lockstep soaks, all sharded and merged in
-//       canonical order so the report (and its FNV-1a hash) is
-//       byte-identical at any --workers value.
-//   la1batch example
-//       prints a ready-to-run example job file.
-//
-// Robustness: shards that overrun --shard-wall-ms are retried once with
+// Robustness: shards that overrun their deadline are retried once with
 // exponential backoff, then degraded to qualified timeout entries; shards
-// that throw are quarantined as crashed with the replay seed recorded;
-// ^C cancels the remaining shards and still emits valid JSON. With
-// --journal, finished shards are appended to a JSONL file that --resume
-// replays, so a killed batch completes without redoing its work.
+// that throw are quarantined as crashed with the replay seed recorded; ^C
+// cancels the remaining shards and still emits valid JSON. Finished shards
+// can be journaled to a JSONL file that a resumed run replays, so a killed
+// batch completes without redoing its work.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "batch/job.hpp"
 #include "batch/runner.hpp"
@@ -28,37 +22,7 @@ namespace {
 
 using namespace la1;
 
-void print_usage(std::FILE* out) {
-  std::fputs(
-      "usage: la1batch run JOB.json [options]\n"
-      "       la1batch example\n"
-      "\n"
-      "commands:\n"
-      "  run      execute a batch job file on the work-stealing executor\n"
-      "  example  print an example job file\n"
-      "\n"
-      "options:\n"
-      "  --workers N        worker threads (default 1; report is\n"
-      "                     byte-identical at any value)\n"
-      "  --steal-seed S     seed of the steal-victim order (default 1)\n"
-      "  --shard-wall-ms MS per-shard cooperative deadline (default 0 = none)\n"
-      "  --retries N        extra attempts after a deadline overrun "
-      "(default 1)\n"
-      "  --backoff-ms MS    retry backoff base, doubled per attempt "
-      "(default 10)\n"
-      "  --journal PATH     append finished shards to a JSONL journal\n"
-      "  --resume           replay journaled shards instead of re-running\n"
-      "  --json FILE|-      write the full report as JSON\n"
-      "  --no-telemetry     omit pool telemetry from the JSON report\n",
-      out);
-}
-
-int usage() {
-  print_usage(stderr);
-  return 2;
-}
-
-int run_example() {
+int run_example(const util::Cli&) {
   batch::BatchSpec spec;
   spec.name = "nightly";
   {
@@ -103,17 +67,11 @@ int run_example() {
 
 int run_run(const util::Cli& cli) {
   const std::string path = cli.positional()[1];
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::stringstream text;
-  text << in.rdbuf();
+  const std::string text = util::read_input(path);
 
   batch::BatchSpec spec;
   try {
-    spec = batch::BatchSpec::parse(text.str());
+    spec = batch::BatchSpec::parse(text);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
     return 2;
@@ -138,9 +96,7 @@ int run_run(const util::Cli& cli) {
 
   const bool telemetry = !cli.get_bool("no-telemetry", false);
   const std::string json = cli.get("json", "");
-  if (json == "-") {
-    std::fputs((result.to_json(telemetry).dump(2) + "\n").c_str(), stdout);
-  } else {
+  if (json != "-") {
     std::printf("batch '%s': %zu job(s), %d worker(s)\n", result.name.c_str(),
                 result.jobs.size(), result.stats.workers);
     for (const batch::JobResult& jr : result.jobs) {
@@ -160,44 +116,24 @@ int run_run(const util::Cli& cli) {
                 result.interrupted ? "INTERRUPTED"
                 : result.all_pass  ? "all pass"
                                    : "DEGRADED");
-    if (!json.empty()) {
-      std::ofstream f(json);
-      if (!f) {
-        std::fprintf(stderr, "cannot write %s\n", json.c_str());
-        return 2;
-      }
-      f << result.to_json(telemetry).dump(2) << '\n';
-      std::printf("wrote report to %s\n", json.c_str());
-    }
   }
+  if (!util::write_json(json, result.to_json(telemetry), "report")) return 2;
   if (result.interrupted) return 130;
   return result.all_pass ? 0 : 1;
 }
 
+const std::vector<util::Command> kCommands = {
+    {"run", "JOB.json",
+     "execute a batch job file on the work-stealing executor",
+     {{"workers", "N"}, {"steal-seed", "S"}, {"shard-wall-ms", "MS"},
+      {"retries", "N"}, {"backoff-ms", "MS"}, {"journal", "PATH"},
+      {"resume", ""}, {"json", "FILE|-"}, {"no-telemetry", ""}},
+     run_run},
+    {"example", "", "print an example job file", {}, run_example},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  if (cli.has("help")) {
-    print_usage(stdout);
-    return 0;
-  }
-  if (cli.positional().empty()) return usage();
-  const std::string mode = cli.positional()[0];
-  if (mode == "help") {
-    print_usage(stdout);
-    return 0;
-  }
-  try {
-    if (mode == "example" && cli.positional().size() == 1) {
-      return run_example();
-    }
-    if (mode == "run" && cli.positional().size() == 2) {
-      return run_run(cli);
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  return usage();
+  return util::run_command("la1batch", kCommands, argc, argv);
 }

@@ -1,62 +1,11 @@
-// la1check — command-line driver for the LA-1 verification stack.
-//
-// Runs a PSL property (given as text) against a chosen level of the flow:
-//
-//   la1check sim --prop "always (b0.read_start -> next[4] b0.dout_valid_k)"
-//       assertion-based verification: random traffic on the behavioural
-//       model, the property as a runtime monitor.
-//   la1check sim --vunit-file suite.psl
-//       runs a whole vunit file (assert/assume/cover directives).
-//   la1check asm --prop "never {bus_conflict}"
-//       explicit-state model checking over the ASM model (AsmL style);
-//       prints the counterexample rule path on violation.
-//   la1check rtl --prop "always (bank0.read_start_q -> next[4] bank0.dout_valid_k_q)"
-//       symbolic (BDD) model checking on the synthesizable RTL; prints a
-//       state/input trace on violation.
-//   la1check verilog [--out la1.v]
-//       emits the synthesizable Verilog for the configured device.
-//   la1check flow
-//       runs the full Figure-2 refinement flow.
-//   la1check flowan [--banks N] [--json F|-] [--fail-on warn|error|never]
-//       [--label L] [--inject D]
-//       semantic dataflow analysis: bit-level taint over the dependence
-//       graph proves bank non-interference (FLOW-BANK-LEAK,
-//       FLOW-CTRL-IN-DATA) and catches vacuous property atoms
-//       (FLOW-UNDRIVEN-ATOM, FLOW-DEAD-ATOM); also prints each RTL
-//       property's semantic MC cone (what `rtl` encodes under use_coi).
-//       --label restricts the taint summary to one label; --inject runs a
-//       named broken fixture (see flow::injected_defects()).
-//   la1check lint [--json F|-] [--fail-on warn|error|never] [--inject D]
-//       static analysis of the device netlist, the shipped RTL property
-//       suite, and any --prop/--vunit-file properties. --inject runs a
-//       named broken fixture instead (see lint::injected_defects()).
-//   la1check dfa [--banks N] [--json F|-] [--fail-on warn|error|never]
-//       sequential dataflow analysis of the model-checking geometry:
-//       ternary fixpoint + register sweeping (NET-CONST, NET-X-RESET,
-//       NET-DEAD-LOGIC, NET-EQUIV-REG) plus the full list of sweep-proven
-//       invariants the symbolic engine can substitute.
-//   la1check csim [--banks N] [--cycles N] [--parity-cycles N] [--json F|-]
-//       compiled bit-parallel simulation backend: lowers the device through
-//       the compile plan to 64-lane bytecode, proves cycle-by-cycle parity
-//       against rtl::CycleSim under random traffic, then reports the
-//       measured time per cycle of both executors and the per-stream
-//       speedup at full lane occupancy.
-//   la1check msc FILE [--emit psl|cov|profile|dot|text] [--bank N]
-//       [--lint] [--json F|-] [--fail-on warn|error|never]
-//       parses a clock-annotated MSC chart and compiles it: --emit picks
-//       the artifact (PSL monitors, coverage bins, stimulus profile,
-//       Graphviz, canonical text); --lint runs the compiled monitors
-//       through the PSL linter. Parse errors print file:line:col with a
-//       caret snippet.
-//
-// Common options: --banks N (default 1), --seed S, --ticks T (sim),
-// --max-states N (asm), --node-limit N / --no-coi (rtl).
+// la1check — command-line driver for the LA-1 verification stack: runs a
+// PSL property or an analysis against a chosen level of the Figure-2 flow.
+// The subcommands, their flags and `--help` all come from the kCommands
+// table at the end of this file.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 
 #include "cov/coverage.hpp"
@@ -93,124 +42,45 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/table.hpp"
 
 namespace {
 
 using namespace la1;
 
-void print_usage(std::FILE* out) {
-  std::fputs(
-      "usage: la1check <command> [options]\n"
-      "       la1check msc FILE [options]\n"
-      "\n"
-      "commands:\n"
-      "  sim      assertion-based verification: PSL monitors on the "
-      "behavioural model\n"
-      "  asm      explicit-state model checking over the ASM model\n"
-      "  rtl      symbolic (BDD) model checking on the synthesizable RTL\n"
-      "  verilog  emit the synthesizable Verilog for the configured device\n"
-      "  flow     run the full Figure-2 refinement flow\n"
-      "  flowan   bit-level taint dataflow analysis and semantic MC cones\n"
-      "  lint     static analysis of the netlist and the property suite\n"
-      "  dfa      sequential ternary fixpoint analysis + register sweeping\n"
-      "  faults   fault-injection campaign with detection scoring\n"
-      "  cov      coverage closure, trace shrinking and replay\n"
-      "  msc      compile a clock-annotated MSC chart to monitors/coverage\n"
-      "  plan     lowering-legality compile plan: two-state X/Z proofs,\n"
-      "           levelized schedule, slot pressure, static cost model\n"
-      "  csim     compiled 64-lane bit-parallel simulation: interpreter\n"
-      "           parity proof + measured per-stream speedup\n"
-      "\n"
-      "options:\n"
-      "  common:  --banks N  --seed S\n"
-      "  sim:     --prop \"<psl>\" | --vunit-file F   --ticks T\n"
-      "  asm:     --prop \"<psl>\"   --max-states N\n"
-      "  rtl:     --prop \"<psl>\"   --node-limit N  --no-coi\n"
-      "  verilog: --out FILE\n"
-      "  flowan:  --json FILE|-  --fail-on warn|error|never\n"
-      "           --label L  --inject DEFECT\n"
-      "  lint:    --json FILE|-  --fail-on warn|error|never\n"
-      "           --prop \"<psl>\" | --vunit-file F  --inject DEFECT\n"
-      "  dfa:     --json FILE|-  --fail-on warn|error|never\n"
-      "  faults:  --json FILE|-  --fail-under SCORE  --transactions N\n"
-      "           --structural N  --protocol N  --no-mc\n"
-      "           --workers N  --steal-seed S  --shard-wall-ms MS\n"
-      "           --backend interpreted|compiled\n"
-      "  cov:     closure: --target C  --epochs N  --transactions N\n"
-      "           --wall-ms MS  --json FILE|-  --fail-under C\n"
-      "           shrink:  --shrink  --transactions N  --out FILE\n"
-      "           replay:  --replay FILE\n"
-      "  msc:     --emit psl|cov|profile|dot|text  --bank N  --lint\n"
-      "           --json FILE|-  --fail-on warn|error|never\n"
-      "  plan:    --json FILE|-  --fail-on warn|error|never\n"
-      "           --min-two-state PCT  --max-cycles N  --inject DEFECT\n"
-      "  csim:    --cycles N  --parity-cycles N  --json FILE|-\n",
-      out);
-}
-
-int usage() {
-  print_usage(stderr);
-  return 2;
-}
+/// Total address pins of the `sim` device: 4 words per bank at 1 bank.
+constexpr int kSimAddrBits = 6;
 
 /// Parses --fail-on before any work is done: the severity at which findings
-/// fail the command, or nullopt for "never". An unknown value throws, which
-/// main() reports with exit status 2.
+/// fail the command, or nullopt for "never". An unknown value throws: exit 2.
 std::optional<lint::Severity> fail_threshold(const util::Cli& cli) {
   const std::string text = cli.get("fail-on", "error");
   if (text == "never") return std::nullopt;
   return lint::severity_from_string(text);
 }
 
-/// The one file sink: writes `text` to `path`, or prints
-/// "cannot write <path>" and returns false (the caller exits 2).
-bool write_file(const std::string& path, const std::string& text) {
-  std::ofstream f(path);
-  f << text;
-  f.flush();
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-/// The --json FILE|- sink: "-" prints `doc` to stdout, a path writes it and
-/// says so, naming the contents `what`; empty writes nothing. False when the
-/// file cannot be written.
-bool write_json(const std::string& dest, const util::Json& doc,
-                const char* what) {
-  if (dest.empty()) return true;
-  if (dest == "-") {
-    std::fputs((doc.dump(2) + "\n").c_str(), stdout);
-    return true;
-  }
-  if (!write_file(dest, doc.dump(2) + "\n")) return false;
-  std::printf("wrote %s to %s\n", what, dest.c_str());
-  return true;
+/// The --fail-under gate: 1, naming `what`, when `score` is below it.
+int fail_under(const util::Cli& cli, const char* what, double score) {
+  const double threshold = cli.get_double("fail-under", 0.0);
+  if (score >= threshold) return 0;
+  std::fprintf(stderr, "FAIL: %s %.3f below threshold %.2f\n", what, score,
+               threshold);
+  return 1;
 }
 
 int run_sim(const util::Cli& cli) {
   core::Config cfg;
   cfg.banks = static_cast<int>(cli.get_int("banks", 1));
-  cfg.addr_bits = static_cast<int>(cli.get_int("addr-bits", 6));
+  cfg.addr_bits = kSimAddrBits;
   const int ticks = static_cast<int>(cli.get_int("ticks", 4000));
 
   psl::VUnit vunit("cli");
   if (cli.has("vunit-file")) {
-    std::ifstream in(cli.get("vunit-file", ""));
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n",
-                   cli.get("vunit-file", "").c_str());
-      return 2;
-    }
-    std::stringstream text;
-    text << in.rdbuf();
-    vunit = psl::parse_vunit(text.str());
+    vunit = psl::parse_vunit(util::read_input(cli.get("vunit-file", "")));
   } else if (cli.has("prop")) {
     vunit.add_assert("cli_prop", psl::parse_property(cli.get("prop", "")));
   } else {
-    return usage();
+    throw std::invalid_argument("sim needs --prop or --vunit-file");
   }
 
   core::KernelHarness h(cfg);
@@ -257,7 +127,7 @@ int run_sim(const util::Cli& cli) {
 int run_asm(const util::Cli& cli) {
   core::AsmConfig cfg;
   cfg.banks = static_cast<int>(cli.get_int("banks", 1));
-  if (!cli.has("prop")) return usage();
+  if (!cli.has("prop")) throw std::invalid_argument("asm needs --prop");
   const auto prop = psl::parse_property(cli.get("prop", ""));
 
   mc::ExplicitOptions opt;
@@ -282,7 +152,7 @@ int run_asm(const util::Cli& cli) {
 int run_rtl(const util::Cli& cli) {
   const core::RtlConfig cfg =
       core::RtlConfig::model_checking(static_cast<int>(cli.get_int("banks", 1)));
-  if (!cli.has("prop")) return usage();
+  if (!cli.has("prop")) throw std::invalid_argument("rtl needs --prop");
   const auto prop = psl::parse_property(cli.get("prop", ""));
 
   core::RtlDevice dev = core::build_device(cfg);
@@ -334,7 +204,7 @@ int run_verilog(const util::Cli& cli) {
   if (out.empty()) {
     std::fputs(verilog.c_str(), stdout);
   } else {
-    if (!write_file(out, verilog)) return 2;
+    if (!util::write_file(out, verilog)) return 2;
     std::printf("wrote %zu bytes to %s\n", verilog.size(), out.c_str());
   }
   return 0;
@@ -370,25 +240,16 @@ int run_lint(const util::Cli& cli) {
                                        "cli_prop", &signals));
     }
     if (cli.has("vunit-file")) {
-      std::ifstream in(cli.get("vunit-file", ""));
-      if (!in) {
-        std::fprintf(stderr, "cannot open %s\n",
-                     cli.get("vunit-file", "").c_str());
-        return 2;
-      }
-      std::stringstream text;
-      text << in.rdbuf();
-      report.merge(lint::lint_vunit(psl::parse_vunit(text.str()), &signals));
+      report.merge(lint::lint_vunit(
+          psl::parse_vunit(util::read_input(cli.get("vunit-file", ""))),
+          &signals));
     }
   }
 
-  const std::string json = cli.get("json", "");
-  if (json != "-") {
-    std::printf("lint target: %s\n", target.c_str());
-    std::fputs(report.render().c_str(), stdout);
-  }
-  if (!write_json(json, report.to_json(), "findings")) return 2;
-  return fail_on && report.fails(*fail_on) ? 1 : 0;
+  return util::emit_report(
+      cli, "lint target: " + target + "\n" + report.render(),
+      report.to_json(), "findings",
+      [&] { return fail_on && report.fails(*fail_on) ? 1 : 0; });
 }
 
 int run_dfa(const util::Cli& cli) {
@@ -406,39 +267,30 @@ int run_dfa(const util::Cli& cli) {
   const dfa::InvariantSet invariants =
       dfa::sweep(rtl::bitblast(expanded, core::clock_schedule(flat)));
 
-  const std::string json = cli.get("json", "");
   util::Json out = report.to_json();
   const util::Json inv_json = invariants.to_json();
   if (const util::Json* arr = inv_json.find("invariants")) {
     out.set("invariants", *arr);
   }
-  if (json != "-") {
-    std::printf("dfa target: %d-bank device (model-checking geometry)\n",
-                banks);
-    std::fputs(report.render().c_str(), stdout);
-    std::printf("sweep: %d invariant(s) proven (%d const, %d equal, "
-                "%d complement)\n",
-                static_cast<int>(invariants.size()),
-                static_cast<int>(invariants.count(dfa::Invariant::Kind::kConst)),
-                static_cast<int>(invariants.count(dfa::Invariant::Kind::kEqual)),
-                static_cast<int>(
-                    invariants.count(dfa::Invariant::Kind::kComplement)));
-    for (const dfa::Invariant& inv : invariants.invariants()) {
-      switch (inv.kind) {
-        case dfa::Invariant::Kind::kConst:
-          std::printf("  %s == %d\n", inv.a.c_str(), inv.value ? 1 : 0);
-          break;
-        case dfa::Invariant::Kind::kEqual:
-          std::printf("  %s == %s\n", inv.a.c_str(), inv.b.c_str());
-          break;
-        case dfa::Invariant::Kind::kComplement:
-          std::printf("  %s == !%s\n", inv.a.c_str(), inv.b.c_str());
-          break;
-      }
-    }
+  using Kind = dfa::Invariant::Kind;
+  const auto n = [&](Kind k) { return std::to_string(invariants.count(k)); };
+  std::string text = "dfa target: " + std::to_string(banks) +
+                     "-bank device (model-checking geometry)\n" +
+                     report.render() + "sweep: " +
+                     std::to_string(invariants.size()) +
+                     " invariant(s) proven (" + n(Kind::kConst) + " const, " +
+                     n(Kind::kEqual) + " equal, " + n(Kind::kComplement) +
+                     " complement)\n";
+  for (const dfa::Invariant& inv : invariants.invariants()) {
+    text += "  " + inv.a + " == " +
+            (inv.kind == Kind::kConst ? std::string(inv.value ? "1" : "0")
+             : inv.kind == Kind::kEqual ? inv.b
+                                        : "!" + inv.b) +
+            "\n";
   }
-  if (!write_json(json, out, "findings")) return 2;
-  return fail_on && report.fails(*fail_on) ? 1 : 0;
+  return util::emit_report(
+      cli, text, out, "findings",
+      [&] { return fail_on && report.fails(*fail_on) ? 1 : 0; });
 }
 
 int run_faults(const util::Cli& cli) {
@@ -473,34 +325,19 @@ int run_faults(const util::Cli& cli) {
     report = fault::run_campaign(opt);
   }
 
-  const std::string json = cli.get("json", "");
-  if (json != "-") std::fputs(report.render().c_str(), stdout);
-  if (!write_json(json, report.to_json(), "report")) return 2;
-
-  if (exec::interrupted()) {
-    std::fprintf(stderr, "interrupted: %zu fault row(s) completed\n",
-                 report.rows.size());
-    return 130;
-  }
-  if (!report.clean_ok) {
-    std::fputs("FAIL: false alarm(s) on the unmutated device\n", stderr);
-    return 1;
-  }
-  const double fail_under = cli.get_double("fail-under", 0.0);
-  if (report.mutation_score() < fail_under) {
-    std::fprintf(stderr, "FAIL: mutation score %.2f below threshold %.2f\n",
-                 report.mutation_score(), fail_under);
-    return 1;
-  }
-  return 0;
-}
-
-harness::Geometry cov_geometry(const util::Cli& cli) {
-  harness::Geometry g;
-  g.banks = static_cast<int>(cli.get_int("banks", 1));
-  g.mem_addr_bits = static_cast<int>(cli.get_int("mem-addr-bits", 2));
-  g.data_bits = static_cast<int>(cli.get_int("data-bits", 8));
-  return g;
+  return util::emit_report(cli, report.render(), report.to_json(), "report",
+                           [&] {
+    if (exec::interrupted()) {
+      std::fprintf(stderr, "interrupted: %zu fault row(s) completed\n",
+                   report.rows.size());
+      return 130;
+    }
+    if (!report.clean_ok) {
+      std::fputs("FAIL: false alarm(s) on the unmutated device\n", stderr);
+      return 1;
+    }
+    return fail_under(cli, "mutation score", report.mutation_score());
+  });
 }
 
 core::Config behavioral_config(const harness::Geometry& g) {
@@ -530,14 +367,7 @@ harness::LockstepReport replay_fault(const harness::Geometry& g,
 
 int run_cov_replay(const util::Cli& cli) {
   const std::string path = cli.get("replay", "");
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::stringstream text;
-  text << in.rdbuf();
-  const util::Json doc = util::Json::parse(text.str());
+  const util::Json doc = util::Json::parse(util::read_input(path));
 
   const util::Json* jstream = doc.find("stream");
   const util::Json* jfault = doc.find("fault");
@@ -566,7 +396,6 @@ int run_cov_replay(const util::Cli& cli) {
 }
 
 int run_cov_shrink(const util::Cli& cli) {
-  const harness::Geometry g = cov_geometry(cli);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 1));
   const std::uint64_t transactions =
@@ -574,9 +403,8 @@ int run_cov_shrink(const util::Cli& cli) {
 
   // Seeded failure: uniform traffic against a corrupt-read-data mutant.
   harness::StimulusOptions so;
-  so.banks = g.banks;
-  so.mem_addr_bits = g.mem_addr_bits;
-  so.data_bits = g.data_bits;
+  so.banks = static_cast<int>(cli.get_int("banks", 1));
+  const harness::Geometry g = so.geometry();
   harness::StimulusStream uniform(so, seed);
   std::vector<harness::Stimulus> stimuli;
   for (std::uint64_t i = 0; i < transactions; ++i) {
@@ -606,7 +434,7 @@ int run_cov_shrink(const util::Cli& cli) {
     doc.set("stream", result.stream.to_json());
     doc.set("fault", spec.to_json());
     doc.set("transactions", transactions);
-    if (!write_file(out, doc.dump(2) + "\n")) return 2;
+    if (!util::write_file(out, doc.dump(2) + "\n")) return 2;
     std::printf("wrote reproducer to %s\n", out.c_str());
   }
   return result.failure_preserved ? 0 : 1;
@@ -617,7 +445,7 @@ int run_cov(const util::Cli& cli) {
   if (cli.get_bool("shrink", false)) return run_cov_shrink(cli);
 
   tgen::ClosureOptions opt;
-  opt.geometry = cov_geometry(cli);
+  opt.geometry.banks = static_cast<int>(cli.get_int("banks", 1));
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opt.target = cli.get_double("target", 0.95);
   opt.transactions_per_epoch =
@@ -631,46 +459,32 @@ int run_cov(const util::Cli& cli) {
 
   const tgen::ClosureResult result = tgen::run_closure(opt);
 
-  const std::string json = cli.get("json", "");
-  if (json != "-") {
-    std::fputs(result.report.render().c_str(), stdout);
-    std::printf("closure: %d epoch(s), %llu transaction(s), target %.0f%% %s\n",
-                result.epochs,
-                static_cast<unsigned long long>(result.transactions),
-                100.0 * opt.target,
-                result.reached_target ? "reached"
-                : result.budget_exhausted ? "NOT reached (budget exhausted)"
-                                          : "NOT reached");
-  }
-  if (!write_json(json, result.to_json(), "report")) return 2;
-
-  if (exec::interrupted()) {
-    std::fprintf(stderr, "interrupted after %d epoch(s)\n", result.epochs);
-    return 130;
-  }
-  const double fail_under = cli.get_double("fail-under", 0.0);
-  if (result.coverage() < fail_under) {
-    std::fprintf(stderr, "FAIL: coverage %.3f below threshold %.2f\n",
-                 result.coverage(), fail_under);
-    return 1;
-  }
-  return 0;
+  const std::string text =
+      result.report.render() + "closure: " + std::to_string(result.epochs) +
+      " epoch(s), " + std::to_string(result.transactions) +
+      " transaction(s), target " + util::fmt_double(100.0 * opt.target, 0) +
+      "% " +
+      (result.reached_target     ? "reached"
+       : result.budget_exhausted ? "NOT reached (budget exhausted)"
+                                 : "NOT reached") +
+      "\n";
+  return util::emit_report(cli, text, result.to_json(), "report", [&] {
+    if (exec::interrupted()) {
+      std::fprintf(stderr, "interrupted after %d epoch(s)\n", result.epochs);
+      return 130;
+    }
+    return fail_under(cli, "coverage", result.coverage());
+  });
 }
 
 int run_msc(const util::Cli& cli) {
   const std::optional<lint::Severity> fail_on = fail_threshold(cli);
   const std::string path = cli.positional()[1];
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 2;
-  }
-  std::stringstream text;
-  text << in.rdbuf();
+  const std::string text = util::read_input(path);
 
   msc::Chart chart;
   try {
-    chart = msc::parse_chart(text.str(), path);
+    chart = msc::parse_chart(text, path);
   } catch (const msc::ParseError& e) {
     std::fputs((e.diagnostic().render() + "\n").c_str(), stderr);
     return 1;
@@ -736,19 +550,15 @@ int run_msc(const util::Cli& cli) {
     if (emit.empty()) std::fputs(lint_report.render().c_str(), stdout);
   }
 
-  const std::string json = cli.get("json", "");
-  if (!json.empty()) {
-    util::Json doc = util::Json::object();
-    doc.set("file", util::Json(path));
-    doc.set("chart", util::Json(chart.name));
-    doc.set("asserts", util::Json(static_cast<std::int64_t>(
-                           suite.asserts.size())));
-    doc.set("covers", util::Json(static_cast<std::int64_t>(
-                          suite.covers.size())));
-    doc.set("coverage_bins", util::Json(static_cast<std::int64_t>(bins)));
-    if (do_lint) doc.set("lint", lint_report.to_json());
-    if (!write_json(json, doc, "summary")) return 2;
-  }
+  util::Json doc = util::Json::object();
+  doc.set("file", util::Json(path));
+  doc.set("chart", util::Json(chart.name));
+  doc.set("asserts",
+          util::Json(static_cast<std::int64_t>(suite.asserts.size())));
+  doc.set("covers", util::Json(static_cast<std::int64_t>(suite.covers.size())));
+  doc.set("coverage_bins", util::Json(static_cast<std::int64_t>(bins)));
+  if (do_lint) doc.set("lint", lint_report.to_json());
+  if (!util::write_json(cli.get("json", ""), doc, "summary")) return 2;
   return do_lint && fail_on && lint_report.fails(*fail_on) ? 1 : 0;
 }
 
@@ -793,10 +603,9 @@ int run_flowan(const util::Cli& cli) {
     report.labels = std::move(kept);
   }
 
-  const std::string json = cli.get("json", "");
-  if (json != "-") std::fputs(report.render().c_str(), stdout);
-  if (!write_json(json, report.to_json(), "flow report")) return 2;
-  return fail_on && !report.clean(*fail_on) ? 1 : 0;
+  return util::emit_report(
+      cli, report.render(), report.to_json(), "flow report",
+      [&] { return fail_on && !report.clean(*fail_on) ? 1 : 0; });
 }
 
 int run_plan(const util::Cli& cli) {
@@ -822,20 +631,18 @@ int run_plan(const util::Cli& cli) {
     p = plan::analyze(flat, opt);
   }
 
-  const std::string json = cli.get("json", "");
-  if (json != "-") std::fputs(p.render().c_str(), stdout);
-  if (!write_json(json, p.to_json(), "compile plan")) return 2;
-
-  int rc = fail_on && p.findings.fails(*fail_on) ? 1 : 0;
-  const double state_pct = 100.0 * p.two_state_fraction(true);
-  if (min_two_state >= 0.0 && state_pct < min_two_state) {
-    std::fprintf(stderr,
-                 "two-state proof covers %.1f%% of state bits, below the "
-                 "--min-two-state %.1f%% threshold\n",
-                 state_pct, min_two_state);
-    rc = 1;
-  }
-  return rc;
+  return util::emit_report(cli, p.render(), p.to_json(), "compile plan", [&] {
+    int rc = fail_on && p.findings.fails(*fail_on) ? 1 : 0;
+    const double state_pct = 100.0 * p.two_state_fraction(true);
+    if (min_two_state >= 0.0 && state_pct < min_two_state) {
+      std::fprintf(stderr,
+                   "two-state proof covers %.1f%% of state bits, below the "
+                   "--min-two-state %.1f%% threshold\n",
+                   state_pct, min_two_state);
+      rc = 1;
+    }
+    return rc;
+  });
 }
 
 int run_csim(const util::Cli& cli) {
@@ -912,19 +719,18 @@ int run_csim(const util::Cli& cli) {
   // the pass cost by the lane count.
   auto measure = [&](auto&& set_input, auto&& edge) {
     util::Rng rng(seed + 1);
-    for (int c = 0; c < cycles / 10 + 1; ++c) {  // warm-up
-      for (rtl::NetId id : free_inputs) {
-        set_input(id, rtl::LVec::from_uint(rng.next_u64(), flat.net(id).width));
+    const auto run = [&](int n) {
+      for (int c = 0; c < n; ++c) {
+        for (rtl::NetId id : free_inputs) {
+          set_input(id,
+                    rtl::LVec::from_uint(rng.next_u64(), flat.net(id).width));
+        }
+        for (const rtl::ClockStep& s : popt.schedule) edge(s.clock, s.edge);
       }
-      for (const rtl::ClockStep& s : popt.schedule) edge(s.clock, s.edge);
-    }
+    };
+    run(cycles / 10 + 1);  // warm-up
     util::CpuStopwatch watch;
-    for (int c = 0; c < cycles; ++c) {
-      for (rtl::NetId id : free_inputs) {
-        set_input(id, rtl::LVec::from_uint(rng.next_u64(), flat.net(id).width));
-      }
-      for (const rtl::ClockStep& s : popt.schedule) edge(s.clock, s.edge);
-    }
+    run(cycles);
     return watch.seconds() / cycles * 1e6;
   };
   rtl::CycleSim timed_sim(flat);
@@ -972,42 +778,69 @@ int run_csim(const util::Cli& cli) {
     std::printf("  per stream       %8.2f us/cycle  (%.1fx the interpreter)\n",
                 per_stream_us, speedup);
   }
-  return write_json(json, doc, "report") ? 0 : 2;
+  return util::write_json(json, doc, "report") ? 0 : 2;
 }
+
+constexpr util::Flag kBanks{"banks", "N"};
+constexpr util::Flag kSeed{"seed", "S"};
+constexpr util::Flag kJson{"json", "FILE|-"};
+constexpr util::Flag kFailOn{"fail-on", "warn|error|never"};
+constexpr util::Flag kProp{"prop", "PSL"};
+constexpr util::Flag kVunitFile{"vunit-file", "FILE"};
+constexpr util::Flag kInject{"inject", "DEFECT"};
+constexpr util::Flag kTransactions{"transactions", "N"};
+
+const std::vector<util::Command> kCommands = {
+    {"sim", "",
+     "assertion-based verification: PSL monitors on the behavioural model",
+     {kBanks, kSeed, {"ticks", "T"}, kProp, kVunitFile},
+     run_sim},
+    {"asm", "", "explicit-state model checking over the ASM model",
+     {kBanks, kProp, {"max-states", "N"}},
+     run_asm},
+    {"rtl", "", "symbolic (BDD) model checking on the synthesizable RTL",
+     {kBanks, kProp, {"node-limit", "N"}, {"no-coi", ""}},
+     run_rtl},
+    {"verilog", "", "emit the synthesizable Verilog for the configured device",
+     {kBanks, {"out", "FILE"}},
+     run_verilog},
+    {"flow", "", "run the full Figure-2 refinement flow", {kBanks}, run_flow},
+    {"flowan", "", "bit-level taint dataflow analysis and semantic MC cones",
+     {kBanks, kJson, kFailOn, {"label", "L"}, kInject},
+     run_flowan},
+    {"lint", "", "static analysis of the netlist and the property suite",
+     {kBanks, kJson, kFailOn, kProp, kVunitFile, kInject},
+     run_lint},
+    {"dfa", "", "sequential ternary fixpoint analysis + register sweeping",
+     {kBanks, kJson, kFailOn},
+     run_dfa},
+    {"faults", "", "fault-injection campaign with detection scoring",
+     {kBanks, kSeed, kTransactions, {"structural", "N"}, {"protocol", "N"},
+      {"no-mc", ""}, {"backend", "interpreted|compiled"}, {"workers", "N"},
+      {"steal-seed", "S"}, {"shard-wall-ms", "MS"}, kJson,
+      {"fail-under", "SCORE"}},
+     run_faults},
+    {"cov", "", "coverage closure, trace shrinking and replay",
+     {kBanks, kSeed, {"target", "C"}, {"epochs", "N"}, kTransactions,
+      {"wall-ms", "MS"}, kJson, {"fail-under", "C"}, {"shrink", ""},
+      {"out", "FILE"}, {"replay", "FILE"}},
+     run_cov},
+    {"msc", "FILE", "compile a clock-annotated MSC chart to monitors/coverage",
+     {{"emit", "psl|cov|profile|dot|text"}, {"bank", "N"}, {"lint", ""},
+      kJson, kFailOn},
+     run_msc},
+    {"plan", "", "lowering-legality compile plan: X/Z proofs, schedule, cost",
+     {kBanks, kJson, kFailOn, {"min-two-state", "PCT"}, {"max-cycles", "N"},
+      kInject},
+     run_plan},
+    {"csim", "",
+     "compiled 64-lane simulation: parity proof + per-stream speedup",
+     {kBanks, kSeed, {"cycles", "N"}, {"parity-cycles", "N"}, kJson},
+     run_csim},
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Cli cli(argc, argv);
-  if (cli.has("help")) {
-    print_usage(stdout);
-    return 0;
-  }
-  if (cli.positional().empty()) return usage();
-  const std::string mode = cli.positional()[0];
-  if (mode == "help") {
-    print_usage(stdout);
-    return 0;
-  }
-  const std::size_t expected = mode == "msc" ? 2u : 1u;
-  if (cli.positional().size() != expected) return usage();
-  try {
-    if (mode == "msc") return run_msc(cli);
-    if (mode == "sim") return run_sim(cli);
-    if (mode == "asm") return run_asm(cli);
-    if (mode == "rtl") return run_rtl(cli);
-    if (mode == "verilog") return run_verilog(cli);
-    if (mode == "flow") return run_flow(cli);
-    if (mode == "flowan") return run_flowan(cli);
-    if (mode == "lint") return run_lint(cli);
-    if (mode == "dfa") return run_dfa(cli);
-    if (mode == "faults") return run_faults(cli);
-    if (mode == "cov") return run_cov(cli);
-    if (mode == "plan") return run_plan(cli);
-    if (mode == "csim") return run_csim(cli);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  return usage();
+  return util::run_command("la1check", kCommands, argc, argv);
 }

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int banks = static_cast<int>(cli.get_int("banks", 1));
+  const int banks = cli.get_bounded("banks", 1, 1);
   const std::size_t max_states =
       static_cast<std::size_t>(cli.get_int("max-states", 250000));
   for (const auto& unused : cli.unused()) {

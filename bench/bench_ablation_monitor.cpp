@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int ticks = static_cast<int>(cli.get_int("ticks", 60000));
+  const int ticks = cli.get_bounded("ticks", 60000, 0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 21));
   util::BenchReport report("bench_ablation_monitor");
   report.param("ticks", util::Json(ticks)).param("seed", util::Json(seed));

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int banks = static_cast<int>(cli.get_int("banks", 1));
+  const int banks = cli.get_bounded("banks", 1, 1);
   const std::uint64_t node_limit =
       static_cast<std::uint64_t>(cli.get_int("node-limit", 8000000));
   util::BenchReport report("bench_ablation_tr");

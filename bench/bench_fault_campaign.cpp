@@ -48,9 +48,9 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int max_banks = static_cast<int>(cli.get_int("max-banks", 2));
+  const int max_banks = cli.get_bounded("max-banks", 2, 1);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const int transactions = static_cast<int>(cli.get_int("transactions", 300));
+  const int transactions = cli.get_bounded("transactions", 300, 0);
   const bool run_mc = !cli.get_bool("no-mc", false);
   std::vector<int> workers_list;
   try {

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int banks = static_cast<int>(cli.get_int("banks", 4));
+  const int banks = cli.get_bounded("banks", 4, 1);
   for (const auto& unused : cli.unused()) {
     std::fprintf(stderr, "unknown option --%s\n", unused.c_str());
     return 2;

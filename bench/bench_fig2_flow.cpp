@@ -13,12 +13,12 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   refine::FlowOptions opt;
-  opt.banks = static_cast<int>(cli.get_int("banks", 2));
-  opt.abv_ticks = static_cast<int>(cli.get_int("abv-ticks", 3000));
+  opt.banks = cli.get_bounded("banks", 2, 1);
+  opt.abv_ticks = cli.get_bounded("abv-ticks", 3000, 0);
   opt.conformance_steps =
-      static_cast<int>(cli.get_int("conformance-steps", 1500));
+      cli.get_bounded("conformance-steps", 1500, 0);
   opt.lockstep_transactions =
-      static_cast<int>(cli.get_int("lockstep-transactions", 300));
+      cli.get_bounded("lockstep-transactions", 300, 0);
   opt.explore_max_states =
       static_cast<std::size_t>(cli.get_int("explore-max-states", 40000));
   const bool print_verilog = cli.get_bool("print-verilog", false);

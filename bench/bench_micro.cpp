@@ -11,12 +11,15 @@
 #include "bdd/bdd.hpp"
 #include "csim/compile.hpp"
 #include "csim/machine.hpp"
+#include "harness/adapters.hpp"
+#include "harness/stimulus.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
 #include "psl/monitor.hpp"
 #include "psl/parse.hpp"
+#include "rtl/logic.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
 
@@ -74,6 +77,85 @@ void BM_RtlEdge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RtlEdge)->Arg(1)->Arg(4)->Arg(8);
+
+// One four-state vector operation on random 0/1/X/Z operands, written into
+// a reused result: the inner step of every interpreted RTL expression.
+// Arg: width — 16 is a data beat, 130 spans three plane words.
+template <typename Op>
+void lvec_op(benchmark::State& state, Op op) {
+  const int width = static_cast<int>(state.range(0));
+  util::Rng rng(11);
+  const auto random = [&] {
+    rtl::LVec v(width);
+    for (int i = 0; i < width; ++i) {
+      v.set_bit(i, static_cast<rtl::Logic>(rng.below(4)));
+    }
+    return v;
+  };
+  const rtl::LVec a = random();
+  const rtl::LVec b = random();
+  rtl::LVec out;
+  for (auto _ : state) {
+    op(out, a, b);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+void BM_LVecAnd(benchmark::State& state) {
+  lvec_op(state, [](rtl::LVec& o, const rtl::LVec& a, const rtl::LVec& b) {
+    rtl::vec_and(o, a, b);
+  });
+}
+BENCHMARK(BM_LVecAnd)->Arg(16)->Arg(130);
+
+void BM_LVecMuxXSelect(benchmark::State& state) {
+  lvec_op(state, [](rtl::LVec& o, const rtl::LVec& a, const rtl::LVec& b) {
+    rtl::vec_mux(o, rtl::Logic::kX, a, b);
+  });
+}
+BENCHMARK(BM_LVecMuxXSelect)->Arg(16)->Arg(130);
+
+void BM_LVecResolve(benchmark::State& state) {
+  lvec_op(state, [](rtl::LVec& o, const rtl::LVec& a, const rtl::LVec& b) {
+    rtl::vec_resolve(o, a, b);
+  });
+}
+BENCHMARK(BM_LVecResolve)->Arg(16)->Arg(130);
+
+// One interpreted clock edge of the 4-bank device under the Table-3 traffic:
+// RtlDeviceModel::apply_edge, the call perfbench's rtl.cyclesim_ns times,
+// with the stimulus and transactor work done before the timed loop.
+void BM_CycleSimEdge(benchmark::State& state) {
+  core::RtlConfig cfg;
+  cfg.banks = 4;
+  cfg.data_bits = 16;
+  harness::StimulusOptions so;
+  so.banks = cfg.banks;
+  so.mem_addr_bits = cfg.mem_addr_bits;
+  so.data_bits = cfg.data_bits;
+  harness::StimulusStream stream(so, 7);
+  harness::Transactor tx(stream.geometry());
+  std::vector<harness::EdgePins> pins;
+  for (int t = 0; t < 4096; ++t) {
+    const harness::Edge edge = harness::edge_of_tick(t);
+    if (edge == harness::Edge::kK) tx.enqueue(stream.next());
+    pins.push_back(tx.next(edge));
+  }
+  harness::RtlDeviceModel model(cfg);
+  std::size_t at = 0;
+  for (auto _ : state) {
+    if (at == pins.size()) {
+      state.PauseTiming();
+      model.reset();
+      at = 0;
+      state.ResumeTiming();
+    }
+    model.apply_edge(pins[at++]);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CycleSimEdge);
 
 // One compiled clock edge with every active lane driven separately through
 // set_input_lane_uint — the per-tick path of a 64-stream run. Args: banks,

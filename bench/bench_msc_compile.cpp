@@ -123,9 +123,9 @@ std::uint64_t transactions_to_cover(const harness::Geometry& g,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const int max_banks = static_cast<int>(cli.get_int("max-banks", 2));
+  const int max_banks = cli.get_bounded("max-banks", 2, 1);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const int epochs = static_cast<int>(cli.get_int("epochs", 40));
+  const int epochs = cli.get_bounded("epochs", 40, 0);
   const std::uint64_t per_epoch =
       static_cast<std::uint64_t>(cli.get_int("transactions", 250));
   util::BenchReport report("bench_msc_compile");

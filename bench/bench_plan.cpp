@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const std::string banks_csv = cli.get("banks-list", "1,2,4");
-  const int cycles = static_cast<int>(cli.get_int("cycles", 4000));
+  const int cycles = cli.get_bounded("cycles", 4000, 0);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
   util::BenchReport report("bench_plan");
   report.param("banks_list", util::Json(banks_csv))

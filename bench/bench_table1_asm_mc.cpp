@@ -23,7 +23,7 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int max_banks = static_cast<int>(cli.get_int("max-banks", 4));
+  const int max_banks = cli.get_bounded("max-banks", 4, 1);
   const std::size_t max_states =
       static_cast<std::size_t>(cli.get_int("max-states", 120000));
   const std::size_t max_transitions =

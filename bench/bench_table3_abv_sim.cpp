@@ -212,8 +212,8 @@ double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const int sc_ticks = static_cast<int>(cli.get_int("sc-ticks", 40000));
-  const int rtl_ticks = static_cast<int>(cli.get_int("rtl-ticks", 4000));
+  const int sc_ticks = cli.get_bounded("sc-ticks", 40000, 0);
+  const int rtl_ticks = cli.get_bounded("rtl-ticks", 4000, 0);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 7));
   std::vector<int> banks_list;

@@ -22,8 +22,8 @@
 int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
-  const int transactions = static_cast<int>(cli.get_int("transactions", 1000));
-  const int mem_addr_bits = static_cast<int>(cli.get_int("mem-addr-bits", 2));
+  const int transactions = cli.get_bounded("transactions", 1000, 0);
+  const int mem_addr_bits = cli.get_bounded("mem-addr-bits", 2, 0);
   const std::uint64_t seed =
       static_cast<std::uint64_t>(cli.get_int("seed", 2004));
   const std::string vcd_path = cli.get("vcd", "");

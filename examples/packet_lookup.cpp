@@ -45,7 +45,7 @@ std::uint64_t slot_of(const Packet& p, int addr_bits) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const int packets = static_cast<int>(cli.get_int("packets", 400));
+  const int packets = cli.get_bounded("packets", 400, 0);
 
   core::Config cfg;
   cfg.banks = 4;  // a 4-bank classifier coprocessor (paper Figure 1)

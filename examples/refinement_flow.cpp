@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool quiet = cli.get_bool("quiet", false);
   refine::FlowOptions opt;
-  opt.banks = static_cast<int>(cli.get_int("banks", 1));
+  opt.banks = cli.get_bounded("banks", 1, 1);
 
   if (!quiet) {
     std::puts("=== spec level: read-mode chart (examples/read_mode.msc) ===");

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace la1::asml {
 
 bool Value::as_bool() const {
@@ -31,7 +33,7 @@ std::string Value::to_string() const {
   if (is_int()) return std::to_string(std::get<std::int64_t>(v_));
   if (is_symbol()) return std::get<Symbol>(v_).name;
   const Word& w = std::get<Word>(v_);
-  return "w" + std::to_string(w.width) + ":" + std::to_string(w.bits);
+  return util::cat({"w", std::to_string(w.width), ":", std::to_string(w.bits)});
 }
 
 std::size_t hash_value(const Value& v) {

@@ -4,11 +4,15 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/strings.hpp"
+
 namespace la1::cov {
 
 namespace {
 
-std::string bank_bin(int bank) { return "b" + std::to_string(bank); }
+std::string bank_bin(int bank) {
+  return util::cat({"b", std::to_string(bank)});
+}
 
 /// Bins a closed run length into the burst bins.
 const char* burst_bin(int len) {

@@ -17,11 +17,6 @@ namespace {
 // lane-by-lane paths run as they always did.
 constexpr int kBulkBits = 128;
 
-rtl::Logic decode(bool a, bool b) {
-  if (b) return a ? rtl::Logic::kX : rtl::Logic::kZ;
-  return a ? rtl::Logic::k1 : rtl::Logic::k0;
-}
-
 std::uint64_t width_mask(int width) {
   return width >= 64 ? ~0ull : (1ull << width) - 1;
 }
@@ -579,16 +574,21 @@ rtl::LVec Machine::get(rtl::NetId net, int lane) const {
   if (!dirty_.empty()) flush();
   const int width = compiled_->module().net(net).width;
   const NetSlots& ns = compiled_->net_slots(net);
-  const std::uint64_t m = 1ull << lane;
   rtl::LVec out = rtl::LVec::zeros(width);
-  for (int i = 0; i < width; ++i) {
-    const bool a =
-        (slots_[static_cast<std::size_t>(ns.a[static_cast<std::size_t>(i)])] &
-         m) != 0;
-    const bool b =
-        (slots_[static_cast<std::size_t>(ns.b[static_cast<std::size_t>(i)])] &
-         m) != 0;
-    out.set_bit(i, decode(a, b));
+  // Gather this lane's bit of each slot into the LVec's aval/bval planes,
+  // which use the slots' own encoding.
+  const auto lane_bit = [&](std::int32_t slot) -> std::uint64_t {
+    return (slots_[static_cast<std::size_t>(slot)] >> lane) & 1;
+  };
+  for (int w = 0; w < out.words(); ++w) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    for (int i = 64 * w; i < std::min(width, 64 * w + 64); ++i) {
+      const auto at = static_cast<std::size_t>(i);
+      a |= lane_bit(ns.a[at]) << (i & 63);
+      b |= lane_bit(ns.b[at]) << (i & 63);
+    }
+    out.set_word(w, a, b);
   }
   return out;
 }
@@ -622,9 +622,7 @@ rtl::LVec Machine::mem_word(rtl::MemId mem, std::uint64_t addr,
   const std::size_t at =
       static_cast<std::size_t>(addr) * 64 + static_cast<std::size_t>(lane);
   rtl::LVec out = rtl::LVec::zeros(layout.width);
-  for (int i = 0; i < layout.width; ++i) {
-    out.set_bit(i, decode((img.a[at] >> i) & 1, (img.b[at] >> i) & 1));
-  }
+  out.set_word(0, img.a[at], img.b[at]);
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1::fault {
 
@@ -59,7 +60,7 @@ std::string FaultSpec::id() const {
     out += ":" + net + "[" + std::to_string(bit) + "]";
   }
   if (kind == FaultKind::kBitFlip || !is_structural(kind)) {
-    out += "@" + std::to_string(cycle);
+    out += util::cat({"@", std::to_string(cycle)});
   }
   return out;
 }

@@ -20,7 +20,7 @@ std::string FlowReport::render() const {
         if (!sinks.empty()) sinks += ", ";
         sinks += s;
       }
-      if (sinks.empty()) sinks = "-";
+      if (sinks.empty()) sinks.push_back('-');
       t.add_row({l.label, std::to_string(l.seed_bits),
                  std::to_string(l.reached_bits), sinks});
     }

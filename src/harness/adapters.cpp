@@ -5,6 +5,7 @@
 
 #include "la1/properties.hpp"
 #include "la1/spec.hpp"
+#include "util/strings.hpp"
 
 namespace la1::harness {
 
@@ -107,8 +108,8 @@ bool AsmDeviceModel::tap(const std::string& name) const {
 }
 
 std::uint64_t AsmDeviceModel::memory_word(int bank, std::uint64_t addr) const {
-  const std::int64_t w = state_.get_int("b" + std::to_string(bank) + ".mem" +
-                                        std::to_string(addr));
+  const std::int64_t w = state_.get_int(
+      util::cat({"b", std::to_string(bank), ".mem", std::to_string(addr)}));
   // The ASM packs (beat0, beat1) at the data-domain radix; re-pack at the
   // canonical beat width.
   const std::int64_t dv = cfg_.data_values;
@@ -188,8 +189,8 @@ NetlistTaps::NetlistTaps(const rtl::Module& flat, const core::RtlConfig& cfg)
 
   const core::TapSet& shared = core::tap_set(core::Level::kHarness);
   for (int b = 0; b < cfg.banks; ++b) {
-    const std::string prefix = "bank" + std::to_string(b) + ".";
-    const std::string tap = "b" + std::to_string(b) + ".";
+    const std::string prefix = util::cat({"bank", std::to_string(b), "."});
+    const std::string tap = util::cat({"b", std::to_string(b), "."});
     for (const std::string& t : core::tap_set(core::Level::kRtl).bank) {
       const rtl::NetId net =
           flat.find_net(core::bind_tap(core::Level::kRtl, tap + t));

@@ -2,6 +2,7 @@
 
 #include "la1/properties.hpp"
 #include "la1/spec.hpp"
+#include "util/strings.hpp"
 
 namespace la1::core {
 
@@ -15,7 +16,7 @@ using asml::UpdateSet;
 using asml::Value;
 
 std::string bank_loc(int b, const char* name) {
-  return "b" + std::to_string(b) + "." + name;
+  return util::cat({"b", std::to_string(b), ".", name});
 }
 
 ArgDomain bool_domain(std::string name) {

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "la1/host_bfm.hpp"
+#include "util/strings.hpp"
 
 namespace la1::core {
 
@@ -219,7 +220,7 @@ int La1Device::drive_count() const {
 ProbeEnv::ProbeEnv(const Config& cfg, const La1Device& device, const Pins& pins) {
   for (int i = 0; i < device.banks(); ++i) {
     const Bank* bank = &device.bank(i);
-    const std::string p = "b" + std::to_string(i) + ".";
+    const std::string p = util::cat({"b", std::to_string(i), "."});
     add(p + "read_start", [bank] { return bank->taps().read_start; });
     add(p + "fetch", [bank] { return bank->taps().fetch; });
     add(p + "dout_valid_k", [bank] { return bank->taps().dout_valid_k; });
@@ -270,15 +271,25 @@ ProbeEnv::ProbeEnv(const Config& cfg, const La1Device& device, const Pins& pins)
 }
 
 bool ProbeEnv::sample(const std::string& signal) const {
-  auto it = probes_.find(signal);
-  if (it == probes_.end()) {
+  const int id = bind(signal);
+  if (id < 0) {
     throw std::invalid_argument("ProbeEnv: unknown signal: " + signal);
   }
-  return it->second();
+  return sample(id);
+}
+
+int ProbeEnv::bind(const std::string& signal) const {
+  const auto it = ids_.find(signal);
+  return it == ids_.end() ? -1 : it->second;
 }
 
 void ProbeEnv::add(const std::string& name, std::function<bool()> probe) {
-  probes_[name] = std::move(probe);
+  const auto [it, added] = ids_.emplace(name, static_cast<int>(probes_.size()));
+  if (added) {
+    probes_.push_back(std::move(probe));
+  } else {
+    probes_[static_cast<std::size_t>(it->second)] = std::move(probe);
+  }
 }
 
 KernelHarness::KernelHarness(const Config& cfg) : cfg_(cfg) {

@@ -172,22 +172,29 @@ class La1Device : public sim::Module {
 
 /// PSL Env over the behavioural model: per-bank tap names ("b0.read_start"),
 /// device-level names ("bus_conflict", "dout_valid", "dout_parity_ok") and
-/// custom probes.
+/// custom probes. Every probe has an id (Env::bind), so a bound monitor
+/// reads it without a name lookup.
 class ProbeEnv : public psl::Env {
  public:
   ProbeEnv(const Config& cfg, const La1Device& device, const Pins& pins);
 
   bool sample(const std::string& signal) const override;
+  int bind(const std::string& signal) const override;
+  bool sample(int id) const override {
+    return probes_[static_cast<std::size_t>(id)]();
+  }
   /// Whether `signal` names a probe sample() accepts.
-  bool has(const std::string& signal) const { return probes_.count(signal) != 0; }
+  bool has(const std::string& signal) const { return ids_.count(signal) != 0; }
 
-  /// Registers an additional named probe.
+  /// Registers an additional named probe; a name already registered keeps
+  /// its id and gets the new probe.
   void add(const std::string& name, std::function<bool()> probe);
 
  private:
   // Ordered on purpose (harness determinism audit): probe lookup must not
   // depend on hash-table layout anywhere on the stimulus/trace path.
-  std::map<std::string, std::function<bool()>> probes_;
+  std::map<std::string, int> ids_;
+  std::vector<std::function<bool()>> probes_;  // by id
 };
 
 /// Owns kernel + pins + device + host BFM and sequences half-cycle ticks:

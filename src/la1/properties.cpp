@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "psl/parse.hpp"
+#include "util/strings.hpp"
 
 namespace la1::core {
 
@@ -51,7 +52,7 @@ const char* to_string(Observability status) {
 std::vector<std::string> TapSet::bank_taps(int banks) const {
   std::vector<std::string> out;
   for (int b = 0; b < banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
+    const std::string p = util::cat({"b", std::to_string(b), "."});
     for (const std::string& t : bank) out.push_back(p + t);
   }
   return out;
@@ -112,8 +113,8 @@ std::vector<PropertyRow> property_catalog(int banks, int latency_ticks) {
   using S = Shape;
   std::vector<PropertyRow> rows;
   for (int b = 0; b < banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
-    const std::string s = "_b" + std::to_string(b);
+    const std::string p = util::cat({"b", std::to_string(b), "."});
+    const std::string s = util::cat({"_b", std::to_string(b)});
     rows.push_back({"P1_read_latency" + s, S::kImplNext, p + "read_start",
                     p + "dout_valid_k", latency_ticks});
     rows.push_back({"P2_read_burst" + s, S::kImplNext, p + "dout_valid_k",
@@ -201,7 +202,7 @@ psl::VUnit behavioral_vunit(const Config& cfg) {
   vunit.add_cover("C2_concurrent_read_write",
                   psl::parse_sere("{read_start && write_start}"));
   for (int b = 0; b < cfg.banks; ++b) {
-    const std::string p = "b" + std::to_string(b) + ".";
+    const std::string p = util::cat({"b", std::to_string(b), "."});
     vunit.add_cover("C3_bank" + std::to_string(b) + "_read",
                     psl::parse_sere("{" + p + "read_start}"));
   }

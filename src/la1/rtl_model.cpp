@@ -5,6 +5,7 @@
 #include "la1/properties.hpp"
 #include "la1/spec.hpp"
 #include "ovl/ovl.hpp"
+#include "util/strings.hpp"
 
 namespace la1::core {
 
@@ -108,7 +109,7 @@ rtl::Module build_bank_module(const RtlConfig& cfg, int index) {
   rtl::NetId drive_word = word;
   for (int stage = 2; stage < cfg.read_latency; ++stage) {
     const rtl::NetId v =
-        m.reg("s" + std::to_string(stage), 1, 0u);
+        m.reg(util::cat({"s", std::to_string(stage)}), 1, 0u);
     const rtl::NetId w =
         m.reg("word_d" + std::to_string(stage), cfg.word_bits(), 0u);
     m.nonblocking(pk, v, m.ref(drive_valid));
@@ -201,8 +202,8 @@ RtlDevice build_device(const RtlConfig& cfg) {
   for (int b = 0; b < cfg.banks; ++b) {
     dev.bank_modules.push_back(
         std::make_unique<rtl::Module>(build_bank_module(cfg, b)));
-    const rtl::NetId q = m.wire("q" + std::to_string(b), bp);
-    const rtl::NetId q_en = m.wire("q_en" + std::to_string(b), 1);
+    const rtl::NetId q = m.wire(util::cat({"q", std::to_string(b)}), bp);
+    const rtl::NetId q_en = m.wire(util::cat({"q_en", std::to_string(b)}), 1);
     m.instantiate("bank" + std::to_string(b), *dev.bank_modules.back(),
                   {{"K", k},
                    {"KS", ks},

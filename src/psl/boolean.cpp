@@ -1,8 +1,22 @@
 #include "psl/boolean.hpp"
 
+#include <atomic>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace la1::psl {
+
+std::uint64_t Env::next_serial() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+int Env::bind(const std::string&) const { return -1; }
+
+bool Env::sample(int) const {
+  throw std::logic_error("Env: sample(id) on an Env without indexed signals");
+}
 
 bool MapEnv::sample(const std::string& signal) const {
   auto it = map_.find(signal);
@@ -80,15 +94,15 @@ std::string to_string(const BExpr& e) {
   switch (e.kind) {
     case BExpr::Kind::kConst: return e.value ? "true" : "false";
     case BExpr::Kind::kSignal: return e.signal;
-    case BExpr::Kind::kNot: return "!" + to_string(*e.a);
+    case BExpr::Kind::kNot: return util::cat({"!", to_string(*e.a)});
     case BExpr::Kind::kAnd:
-      return "(" + to_string(*e.a) + " && " + to_string(*e.b) + ")";
+      return util::cat({"(", to_string(*e.a), " && ", to_string(*e.b), ")"});
     case BExpr::Kind::kOr:
-      return "(" + to_string(*e.a) + " || " + to_string(*e.b) + ")";
+      return util::cat({"(", to_string(*e.a), " || ", to_string(*e.b), ")"});
     case BExpr::Kind::kImplies:
-      return "(" + to_string(*e.a) + " -> " + to_string(*e.b) + ")";
+      return util::cat({"(", to_string(*e.a), " -> ", to_string(*e.b), ")"});
     case BExpr::Kind::kIff:
-      return "(" + to_string(*e.a) + " <-> " + to_string(*e.b) + ")";
+      return util::cat({"(", to_string(*e.a), " <-> ", to_string(*e.b), ")"});
   }
   return "?";
 }

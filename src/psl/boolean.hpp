@@ -7,6 +7,7 @@
 // level of the flow.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
@@ -16,11 +17,36 @@ namespace la1::psl {
 
 /// Where a monitor reads signal values from. Implementations adapt the
 /// behavioural model, the RTL simulator and ASM states.
+///
+/// An Env may also serve signals by index: bind(name) returns an id that
+/// sample(id) reads for as long as this Env instance lives, or -1 when the
+/// Env has no indexed path for `name` (the default) — the caller then
+/// samples by name. Ids belong to one instance; serial() tells instances
+/// apart (a copy, an assignment or an Env built where a destroyed one lived
+/// gets a fresh serial), so a caller keys its bindings on it.
 class Env {
  public:
+  Env() : serial_(next_serial()) {}
+  Env(const Env&) : serial_(next_serial()) {}
+  Env& operator=(const Env&) {
+    serial_ = next_serial();
+    return *this;
+  }
   virtual ~Env() = default;
+
   /// Samples the named 1-bit signal in the current cycle.
   virtual bool sample(const std::string& signal) const = 0;
+  /// The id of `signal` for sample(int), or -1 to sample it by name.
+  virtual int bind(const std::string& signal) const;
+  /// Samples the signal bind() returned `id` for.
+  virtual bool sample(int id) const;
+
+  /// Distinct for every Env instance of the process, never 0.
+  std::uint64_t serial() const { return serial_; }
+
+ private:
+  static std::uint64_t next_serial();
+  std::uint64_t serial_;
 };
 
 /// Env over an explicit map, for tests and the explicit model checker.

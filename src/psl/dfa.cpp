@@ -78,7 +78,7 @@ DfaTable determinize(const PropPtr& prop, int max_states) {
 }
 
 DfaMonitor::DfaMonitor(std::shared_ptr<const DfaTable> table)
-    : table_(std::move(table)) {
+    : table_(std::move(table)), atom_ids_(table_->atoms.size(), -1) {
   DfaMonitor::reset();
 }
 
@@ -89,9 +89,17 @@ void DfaMonitor::reset() {
 }
 
 void DfaMonitor::do_step(const Env& env) {
+  const std::vector<std::string>& atoms = table_->atoms;
+  if (bound_serial_ != env.serial()) {
+    for (std::size_t i = 0; i < atoms.size(); ++i) {
+      atom_ids_[i] = env.bind(atoms[i]);
+    }
+    bound_serial_ = env.serial();
+  }
   unsigned letter = 0;
-  for (std::size_t i = 0; i < table_->atoms.size(); ++i) {
-    if (env.sample(table_->atoms[i])) letter |= (1u << i);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    const int id = atom_ids_[i];
+    if (id >= 0 ? env.sample(id) : env.sample(atoms[i])) letter |= (1u << i);
   }
   state_ = table_->step(state_, letter);
   if (table_->verdict[state()] == Verdict::kFailed &&

@@ -7,6 +7,7 @@
 // same table.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +37,10 @@ struct DfaTable {
 /// than `max_states` distinct monitor states are reachable.
 DfaTable determinize(const PropPtr& prop, int max_states = 1 << 12);
 
-/// A Monitor backed by a (shared) DfaTable: O(atoms) per step.
+/// A Monitor backed by a (shared) DfaTable: O(atoms) per step. The atoms
+/// are bound once per Env instance (Env::bind, keyed on Env::serial) and
+/// sampled by id from then on; atoms the Env does not index are sampled by
+/// name.
 class DfaMonitor : public Monitor {
  public:
   explicit DfaMonitor(std::shared_ptr<const DfaTable> table);
@@ -56,6 +60,8 @@ class DfaMonitor : public Monitor {
   std::size_t state() const { return static_cast<std::size_t>(state_); }
   std::shared_ptr<const DfaTable> table_;
   int state_ = 0;
+  std::uint64_t bound_serial_ = 0;  // Env the ids belong to; 0 = none
+  std::vector<int> atom_ids_;       // per atom: Env::bind's id, or -1
 };
 
 /// Compiles `prop` to a DFA-backed monitor.

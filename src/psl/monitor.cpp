@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "psl/dfa.hpp"
+#include "util/strings.hpp"
 
 namespace la1::psl {
 
@@ -251,7 +252,7 @@ class NextMonitor : public Monitor {
     return verdict_ == Verdict::kPending ? Verdict::kFailed : verdict_;
   }
   std::string encode() const override {
-    return "n" + std::to_string(remaining_) + to_string(verdict_);
+    return util::cat({"n", std::to_string(remaining_), to_string(verdict_)});
   }
 
   std::unique_ptr<Monitor> clone() const override {

@@ -1,5 +1,7 @@
 #include "psl/temporal.hpp"
 
+#include "util/strings.hpp"
+
 namespace la1::psl {
 
 namespace {
@@ -101,26 +103,32 @@ PropPtr p_next_event(BExprPtr trigger, BExprPtr b, int n, BExprPtr c) {
 std::string to_string(const Prop& p) {
   switch (p.kind) {
     case Prop::Kind::kBoolean: return to_string(*p.expr);
-    case Prop::Kind::kAlways: return "always (" + to_string(*p.child) + ")";
-    case Prop::Kind::kNever: return "never {" + to_string(*p.sere) + "}";
+    case Prop::Kind::kAlways:
+      return util::cat({"always (", to_string(*p.child), ")"});
+    case Prop::Kind::kNever:
+      return util::cat({"never {", to_string(*p.sere), "}"});
     case Prop::Kind::kSuffixImpl:
-      return "{" + to_string(*p.sere) + "} " + (p.overlap ? "|->" : "|=>") +
-             " {" + to_string(*p.sere2) + "}" + (p.strong ? "!" : "");
+      return util::cat({"{", to_string(*p.sere), "} ",
+                        p.overlap ? "|->" : "|=>", " {", to_string(*p.sere2),
+                        "}", p.strong ? "!" : ""});
     case Prop::Kind::kNext:
-      return "next[" + std::to_string(p.n) + "] (" + to_string(*p.expr) + ")";
+      return util::cat(
+          {"next[", std::to_string(p.n), "] (", to_string(*p.expr), ")"});
     case Prop::Kind::kUntil:
-      return "(" + to_string(*p.lhs) + (p.strong ? " until! " : " until ") +
-             to_string(*p.rhs) + ")";
+      return util::cat({"(", to_string(*p.lhs),
+                        p.strong ? " until! " : " until ", to_string(*p.rhs),
+                        ")"});
     case Prop::Kind::kBefore:
-      return "(" + to_string(*p.lhs) + (p.strong ? " before! " : " before ") +
-             to_string(*p.rhs) + ")";
+      return util::cat({"(", to_string(*p.lhs),
+                        p.strong ? " before! " : " before ", to_string(*p.rhs),
+                        ")"});
     case Prop::Kind::kEventually:
-      return "eventually! (" + to_string(*p.expr) + ")";
+      return util::cat({"eventually! (", to_string(*p.expr), ")"});
     case Prop::Kind::kAnd: {
       std::string out;
       for (std::size_t i = 0; i < p.children.size(); ++i) {
         if (i != 0) out += " && ";
-        out += "(" + to_string(*p.children[i]) + ")";
+        out += util::cat({"(", to_string(*p.children[i]), ")"});
       }
       return out;
     }

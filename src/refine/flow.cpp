@@ -28,6 +28,7 @@
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
+#include "util/strings.hpp"
 
 namespace la1::refine {
 
@@ -169,8 +170,8 @@ FlowReport run_flow(const FlowOptions& options) {
       const msc::MonitorSuite suite =
           msc::to_psl(msc::read_mode_chart(), copts);
       for (const msc::CompiledProperty& d : suite.asserts) {
-        derived.add_assert("b" + std::to_string(b) + "." + d.name, d.prop,
-                           psl::DirSeverity::kMajor, d.source);
+        derived.add_assert(util::cat({"b", std::to_string(b), ".", d.name}),
+                           d.prop, psl::DirSeverity::kMajor, d.source);
       }
     }
     for (const msc::CompiledProperty& d :

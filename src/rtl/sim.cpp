@@ -42,70 +42,60 @@ void CycleSim::levelize() {
   order_ = std::move(sched.nodes);
 }
 
-LVec CycleSim::eval_expr(ExprId id) {
+const LVec& CycleSim::eval_expr(ExprId id) {
+  LVec& out = expr_cache_[static_cast<std::size_t>(id)];
   auto& stamp = expr_stamp_[static_cast<std::size_t>(id)];
-  if (stamp == stamp_) return expr_cache_[static_cast<std::size_t>(id)];
+  if (stamp == stamp_) return out;
   ++exprs_evaluated_;
+  // Operands are other slots of expr_cache_, which never reallocates, so
+  // each result is written straight into this expression's slot.
   const Expr& e = module_->expr(id);
-  LVec out;
   switch (e.op) {
     case Op::kConst: out = e.literal; break;
     case Op::kNet: out = net_values_[static_cast<std::size_t>(e.net)]; break;
-    case Op::kNot: out = vec_not(eval_expr(e.a)); break;
-    case Op::kAnd: out = vec_and(eval_expr(e.a), eval_expr(e.b)); break;
-    case Op::kOr: out = vec_or(eval_expr(e.a), eval_expr(e.b)); break;
-    case Op::kXor: out = vec_xor(eval_expr(e.a), eval_expr(e.b)); break;
-    case Op::kRedAnd: {
-      out = LVec(1);
-      out.set_bit(0, vec_red_and(eval_expr(e.a)));
+    case Op::kNot: vec_not(out, eval_expr(e.a)); break;
+    case Op::kAnd: vec_and(out, eval_expr(e.a), eval_expr(e.b)); break;
+    case Op::kOr: vec_or(out, eval_expr(e.a), eval_expr(e.b)); break;
+    case Op::kXor: vec_xor(out, eval_expr(e.a), eval_expr(e.b)); break;
+    case Op::kRedAnd: out.assign(1, vec_red_and(eval_expr(e.a))); break;
+    case Op::kRedOr: out.assign(1, vec_red_or(eval_expr(e.a))); break;
+    case Op::kRedXor: out.assign(1, vec_red_xor(eval_expr(e.a))); break;
+    case Op::kEq:
+      out.assign(1, vec_eq(eval_expr(e.a), eval_expr(e.b)));
       break;
-    }
-    case Op::kRedOr: {
-      out = LVec(1);
-      out.set_bit(0, vec_red_or(eval_expr(e.a)));
+    case Op::kNe:
+      out.assign(1, logic_not(vec_eq(eval_expr(e.a), eval_expr(e.b))));
       break;
-    }
-    case Op::kRedXor: {
-      out = LVec(1);
-      out.set_bit(0, vec_red_xor(eval_expr(e.a)));
-      break;
-    }
-    case Op::kEq: {
-      out = LVec(1);
-      out.set_bit(0, vec_eq(eval_expr(e.a), eval_expr(e.b)));
-      break;
-    }
-    case Op::kNe: {
-      out = LVec(1);
-      out.set_bit(0, logic_not(vec_eq(eval_expr(e.a), eval_expr(e.b))));
-      break;
-    }
     case Op::kMux:
-      out = vec_mux(eval_expr(e.a).bit(0), eval_expr(e.b), eval_expr(e.c));
+      vec_mux(out, eval_expr(e.a).bit(0), eval_expr(e.b), eval_expr(e.c));
       break;
     case Op::kConcat: {
-      out = LVec(0);
+      // Parts are MSB first; every part is evaluated before `out` is shaped.
+      int width = 0;
+      for (ExprId part : e.parts) width += eval_expr(part).width();
+      out.resize(width);
+      int lo = 0;
       for (auto it = e.parts.rbegin(); it != e.parts.rend(); ++it) {
-        out = vec_concat(eval_expr(*it), out);
+        const LVec& part = expr_cache_[static_cast<std::size_t>(*it)];
+        out.copy_bits(part, 0, part.width(), lo);
+        lo += part.width();
       }
       break;
     }
-    case Op::kSlice: out = vec_slice(eval_expr(e.a), e.lo, e.width); break;
-    case Op::kAdd: out = vec_add(eval_expr(e.a), eval_expr(e.b)); break;
-    case Op::kSub: out = vec_sub(eval_expr(e.a), eval_expr(e.b)); break;
+    case Op::kSlice: vec_slice(out, eval_expr(e.a), e.lo, e.width); break;
+    case Op::kAdd: vec_add(out, eval_expr(e.a), eval_expr(e.b)); break;
+    case Op::kSub: vec_sub(out, eval_expr(e.a), eval_expr(e.b)); break;
     case Op::kMemRead: {
-      const LVec addr = eval_expr(e.a);
       const auto& mem = mem_values_[static_cast<std::size_t>(e.mem)];
-      const auto idx = addr.to_uint();
+      const auto idx = eval_expr(e.a).to_uint();
       if (!idx.has_value() || *idx >= mem.size()) {
-        out = LVec::xs(e.width);
+        out.assign(e.width, Logic::kX);
       } else {
         out = mem[static_cast<std::size_t>(*idx)];
       }
       break;
     }
   }
-  expr_cache_[static_cast<std::size_t>(id)] = out;
   stamp = stamp_;
   return out;
 }
@@ -113,27 +103,25 @@ LVec CycleSim::eval_expr(ExprId id) {
 void CycleSim::run_comb() {
   ++stamp_;
   for (const SchedNode& node : order_) {
+    LVec& value = net_values_[static_cast<std::size_t>(node.target)];
     if (!node.is_tristate_group) {
-      net_values_[static_cast<std::size_t>(node.target)] =
-          eval_expr(node.assign_values.front());
+      value = eval_expr(node.assign_values.front());
       continue;
     }
-    const int width = module_->net(node.target).width;
-    LVec resolved = LVec::zs(width);
+    value.assign(module_->net(node.target).width, Logic::kZ);
     int enabled = 0;
     for (std::size_t d = 0; d < node.tri_enables.size(); ++d) {
       const Logic en = eval_expr(node.tri_enables[d]).bit(0);
       if (en == Logic::k0) continue;
       if (en == Logic::k1) {
-        resolved = vec_resolve(resolved, eval_expr(node.assign_values[d]));
+        vec_resolve(value, value, eval_expr(node.assign_values[d]));
         ++enabled;
       } else {
         // Unknown enable: the driver may or may not be on — X everywhere it
         // could disagree, i.e. conservatively everywhere.
-        resolved = vec_resolve(resolved, LVec::xs(width));
+        value.assign(value.width(), Logic::kX);
       }
     }
-    net_values_[static_cast<std::size_t>(node.target)] = resolved;
     enabled_drivers_[static_cast<std::size_t>(node.target)] = enabled;
   }
 }
@@ -164,81 +152,72 @@ void CycleSim::eval() { run_comb(); }
 void CycleSim::edge(NetId clock, Edge e) {
   run_comb();  // settle pre-edge values
 
-  struct RegCommit {
-    NetId target;
-    LVec value;
+  // Sample: every value a process commits lands in its expr_cache_ slot,
+  // where it stays until the next run_comb — net writes never touch it.
+  const auto sensitive = [&](const Process& p) {
+    return p.clock == clock && p.edge == e;
   };
-  struct MemCommit {
-    MemId mem;
-    LVec addr;
-    LVec data;
-    Logic wen;
-    std::vector<Logic> byte_enables;
-  };
-  std::vector<RegCommit> regs;
-  std::vector<MemCommit> mems;
+  for (const Process& p : module_->processes()) {
+    if (!sensitive(p)) continue;
+    for (const SeqAssign& sa : p.assigns) eval_expr(sa.value);
+    for (const MemWrite& w : p.mem_writes) {
+      eval_expr(w.addr);
+      eval_expr(w.data);
+      eval_expr(w.wen);
+      for (ExprId be : w.byte_enables) eval_expr(be);
+    }
+  }
+  // The clock net itself flips to its post-edge value.
+  net_values_[static_cast<std::size_t>(clock)].assign(
+      1, e == Edge::kPos ? Logic::k1 : Logic::k0);
 
   for (const Process& p : module_->processes()) {
-    if (p.clock != clock || p.edge != e) continue;
+    if (!sensitive(p)) continue;
     for (const SeqAssign& sa : p.assigns) {
-      regs.push_back(RegCommit{sa.target, eval_expr(sa.value)});
+      net_values_[static_cast<std::size_t>(sa.target)] = sampled(sa.value);
     }
-    for (const MemWrite& w : p.mem_writes) {
-      MemCommit c;
-      c.mem = w.mem;
-      c.addr = eval_expr(w.addr);
-      c.data = eval_expr(w.data);
-      c.wen = eval_expr(w.wen).bit(0);
-      for (ExprId be : w.byte_enables) c.byte_enables.push_back(eval_expr(be).bit(0));
-      mems.push_back(std::move(c));
-    }
-  }
-
-  // The clock net itself flips to its post-edge value.
-  net_values_[static_cast<std::size_t>(clock)] =
-      LVec::from_uint(e == Edge::kPos ? 1 : 0, 1);
-
-  for (const RegCommit& c : regs) {
-    net_values_[static_cast<std::size_t>(c.target)] = c.value;
-  }
-  for (const MemCommit& c : mems) {
-    auto& mem = mem_values_[static_cast<std::size_t>(c.mem)];
-    if (c.wen == Logic::k0) continue;
-    const auto idx = c.addr.to_uint();
-    if (!idx.has_value()) {
-      // Unknown address with a (possibly) active write: all state suspect.
-      for (auto& word : mem) word = LVec::xs(word.width());
-      ++x_write_warnings_;
-      continue;
-    }
-    if (*idx >= mem.size()) continue;  // out of range: ignored, like real SRAM decode
-    LVec& word = mem[static_cast<std::size_t>(*idx)];
-    if (c.wen != Logic::k1) {
-      word = LVec::xs(word.width());
-      ++x_write_warnings_;
-      continue;
-    }
-    if (c.byte_enables.empty()) {
-      word = c.data;
-      continue;
-    }
-    const int lw = word.width() / static_cast<int>(c.byte_enables.size());
-    for (std::size_t lane = 0; lane < c.byte_enables.size(); ++lane) {
-      const Logic be = c.byte_enables[lane];
-      for (int b = 0; b < lw; ++b) {
-        const int i = static_cast<int>(lane) * lw + b;
-        if (be == Logic::k1) {
-          word.set_bit(i, c.data.bit(i));
-        } else if (be != Logic::k0) {
-          word.set_bit(i, Logic::kX);
-          ++x_write_warnings_;
-        }
-      }
-    }
+    for (const MemWrite& w : p.mem_writes) commit_write(w);
   }
 
   ++edges_;
   run_comb();
+}
+
+void CycleSim::commit_write(const MemWrite& w) {
+  auto& mem = mem_values_[static_cast<std::size_t>(w.mem)];
+  const Logic wen = sampled(w.wen).bit(0);
+  if (wen == Logic::k0) return;
+  const auto idx = sampled(w.addr).to_uint();
+  if (!idx.has_value()) {
+    // Unknown address with a (possibly) active write: all state suspect.
+    for (auto& word : mem) word.assign(word.width(), Logic::kX);
+    ++x_write_warnings_;
+    return;
+  }
+  if (*idx >= mem.size()) return;  // out of range: ignored, like SRAM decode
+  LVec& word = mem[static_cast<std::size_t>(*idx)];
+  if (wen != Logic::k1) {
+    word.assign(word.width(), Logic::kX);
+    ++x_write_warnings_;
+    return;
+  }
+  const LVec& data = sampled(w.data);
+  if (w.byte_enables.empty()) {
+    word = data;
+    return;
+  }
+  const int lanes = static_cast<int>(w.byte_enables.size());
+  const int lw = word.width() / lanes;
+  for (int lane = 0; lane < lanes; ++lane) {
+    const Logic be =
+        sampled(w.byte_enables[static_cast<std::size_t>(lane)]).bit(0);
+    if (be == Logic::k1) {
+      word.copy_bits(data, lane * lw, lw, lane * lw);
+    } else if (be != Logic::k0) {
+      for (int b = 0; b < lw; ++b) word.set_bit(lane * lw + b, Logic::kX);
+      x_write_warnings_ += static_cast<std::uint64_t>(lw);
+    }
+  }
 }
 
 void CycleSim::edge(const std::string& clock_name, Edge e) {

@@ -65,7 +65,14 @@ class CycleSim {
 
  private:
   void levelize();
-  LVec eval_expr(ExprId id);
+  /// The value of `id` this settle, evaluated into its expr_cache_ slot.
+  const LVec& eval_expr(ExprId id);
+  /// The value edge() sampled for `id` before committing.
+  const LVec& sampled(ExprId id) const {
+    return expr_cache_[static_cast<std::size_t>(id)];
+  }
+  /// Commits one sampled memory write under the SRAM rules.
+  void commit_write(const MemWrite& w);
   void run_comb();
 
   const Module* module_;

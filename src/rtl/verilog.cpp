@@ -4,6 +4,8 @@
 #include <set>
 #include <sstream>
 
+#include "util/strings.hpp"
+
 namespace la1::rtl {
 
 namespace {
@@ -46,17 +48,18 @@ class Printer {
         return s.str();
       }
       case Op::kNet: return sanitize(m_->net(e.net).name);
-      case Op::kNot: return "(~" + expr(e.a) + ")";
-      case Op::kAnd: return "(" + expr(e.a) + " & " + expr(e.b) + ")";
-      case Op::kOr: return "(" + expr(e.a) + " | " + expr(e.b) + ")";
-      case Op::kXor: return "(" + expr(e.a) + " ^ " + expr(e.b) + ")";
-      case Op::kRedAnd: return "(&" + expr(e.a) + ")";
-      case Op::kRedOr: return "(|" + expr(e.a) + ")";
-      case Op::kRedXor: return "(^" + expr(e.a) + ")";
-      case Op::kEq: return "(" + expr(e.a) + " == " + expr(e.b) + ")";
-      case Op::kNe: return "(" + expr(e.a) + " != " + expr(e.b) + ")";
+      case Op::kNot: return util::cat({"(~", expr(e.a), ")"});
+      case Op::kAnd: return util::cat({"(", expr(e.a), " & ", expr(e.b), ")"});
+      case Op::kOr: return util::cat({"(", expr(e.a), " | ", expr(e.b), ")"});
+      case Op::kXor: return util::cat({"(", expr(e.a), " ^ ", expr(e.b), ")"});
+      case Op::kRedAnd: return util::cat({"(&", expr(e.a), ")"});
+      case Op::kRedOr: return util::cat({"(|", expr(e.a), ")"});
+      case Op::kRedXor: return util::cat({"(^", expr(e.a), ")"});
+      case Op::kEq: return util::cat({"(", expr(e.a), " == ", expr(e.b), ")"});
+      case Op::kNe: return util::cat({"(", expr(e.a), " != ", expr(e.b), ")"});
       case Op::kMux:
-        return "(" + expr(e.a) + " ? " + expr(e.b) + " : " + expr(e.c) + ")";
+        return util::cat(
+            {"(", expr(e.a), " ? ", expr(e.b), " : ", expr(e.c), ")"});
       case Op::kConcat: {
         std::string s = "{";
         for (std::size_t i = 0; i < e.parts.size(); ++i) {
@@ -80,11 +83,12 @@ class Printer {
         s << "((" << expr(e.a) << ") >> " << e.lo << ')';
         return s.str();
       }
-      case Op::kAdd: return "(" + expr(e.a) + " + " + expr(e.b) + ")";
-      case Op::kSub: return "(" + expr(e.a) + " - " + expr(e.b) + ")";
+      case Op::kAdd: return util::cat({"(", expr(e.a), " + ", expr(e.b), ")"});
+      case Op::kSub: return util::cat({"(", expr(e.a), " - ", expr(e.b), ")"});
       case Op::kMemRead:
-        return sanitize(m_->memories()[static_cast<std::size_t>(e.mem)].name) +
-               "[" + expr(e.a) + "]";
+        return util::cat(
+            {sanitize(m_->memories()[static_cast<std::size_t>(e.mem)].name),
+             "[", expr(e.a), "]"});
     }
     return "/*?*/";
   }

@@ -48,24 +48,24 @@ std::string render_usage(std::string_view tool,
   std::size_t width = 0;
   for (const Command& c : commands) width = std::max(width, c.name.size());
   const auto column = [&](std::string_view name) {
-    return "  " + std::string(name) + std::string(width + 2 - name.size(), ' ');
+    return cat({"  ", name, std::string(width + 2 - name.size(), ' ')});
   };
   const std::string name(tool);
-  std::string usage = "usage: " + name + " <command> [options]\n";
+  std::string usage = cat({"usage: ", name, " <command> [options]\n"});
   std::string summaries = "\ncommands:\n";
   std::string options = "\noptions:\n";
   const std::size_t indent = width + 4;
   for (const Command& c : commands) {
     if (!c.operand.empty()) {
-      usage += "       " + name + " " + std::string(c.name) + " " +
-               std::string(c.operand) + " [options]\n";
+      usage += cat(
+          {"       ", name, " ", c.name, " ", c.operand, " [options]\n"});
     }
     summaries += column(c.name) + std::string(c.summary) + "\n";
     if (c.flags.empty()) continue;
     std::string line = column(c.name);
     for (const Flag& f : c.flags) {
-      std::string text = "--" + std::string(f.name);
-      if (!f.metavar.empty()) text += " " + std::string(f.metavar);
+      std::string text = cat({"--", f.name});
+      if (!f.metavar.empty()) text += cat({" ", f.metavar});
       if (line.size() > indent && line.size() + 2 + text.size() > 79) {
         options += line + "\n";
         line = std::string(indent, ' ');
@@ -135,6 +135,20 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const 
   const std::string* value = find(name);
   return value == nullptr ? fallback
                           : whole(*value, "--" + name, "an integer", to_int);
+}
+
+int Cli::get_bounded(const std::string& name, int fallback, int min,
+                     int max) const {
+  const std::int64_t v = get_int(name, fallback);
+  if (v < min) {
+    throw std::invalid_argument("--" + name + " must be at least " +
+                                std::to_string(min));
+  }
+  if (v > max) {
+    throw std::invalid_argument("--" + name + " must be at most " +
+                                std::to_string(max));
+  }
+  return static_cast<int>(v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {

@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -53,6 +54,11 @@ class Cli {
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int for a flag held in an int: a value outside [min, max] throws
+  /// std::invalid_argument "--<name> must be at least <min>" (or "at most
+  /// <max>") instead of wrapping when it is narrowed.
+  int get_bounded(const std::string& name, int fallback, int min,
+                  int max = std::numeric_limits<int>::max()) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

@@ -33,6 +33,15 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
+std::string cat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (std::string_view p : parts) size += p.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view p : parts) out.append(p);
+  return out;
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -8,6 +8,7 @@
 
 #include "bdd/bdd.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1::bdd {
 namespace {
@@ -404,7 +405,7 @@ TEST(Bdd, ToDotRenders) {
   Manager m(2);
   const NodeId f = m.apply_and(m.var(0), m.var(1));
   const std::string dot =
-      m.to_dot(f, [](int v) { return "x" + std::to_string(v); });
+      m.to_dot(f, [](int v) { return util::cat({"x", std::to_string(v)}); });
   EXPECT_NE(dot.find("digraph"), std::string::npos);
   EXPECT_NE(dot.find("x0"), std::string::npos);
 }

@@ -19,6 +19,7 @@
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "util/strings.hpp"
 
 namespace la1 {
 namespace {
@@ -183,7 +184,8 @@ util::Json random_doc(util::Rng& rng, int depth) {
       util::Json obj = util::Json::object();
       const std::uint64_t n = rng.below(5);
       for (std::uint64_t i = 0; i < n; ++i)
-        obj.set("k" + std::to_string(i), random_doc(rng, depth - 1));
+        obj.set(util::cat({"k", std::to_string(i)}),
+                random_doc(rng, depth - 1));
       return obj;
     }
   }

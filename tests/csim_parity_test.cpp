@@ -20,6 +20,7 @@
 #include "rtl/netlist.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1::csim {
 namespace {
@@ -127,7 +128,7 @@ RandomNetlist random_netlist(util::Rng& rng) {
   for (int i = 0; i < n_inputs; ++i) {
     // Always at least one byte-wide input so every leaf width can slice.
     const int w = i == 0 ? 8 : 1 + static_cast<int>(rng.below(8));
-    out.inputs.push_back(m.input("I" + std::to_string(i), w));
+    out.inputs.push_back(m.input(util::cat({"I", std::to_string(i)}), w));
   }
 
   if (rng.below(2) == 0) out.mem = m.memory("M", /*depth=*/4, /*width=*/8);
@@ -138,9 +139,10 @@ RandomNetlist random_netlist(util::Rng& rng) {
   for (int r = 0; r < n_regs; ++r) {
     const int w = 1 + static_cast<int>(rng.below(8));
     if (rng.below(3) == 0) {
-      regs.push_back(m.reg("R" + std::to_string(r), w, rtl::LVec::xs(w)));
+      regs.push_back(
+          m.reg(util::cat({"R", std::to_string(r)}), w, rtl::LVec::xs(w)));
     } else {
-      regs.push_back(m.reg("R" + std::to_string(r), w,
+      regs.push_back(m.reg(util::cat({"R", std::to_string(r)}), w,
                            rng.below(1ull << w)));
     }
   }
@@ -162,7 +164,7 @@ RandomNetlist random_netlist(util::Rng& rng) {
   const int n_wires = 1 + static_cast<int>(rng.below(3));
   for (int w = 0; w < n_wires; ++w) {
     const int width = 1 + static_cast<int>(rng.below(8));
-    const rtl::NetId id = m.wire("W" + std::to_string(w), width);
+    const rtl::NetId id = m.wire(util::cat({"W", std::to_string(w)}), width);
     m.assign(id, random_expr(m, rng, pool, out.mem, width, 2));
     pool.push_back(id);  // later wires may read earlier ones (still acyclic)
   }

@@ -19,6 +19,7 @@
 #include "rtl/netlist.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1 {
 namespace {
@@ -67,14 +68,14 @@ RandomNetlist random_netlist(util::Rng& rng) {
   const rtl::NetId k = m.input("K", 1);
   const int n_inputs = 1 + static_cast<int>(rng.below(3));
   for (int i = 0; i < n_inputs; ++i) {
-    out.inputs.push_back(m.input("I" + std::to_string(i), 1));
+    out.inputs.push_back(m.input(util::cat({"I", std::to_string(i)}), 1));
   }
   // Registers reset to defined values (no X): the dfa facts then prune
   // with full strength, which is the interesting configuration.
   std::vector<rtl::NetId> regs;
   const int n_regs = 1 + static_cast<int>(rng.below(3));
   for (int r = 0; r < n_regs; ++r) {
-    regs.push_back(m.reg("R" + std::to_string(r), 1, rng.below(2)));
+    regs.push_back(m.reg(util::cat({"R", std::to_string(r)}), 1, rng.below(2)));
   }
   std::vector<rtl::NetId> operands = out.inputs;
   operands.insert(operands.end(), regs.begin(), regs.end());
@@ -84,7 +85,7 @@ RandomNetlist random_netlist(util::Rng& rng) {
   }
   const int n_wires = 1 + static_cast<int>(rng.below(3));
   for (int w = 0; w < n_wires; ++w) {
-    m.assign(m.wire("W" + std::to_string(w), 1),
+    m.assign(m.wire(util::cat({"W", std::to_string(w)}), 1),
              random_expr(m, rng, operands, 2));
   }
   // Vary a nonempty proper-or-full subset of the inputs.

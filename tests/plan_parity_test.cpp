@@ -21,6 +21,7 @@
 #include "rtl/schedule.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1::plan {
 namespace {
@@ -63,7 +64,7 @@ RandomNetlist random_netlist(util::Rng& rng) {
   const rtl::NetId k = m.input("K", 1);
   const int n_inputs = 1 + static_cast<int>(rng.below(3));
   for (int i = 0; i < n_inputs; ++i) {
-    out.inputs.push_back(m.input("I" + std::to_string(i), 1));
+    out.inputs.push_back(m.input(util::cat({"I", std::to_string(i)}), 1));
   }
   // A mix of defined and X resets: the X ones are what the transient/live
   // split has to get right.
@@ -71,9 +72,11 @@ RandomNetlist random_netlist(util::Rng& rng) {
   const int n_regs = 1 + static_cast<int>(rng.below(3));
   for (int r = 0; r < n_regs; ++r) {
     if (rng.below(3) == 0) {
-      regs.push_back(m.reg("R" + std::to_string(r), 1, rtl::LVec::xs(1)));
+      regs.push_back(
+          m.reg(util::cat({"R", std::to_string(r)}), 1, rtl::LVec::xs(1)));
     } else {
-      regs.push_back(m.reg("R" + std::to_string(r), 1, rng.below(2)));
+      regs.push_back(
+          m.reg(util::cat({"R", std::to_string(r)}), 1, rng.below(2)));
     }
   }
   std::vector<rtl::NetId> operands = out.inputs;
@@ -84,7 +87,7 @@ RandomNetlist random_netlist(util::Rng& rng) {
   }
   const int n_wires = static_cast<int>(rng.below(3));
   for (int w = 0; w < n_wires; ++w) {
-    m.assign(m.wire("W" + std::to_string(w), 1),
+    m.assign(m.wire(util::cat({"W", std::to_string(w)}), 1),
              random_expr(m, rng, operands, 2));
   }
   // Half the netlists get a tristate bus whose enable and payload are

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "la1/behavioral.hpp"
+#include "la1/host_bfm.hpp"
 #include "psl/dfa.hpp"
 #include "psl/parse.hpp"
 #include "util/rng.hpp"
@@ -156,6 +163,117 @@ TEST(VUnitParse, CommentsAnywhere) {
   const VUnit vunit = parse_vunit(
       "// header\nvunit v { assert P : // mid\n always (a); }");
   EXPECT_EQ(vunit.directives().size(), 1u);
+}
+
+// --- index-bound atoms -----------------------------------------------------
+
+/// Forwards sample-by-name to another Env and offers no ids, so a monitor
+/// stepped on it takes the string path.
+class ByNameEnv : public Env {
+ public:
+  explicit ByNameEnv(const Env& inner) : inner_(&inner) {}
+  bool sample(const std::string& s) const override { return inner_->sample(s); }
+
+ private:
+  const Env* inner_;
+};
+
+TEST(DfaBinding, ProbeIdsGiveTheSameVerdictsAsNames) {
+  core::Config cfg;
+  cfg.banks = 2;
+  core::KernelHarness h(cfg);
+  util::Rng rng(23);
+  h.host().push_random(rng, 300);
+  const std::vector<std::string> props = {
+      "always (b0.read_start -> next[4] b0.dout_valid_k)",
+      "always (b1.dout_valid_k -> next[1] b1.dout_valid_ks)",
+      "never {bus_conflict}",
+      "never {read_start; write_start}",
+      "never {read_start}",
+      "always (dout_valid -> dout_parity_ok)",
+  };
+  std::vector<std::unique_ptr<Monitor>> by_id;
+  std::vector<std::unique_ptr<Monitor>> by_name;
+  for (const std::string& p : props) {
+    by_id.push_back(compile_dfa(parse_property(p)));
+    by_name.push_back(compile_dfa(parse_property(p)));
+  }
+  const core::ProbeEnv& env = h.env();
+  EXPECT_GE(env.bind("b0.read_start"), 0);
+  EXPECT_EQ(env.bind("no_such_probe"), -1);
+  const ByNameEnv names(env);
+  int failed = 0;
+  h.run_ticks(800, [&](int tick) {
+    for (std::size_t i = 0; i < props.size(); ++i) {
+      by_id[i]->step(env);
+      by_name[i]->step(names);
+      ASSERT_EQ(by_id[i]->current(), by_name[i]->current())
+          << props[i] << " at tick " << tick;
+      if (by_id[i]->current() == Verdict::kFailed) ++failed;
+    }
+  });
+  // The sequence property fails on this stream: both paths saw it.
+  EXPECT_GT(failed, 0);
+}
+
+/// Serves atoms "a" and "b" by id in a per-instance order and counts the
+/// name lookups it is asked for.
+class OrderedEnv : public Env {
+ public:
+  OrderedEnv(std::vector<std::string> order, bool a, bool b)
+      : order_(std::move(order)), a_(a), b_(b) {}
+  bool sample(const std::string& s) const override {
+    ++by_name;
+    return value(s);
+  }
+  int bind(const std::string& s) const override {
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      if (order_[i] == s) return static_cast<int>(i);
+    }
+    return -1;
+  }
+  bool sample(int id) const override {
+    return value(order_.at(static_cast<std::size_t>(id)));
+  }
+  mutable int by_name = 0;
+
+ private:
+  bool value(const std::string& s) const { return s == "a" ? a_ : b_; }
+  std::vector<std::string> order_;
+  bool a_, b_;
+};
+
+TEST(DfaBinding, RebindsForEveryEnvInstanceEvenAtARecycledAddress) {
+  // Holds while b is high and a low. A monitor that kept the ids of the
+  // first Env would read a and b swapped in the second and fail.
+  auto m = compile_dfa(parse_property("always (b && !a)"));
+  std::optional<OrderedEnv> slot;
+  slot.emplace(std::vector<std::string>{"a", "b"}, false, true);
+  const Env* first = &*slot;
+  const std::uint64_t first_serial = slot->serial();
+  for (int i = 0; i < 3; ++i) m->step(*slot);
+  EXPECT_EQ(slot->by_name, 0);  // every atom came by id
+  slot.reset();
+  slot.emplace(std::vector<std::string>{"b", "a"}, false, true);
+  ASSERT_EQ(&*slot, first);  // same address, new instance
+  EXPECT_NE(slot->serial(), first_serial);
+  for (int i = 0; i < 3; ++i) m->step(*slot);
+  EXPECT_EQ(m->current(), Verdict::kHolds);
+
+  // A copy is a new instance too, and an Env without ids (MapEnv) is read
+  // by name.
+  const OrderedEnv copy = *slot;
+  EXPECT_NE(copy.serial(), slot->serial());
+  m->step(copy);
+  MapEnv map;
+  map.set("a", false);
+  map.set("b", true);
+  EXPECT_EQ(map.bind("a"), -1);
+  m->step(map);
+  EXPECT_EQ(m->current(), Verdict::kHolds);
+  map.set("a", true);
+  m->step(map);
+  EXPECT_EQ(m->current(), Verdict::kFailed);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "rtl/netlist.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1::rtl {
 namespace {
@@ -105,7 +106,7 @@ TEST(CycleSim, CombinationalChainsLevelize) {
   // Declare wires in reverse dependency order to force the levelizer to sort.
   std::vector<NetId> wires;
   for (int i = 0; i < 4; ++i) {
-    wires.push_back(m.wire("w" + std::to_string(i), 8));
+    wires.push_back(m.wire(util::cat({"w", std::to_string(i)}), 8));
   }
   for (int i = 3; i >= 0; --i) {
     m.assign(wires[static_cast<std::size_t>(i)],

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include "util/cli.hpp"
+#include "util/strings.hpp"
 
 namespace la1 {
 namespace {
@@ -341,6 +342,34 @@ TEST(ToolsCli, MalformedNumbersExitTwoNamingTheFlag) {
             "error: --workers: expected an integer, got '2x'\n");
 }
 
+TEST(ToolsCli, OutOfRangeNumbersExitTwoNamingTheFlagAndBound) {
+  // A whole number that does not fit the flag's range is refused, not
+  // narrowed: 4294967297 used to run as 1 tick (and 1 timed cycle).
+  const std::string out = temp_path("la1_out_of_range.txt");
+  const auto run = [&out](const std::string& binary, const std::string& args) {
+    const int status = std::system(
+        (binary + " " + args + " > " + out + " 2>&1").c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+  const std::string la1check = LA1_LA1CHECK;
+  const std::string sim = "sim --prop 'never {bus_conflict}'";
+  EXPECT_EQ(run(la1check, sim + " --ticks 4294967297"), 2);
+  EXPECT_EQ(read_file(out), "error: --ticks must be at most 2147483647\n");
+  EXPECT_EQ(run(la1check, "csim --cycles 4294967297"), 2);
+  EXPECT_EQ(read_file(out), "error: --cycles must be at most 2147483647\n");
+  EXPECT_EQ(run(la1check, sim + " --banks -4294967295"), 2);
+  EXPECT_EQ(read_file(out), "error: --banks must be at least 1\n");
+  EXPECT_EQ(run(la1check, "faults --workers 0 --no-mc"), 2);
+  EXPECT_EQ(read_file(out), "error: --workers must be at least 1\n");
+
+  const std::string job = temp_path("la1batch_range_job.json");
+  ASSERT_EQ(std::system((std::string(LA1_LA1BATCH) + " example > " + job)
+                            .c_str()),
+            0);
+  EXPECT_EQ(run(LA1_LA1BATCH, "run " + job + " --workers 4294967298"), 2);
+  EXPECT_EQ(read_file(out), "error: --workers must be at most 2147483647\n");
+}
+
 /// Runs `binary args` with stdout and stderr captured apart; the exit
 /// status, or -1 when the tool did not exit.
 int run_split(const std::string& binary, const std::string& args,
@@ -377,7 +406,8 @@ TEST(ToolsCli, UnknownFlagExitsTwoBeforeAnyWork) {
         << command;
   };
   for (const std::string& command : kExpected) {
-    check(LA1_LA1CHECK, command, command == "msc" ? " " + example_chart() : "");
+    check(LA1_LA1CHECK, command,
+          command == "msc" ? util::cat({" ", example_chart()}) : "");
   }
   for (const std::string& command : kBatchExpected) {
     check(LA1_LA1BATCH, command, command == "run" ? " " + missing : "");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -204,6 +205,27 @@ TEST(Cli, MalformedNumbersNameTheFlag) {
   EXPECT_THROW(cli.get_double("ratio", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_double("inf", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_double("bare", 0), std::invalid_argument);
+}
+
+TEST(Cli, BoundedNumbersRejectValuesOutsideTheirRange) {
+  const char* argv[] = {"prog", "--ticks", "4294967297", "--banks", "0",
+                        "--bank", "3", "--n", "x"};
+  Cli cli(9, argv);
+  const auto message = [&cli](const char* flag, int min, int max) {
+    try {
+      cli.get_bounded(flag, 0, min, max);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("ticks", 1, std::numeric_limits<int>::max()),
+            "--ticks must be at most 2147483647");
+  EXPECT_EQ(message("banks", 1, 8), "--banks must be at least 1");
+  EXPECT_EQ(message("bank", 0, 2), "--bank must be at most 2");
+  EXPECT_EQ(message("n", 0, 1), "--n: expected an integer, got 'x'");
+  EXPECT_EQ(cli.get_bounded("bank", 0, 0), 3);
+  EXPECT_EQ(cli.get_bounded("absent", 7, 0), 7);
 }
 
 TEST(Cli, WellFormedNumbersParse) {

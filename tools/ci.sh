@@ -7,6 +7,8 @@
 #   tools/ci.sh --sanitize      # tier-1 under ASan/UBSan in a separate tree
 #   tools/ci.sh --tsan          # executor/batch/csim/campaign tests under
 #                               # ThreadSanitizer in a separate tree
+#   tools/ci.sh --release       # Release (-O3) build with warnings as errors,
+#                               # then tier-1, in a separate tree
 #   tools/ci.sh --faults        # also run the fixed-seed fault campaign gate
 #   tools/ci.sh --cov           # also run the coverage-closure + shrinker gate
 #   tools/ci.sh --batch         # also run the batch-service gate: fixed-seed
@@ -37,6 +39,7 @@ jobs=$(nproc 2>/dev/null || echo 2)
 smoke_only=0
 sanitize=0
 tsan=0
+release=0
 faults=0
 cov=0
 plan=0
@@ -77,6 +80,9 @@ for arg in "$@"; do
     --tsan)
       tsan=1
       ;;
+    --release)
+      release=1
+      ;;
     --faults)
       faults=1
       ;;
@@ -99,7 +105,7 @@ for arg in "$@"; do
       tidy=1
       ;;
     *)
-      echo "usage: tools/ci.sh [--smoke-only | --sanitize | --tsan | --faults | --cov | --plan | --csim | --batch | --line-cov | --tidy | --install-hook]" >&2
+      echo "usage: tools/ci.sh [--smoke-only | --sanitize | --tsan | --release | --faults | --cov | --plan | --csim | --batch | --line-cov | --tidy | --install-hook]" >&2
       exit 2
       ;;
   esac
@@ -115,6 +121,20 @@ if [ "$sanitize" -eq 1 ]; then
   # compiled backend's slot arithmetic gets the ASan/UBSan treatment too.
   (cd "$asan_dir" && ctest --output-on-failure -j "$jobs" --timeout "$test_timeout")
   echo "ci: tier-1 verify passed under ASan/UBSan"
+  exit 0
+fi
+
+if [ "$release" -eq 1 ]; then
+  # The default build is RelWithDebInfo (-O2); -O3 inlines more and so
+  # warns in places -O2 does not (GCC 12's -Wrestrict on string building).
+  # A separate tree keeps the -O3 objects out of the normal build.
+  release_dir="$repo_root/build-release"
+  cmake -B "$release_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+  cmake --build "$release_dir" -j "$jobs"
+  (cd "$release_dir" && ctest --output-on-failure -j "$jobs" \
+    --timeout "$test_timeout")
+  echo "ci: warning-free Release build passed tier-1"
   exit 0
 fi
 

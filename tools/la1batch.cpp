@@ -78,11 +78,11 @@ int run_run(const util::Cli& cli) {
   }
 
   batch::RunnerOptions opt;
-  opt.workers = static_cast<int>(cli.get_int("workers", 1));
+  opt.workers = cli.get_bounded("workers", 1, 1);
   opt.steal_seed = static_cast<std::uint64_t>(cli.get_int("steal-seed", 1));
   opt.shard_wall_ms =
       static_cast<std::uint64_t>(cli.get_int("shard-wall-ms", 0));
-  opt.max_retries = static_cast<int>(cli.get_int("retries", 1));
+  opt.max_retries = cli.get_bounded("retries", 1, 0);
   opt.backoff_ms = static_cast<std::uint64_t>(cli.get_int("backoff-ms", 10));
   opt.journal_path = cli.get("journal", "");
   opt.resume = cli.get_bool("resume", false);

@@ -70,9 +70,9 @@ int fail_under(const util::Cli& cli, const char* what, double score) {
 
 int run_sim(const util::Cli& cli) {
   core::Config cfg;
-  cfg.banks = static_cast<int>(cli.get_int("banks", 1));
+  cfg.banks = cli.get_bounded("banks", 1, 1);
   cfg.addr_bits = kSimAddrBits;
-  const int ticks = static_cast<int>(cli.get_int("ticks", 4000));
+  const int ticks = cli.get_bounded("ticks", 4000, 1);
 
   psl::VUnit vunit("cli");
   if (cli.has("vunit-file")) {
@@ -126,7 +126,7 @@ int run_sim(const util::Cli& cli) {
 
 int run_asm(const util::Cli& cli) {
   core::AsmConfig cfg;
-  cfg.banks = static_cast<int>(cli.get_int("banks", 1));
+  cfg.banks = cli.get_bounded("banks", 1, 1);
   if (!cli.has("prop")) throw std::invalid_argument("asm needs --prop");
   const auto prop = psl::parse_property(cli.get("prop", ""));
 
@@ -151,7 +151,7 @@ int run_asm(const util::Cli& cli) {
 
 int run_rtl(const util::Cli& cli) {
   const core::RtlConfig cfg =
-      core::RtlConfig::model_checking(static_cast<int>(cli.get_int("banks", 1)));
+      core::RtlConfig::model_checking(cli.get_bounded("banks", 1, 1));
   if (!cli.has("prop")) throw std::invalid_argument("rtl needs --prop");
   const auto prop = psl::parse_property(cli.get("prop", ""));
 
@@ -197,7 +197,7 @@ int run_rtl(const util::Cli& cli) {
 
 int run_verilog(const util::Cli& cli) {
   core::RtlConfig cfg;
-  cfg.banks = static_cast<int>(cli.get_int("banks", 1));
+  cfg.banks = cli.get_bounded("banks", 1, 1);
   const core::RtlDevice dev = core::build_device(cfg);
   const std::string verilog = rtl::to_verilog(*dev.top);
   const std::string out = cli.get("out", "");
@@ -220,7 +220,7 @@ int run_lint(const util::Cli& cli) {
     target = "injected defect '" + name + "'";
     report = lint::find_defect(lint::injected_defects(), name).run();
   } else {
-    const int banks = static_cast<int>(cli.get_int("banks", 1));
+    const int banks = cli.get_bounded("banks", 1, 1);
     target = std::to_string(banks) + "-bank device";
     // Full-geometry device (what `verilog` emits and `sim` exercises).
     core::RtlConfig cfg;
@@ -254,7 +254,7 @@ int run_lint(const util::Cli& cli) {
 
 int run_dfa(const util::Cli& cli) {
   const std::optional<lint::Severity> fail_on = fail_threshold(cli);
-  const int banks = static_cast<int>(cli.get_int("banks", 1));
+  const int banks = cli.get_bounded("banks", 1, 1);
 
   // Sequential analyses need the bit-blastable model-checking geometry —
   // the same netlist `la1check rtl` hands to the symbolic engine.
@@ -295,13 +295,13 @@ int run_dfa(const util::Cli& cli) {
 
 int run_faults(const util::Cli& cli) {
   fault::CampaignOptions opt;
-  opt.banks = static_cast<int>(cli.get_int("banks", 1));
+  opt.banks = cli.get_bounded("banks", 1, 1);
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  opt.transactions = static_cast<int>(cli.get_int("transactions", 300));
+  opt.transactions = cli.get_bounded("transactions", 300, 1);
   opt.plan.structural =
-      static_cast<int>(cli.get_int("structural", opt.plan.structural));
+      cli.get_bounded("structural", opt.plan.structural, 0);
   opt.plan.protocol =
-      static_cast<int>(cli.get_int("protocol", opt.plan.protocol));
+      cli.get_bounded("protocol", opt.plan.protocol, 0);
   opt.run_mc = !cli.get_bool("no-mc", false);
   opt.backend =
       harness::rtl_backend_from_string(cli.get("backend", "interpreted"));
@@ -311,7 +311,7 @@ int run_faults(const util::Cli& cli) {
   exec::install_interrupt_handler();
   opt.cancel = exec::interrupt_token().flag();
 
-  const int workers = static_cast<int>(cli.get_int("workers", 1));
+  const int workers = cli.get_bounded("workers", 1, 1);
   fault::CampaignReport report;
   if (workers > 1) {
     fault::ParallelOptions par;
@@ -403,7 +403,7 @@ int run_cov_shrink(const util::Cli& cli) {
 
   // Seeded failure: uniform traffic against a corrupt-read-data mutant.
   harness::StimulusOptions so;
-  so.banks = static_cast<int>(cli.get_int("banks", 1));
+  so.banks = cli.get_bounded("banks", 1, 1);
   const harness::Geometry g = so.geometry();
   harness::StimulusStream uniform(so, seed);
   std::vector<harness::Stimulus> stimuli;
@@ -445,12 +445,12 @@ int run_cov(const util::Cli& cli) {
   if (cli.get_bool("shrink", false)) return run_cov_shrink(cli);
 
   tgen::ClosureOptions opt;
-  opt.geometry.banks = static_cast<int>(cli.get_int("banks", 1));
+  opt.geometry.banks = cli.get_bounded("banks", 1, 1);
   opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   opt.target = cli.get_double("target", 0.95);
   opt.transactions_per_epoch =
       static_cast<std::uint64_t>(cli.get_int("transactions", 250));
-  opt.budget.max_epochs = static_cast<int>(cli.get_int("epochs", 40));
+  opt.budget.max_epochs = cli.get_bounded("epochs", 40, 1);
   opt.budget.wall_ms = static_cast<std::uint64_t>(cli.get_int("wall-ms", 0));
 
   // ^C stops after the current epoch; the partial report is still emitted.
@@ -498,7 +498,7 @@ int run_msc(const util::Cli& cli) {
   }
 
   msc::CompileOptions copts;
-  copts.bank = static_cast<int>(cli.get_int("bank", 0));
+  copts.bank = cli.get_bounded("bank", 0, 0);
   const msc::MonitorSuite suite = msc::to_psl(chart, copts);
   const std::vector<cov::Covergroup> groups = msc::to_coverage(chart);
   int bins = 0;
@@ -564,7 +564,7 @@ int run_msc(const util::Cli& cli) {
 
 int run_flow(const util::Cli& cli) {
   refine::FlowOptions opt;
-  opt.banks = static_cast<int>(cli.get_int("banks", 1));
+  opt.banks = cli.get_bounded("banks", 1, 1);
   const refine::FlowReport report = refine::run_flow(opt);
   std::fputs(report.render().c_str(), stdout);
   return report.ok ? 0 : 1;
@@ -578,7 +578,7 @@ int run_flowan(const util::Cli& cli) {
     const std::string name = cli.get("inject", "");
     report = lint::find_defect(flow::injected_defects(), name).run();
   } else {
-    const int banks = static_cast<int>(cli.get_int("banks", 1));
+    const int banks = cli.get_bounded("banks", 1, 1);
     // Model-checking geometry: the same netlist the symbolic engine (and
     // therefore the semantic cone under `rtl`'s use_coi) actually sees.
     const core::RtlConfig cfg = core::RtlConfig::model_checking(banks);
@@ -617,7 +617,7 @@ int run_plan(const util::Cli& cli) {
     const std::string name = cli.get("inject", "");
     p = lint::find_defect(plan::injected_defects(), name).run();
   } else {
-    const int banks = static_cast<int>(cli.get_int("banks", 1));
+    const int banks = cli.get_bounded("banks", 1, 1);
     // Full production geometry: the plan targets the compiled bit-parallel
     // backend, which lowers the real device, not the shrunk model-checking
     // netlist the symbolic engine sees.
@@ -627,7 +627,7 @@ int run_plan(const util::Cli& cli) {
     const rtl::Module flat = dev.flatten();
     plan::PlanOptions opt;
     opt.schedule = core::clock_schedule(flat);
-    opt.max_cycles = static_cast<int>(cli.get_int("max-cycles", 256));
+    opt.max_cycles = cli.get_bounded("max-cycles", 256, 1);
     p = plan::analyze(flat, opt);
   }
 
@@ -646,12 +646,11 @@ int run_plan(const util::Cli& cli) {
 }
 
 int run_csim(const util::Cli& cli) {
-  const int banks = static_cast<int>(cli.get_int("banks", 1));
+  const int banks = cli.get_bounded("banks", 1, 1);
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const int cycles = static_cast<int>(cli.get_int("cycles", 2000));
-  if (cycles < 1) throw std::invalid_argument("--cycles must be at least 1");
+  const int cycles = cli.get_bounded("cycles", 2000, 1);
   const int parity_cycles =
-      static_cast<int>(cli.get_int("parity-cycles", 200));
+      cli.get_bounded("parity-cycles", 200, 0);
 
   // Full production geometry, lowered through the compile plan — the same
   // pipeline `la1check plan` reports on and the harness adapter uses.

@@ -14,8 +14,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const int banks = cli.get_bounded("banks", 1, 1);
-  const std::size_t max_states =
-      static_cast<std::size_t>(cli.get_int("max-states", 250000));
+  const std::size_t max_states = cli.get_u64("max-states", 250000);
   for (const auto& unused : cli.unused()) {
     std::fprintf(stderr, "unknown option --%s\n", unused.c_str());
     return 2;

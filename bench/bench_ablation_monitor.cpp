@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const int ticks = cli.get_bounded("ticks", 60000, 0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 21));
+  const std::uint64_t seed = cli.get_u64("seed", 21);
   util::BenchReport report("bench_ablation_monitor");
   report.param("ticks", util::Json(ticks)).param("seed", util::Json(seed));
   cli.get("json", "");

@@ -18,8 +18,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const int banks = cli.get_bounded("banks", 1, 1);
-  const std::uint64_t node_limit =
-      static_cast<std::uint64_t>(cli.get_int("node-limit", 8000000));
+  const std::uint64_t node_limit = cli.get_u64("node-limit", 8000000);
   util::BenchReport report("bench_ablation_tr");
   report.param("banks", util::Json(banks))
       .param("node_limit", util::Json(node_limit));

@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const std::string banks_csv = cli.get("banks-list", "1,2,4");
-  const std::uint64_t node_limit =
-      static_cast<std::uint64_t>(cli.get_int("node-limit", 2000000));
+  const std::uint64_t node_limit = cli.get_u64("node-limit", 2000000);
   util::BenchReport report("bench_coi");
   report.param("banks_list", util::Json(banks_csv))
       .param("node_limit", util::Json(node_limit));

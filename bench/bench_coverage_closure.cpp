@@ -117,14 +117,13 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y) {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int max_banks = cli.get_bounded("max-banks", 2, 1);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const std::uint64_t seed = cli.get_u64("seed", 1);
   // Default to full closure: the loop keeps re-biasing until every defined
   // bin is hit, which is what makes the equal-transaction uniform baseline
   // comparison meaningful (a partial target lets the baseline catch up).
   const double target = cli.get_double("target", 1.0);
   const int epochs = cli.get_bounded("epochs", 40, 0);
-  const std::uint64_t per_epoch =
-      static_cast<std::uint64_t>(cli.get_int("transactions", 250));
+  const std::uint64_t per_epoch = cli.get_u64("transactions", 250);
   const int sweep_shards = cli.get_bounded("sweep-shards", 4, 0);
   const int sweep_workers = cli.get_bounded("sweep-workers", 4, 0);
   util::BenchReport report("bench_coverage_closure");

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const int max_banks = cli.get_bounded("max-banks", 2, 1);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const std::uint64_t seed = cli.get_u64("seed", 1);
   const int transactions = cli.get_bounded("transactions", 300, 0);
   const bool run_mc = !cli.get_bool("no-mc", false);
   std::vector<int> workers_list;
@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  const std::uint64_t steal_seed =
-      static_cast<std::uint64_t>(cli.get_int("steal-seed", 1));
+  const std::uint64_t steal_seed = cli.get_u64("steal-seed", 1);
   util::BenchReport report("bench_fault_campaign");
   {
     util::Json jw = util::Json::array();

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
       cli.get_bounded("conformance-steps", 1500, 0);
   opt.lockstep_transactions =
       cli.get_bounded("lockstep-transactions", 300, 0);
-  opt.explore_max_states =
-      static_cast<std::size_t>(cli.get_int("explore-max-states", 40000));
+  opt.explore_max_states = cli.get_u64("explore-max-states", 40000);
   const bool print_verilog = cli.get_bool("print-verilog", false);
   for (const auto& unused : cli.unused()) {
     std::fprintf(stderr, "unknown option --%s\n", unused.c_str());

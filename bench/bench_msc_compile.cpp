@@ -124,10 +124,9 @@ std::uint64_t transactions_to_cover(const harness::Geometry& g,
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int max_banks = cli.get_bounded("max-banks", 2, 1);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const std::uint64_t seed = cli.get_u64("seed", 1);
   const int epochs = cli.get_bounded("epochs", 40, 0);
-  const std::uint64_t per_epoch =
-      static_cast<std::uint64_t>(cli.get_int("transactions", 250));
+  const std::uint64_t per_epoch = cli.get_u64("transactions", 250);
   util::BenchReport report("bench_msc_compile");
   report.param("max_banks", util::Json(max_banks))
       .param("seed", util::Json(seed))

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const std::string banks_csv = cli.get("banks-list", "1,2,4");
   const int cycles = cli.get_bounded("cycles", 4000, 0);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  const std::uint64_t seed = cli.get_u64("seed", 7);
   util::BenchReport report("bench_plan");
   report.param("banks_list", util::Json(banks_csv))
       .param("cycles", util::Json(cycles))

@@ -24,10 +24,8 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const int max_banks = cli.get_bounded("max-banks", 4, 1);
-  const std::size_t max_states =
-      static_cast<std::size_t>(cli.get_int("max-states", 120000));
-  const std::size_t max_transitions =
-      static_cast<std::size_t>(cli.get_int("max-transitions", 1200000));
+  const std::size_t max_states = cli.get_u64("max-states", 120000);
+  const std::size_t max_transitions = cli.get_u64("max-transitions", 1200000);
   util::BenchReport report("bench_table1_asm_mc");
   report.param("max_banks", util::Json(max_banks))
       .param("max_states", util::Json(static_cast<std::int64_t>(max_states)))

@@ -29,8 +29,7 @@ int main(int argc, char** argv) {
   using namespace la1;
   const util::Cli cli(argc, argv);
   const int max_banks = cli.get_bounded("max-banks", 4, 1);
-  const std::uint64_t node_limit =
-      static_cast<std::uint64_t>(cli.get_int("node-limit", 2000000));
+  const std::uint64_t node_limit = cli.get_u64("node-limit", 2000000);
   util::BenchReport report("bench_table2_invariants");
   report.param("max_banks", util::Json(max_banks))
       .param("node_limit", util::Json(node_limit));

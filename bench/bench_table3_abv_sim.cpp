@@ -17,8 +17,11 @@
 // compiled bit-parallel backend (src/csim) in one lane, and the compiled
 // backend with 64 independent stimulus streams sharing one pass — the
 // per-stream column that shows where campaign-scale throughput comes
-// from. OVL verdicts must agree across all three; the 64-lane per-stream
-// time/cycle target is >= 10x the interpreter on the stock device.
+// from. OVL verdicts must agree across all three. The 64-lane per-stream
+// speedup over the interpreter grows with the bank count, so its target
+// is per bank count on the stock device: >= 5x at 1 bank, >= 8x at 2,
+// >= 12x at 4 and >= 15x at 8. (The CI bar is `la1check csim`'s own
+// >= 10x under `tools/ci.sh --csim`.)
 //
 //   --banks-list a,b,c   bank counts (default 1,2,4,8)
 //   --sc-ticks N         kernel-model half-cycles (default 40000)
@@ -214,8 +217,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int sc_ticks = cli.get_bounded("sc-ticks", 40000, 0);
   const int rtl_ticks = cli.get_bounded("rtl-ticks", 4000, 0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(cli.get_int("seed", 7));
+  const std::uint64_t seed = cli.get_u64("seed", 7);
   std::vector<int> banks_list;
   try {
     banks_list = util::parse_positive_list(cli.get("banks-list", "1,2,4,8"), "--banks-list");
@@ -297,8 +299,9 @@ int main(int argc, char** argv) {
       "\nShape check (paper): the system-level simulation runs >= ~20x faster"
       "\nper cycle, and the ratio grows with the design size (bank count)."
       "\nShape check (csim): with all 64 bit-lanes occupied the compiled"
-      "\nbackend spends >= 10x less time per stream cycle than the"
-      "\ninterpreter, with identical OVL verdicts.");
+      "\nbackend spends less time per stream cycle than the interpreter by"
+      "\n>= 5x at 1 bank, >= 8x at 2, >= 12x at 4 and >= 15x at 8 (the gap"
+      "\ngrows with banks), with identical OVL verdicts.");
   if (!verdicts_equal) {
     std::fputs("FAIL: interpreted and compiled OVL verdicts differ\n", stderr);
     return 1;

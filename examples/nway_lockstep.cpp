@@ -24,8 +24,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int transactions = cli.get_bounded("transactions", 1000, 0);
   const int mem_addr_bits = cli.get_bounded("mem-addr-bits", 2, 0);
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(cli.get_int("seed", 2004));
+  const std::uint64_t seed = cli.get_u64("seed", 2004);
   const std::string vcd_path = cli.get("vcd", "");
   std::vector<int> banks_list;
   try {

@@ -65,6 +65,66 @@ double CampaignReport::mutation_score() const {
          static_cast<double>(rows.size());
 }
 
+rtl::BitBlast mc_blast(int banks, const FaultSpec* spec) {
+  core::RtlDevice dev =
+      core::build_device(core::RtlConfig::model_checking(banks));
+  rtl::Module flat = dev.flatten();
+  if (spec != nullptr) apply_structural(flat, *spec);
+  const rtl::Module expanded = rtl::expand_memories(flat);
+  return rtl::bitblast(expanded, core::clock_schedule(flat));
+}
+
+namespace {
+
+/// The register a state bit belongs to: its name up to the "[i]" suffix.
+std::string register_of(const std::string& bit) {
+  const std::size_t lb = bit.rfind('[');
+  return lb == std::string::npos ? bit : bit.substr(0, lb);
+}
+
+/// Sorted, distinct names of the design registers among the state bits
+/// `keep` selects (the blaster's "__phase" schedule bits are no register).
+std::vector<std::string> registers_of(const rtl::BitBlast& bb,
+                                      const std::vector<char>& keep) {
+  std::vector<std::string> out;
+  for (std::size_t k = 0; k < bb.state_vars.size(); ++k) {
+    std::string reg = register_of(
+        bb.vars[static_cast<std::size_t>(bb.state_vars[k])].name);
+    if (keep[k] && reg != "__phase") out.push_back(std::move(reg));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+bool contains(const std::vector<std::string>& sorted, const std::string& name) {
+  return std::binary_search(sorted.begin(), sorted.end(), name);
+}
+
+}  // namespace
+
+McSuite::McSuite(int banks, const mc::Budget& budget) {
+  const rtl::BitBlast stock = mc_blast(banks, nullptr);
+  registers =
+      registers_of(stock, std::vector<char>(stock.state_vars.size(), 1));
+  mc::SymbolicOptions sopt;
+  sopt.budget = budget;
+  for (const auto& [name, prop] :
+       core::rtl_properties(core::RtlConfig::model_checking(banks))) {
+    mc::preflight_lint(stock, prop);
+    McRow row{name, mc::build_observer(prop), {}, {}};
+    row.cone =
+        registers_of(stock, mc::structural_cone(stock, row.observer.atoms));
+    row.stock = mc::check(stock, row.observer, sopt);
+    rows.push_back(std::move(row));
+  }
+}
+
+bool McSuite::must_check(const McRow& row, const FaultSpec& spec) const {
+  return !rewrites_only_target(spec.kind) || !contains(registers, spec.net) ||
+         contains(row.cone, spec.net);
+}
+
 namespace {
 
 /// Activation-aware SEU scheduling. A transient bit flip is only
@@ -138,30 +198,14 @@ void schedule_bitflips(std::vector<FaultSpec>& plan,
 /// The most mutants one lane batch holds: lane 0 is the golden device.
 constexpr std::size_t kMaxBatchMutants = 63;
 
-/// The model-checking geometry's device, mutated by `spec` when non-null,
-/// bit-blasted for the symbolic-MC column.
-rtl::BitBlast mc_blast(int banks, const FaultSpec* spec) {
-  core::RtlDevice dev =
-      core::build_device(core::RtlConfig::model_checking(banks));
-  rtl::Module flat = dev.flatten();
-  if (spec != nullptr) apply_structural(flat, *spec);
-  const rtl::Module expanded = rtl::expand_memories(flat);
-  return rtl::bitblast(expanded, core::clock_schedule(flat));
-}
-
-/// One compiled row of the symbolic-MC suite.
-struct McRow {
-  std::string name;
-  mc::Observer observer;
-};
-
 /// Everything both campaign entry points derive before the per-fault work:
 /// the simulation geometry, the activation-scheduled fault plan, the lane
 /// batch size, the shared PSL suite and its determinized monitors (one
 /// table per assert or assume directive, in vunit order), and the
-/// symbolic-MC suite compiled once for the control run and every mutant
-/// check. Pure function of `options`; read-only once built, so shards on
-/// any worker share it.
+/// symbolic-MC suite with its stock results, which the control run reads
+/// and every mutant check starts from. Pure function of `options` (up to a
+/// wall-clock budget); read-only once built, so shards on any worker
+/// share it.
 struct CampaignSetup {
   core::RtlConfig rtl_cfg;
   std::vector<FaultSpec> plan;
@@ -170,11 +214,8 @@ struct CampaignSetup {
   std::size_t batch_mutants = 1;
   psl::VUnit vunit{"fault_campaign"};
   std::vector<psl::DfaTable> monitors;
-  /// With the MC column on: the stock model-checking blast (the control
-  /// run's design) and one observer per core::rtl_properties row, each
-  /// row linted against that blast. Both empty with the column off.
-  rtl::BitBlast mc_stock;
-  std::vector<McRow> mc_suite;
+  /// Empty with the MC column off.
+  McSuite mc;
 
   std::size_t batches() const {
     return (plan.size() + batch_mutants - 1) / batch_mutants;
@@ -202,38 +243,17 @@ CampaignSetup campaign_setup(const CampaignOptions& options) {
     s.monitors.push_back(psl::determinize(prop));
     s.vunit.add_assert(std::move(name), std::move(prop));
   }
-  // The MC suite depends only on the property, never on the mutant: lint
-  // and determinize each row here, once (a row the lint rejects throws
-  // std::invalid_argument). Atoms are still resolved on every blast.
-  if (options.run_mc) {
-    s.mc_stock = mc_blast(options.banks, nullptr);
-    for (const auto& [name, prop] :
-         core::rtl_properties(core::RtlConfig::model_checking(options.banks))) {
-      mc::preflight_lint(s.mc_stock, prop);
-      s.mc_suite.push_back(McRow{name, mc::build_observer(prop)});
-    }
-  }
+  if (options.run_mc) s.mc = McSuite(options.banks, options.mc_budget);
   return s;
 }
 
-/// Checks `bb` against the compiled MC suite under the campaign budget,
-/// row by row in catalog order, handing each row's name and result to
-/// `visit`; a false return stops the walk.
-template <typename Visit>
-void check_mc_suite(const CampaignOptions& options, const CampaignSetup& setup,
-                    const rtl::BitBlast& bb, Visit visit) {
-  mc::SymbolicOptions sopt;
-  sopt.budget = options.mc_budget;
-  for (const McRow& row : setup.mc_suite) {
-    if (!visit(row.name, mc::check(bb, row.observer, sopt))) return;
-  }
-}
-
-/// The symbolic-MC column: re-applies the structural fault to the reduced
-/// model-checking geometry and checks the compiled RTL property suite
-/// under the campaign budget. Any Falsified property catches the fault; an
-/// inconclusive (BoundedPass/Unknown) run with no Falsified property is a
-/// timeout, not a miss.
+/// The symbolic-MC column: checks the compiled RTL property suite on the
+/// structural fault's mutant of the reduced model-checking geometry, row
+/// by row in catalog order under the campaign budget. A row the fault
+/// cannot reach (McSuite::must_check) takes its stock result; the mutant is
+/// blasted on the first row that needs it, if any. Any Falsified property
+/// catches the fault; an inconclusive (BoundedPass/Unknown) run with no
+/// Falsified property is a timeout, not a miss.
 CampaignCell mc_cell(const CampaignOptions& options, const CampaignSetup& setup,
                      const FaultSpec& spec) {
   CampaignCell cell;
@@ -243,28 +263,32 @@ CampaignCell mc_cell(const CampaignOptions& options, const CampaignSetup& setup,
     cell.detail = "protocol fault: not expressible as a netlist mutant";
     return cell;
   }
-  bool caught = false;
+  mc::SymbolicOptions sopt;
+  sopt.budget = options.mc_budget;
+  std::optional<rtl::BitBlast> mutant;
   bool inconclusive = false;
   std::string inconclusive_reason;
-  check_mc_suite(
-      options, setup, mc_blast(options.banks, &spec),
-      [&](const std::string& name, const mc::SymbolicResult& r) {
-        if (r.verdict.kind == mc::Verdict::Kind::kFalsified) {
-          caught = true;
-          cell.detail = name + " falsified at depth " +
-                        std::to_string(r.verdict.depth);
-          if (r.verdict.retries > 0) cell.detail += " (after retry)";
-          return false;
-        }
-        if (!r.verdict.decisive()) {
-          inconclusive = true;
-          inconclusive_reason = name + ": " + r.verdict.reason;
-        }
-        return true;
-      });
-  if (caught) {
-    cell.outcome = CellOutcome::kCaught;
-  } else if (inconclusive) {
+  for (const McRow& row : setup.mc.rows) {
+    mc::SymbolicResult checked;
+    const mc::SymbolicResult* r = &row.stock;
+    if (setup.mc.must_check(row, spec)) {
+      if (!mutant) mutant = mc_blast(options.banks, &spec);
+      checked = mc::check(*mutant, row.observer, sopt);
+      r = &checked;
+    }
+    if (r->verdict.kind == mc::Verdict::Kind::kFalsified) {
+      cell.outcome = CellOutcome::kCaught;
+      cell.detail = row.name + " falsified at depth " +
+                    std::to_string(r->verdict.depth);
+      if (r->verdict.retries > 0) cell.detail += " (after retry)";
+      return cell;
+    }
+    if (!r->verdict.decisive()) {
+      inconclusive = true;
+      inconclusive_reason = row.name + ": " + r->verdict.reason;
+    }
+  }
+  if (inconclusive) {
     cell.outcome = CellOutcome::kTimeout;
     cell.detail = inconclusive_reason;
   } else {
@@ -619,15 +643,10 @@ std::vector<std::string> control_alarms(const CampaignOptions& options,
       alarms.push_back(c.checker + ": " + c.detail);
     }
   }
-  if (options.run_mc) {
-    check_mc_suite(
-        options, setup, setup.mc_stock,
-        [&](const std::string& name, const mc::SymbolicResult& r) {
-          if (r.verdict.kind == mc::Verdict::Kind::kFalsified) {
-            alarms.push_back("mc: " + name + " falsified on the stock device");
-          }
-          return true;
-        });
+  for (const McRow& row : setup.mc.rows) {
+    if (row.stock.verdict.kind == mc::Verdict::Kind::kFalsified) {
+      alarms.push_back("mc: " + row.name + " falsified on the stock device");
+    }
   }
   return alarms;
 }

@@ -9,7 +9,9 @@
 //   lockstep  co-execution against a pristine reference (taps, read-data
 //             bus, end-of-run memory image)
 //   mc        symbolic model checking of the reduced geometry under a
-//             resource Budget (mc/verdict.hpp); structural faults only
+//             resource Budget (mc/verdict.hpp); structural faults only,
+//             each checked on the properties whose cone holds its
+//             register (McSuite)
 //
 // The simulation checkers (psl, ovl, lockstep) run in lane batches: lane 0
 // the golden OVL-instrumented device, lanes 1.. the mutants of consecutive
@@ -34,7 +36,9 @@
 #include "exec/executor.hpp"
 #include "fault/fault.hpp"
 #include "harness/adapters.hpp"
+#include "mc/symbolic.hpp"
 #include "mc/verdict.hpp"
+#include "rtl/bitblast.hpp"
 #include "util/json.hpp"
 
 namespace la1::fault {
@@ -125,6 +129,48 @@ struct CampaignReport {
 
   util::Json to_json() const;
   std::string render() const;
+};
+
+/// The model-checking geometry's device (core::RtlConfig::model_checking),
+/// mutated by `spec` when non-null, bit-blasted for the symbolic-MC column.
+rtl::BitBlast mc_blast(int banks, const FaultSpec* spec);
+
+/// One compiled row of the symbolic-MC suite.
+struct McRow {
+  std::string name;
+  mc::Observer observer;
+  /// Sorted names of the registers in the row's structural cone on the
+  /// stock blast (mc::structural_cone, bit names folded to their register).
+  std::vector<std::string> cone;
+  /// The row's check of the stock device under the suite's budget.
+  mc::SymbolicResult stock;
+};
+
+/// The symbolic-MC column's suite, built once per campaign: one row per
+/// core::rtl_properties entry in catalog order, each linted and
+/// determinized against the stock blast, with its cone and its stock
+/// result.
+///
+/// Pruning: a check of row R on a mutant whose fault rewrites only its
+/// target register (rewrites_only_target), a register of the stock blast
+/// outside R's cone, sees the stock cone — the closure never reaches the
+/// rewritten next-state function — with the same conjuncts and the same
+/// variable order, so it returns the stock result bit for bit. The
+/// campaign takes row.stock for such rows and checks the mutant on the
+/// rest.
+struct McSuite {
+  std::vector<McRow> rows;
+  /// Sorted names of the registers of the stock blast.
+  std::vector<std::string> registers;
+
+  /// Lints (std::invalid_argument on a rejected row), determinizes, takes
+  /// the cones and runs the stock checks under `budget`.
+  McSuite(int banks, const mc::Budget& budget);
+  McSuite() = default;
+
+  /// False only when `row`'s result on `spec`'s mutant is row.stock, bit
+  /// for bit; true leaves the mutant to be checked.
+  bool must_check(const McRow& row, const FaultSpec& spec) const;
 };
 
 /// Runs the full campaign: plan, control run, one simulation pass per lane

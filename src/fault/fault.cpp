@@ -25,6 +25,23 @@ bool is_structural(FaultKind kind) {
   return false;
 }
 
+bool rewrites_only_target(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kStuckAt0:
+    case FaultKind::kStuckAt1:
+    case FaultKind::kInvertedDriver:
+    case FaultKind::kBitFlip:
+    case FaultKind::kDroppedUpdate:
+      return true;
+    case FaultKind::kCorruptReadData:
+    case FaultKind::kGlitchBankSelect:
+    case FaultKind::kDroppedTransfer:
+    case FaultKind::kDelayedTransfer:
+      return false;
+  }
+  return false;
+}
+
 const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kStuckAt0: return "stuck0";

@@ -51,6 +51,14 @@ enum class FaultKind {
 };
 
 bool is_structural(FaultKind kind);
+/// True when `kind`'s mutant differs from the stock netlist only in the
+/// next-state assignment of its target register: the stuck-at, invert and
+/// dropped-update rewrites, and the bit flip, whose activation counter
+/// feeds that register alone. Every other register keeps its next-state
+/// function, which is what lets the campaign reuse a stock model-checking
+/// result for a property whose cone excludes the target. False for the
+/// protocol kinds, and the answer a new kind starts from.
+bool rewrites_only_target(FaultKind kind);
 const char* to_string(FaultKind kind);
 /// Inverse of to_string; throws std::invalid_argument on unknown names.
 FaultKind fault_kind_from_string(const std::string& name);

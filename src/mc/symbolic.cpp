@@ -211,20 +211,14 @@ class Translator {
   std::unordered_map<int, bdd::NodeId> memo_;
 };
 
-/// How one state bit is substituted away by a proven invariant.
-struct Substitution {
-  enum class Kind { kNone, kConst, kAlias };
-  Kind kind = Kind::kNone;
-  bool value = false;        // kConst
-  std::size_t root = 0;      // kAlias: state position of the representative
-  bool negate = false;       // kAlias: complement pair
-};
+using Subst = flow::McCone::Subst;
+using SubstKind = flow::McCone::SubstKind;
 
 /// Validates `inv` against the design and builds the per-state-position
 /// substitution table. Throws std::invalid_argument on facts that name
 /// unknown state bits or contradict the reset state.
-std::vector<Substitution> build_substitutions(const rtl::BitBlast& design,
-                                              const dfa::InvariantSet& inv) {
+std::vector<Subst> build_substitutions(const rtl::BitBlast& design,
+                                       const dfa::InvariantSet& inv) {
   const std::size_t n = design.state_vars.size();
   std::map<std::string, std::size_t> pos_of;
   for (std::size_t k = 0; k < n; ++k) {
@@ -243,7 +237,7 @@ std::vector<Substitution> build_substitutions(const rtl::BitBlast& design,
     return design.vars[static_cast<std::size_t>(design.state_vars[k])].init;
   };
 
-  std::vector<Substitution> subs(n);
+  std::vector<Subst> subs(n);
   for (const dfa::Invariant& i : inv.invariants()) {
     if (i.kind == dfa::Invariant::Kind::kConst) {
       const std::size_t k = position(i.a);
@@ -252,7 +246,7 @@ std::vector<Substitution> build_substitutions(const rtl::BitBlast& design,
             "mc::check: constant invariant on '" + i.a +
             "' contradicts the reset state");
       }
-      subs[k] = Substitution{Substitution::Kind::kConst, i.value, 0, false};
+      subs[k] = Subst{SubstKind::kConst, i.value, 0, false};
       continue;
     }
     const bool negate = i.kind == dfa::Invariant::Kind::kComplement;
@@ -263,26 +257,26 @@ std::vector<Substitution> build_substitutions(const rtl::BitBlast& design,
                                   "' / '" + i.b +
                                   "' contradicts the reset state");
     }
-    subs[twin] = Substitution{Substitution::Kind::kAlias, false, root, negate};
+    subs[twin] = Subst{SubstKind::kAlias, false, root, negate};
   }
   // Collapse chains (alias onto an aliased or constant representative) so
   // every surviving alias points at a live variable. The sweep itself
   // never emits chains; caller-provided sets might.
   for (std::size_t k = 0; k < n; ++k) {
-    if (subs[k].kind != Substitution::Kind::kAlias) continue;
+    if (subs[k].kind != SubstKind::kAlias) continue;
     std::size_t root = subs[k].root;
     bool negate = subs[k].negate;
     std::size_t hops = 0;
-    while (subs[root].kind == Substitution::Kind::kAlias && hops++ <= n) {
+    while (subs[root].kind == SubstKind::kAlias && hops++ <= n) {
       negate ^= subs[root].negate;
       root = subs[root].root;
     }
     if (hops > n) {
       throw std::invalid_argument("mc::check: cyclic pair invariants");
     }
-    if (subs[root].kind == Substitution::Kind::kConst) {
-      subs[k] = Substitution{Substitution::Kind::kConst,
-                             subs[root].value != negate, 0, false};
+    if (subs[root].kind == SubstKind::kConst) {
+      subs[k] = Subst{SubstKind::kConst, subs[root].value != negate, 0,
+                      false};
     } else {
       subs[k].root = root;
       subs[k].negate = negate;
@@ -446,103 +440,47 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
 
   const unsigned letters = 1u << obs.atoms.size();
 
-  // Invariant substitution table (empty when use_invariants and use_coi are
-  // both off). Substituted bits are excluded from the active set below:
+  // Invariant substitution table (all kNone when use_invariants and use_coi
+  // are both off). Substituted bits are excluded from the active set below:
   // constants contribute nothing, aliases redirect to their representative.
-  std::vector<Substitution> subs(design.state_vars.size());
+  std::vector<Subst> subs(design.state_vars.size());
   dfa::InvariantSet swept;
   flow::McCone cone;
-  bool have_cone = false;
-  if (options.use_coi) {
+  const bool have_cone = options.use_coi;
+  if (options.use_coi || options.use_invariants) {
     const dfa::InvariantSet* inv = options.invariants;
     if (inv == nullptr) {
       swept = dfa::sweep(design);
       inv = &swept;
     }
-    cone = flow::mc_cone(
-        design, std::vector<std::string>(obs.atoms.begin(), obs.atoms.end()),
-        *inv);
-    have_cone = true;
-    for (std::size_t k = 0; k < cone.subst.size(); ++k) {
-      switch (cone.subst[k].kind) {
-        case flow::McCone::SubstKind::kNone:
-          break;
-        case flow::McCone::SubstKind::kConst:
-          subs[k].kind = Substitution::Kind::kConst;
-          subs[k].value = cone.subst[k].value;
-          ++result.invariants_applied;
-          break;
-        case flow::McCone::SubstKind::kAlias:
-          subs[k].kind = Substitution::Kind::kAlias;
-          subs[k].root = cone.subst[k].root;
-          subs[k].negate = cone.subst[k].negate;
-          ++result.invariants_applied;
-          break;
-      }
+    if (have_cone) {
+      cone = flow::mc_cone(design, obs.atoms, *inv);
+      subs = cone.subst;
+    } else {
+      subs = build_substitutions(design, *inv);
     }
-  } else if (options.use_invariants) {
-    const dfa::InvariantSet* inv = options.invariants;
-    if (inv == nullptr) {
-      swept = dfa::sweep(design);
-      inv = &swept;
-    }
-    subs = build_substitutions(design, *inv);
-    for (const Substitution& s : subs) {
-      if (s.kind != Substitution::Kind::kNone) ++result.invariants_applied;
+    for (const Subst& sub : subs) {
+      if (sub.kind != SubstKind::kNone) ++result.invariants_applied;
     }
   }
-  auto substituted = [&](std::size_t k) {
-    return subs[k].kind != Substitution::Kind::kNone;
-  };
 
-  // Cone of influence: the state variables the property can observe,
-  // transitively through the next-state functions. Exact for safety. A
-  // substituted bit never enters the cone itself — an aliased bit pulls in
-  // its representative instead.
+  // The active state bits: the semantic cone (which already folded the
+  // substitutions in), the structural cone, or every unsubstituted bit.
   std::vector<std::size_t> active;
   {
     const std::size_t n = design.state_vars.size();
+    std::vector<char> in_cone(n, 0);
     if (have_cone) {
-      // The semantic cone already folded the substitutions in: a
-      // substituted bit is never in_cone, an alias pulled in its root.
-      for (std::size_t k = 0; k < n; ++k) {
-        if (cone.state_in_cone[k]) active.push_back(k);
-      }
+      in_cone = cone.state_in_cone;
     } else if (options.cone_of_influence) {
-      std::vector<bool> var_mask(design.vars.size(), false);
-      for (const std::string& name : obs.atoms) {
-        design.graph.support(atom_bit_node(design, name), var_mask);
-      }
-      std::vector<bool> in_cone(n, false);
-      bool changed = true;
-      while (changed) {
-        changed = false;
-        for (std::size_t k = 0; k < n; ++k) {
-          if (!var_mask[static_cast<std::size_t>(design.state_vars[k])]) {
-            continue;
-          }
-          if (subs[k].kind == Substitution::Kind::kAlias) {
-            const std::size_t root_var =
-                static_cast<std::size_t>(design.state_vars[subs[k].root]);
-            if (!var_mask[root_var]) {
-              var_mask[root_var] = true;
-              changed = true;
-            }
-            continue;
-          }
-          if (in_cone[k] || substituted(k)) continue;
-          in_cone[k] = true;
-          design.graph.support(design.next_fn[k], var_mask);
-          changed = true;
-        }
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        if (in_cone[k]) active.push_back(k);
-      }
+      in_cone = structural_cone(design, obs.atoms, subs);
     } else {
       for (std::size_t k = 0; k < n; ++k) {
-        if (!substituted(k)) active.push_back(k);
+        in_cone[k] = subs[k].kind == SubstKind::kNone;
       }
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      if (in_cone[k]) active.push_back(k);
     }
   }
 
@@ -663,10 +601,10 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
     std::vector<char> has_override(design.vars.size(), 0);
     for (std::size_t k = 0; k < design.state_vars.size(); ++k) {
       const std::size_t gv = static_cast<std::size_t>(design.state_vars[k]);
-      if (subs[k].kind == Substitution::Kind::kConst) {
+      if (subs[k].kind == SubstKind::kConst) {
         leaf_override[gv] = mgr.constant(subs[k].value);
         has_override[gv] = 1;
-      } else if (subs[k].kind == Substitution::Kind::kAlias) {
+      } else if (subs[k].kind == SubstKind::kAlias) {
         const int rv = var_map[static_cast<std::size_t>(
             design.state_vars[subs[k].root])];
         if (rv >= 0) {
@@ -946,6 +884,41 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
 }
 
 }  // namespace
+
+std::vector<char> structural_cone(const rtl::BitBlast& design,
+                                  const std::vector<std::string>& atoms,
+                                  const std::vector<Subst>& subst) {
+  const std::size_t n = design.state_vars.size();
+  const auto kind = [&](std::size_t k) {
+    return subst.empty() ? SubstKind::kNone : subst[k].kind;
+  };
+  std::vector<bool> var_mask(design.vars.size(), false);
+  for (const std::string& name : atoms) {
+    design.graph.support(atom_bit_node(design, name), var_mask);
+  }
+  std::vector<char> in_cone(n, 0);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!var_mask[static_cast<std::size_t>(design.state_vars[k])]) continue;
+      if (kind(k) == SubstKind::kAlias) {
+        const std::size_t root_var =
+            static_cast<std::size_t>(design.state_vars[subst[k].root]);
+        if (!var_mask[root_var]) {
+          var_mask[root_var] = true;
+          changed = true;
+        }
+        continue;
+      }
+      if (in_cone[k] || kind(k) != SubstKind::kNone) continue;
+      in_cone[k] = 1;
+      design.graph.support(design.next_fn[k], var_mask);
+      changed = true;
+    }
+  }
+  return in_cone;
+}
 
 void preflight_lint(const rtl::BitBlast& design, const psl::PropPtr& prop) {
   const BitBlastSignals signals(design);

@@ -25,6 +25,7 @@
 
 #include "bdd/bdd.hpp"
 #include "dfa/invariants.hpp"
+#include "flow/mc_cone.hpp"
 #include "mc/verdict.hpp"
 #include "psl/dfa.hpp"
 #include "psl/monitor.hpp"
@@ -150,6 +151,22 @@ struct SymbolicResult {
   /// Counterexample: per step, the state-variable assignment (by name).
   std::vector<std::map<std::string, bool>> trace;
 };
+
+/// Structural cone of influence of a property over `atoms`: per state
+/// position (parallel to design.state_vars), 1 when the property can
+/// observe the bit — the atoms' support closed over the next-state
+/// function of every bit the closure reaches. Exact for safety checking:
+/// a bit outside the cone never influences an atom, so dropping it leaves
+/// the reachable valuations of the atoms unchanged. `check` encodes
+/// exactly these bits under SymbolicOptions::cone_of_influence, so a
+/// design change confined to next-state functions outside the cone leaves
+/// a check's result unchanged. `subst` (empty, or one entry per state
+/// position) folds proven invariants in: a substituted bit never enters,
+/// an alias pulls in its representative. Atoms the design does not export
+/// throw std::invalid_argument.
+std::vector<char> structural_cone(
+    const rtl::BitBlast& design, const std::vector<std::string>& atoms,
+    const std::vector<flow::McCone::Subst>& subst = {});
 
 /// Statically lints `prop` against the blasted design: errors (missing
 /// signals, empty-language SEREs, nesting the monitor compiler rejects)

@@ -71,26 +71,29 @@ void Kernel::queue_runnable(Process& process) { runnable_.push_back(&process); }
 void Kernel::drain_deltas() {
   for (;;) {
     // Evaluate phase.
-    std::vector<Process*> batch;
-    batch.swap(runnable_);
-    for (Process* p : batch) {
-      if (stopped_) return;
+    runnable_spare_.swap(runnable_);
+    for (Process* p : runnable_spare_) {
+      if (stopped_) {
+        runnable_spare_.clear();
+        return;
+      }
       p->run();
       ++stats_.process_activations;
     }
+    runnable_spare_.clear();
 
     // Update phase.
-    std::vector<UpdateHook*> updates;
-    updates.swap(update_queue_);
-    for (UpdateHook* hook : updates) {
+    update_spare_.swap(update_queue_);
+    for (UpdateHook* hook : update_spare_) {
       hook->perform_update();
       ++stats_.updates;
     }
+    update_spare_.clear();
 
     // Delta-notification phase.
-    std::vector<Event*> events;
-    events.swap(delta_events_);
-    for (Event* e : events) e->fire();
+    events_spare_.swap(delta_events_);
+    for (Event* e : events_spare_) e->fire();
+    events_spare_.clear();
 
     if (runnable_.empty() && update_queue_.empty() && delta_events_.empty()) {
       return;

@@ -183,6 +183,12 @@ class Kernel {
   std::vector<Process*> runnable_;
   std::vector<UpdateHook*> update_queue_;
   std::vector<Event*> delta_events_;
+  // The phase being worked off: each delta swaps a queue with its empty
+  // spare and clears the spare after, so a delta reuses the capacity of
+  // the last one instead of freeing and regrowing three vectors.
+  std::vector<Process*> runnable_spare_;
+  std::vector<UpdateHook*> update_spare_;
+  std::vector<Event*> events_spare_;
   std::priority_queue<TimedItem, std::vector<TimedItem>, std::greater<>> timed_;
   Time now_ = 0;
   std::uint64_t seq_ = 0;

@@ -59,6 +59,10 @@ class Cli {
   /// <max>") instead of wrapping when it is narrowed.
   int get_bounded(const std::string& name, int fallback, int min,
                   int max = std::numeric_limits<int>::max()) const;
+  /// get_int for a flag held in an unsigned 64-bit value (seeds, budgets,
+  /// counts): a negative value throws "--<name> must be at least 0"
+  /// instead of wrapping when it is cast. The fallback is returned as is.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

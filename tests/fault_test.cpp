@@ -4,6 +4,7 @@
 // campaign's mutation score / false-alarm gate at 1 and 2 banks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -199,6 +200,98 @@ TEST(SymbolicColumn, ObserverOverloadMatchesPropertyOverload) {
       EXPECT_EQ(a.iterations, b.iterations) << at;
       EXPECT_EQ(a.peak_bdd_nodes, b.peak_bdd_nodes) << at;
       EXPECT_EQ(a.created_bdd_nodes, b.created_bdd_nodes) << at;
+    }
+  }
+}
+
+// The campaign's MC budget without its wall clock, so a check stops at the
+// same point on every run.
+mc::Budget deterministic_mc_budget() {
+  mc::Budget budget;
+  budget.bdd_nodes = 500'000;
+  budget.max_cycles = 64;
+  return budget;
+}
+
+// McSuite pruning: every (fault, row) pair must_check lets through takes
+// the row's stock result, so a real check of the mutant must agree with it
+// on everything the report or a budget reads. Over 1, 2 and 4 banks and
+// seeds 1 and 2004, on every structural fault of a 20-fault plan.
+class McPruning : public ::testing::TestWithParam<int> {};
+
+TEST_P(McPruning, InheritedResultsEqualRealMutantChecks) {
+  const int banks = GetParam();
+  const mc::Budget budget = deterministic_mc_budget();
+  const fault::McSuite suite(banks, budget);
+  mc::SymbolicOptions sopt;
+  sopt.budget = budget;
+  fault::PlanOptions popt;
+  popt.structural = 20;
+  popt.protocol = 0;
+  int inherited = 0;
+  int checked = 0;
+  for (const std::uint64_t seed : {1, 2004}) {
+    for (const fault::FaultSpec& spec :
+         fault::plan_faults(flat_device(banks), popt, seed)) {
+      const rtl::BitBlast mutant = fault::mc_blast(banks, &spec);
+      for (const fault::McRow& row : suite.rows) {
+        if (suite.must_check(row, spec)) {
+          ++checked;
+          continue;
+        }
+        ++inherited;
+        const std::string at = row.name + " on " + spec.id();
+        const mc::SymbolicResult r = mc::check(mutant, row.observer, sopt);
+        EXPECT_EQ(r.verdict.kind, row.stock.verdict.kind) << at;
+        EXPECT_EQ(r.verdict.depth, row.stock.verdict.depth) << at;
+        EXPECT_EQ(r.verdict.retries, row.stock.verdict.retries) << at;
+        EXPECT_EQ(r.iterations, row.stock.iterations) << at;
+        EXPECT_EQ(r.peak_bdd_nodes, row.stock.peak_bdd_nodes) << at;
+        EXPECT_EQ(r.created_bdd_nodes, row.stock.created_bdd_nodes) << at;
+      }
+    }
+  }
+  // Both sides of the rule are exercised, and pruning is the common case.
+  EXPECT_GT(checked, 0);
+  EXPECT_GT(inherited, checked);
+}
+
+INSTANTIATE_TEST_SUITE_P(Banks, McPruning, ::testing::Values(1, 2, 4));
+
+// Only a fault the rule knows rewrites nothing but a register of the stock
+// blast may inherit: a name outside the stock registers (absent, or a net
+// that is no register) lies in no cone, yet every row must still check it;
+// so must a kind that is not known to rewrite its target alone.
+TEST(McPruning, UnknownTargetsAndKindsAreNeverPruned) {
+  const fault::McSuite suite(1, deterministic_mc_budget());
+  const rtl::BitBlast stock = fault::mc_blast(1, nullptr);
+  std::string wire;  // a net of the blast that is no register
+  for (const auto& [net, bits] : stock.net_bits) {
+    if (!std::binary_search(suite.registers.begin(), suite.registers.end(),
+                            net)) {
+      wire = net;
+      break;
+    }
+  }
+  ASSERT_FALSE(wire.empty());
+  // A stock register outside some row's cone: pruned there when the kind
+  // allows it.
+  const std::string reg = suite.registers.front();
+  bool pruned_somewhere = false;
+  for (const fault::McRow& row : suite.rows) {
+    pruned_somewhere |=
+        !suite.must_check(row, {fault::FaultKind::kStuckAt0, reg, 0, 0});
+  }
+  ASSERT_TRUE(pruned_somewhere) << reg;
+
+  const std::vector<fault::FaultSpec> never = {
+      {fault::FaultKind::kStuckAt0, "bank0.no_such_reg", 0, 0},
+      {fault::FaultKind::kBitFlip, wire, 0, 3},
+      {fault::FaultKind::kCorruptReadData, reg, 0, 1},
+  };
+  for (const fault::FaultSpec& spec : never) {
+    for (const fault::McRow& row : suite.rows) {
+      EXPECT_TRUE(suite.must_check(row, spec)) << row.name << " " << spec.id();
     }
   }
 }

@@ -368,6 +368,46 @@ TEST(ToolsCli, OutOfRangeNumbersExitTwoNamingTheFlagAndBound) {
             0);
   EXPECT_EQ(run(LA1_LA1BATCH, "run " + job + " --workers 4294967298"), 2);
   EXPECT_EQ(read_file(out), "error: --workers must be at most 2147483647\n");
+
+  // Seeds, budgets and counts are unsigned 64-bit values: -1 used to be
+  // cast to 2^64-1 (an unlimited node budget, another seed) and run.
+  const std::string faults = "faults --no-mc --transactions 20 ";
+  const std::vector<std::pair<std::string, std::string>> negative = {
+      {"rtl --prop 'always (bank0.read_start_q -> next[4] "
+       "bank0.dout_valid_k_q)' --node-limit -1",
+       "node-limit"},
+      {"sim --prop 'never {bus_conflict}' --seed -1", "seed"},
+      {"csim --cycles 10 --parity-cycles 0 --seed -1", "seed"},
+      {faults + "--seed -1", "seed"},
+      {faults + "--workers 2 --steal-seed -1", "steal-seed"},
+      {faults + "--workers 2 --shard-wall-ms -1", "shard-wall-ms"},
+      {"cov --epochs 1 --wall-ms -1", "wall-ms"},
+      {"asm --prop 'never {bus_conflict}' --max-states -1", "max-states"},
+  };
+  for (const auto& [args, flag] : negative) {
+    EXPECT_EQ(run(la1check, args), 2) << args;
+    EXPECT_EQ(read_file(out),
+              util::cat({"error: --", flag, " must be at least 0\n"}))
+        << args;
+  }
+  EXPECT_EQ(run(LA1_LA1BATCH, "run " + job + " --backoff-ms -1"), 2);
+  EXPECT_EQ(read_file(out), "error: --backoff-ms must be at least 0\n");
+}
+
+TEST(ToolsCli, NegativeTransactionCountsNeverStartTheirRun) {
+  // Apart from the cases above because the wrapped value never finishes:
+  // `cov --transactions -1` ran 2^64-1 transactions per epoch and, deaf to
+  // SIGTERM until the epoch ended, could only be killed.
+  const std::string out = temp_path("la1_negative_counts.txt");
+  for (const std::string args : {"cov --epochs 1 --transactions -1",
+                                 "cov --shrink --transactions -1"}) {
+    const int status = std::system(
+        (std::string(LA1_LA1CHECK) + " " + args + " > " + out + " 2>&1")
+            .c_str());
+    EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2) << args;
+    EXPECT_EQ(read_file(out), "error: --transactions must be at least 0\n")
+        << args;
+  }
 }
 
 /// Runs `binary args` with stdout and stderr captured apart; the exit

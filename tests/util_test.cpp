@@ -226,6 +226,18 @@ TEST(Cli, BoundedNumbersRejectValuesOutsideTheirRange) {
   EXPECT_EQ(message("n", 0, 1), "--n: expected an integer, got 'x'");
   EXPECT_EQ(cli.get_bounded("bank", 0, 0), 3);
   EXPECT_EQ(cli.get_bounded("absent", 7, 0), 7);
+
+  const char* unsigned_argv[] = {"prog", "--seed", "-1", "--limit",
+                                 "9223372036854775807"};
+  Cli u(5, unsigned_argv);
+  try {
+    u.get_u64("seed", 1);
+    ADD_FAILURE() << "--seed -1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--seed must be at least 0");
+  }
+  EXPECT_EQ(u.get_u64("limit", 0), 9223372036854775807u);
+  EXPECT_EQ(u.get_u64("absent", ~std::uint64_t{0}), ~std::uint64_t{0});
 }
 
 TEST(Cli, WellFormedNumbersParse) {

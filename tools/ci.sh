@@ -395,18 +395,22 @@ if [ "$csim" -eq 1 ]; then
   fi
 fi
 
-# Fault-campaign gate (opt-in: --faults): a fixed-seed mutation campaign at
-# 1 and 2 banks must keep the mutation score at or above 0.9 with zero
-# false alarms on the unmutated device. la1check exits nonzero on either
+# Fault-campaign gate (opt-in: --faults): the MC column's pruning parity
+# suite (McPruning: every stock result a mutant inherits equals a real
+# check of that mutant), then a fixed-seed mutation campaign at 1, 2 and 4
+# banks must keep the mutation score at or above 0.9 with zero false
+# alarms on the unmutated device. la1check exits nonzero on either
 # violation, so the gate is just the exit status plus a shape check.
 if [ "$faults" -eq 1 ]; then
-  for banks in 1 2; do
+  (cd "$build_dir" && ctest --output-on-failure -j "$jobs" \
+    --timeout "$test_timeout" -R 'McPruning')
+  for banks in 1 2 4; do
     "$build_dir/tools/la1check" faults --banks "$banks" --seed 1 \
       --fail-under 0.9 --json "$smoke_dir/faults-$banks.json" > /dev/null
     grep -q '"rows"' "$smoke_dir/faults-$banks.json"
     grep -q '"ok": true' "$smoke_dir/faults-$banks.json"
   done
-  gate_done "fault-campaign gate passed (banks 1 and 2, seed 1)"
+  gate_done "fault-campaign gate passed (pruning parity; banks 1, 2 and 4, seed 1)"
 fi
 
 # Coverage-closure gate (opt-in: --cov): fixed-seed closure at 1 and 2 banks

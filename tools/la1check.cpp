@@ -98,7 +98,7 @@ int run_sim(const util::Cli& cli) {
       }
     }
   }
-  util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
+  util::Rng rng(cli.get_u64("seed", 1));
   h.host().push_random(rng, ticks / 2);
   psl::VUnitRunner monitors(vunit);
   h.run_ticks(ticks, [&](int) { monitors.step(h.env()); });
@@ -131,7 +131,7 @@ int run_asm(const util::Cli& cli) {
   const auto prop = psl::parse_property(cli.get("prop", ""));
 
   mc::ExplicitOptions opt;
-  opt.max_states = static_cast<std::size_t>(cli.get_int("max-states", 200000));
+  opt.max_states = cli.get_u64("max-states", 200000);
   const mc::ExplicitResult r =
       mc::check(core::build_asm_model(cfg), prop, opt);
   std::printf("explored %llu product states (%llu ASM states), %.2fs\n",
@@ -160,7 +160,7 @@ int run_rtl(const util::Cli& cli) {
   const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
 
   mc::SymbolicOptions opt;
-  opt.node_limit = static_cast<std::uint64_t>(cli.get_int("node-limit", 8000000));
+  opt.node_limit = cli.get_u64("node-limit", 8000000);
   opt.cone_of_influence = !cli.get_bool("no-coi", false);
   const mc::SymbolicResult r = mc::check(bb, prop, opt);
   std::printf("%d state bits, %d iterations, %llu peak BDD nodes, %.2fs\n",
@@ -296,7 +296,7 @@ int run_dfa(const util::Cli& cli) {
 int run_faults(const util::Cli& cli) {
   fault::CampaignOptions opt;
   opt.banks = cli.get_bounded("banks", 1, 1);
-  opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  opt.seed = cli.get_u64("seed", 1);
   opt.transactions = cli.get_bounded("transactions", 300, 1);
   opt.plan.structural =
       cli.get_bounded("structural", opt.plan.structural, 0);
@@ -316,9 +316,8 @@ int run_faults(const util::Cli& cli) {
   if (workers > 1) {
     fault::ParallelOptions par;
     par.workers = workers;
-    par.steal_seed = static_cast<std::uint64_t>(cli.get_int("steal-seed", 1));
-    par.shard_wall_ms =
-        static_cast<std::uint64_t>(cli.get_int("shard-wall-ms", 0));
+    par.steal_seed = cli.get_u64("steal-seed", 1);
+    par.shard_wall_ms = cli.get_u64("shard-wall-ms", 0);
     par.cancel = &exec::interrupt_token();
     report = fault::run_campaign_parallel(opt, par);
   } else {
@@ -396,10 +395,8 @@ int run_cov_replay(const util::Cli& cli) {
 }
 
 int run_cov_shrink(const util::Cli& cli) {
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(cli.get_int("seed", 1));
-  const std::uint64_t transactions =
-      static_cast<std::uint64_t>(cli.get_int("transactions", 200));
+  const std::uint64_t seed = cli.get_u64("seed", 1);
+  const std::uint64_t transactions = cli.get_u64("transactions", 200);
 
   // Seeded failure: uniform traffic against a corrupt-read-data mutant.
   harness::StimulusOptions so;
@@ -446,12 +443,11 @@ int run_cov(const util::Cli& cli) {
 
   tgen::ClosureOptions opt;
   opt.geometry.banks = cli.get_bounded("banks", 1, 1);
-  opt.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  opt.seed = cli.get_u64("seed", 1);
   opt.target = cli.get_double("target", 0.95);
-  opt.transactions_per_epoch =
-      static_cast<std::uint64_t>(cli.get_int("transactions", 250));
+  opt.transactions_per_epoch = cli.get_u64("transactions", 250);
   opt.budget.max_epochs = cli.get_bounded("epochs", 40, 1);
-  opt.budget.wall_ms = static_cast<std::uint64_t>(cli.get_int("wall-ms", 0));
+  opt.budget.wall_ms = cli.get_u64("wall-ms", 0);
 
   // ^C stops after the current epoch; the partial report is still emitted.
   exec::install_interrupt_handler();
@@ -647,7 +643,7 @@ int run_plan(const util::Cli& cli) {
 
 int run_csim(const util::Cli& cli) {
   const int banks = cli.get_bounded("banks", 1, 1);
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
+  const std::uint64_t seed = cli.get_u64("seed", 1);
   const int cycles = cli.get_bounded("cycles", 2000, 1);
   const int parity_cycles =
       cli.get_bounded("parity-cycles", 200, 0);

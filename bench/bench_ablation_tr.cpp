@@ -5,7 +5,8 @@
 //   --banks N         bank count (default 1)
 //   --node-limit N    live-BDD-node budget (default 8000000)
 //   --json PATH       write the {bench, params, metrics} report; each row
-//                     carries the BDD engine counters
+//                     carries the reachable-state count, the image parts
+//                     and the BDD engine counters
 #include <cstdio>
 
 #include "la1/rtl_model.hpp"
@@ -36,7 +37,8 @@ int main(int argc, char** argv) {
   const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
 
   util::Table table({"Strategy", "State bits", "Outcome", "CPU Time (s)",
-                     "Peak BDD Nodes", "Iterations"});
+                     "Peak BDD Nodes", "Iterations", "Reachable States",
+                     "Image Parts"});
   struct Row {
     const char* name;
     bool partitioned;
@@ -51,6 +53,9 @@ int main(int argc, char** argv) {
     opt.node_limit = node_limit;
     const mc::SymbolicResult r =
         mc::check(bb, core::rtl_read_mode_property(cfg), opt);
+    // An exhausted budget leaves the reached set uncounted.
+    const bool exploded =
+        r.outcome == mc::SymbolicResult::Outcome::kStateExplosion;
     const char* outcome =
         r.outcome == mc::SymbolicResult::Outcome::kHolds ? "verified"
         : r.outcome == mc::SymbolicResult::Outcome::kFails
@@ -59,7 +64,9 @@ int main(int argc, char** argv) {
     table.add_row({row.name, std::to_string(r.state_bits), outcome,
                    util::fmt_double(r.cpu_seconds, 2),
                    util::fmt_count(r.peak_bdd_nodes),
-                   std::to_string(r.iterations)});
+                   std::to_string(r.iterations),
+                   exploded ? "-" : util::fmt_sci(r.reachable_states),
+                   std::to_string(r.image_parts)});
     util::Json metric = util::Json::object();
     metric.set("strategy", util::Json(row.name));
     metric.set("state_bits", util::Json(r.state_bits));
@@ -67,13 +74,18 @@ int main(int argc, char** argv) {
     metric.set("cpu_seconds", util::Json(r.cpu_seconds));
     metric.set("peak_bdd_nodes", util::Json(r.peak_bdd_nodes));
     metric.set("iterations", util::Json(r.iterations));
+    if (!exploded) {
+      metric.set("reachable_states", util::Json(r.reachable_states));
+    }
+    metric.set("image_parts", util::Json(r.image_parts));
     metric.set("bdd", r.bdd_stats.to_json());
     report.metric(std::move(metric));
     std::fflush(stdout);
   }
   std::fputs(table.render().c_str(), stdout);
   std::puts("\nExpected: cone-of-influence reduction collapses the problem to"
-            "\nthe property's control cone; without it, partitioning still"
-            "\nbeats the monolithic relation's node peak.");
+            "\nthe property's control cone; without it, partitioning (its"
+            "\nconjuncts clustered into fewer image parts) still beats the"
+            "\nmonolithic relation's node peak, reaching the same states.");
   return report.finish(cli) ? 0 : 1;
 }

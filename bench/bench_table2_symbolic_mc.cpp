@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(node_limit));
 
   util::Table table({"Number of Banks", "CPU Time (s)", "Memory (MB)",
-                     "BDD Nodes (peak)", "Iterations", "Result"});
+                     "BDD Nodes (peak)", "Iterations", "Reachable States",
+                     "Image Parts", "Result"});
 
   for (int banks = 1; banks <= max_banks; ++banks) {
     const core::RtlConfig cfg = core::RtlConfig::model_checking(banks);
@@ -65,6 +66,9 @@ int main(int argc, char** argv) {
     const mc::SymbolicResult r =
         mc::check(bb, core::rtl_read_mode_property(cfg), opt);
 
+    // An exhausted budget leaves the reached set uncounted.
+    const bool exploded =
+        r.outcome == mc::SymbolicResult::Outcome::kStateExplosion;
     std::string result;
     switch (r.outcome) {
       case mc::SymbolicResult::Outcome::kHolds: result = "verified"; break;
@@ -76,7 +80,9 @@ int main(int argc, char** argv) {
     table.add_row({std::to_string(banks), util::fmt_double(r.cpu_seconds, 2),
                    util::fmt_double(r.memory_mb, 1),
                    util::fmt_count(r.peak_bdd_nodes),
-                   std::to_string(r.iterations), result});
+                   std::to_string(r.iterations),
+                   exploded ? "-" : util::fmt_sci(r.reachable_states),
+                   std::to_string(r.image_parts), result});
     util::Json row = util::Json::object();
     row.set("banks", util::Json(banks));
     row.set("cpu_seconds", util::Json(r.cpu_seconds));
@@ -84,15 +90,17 @@ int main(int argc, char** argv) {
     row.set("peak_bdd_nodes",
             util::Json(static_cast<std::int64_t>(r.peak_bdd_nodes)));
     row.set("iterations", util::Json(static_cast<std::int64_t>(r.iterations)));
+    if (!exploded) row.set("reachable_states", util::Json(r.reachable_states));
+    row.set("image_parts", util::Json(r.image_parts));
     row.set("result", util::Json(result));
     row.set("bdd", r.bdd_stats.to_json());
     report.metric(std::move(row));
     std::fflush(stdout);
-    if (r.outcome == mc::SymbolicResult::Outcome::kStateExplosion) {
+    if (exploded) {
       // Larger configurations only get worse; report them as exploded too,
       // like the paper's truncated Table 2.
       for (int b = banks + 1; b <= max_banks; ++b) {
-        table.add_row({std::to_string(b), "-", "-", "-", "-",
+        table.add_row({std::to_string(b), "-", "-", "-", "-", "-", "-",
                        "State Explosion"});
         util::Json extra = util::Json::object();
         extra.set("banks", util::Json(b));

@@ -1,6 +1,9 @@
 #include "batch/job.hpp"
 
+#include <limits>
 #include <stdexcept>
+
+#include "util/cli.hpp"
 
 namespace la1::batch {
 
@@ -32,12 +35,45 @@ util::Json int_array(const std::vector<int>& v) {
   return arr;
 }
 
-std::vector<int> read_int_array(const util::Json& j) {
-  std::vector<int> v;
-  for (const util::Json& x : j.items()) {
-    v.push_back(static_cast<int>(x.as_int()));
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// A whole number of job `job` named `what`, checked to lie in [min, max]
+/// by the range check the CLI flags use: every error names the job and
+/// the field instead of wrapping or narrowing the value.
+std::int64_t bounded(const util::Json& v, const std::string& job,
+                     const std::string& what, std::int64_t min,
+                     std::int64_t max) {
+  const std::string field = "job '" + job + "': " + what;
+  if (v.kind() != util::Json::Kind::kInt) {
+    throw std::invalid_argument(field + " must be a whole number");
   }
-  return v;
+  return util::in_range(field, v.as_int(), min, max);
+}
+
+/// Reads the whole-number field `key`, when present, into `out`.
+template <typename T>
+void read_bounded(const util::Json& j, const std::string& job,
+                  const char* key, std::int64_t min, std::int64_t max,
+                  T& out) {
+  if (const util::Json* v = j.find(key)) {
+    out = static_cast<T>(bounded(*v, job, key, min, max));
+  }
+}
+
+/// Reads the shard-index list `key`, when present, into `out`.
+void read_shard_list(const util::Json& j, const std::string& job,
+                     const char* key, std::vector<int>& out) {
+  const util::Json* v = j.find(key);
+  if (v == nullptr) return;
+  if (!v->is_array()) {
+    throw std::invalid_argument("job '" + job + "': " + key +
+                                " must be an array");
+  }
+  for (const util::Json& x : v->items()) {
+    out.push_back(static_cast<int>(
+        bounded(x, job, std::string(key) + " entry", 0, kIntMax)));
+  }
 }
 
 }  // namespace
@@ -65,54 +101,28 @@ util::Json JobSpec::to_json() const {
 JobSpec JobSpec::from_json(const util::Json& j) {
   JobSpec spec;
   if (const util::Json* v = j.find("name")) spec.name = v->as_string();
-  if (const util::Json* v = j.find("kind")) {
-    spec.kind = job_kind_from_string(v->as_string());
-  }
-  if (const util::Json* v = j.find("banks")) {
-    spec.banks = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("seed")) {
-    spec.seed = static_cast<std::uint64_t>(v->as_int());
-  }
-  if (const util::Json* v = j.find("shards")) {
-    spec.shards = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("transactions")) {
-    spec.transactions = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("structural_faults")) {
-    spec.structural_faults = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("protocol_faults")) {
-    spec.protocol_faults = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("run_mc")) spec.run_mc = v->as_bool();
-  if (const util::Json* v = j.find("target")) spec.target = v->as_double();
-  if (const util::Json* v = j.find("max_epochs")) {
-    spec.max_epochs = static_cast<int>(v->as_int());
-  }
-  if (const util::Json* v = j.find("transactions_per_epoch")) {
-    spec.transactions_per_epoch = static_cast<std::uint64_t>(v->as_int());
-  }
-  if (const util::Json* v = j.find("mc_wall_ms")) {
-    spec.mc_wall_ms = static_cast<std::uint64_t>(v->as_int());
-  }
-  if (const util::Json* v = j.find("inject_hang")) {
-    spec.inject_hang = read_int_array(*v);
-  }
-  if (const util::Json* v = j.find("inject_crash")) {
-    spec.inject_crash = read_int_array(*v);
-  }
   if (spec.name.empty()) {
     throw std::runtime_error("job is missing a 'name'");
   }
-  if (spec.banks < 1 || spec.banks > 4) {
-    throw std::runtime_error("job '" + spec.name +
-                             "': banks must be in 1..4");
+  const std::string& job = spec.name;
+  if (const util::Json* v = j.find("kind")) {
+    spec.kind = job_kind_from_string(v->as_string());
   }
-  if (spec.shards < 1) {
-    throw std::runtime_error("job '" + spec.name + "': shards must be >= 1");
-  }
+  read_bounded(j, job, "banks", 1, 4, spec.banks);
+  read_bounded(j, job, "seed", 0, kInt64Max, spec.seed);
+  read_bounded(j, job, "shards", 1, kMaxShards, spec.shards);
+  read_bounded(j, job, "transactions", 1, kIntMax, spec.transactions);
+  read_bounded(j, job, "structural_faults", 0, kIntMax,
+               spec.structural_faults);
+  read_bounded(j, job, "protocol_faults", 0, kIntMax, spec.protocol_faults);
+  if (const util::Json* v = j.find("run_mc")) spec.run_mc = v->as_bool();
+  if (const util::Json* v = j.find("target")) spec.target = v->as_double();
+  read_bounded(j, job, "max_epochs", 1, kIntMax, spec.max_epochs);
+  read_bounded(j, job, "transactions_per_epoch", 1, kInt64Max,
+               spec.transactions_per_epoch);
+  read_bounded(j, job, "mc_wall_ms", 0, kInt64Max, spec.mc_wall_ms);
+  read_shard_list(j, job, "inject_hang", spec.inject_hang);
+  read_shard_list(j, job, "inject_crash", spec.inject_crash);
   return spec;
 }
 

@@ -36,6 +36,8 @@ struct JobSpec {
   /// s runs at seed + s). Ignored by mc-sweep, whose shards are the RTL
   /// property suite — one check per property.
   int shards = 2;
+  /// The most shards a job file may ask for.
+  static constexpr int kMaxShards = 4096;
 
   // faults / lockstep-soak: K cycles of seeded traffic per run.
   int transactions = 120;
@@ -60,6 +62,9 @@ struct JobSpec {
   std::vector<int> inject_crash;
 
   util::Json to_json() const;
+  /// Reads a job object. Every whole-number field is range-checked (banks
+  /// 1..4, shards 1..kMaxShards, counts and seeds never negative); a value
+  /// out of range or of the wrong kind throws naming the job and field.
   static JobSpec from_json(const util::Json& j);
 };
 

@@ -93,18 +93,16 @@ NodeId Manager::make(int var, NodeId low, NodeId high) {
 }
 
 void Manager::grow_unique() {
-  std::vector<NodeId> old(std::size_t{2} << bucket_bits_, 0);
-  old.swap(buckets_);
+  // Rehash by one linear scan of the node array: chain order never decides
+  // a node id, so the ids and counts are those a chain walk would give.
   ++bucket_bits_;
-  for (NodeId id : old) {
-    while (id != 0) {
-      Node& n = nodes_[id];
-      const NodeId next = n.next;
-      NodeId& head = buckets_[unique_slot(n.var, n.low, n.high)];
-      n.next = head;
-      head = id;
-      id = next;
-    }
+  buckets_.assign(std::size_t{1} << bucket_bits_, 0);
+  for (NodeId id = 2; id < nodes_.size(); ++id) {
+    Node& n = nodes_[id];
+    if (n.var < 0) continue;  // tombstone on the free list
+    NodeId& head = buckets_[unique_slot(n.var, n.low, n.high)];
+    n.next = head;
+    head = id;
   }
 }
 
@@ -342,6 +340,32 @@ std::uint64_t Manager::dag_size_rec(NodeId f, std::vector<bool>& seen) const {
 std::uint64_t Manager::dag_size(NodeId f) const {
   std::vector<bool> seen(nodes_.size(), false);
   return dag_size_rec(f, seen);
+}
+
+std::uint64_t Manager::dag_size_bounded(NodeId f, std::uint64_t bound) const {
+  // No function has more nodes than the manager: such a bound never stops.
+  if (bound >= nodes_.size()) return dag_size(f);
+  // The nodes seen, in an open-addressed set kept at most half full.
+  constexpr NodeId kEmpty = ~NodeId{0};
+  int bits = 4;
+  while ((std::uint64_t{1} << bits) < 2 * (bound + 1)) ++bits;
+  std::vector<NodeId> seen(std::size_t{1} << bits, kEmpty);
+  const std::size_t wrap = seen.size() - 1;
+  std::uint64_t count = 0;
+  std::vector<NodeId> work{f};
+  while (!work.empty()) {
+    const NodeId id = work.back();
+    work.pop_back();
+    std::size_t slot = static_cast<std::size_t>(hash3(id, 0, 0) >> (64 - bits));
+    while (seen[slot] != kEmpty && seen[slot] != id) slot = (slot + 1) & wrap;
+    if (seen[slot] == id) continue;
+    seen[slot] = id;
+    if (++count > bound) return bound + 1;
+    if (is_const(id)) continue;
+    work.push_back(nodes_[id].low);
+    work.push_back(nodes_[id].high);
+  }
+  return count;
 }
 
 double Manager::sat_count_rec(NodeId f,

@@ -23,7 +23,9 @@
 // Node 0 is the constant FALSE, node 1 the constant TRUE. Complement edges
 // are not used and the variable order is static, so the node set of every
 // function is canonical: a change to the tables can move time and memory
-// but never the node counts.
+// but never the node counts. A model check's peak and created counts are
+// canonical for a fixed image schedule: they follow which conjunctions the
+// checker builds, and in what order (mc/symbolic.cpp), not the tables.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +116,10 @@ class Manager {
 
   /// Number of distinct nodes in f (counting terminals once).
   std::uint64_t dag_size(NodeId f) const;
+  /// dag_size(f) when it is at most `bound`, else bound + 1. Visits at most
+  /// bound + 1 nodes and, unlike dag_size, allocates nothing per node of the
+  /// manager: cheap enough to size every candidate of a clustering pass.
+  std::uint64_t dag_size_bounded(NodeId f, std::uint64_t bound) const;
 
   /// Number of satisfying assignments over all `var_count()` variables.
   double sat_count(NodeId f) const;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cmath>
 #include <deque>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -135,9 +136,15 @@ struct Encoding {
   std::vector<int> rename_next_to_cur;
   std::vector<int> state_at_rank;      // rank -> index into bb->state_vars
   std::vector<int> input_pos;          // encoded j -> index into bb->input_vars
-  /// Early-quantification schedule: per conjunct, the current/input
-  /// variables no later conjunct mentions (empty when there are none), and
-  /// those no conjunct mentions at all, quantified out of `from` at the end.
+  /// What the partitioned image conjoins, in order: `conjuncts` itself
+  /// until `cluster` replaces it by runs of consecutive conjuncts.
+  std::vector<bdd::NodeId> parts;
+  bool clustered = false;
+  /// Per variable: the last conjunct mentioning it, or -1 for none.
+  std::vector<int> last_use;
+  /// Early-quantification schedule: per part, the current/input variables
+  /// no later part mentions (empty when there are none), and those no
+  /// conjunct mentions at all, quantified out of `from` at the end.
   std::vector<std::vector<bool>> quantify_after;
   std::vector<bool> quantify_rest;
 
@@ -319,9 +326,63 @@ int atom_bit_node(const rtl::BitBlast& bb, const std::string& name) {
   return it->second[static_cast<std::size_t>(bit)];
 }
 
-/// Image of `from` under the transition conjuncts, renamed back to current
-/// variables. `partitioned` enables early quantification.
-bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
+/// A cluster of the partitioned relation grows while its BDD stays within
+/// this many nodes, and clustering starts at the first image whose source
+/// set is larger (IWLS'95 conjunct clustering, as in VIS and NuSMV). Checks
+/// whose reached set stays this small keep one part per conjunct.
+constexpr std::uint64_t kClusterNodes = 500;
+
+/// Points the early-quantification schedule at the parts: each quantified
+/// variable goes out after the part holding the last conjunct mentioning
+/// it (`part_of` maps a conjunct to its part).
+void schedule(Encoding& enc, const std::vector<int>& part_of) {
+  const std::size_t nvars = enc.quantify_mask.size();
+  enc.quantify_after.assign(enc.parts.size(), {});
+  for (std::size_t v = 0; v < nvars; ++v) {
+    if (!enc.quantify_mask[v] || enc.last_use[v] < 0) continue;
+    std::vector<bool>& mask = enc.quantify_after[static_cast<std::size_t>(
+        part_of[static_cast<std::size_t>(enc.last_use[v])])];
+    if (mask.empty()) mask.assign(nvars, false);
+    mask[v] = true;
+  }
+}
+
+/// Replaces the parts by clusters: walking the conjuncts in rank order, a
+/// conjunct joins the current cluster while the conjunction stays within
+/// kClusterNodes nodes, and otherwise starts the next one. The clusters
+/// conjoin to the same relation, so every image is the same set.
+void cluster(Encoding& enc) {
+  bdd::Manager& mgr = *enc.mgr;
+  std::vector<bdd::NodeId> clusters;
+  std::vector<int> part_of(enc.conjuncts.size());
+  for (std::size_t ci = 0; ci < enc.conjuncts.size(); ++ci) {
+    if (enc.deadline != nullptr) enc.deadline->poll();
+    const bdd::NodeId c = enc.conjuncts[ci];
+    bool merged = false;
+    if (!clusters.empty()) {
+      const bdd::NodeId joint = mgr.apply_and(clusters.back(), c);
+      if (mgr.dag_size_bounded(joint, kClusterNodes) <= kClusterNodes) {
+        mgr.ref(joint);
+        mgr.deref(clusters.back());
+        clusters.back() = joint;
+        merged = true;
+      }
+    }
+    if (!merged) {
+      mgr.ref(c);
+      clusters.push_back(c);
+    }
+    part_of[ci] = static_cast<int>(clusters.size()) - 1;
+  }
+  enc.parts = std::move(clusters);
+  enc.clustered = true;
+  schedule(enc, part_of);
+}
+
+/// Image of `from` under the transition relation, renamed back to current
+/// variables. `partitioned` conjoins the parts with early quantification,
+/// clustering them first once `from` outgrows kClusterNodes.
+bdd::NodeId image(Encoding& enc, bdd::NodeId from, bool partitioned,
                   std::uint64_t gc_threshold, bool verbose) {
   bdd::Manager& mgr = *enc.mgr;
   if (!partitioned) {
@@ -331,17 +392,21 @@ bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
     return mgr.rename(img, enc.rename_next_to_cur);
   }
 
+  if (!enc.clustered &&
+      mgr.dag_size_bounded(from, kClusterNodes) > kClusterNodes) {
+    cluster(enc);
+  }
   // Early quantification: a current/input variable is quantified right
-  // after the last conjunct mentioning it has been conjoined (the masks are
-  // precomputed — the conjuncts never change).
+  // after the last part mentioning it has been conjoined (the masks are
+  // precomputed with the parts).
   bdd::NodeId acc = from;
   mgr.ref(acc);
-  for (std::size_t ci = 0; ci < enc.conjuncts.size(); ++ci) {
+  for (std::size_t ci = 0; ci < enc.parts.size(); ++ci) {
     if (enc.deadline != nullptr) enc.deadline->poll();
     const std::vector<bool>& mask = enc.quantify_after[ci];
     const bdd::NodeId next_acc =
-        mask.empty() ? mgr.apply_and(acc, enc.conjuncts[ci])
-                     : mgr.and_exists(acc, enc.conjuncts[ci], mask);
+        mask.empty() ? mgr.apply_and(acc, enc.parts[ci])
+                     : mgr.and_exists(acc, enc.parts[ci], mask);
     mgr.ref(next_acc);
     mgr.deref(acc);
     acc = next_acc;
@@ -349,8 +414,8 @@ bdd::NodeId image(const Encoding& enc, bdd::NodeId from, bool partitioned,
       mgr.collect_garbage();
       if (verbose) {
         std::fprintf(stderr,
-                     "[symbolic]   conjunct %zu/%zu: |acc|=%llu live=%llu\n",
-                     ci + 1, enc.conjuncts.size(),
+                     "[symbolic]   part %zu/%zu: |acc|=%llu live=%llu\n",
+                     ci + 1, enc.parts.size(),
                      static_cast<unsigned long long>(mgr.dag_size(acc)),
                      static_cast<unsigned long long>(mgr.live_nodes()));
       }
@@ -746,26 +811,28 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
           nxt_state ? v - 1 : v;
     }
 
-    // Precompute the early-quantification schedule: the last conjunct
-    // mentioning each quantified variable, then one mask per conjunct.
+    // Precompute the early-quantification schedule over one part per
+    // conjunct: the last conjunct mentioning each quantified variable, then
+    // one mask per part, and the rest for variables no conjunct mentions.
     const std::size_t nvars = enc.quantify_mask.size();
-    std::vector<int> last_use(nvars, -1);
+    enc.last_use.assign(nvars, -1);
     for (std::size_t ci = 0; ci < enc.conjuncts.size(); ++ci) {
       const std::vector<bool> sup = mgr.support(enc.conjuncts[ci]);
       for (std::size_t v = 0; v < nvars; ++v) {
-        if (sup[v] && enc.quantify_mask[v]) last_use[v] = static_cast<int>(ci);
+        if (sup[v] && enc.quantify_mask[v]) {
+          enc.last_use[v] = static_cast<int>(ci);
+        }
       }
     }
-    enc.quantify_after.assign(enc.conjuncts.size(), {});
     for (std::size_t v = 0; v < nvars; ++v) {
-      if (!enc.quantify_mask[v]) continue;
-      std::vector<bool>& mask =
-          last_use[v] < 0
-              ? enc.quantify_rest
-              : enc.quantify_after[static_cast<std::size_t>(last_use[v])];
-      if (mask.empty()) mask.assign(nvars, false);
-      mask[v] = true;
+      if (!enc.quantify_mask[v] || enc.last_use[v] >= 0) continue;
+      if (enc.quantify_rest.empty()) enc.quantify_rest.assign(nvars, false);
+      enc.quantify_rest[v] = true;
     }
+    enc.parts = enc.conjuncts;
+    std::vector<int> own_part(enc.conjuncts.size());
+    std::iota(own_part.begin(), own_part.end(), 0);
+    schedule(enc, own_part);
 
     // Protect the long-lived BDDs so garbage collection between iterations
     // can reclaim image intermediates (which dwarf the useful sets).
@@ -814,6 +881,8 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
       // iterations.
       const bdd::NodeId img = image(enc, reached, options.partitioned,
                                     gc_threshold, options.verbose);
+      result.image_parts =
+          options.partitioned ? static_cast<int>(enc.parts.size()) : 1;
       const bdd::NodeId fresh = mgr.apply_and(img, mgr.apply_not(reached));
       if (fresh == bdd::kFalse) {
         result.outcome = SymbolicResult::Outcome::kHolds;

@@ -9,7 +9,8 @@
 //   2. the bit-blasted RTL (rtl::BitBlast) and the observer are encoded as
 //      BDDs over an interleaved current/next variable order,
 //   3. reachability by image computation — monolithic transition relation or
-//      a partitioned one with early quantification (ablation A),
+//      a partitioned one with early quantification (ablation A), whose
+//      conjuncts are clustered once the reached set outgrows a cluster,
 //   4. a reachable bad observer state yields a counterexample trace; a node
 //      budget models RuleBase's state explosion (Table 2, 4 banks).
 //
@@ -79,7 +80,9 @@ struct SymbolicOptions {
   /// Initial static variable order; the retry flips it.
   VarOrder var_order = VarOrder::kBitMajor;
   /// Partitioned transition relation with early quantification vs one
-  /// monolithic relation BDD (ablation A).
+  /// monolithic relation BDD (ablation A). The partitioned image clusters
+  /// its conjuncts at the first source set above a fixed node bound; the
+  /// verdict and every reached set are the same either way.
   bool partitioned = true;
   /// Iteration cap; 0 = run to fixpoint.
   int max_iterations = 0;
@@ -142,6 +145,11 @@ struct SymbolicResult {
   int input_bits = 0;
   /// State bits substituted away by use_invariants (0 when disabled).
   int invariants_applied = 0;
+  /// Parts the last image conjoined: one per conjunct (state_bits), fewer
+  /// once the partitioned relation is clustered, 1 for the monolithic
+  /// relation, 0 when no image ran. A diagnostic like bdd_stats: no hashed
+  /// report includes it.
+  int image_parts = 0;
   /// Qualified verdict: kHolds -> Proven, kFails -> Falsified,
   /// kStateExplosion -> BoundedPass (bound established before exhaustion)
   /// or Unknown (died during encoding), with the exhaustion reason and the

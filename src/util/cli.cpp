@@ -137,35 +137,30 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const 
                           : whole(*value, "--" + name, "an integer", to_int);
 }
 
-namespace {
-
-/// `v` when it lies in [min, max]; otherwise std::invalid_argument
-/// "--<name> must be at least <min>" (or "at most <max>").
-std::int64_t in_range(const std::string& name, std::int64_t v,
+std::int64_t in_range(const std::string& what, std::int64_t v,
                       std::int64_t min, std::int64_t max) {
   if (v < min) {
-    throw std::invalid_argument("--" + name + " must be at least " +
+    throw std::invalid_argument(what + " must be at least " +
                                 std::to_string(min));
   }
   if (v > max) {
-    throw std::invalid_argument("--" + name + " must be at most " +
+    throw std::invalid_argument(what + " must be at most " +
                                 std::to_string(max));
   }
   return v;
 }
 
-}  // namespace
-
 int Cli::get_bounded(const std::string& name, int fallback, int min,
                      int max) const {
-  return static_cast<int>(in_range(name, get_int(name, fallback), min, max));
+  return static_cast<int>(
+      in_range("--" + name, get_int(name, fallback), min, max));
 }
 
 std::uint64_t Cli::get_u64(const std::string& name,
                            std::uint64_t fallback) const {
   if (!has(name)) return fallback;
   return static_cast<std::uint64_t>(
-      in_range(name, get_int(name, 0), 0,
+      in_range("--" + name, get_int(name, 0), 0,
                std::numeric_limits<std::int64_t>::max()));
 }
 

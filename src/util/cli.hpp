@@ -26,6 +26,13 @@ namespace la1::util {
 std::vector<int> parse_positive_list(const std::string& csv,
                                      const std::string& what);
 
+/// `v` when it lies in [min, max]; otherwise std::invalid_argument
+/// "<what> must be at least <min>" (or "at most <max>"). The one range
+/// check of every bounded whole number read from outside: Cli's numeric
+/// flags ("--ticks") and the batch job-file fields.
+std::int64_t in_range(const std::string& what, std::int64_t v,
+                      std::int64_t min, std::int64_t max);
+
 /// One flag a subcommand reads. With a metavar it takes a value
 /// (`--banks N` or `--banks=N`); without one it is boolean and never takes
 /// the next argument as its value.

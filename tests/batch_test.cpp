@@ -76,6 +76,59 @@ TEST(BatchJob, ParseRejectsBadSpecs) {
       std::runtime_error);
 }
 
+/// The error parsing a one-job batch file whose job has `fields` (JSON
+/// members after its name) gives, or "accepted".
+std::string job_error(const std::string& fields) {
+  try {
+    batch::BatchSpec::parse("{\"jobs\": [{\"name\": \"j\", " + fields +
+                            "}]}");
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(BatchJob, ParseRangeChecksEveryWholeNumberField) {
+  // Each value here used to wrap or narrow silently: a negative count ran
+  // a job that reported pass, a negative seed or budget became 2^64 - k,
+  // and 2^32 + 1 transactions narrowed to 1.
+  EXPECT_EQ(job_error("\"kind\": \"faults\", \"transactions\": -5"),
+            "job 'j': transactions must be at least 1");
+  EXPECT_EQ(job_error("\"transactions\": 4294967297"),
+            "job 'j': transactions must be at most 2147483647");
+  EXPECT_EQ(job_error("\"seed\": -1"), "job 'j': seed must be at least 0");
+  EXPECT_EQ(job_error("\"transactions_per_epoch\": -1"),
+            "job 'j': transactions_per_epoch must be at least 1");
+  EXPECT_EQ(job_error("\"mc_wall_ms\": -1"),
+            "job 'j': mc_wall_ms must be at least 0");
+  EXPECT_EQ(job_error("\"structural_faults\": -1"),
+            "job 'j': structural_faults must be at least 0");
+  EXPECT_EQ(job_error("\"protocol_faults\": 2147483648"),
+            "job 'j': protocol_faults must be at most 2147483647");
+  EXPECT_EQ(job_error("\"max_epochs\": 0"),
+            "job 'j': max_epochs must be at least 1");
+  EXPECT_EQ(job_error("\"banks\": 5"), "job 'j': banks must be at most 4");
+  EXPECT_EQ(job_error("\"banks\": 4294967297"),
+            "job 'j': banks must be at most 4");
+  EXPECT_EQ(job_error("\"shards\": 0"), "job 'j': shards must be at least 1");
+  EXPECT_EQ(job_error("\"shards\": 1000000"),
+            "job 'j': shards must be at most " +
+                std::to_string(batch::JobSpec::kMaxShards));
+  EXPECT_EQ(job_error("\"inject_hang\": [-1]"),
+            "job 'j': inject_hang entry must be at least 0");
+  EXPECT_EQ(job_error("\"transactions\": \"many\""),
+            "job 'j': transactions must be a whole number");
+  EXPECT_EQ(job_error("\"seed\": 1.5"), "job 'j': seed must be a whole number");
+  EXPECT_EQ(job_error("\"inject_crash\": 3"),
+            "job 'j': inject_crash must be an array");
+  // The bounds themselves are accepted.
+  EXPECT_EQ(job_error("\"banks\": 4, \"shards\": " +
+                      std::to_string(batch::JobSpec::kMaxShards) +
+                      ", \"seed\": 0, \"mc_wall_ms\": 0, "
+                      "\"transactions\": 2147483647"),
+            "accepted");
+}
+
 TEST(BatchRunner, HashIsByteIdenticalAtOneAndFourWorkers) {
   const batch::BatchSpec spec = small_batch();
   batch::RunnerOptions one;

@@ -209,6 +209,74 @@ TEST(Bdd, GarbageCollection) {
   EXPECT_EQ(m.apply_and(m.var(0), m.var(1)), keep);
 }
 
+TEST(Bdd, DagSizeBoundedStopsPastTheBound) {
+  Manager m(12);
+  NodeId f = kFalse;
+  for (int v = 0; v < 12; ++v) f = m.apply_xor(f, m.var(v));
+  const std::uint64_t size = m.dag_size(f);
+  EXPECT_EQ(m.dag_size_bounded(f, size), size);
+  EXPECT_EQ(m.dag_size_bounded(f, size + 10), size);
+  EXPECT_EQ(m.dag_size_bounded(f, size - 1), size);
+  EXPECT_EQ(m.dag_size_bounded(f, 3), 4u);
+  EXPECT_EQ(m.dag_size_bounded(kTrue, 0), 1u);
+  EXPECT_EQ(m.dag_size_bounded(f, ~std::uint64_t{0}), size);
+}
+
+/// Every node reachable from `roots`, each once.
+std::vector<NodeId> reachable_nodes(const Manager& m,
+                                    const std::vector<NodeId>& roots) {
+  std::vector<NodeId> out;
+  std::vector<NodeId> work = roots;
+  while (!work.empty()) {
+    const NodeId id = work.back();
+    work.pop_back();
+    if (m.is_const(id) ||
+        std::find(out.begin(), out.end(), id) != out.end()) {
+      continue;
+    }
+    out.push_back(id);
+    work.push_back(m.low(id));
+    work.push_back(m.high(id));
+  }
+  return out;
+}
+
+TEST(Bdd, UniqueTableGrowsAfterGarbageCollection) {
+  // Collecting garbage leaves tombstones on the free list; new nodes reuse
+  // those slots and then double the unique table, which rehashes the node
+  // array. Every survivor must still be found by make (rebuilding it
+  // returns its id and creates nothing), and equal functions stay equal.
+  Manager m(20);
+  util::Rng rng(11);
+  const auto grow = [&](std::vector<NodeId>& kept, int count) {
+    for (int i = 0; i < count; ++i) {
+      NodeId f = kFalse;
+      for (int t = 0; t < 6; ++t) {
+        const int a = static_cast<int>(rng.below(20));
+        const int b = static_cast<int>(rng.below(20));
+        f = m.apply_xor(f, m.apply_and(m.var(a), m.nvar(b)));
+      }
+      if (i % 2 == 0) {
+        m.ref(f);
+        kept.push_back(f);
+      }
+    }
+  };
+  std::vector<NodeId> kept;
+  grow(kept, 200);
+  const std::uint64_t buckets = m.stats().unique_buckets;
+  ASSERT_GT(m.collect_garbage(), 0u);
+  while (m.stats().unique_buckets == buckets) grow(kept, 50);
+
+  const std::uint64_t created = m.created_nodes();
+  for (const NodeId id : reachable_nodes(m, kept)) {
+    EXPECT_EQ(m.ite(m.var(m.top_var(id)), m.high(id), m.low(id)), id);
+  }
+  EXPECT_EQ(m.created_nodes(), created);
+  const NodeId x = m.apply_xor(m.var(3), m.apply_and(m.var(7), m.var(15)));
+  EXPECT_EQ(m.apply_xor(m.apply_and(m.var(15), m.var(7)), m.var(3)), x);
+}
+
 TEST(Bdd, NodeLimitThrows) {
   Manager m(16);
   m.set_node_limit(64);

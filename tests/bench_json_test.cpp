@@ -88,6 +88,10 @@ TEST(BenchJson, Table2SymbolicMc) {
   const util::Json& row = doc.find("metrics")->items().front();
   ASSERT_NE(row.find("banks"), nullptr);
   ASSERT_NE(row.find("result"), nullptr);
+  ASSERT_NE(row.find("reachable_states"), nullptr);
+  EXPECT_GT(row.find("reachable_states")->as_double(), 0.0);
+  ASSERT_NE(row.find("image_parts"), nullptr);
+  EXPECT_GT(row.find("image_parts")->as_int(), 0);
   const util::Json* bdd = row.find("bdd");
   ASSERT_NE(bdd, nullptr);
   ASSERT_NE(bdd->find("cache_hits"), nullptr);

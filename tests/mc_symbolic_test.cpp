@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "fault/campaign.hpp"
 #include "la1/rtl_model.hpp"
 #include "mc/symbolic.hpp"
 #include "psl/parse.hpp"
@@ -352,10 +353,12 @@ TEST(Symbolic, SemanticConeSubsumesUseInvariants) {
 TEST(Symbolic, Table2ReadModeOneBankPinned) {
   // Paper Table 2 row 1 in the RuleBase configuration: the read-mode
   // property on the unreduced 1-bank RTL under a 2M-node budget. The BDD
-  // package has no complement edges and no reordering, so the ROBDD node
-  // set is canonical: the peak and created node counts pin it, and any
-  // change to the unique table, the computed cache or the quantification
-  // recursions must leave them exactly as they are.
+  // package has no complement edges and no reordering, so for a fixed
+  // image schedule (which parts the partitioned image conjoins, and when
+  // it clusters them) the ROBDD node set is canonical: the peak and
+  // created node counts pin it, and any change to the unique table, the
+  // computed cache or the quantification recursions must leave them
+  // exactly as they are. A change to the schedule moves them on purpose.
   const core::RtlConfig cfg = core::RtlConfig::model_checking(1);
   core::RtlDevice dev = core::build_device(cfg);
   const rtl::Module flat = rtl::expand_memories(dev.flatten());
@@ -366,8 +369,53 @@ TEST(Symbolic, Table2ReadModeOneBankPinned) {
   const SymbolicResult r = check(bb, core::rtl_read_mode_property(cfg), opt);
   EXPECT_EQ(r.verdict.kind, Verdict::Kind::kProven);
   EXPECT_EQ(r.iterations, 9);
-  EXPECT_EQ(r.peak_bdd_nodes, 935'004u);
-  EXPECT_EQ(r.created_bdd_nodes, 935'004u);
+  EXPECT_EQ(r.peak_bdd_nodes, 273'729u);
+  EXPECT_EQ(r.created_bdd_nodes, 273'729u);
+}
+
+/// The partitioned check, which clusters its conjuncts once the reached
+/// set outgrows a cluster, against the monolithic relation: the same
+/// verdict, depth, iteration count, reachable set size and trace. The
+/// partitioned run must really have clustered: its last image used fewer
+/// parts than it has conjuncts (one per state bit).
+void expect_parity(const rtl::BitBlast& bb, const psl::PropPtr& prop,
+                   SymbolicOptions opt, const std::string& at) {
+  opt.partitioned = true;
+  const SymbolicResult part = check(bb, prop, opt);
+  opt.partitioned = false;
+  const SymbolicResult mono = check(bb, prop, opt);
+  EXPECT_EQ(part.verdict.kind, mono.verdict.kind) << at;
+  EXPECT_EQ(part.verdict.depth, mono.verdict.depth) << at;
+  EXPECT_EQ(part.iterations, mono.iterations) << at;
+  EXPECT_DOUBLE_EQ(part.reachable_states, mono.reachable_states) << at;
+  EXPECT_EQ(part.trace, mono.trace) << at;
+  EXPECT_EQ(mono.image_parts, 1) << at;
+  EXPECT_GT(part.image_parts, 0) << at;
+  EXPECT_LT(part.image_parts, part.state_bits) << at;
+}
+
+TEST(Symbolic, ClusteredImageMatchesMonolithic) {
+  const core::RtlConfig cfg = core::RtlConfig::model_checking(1);
+  const rtl::BitBlast stock = fault::mc_blast(1, nullptr);
+  SymbolicOptions opt;
+  opt.cone_of_influence = false;
+
+  // Table 2 row 1: the unreduced read-mode check, Proven at 9 iterations.
+  expect_parity(stock, core::rtl_read_mode_property(cfg), opt, "read mode");
+  // The catalog rows on the unreduced design.
+  const auto rows = core::rtl_properties(cfg);
+  for (const auto& [name, prop] : rows) expect_parity(stock, prop, opt, name);
+  // A mutant the read-latency row falsifies at depth 5, after clustering:
+  // the traces come from the unclustered conjuncts on both sides.
+  const fault::FaultSpec stuck{fault::FaultKind::kStuckAt0,
+                               "bank0.dout_valid_k_q", 0, 0};
+  const rtl::BitBlast mutant = fault::mc_blast(1, &stuck);
+  const auto& [row, latency] = rows.front();
+  ASSERT_EQ(row, "P1_read_latency_b0");
+  const SymbolicResult falsified = check(mutant, latency, opt);
+  ASSERT_EQ(falsified.verdict.kind, Verdict::Kind::kFalsified);
+  EXPECT_EQ(falsified.verdict.depth, 5);
+  expect_parity(mutant, latency, opt, stuck.id());
 }
 
 }  // namespace

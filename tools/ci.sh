@@ -494,6 +494,8 @@ fi
   --rtl-ticks 200 --json "$smoke_dir/table3.json" > /dev/null
 "$build_dir/bench/bench_coi" --banks-list 1 \
   --json "$smoke_dir/coi.json" > /dev/null
+"$build_dir/bench/bench_ablation_tr" --banks 1 \
+  --json "$smoke_dir/ablation_tr.json" > /dev/null
 "$build_dir/bench/bench_plan" --banks-list 1,2 --cycles 200 \
   --json "$smoke_dir/plan.json" > /dev/null
 "$build_dir/examples/nway_lockstep" --banks-list 1,2 --transactions 200 \
@@ -525,6 +527,27 @@ case "$table2_row1" in
     ;;
 esac
 
+# Ablation A at 1 bank: the partitioned image, which clusters its
+# conjuncts once the reached set outgrows a cluster, and the monolithic
+# relation must both verify the full design in 9 iterations and reach the
+# same number of states.
+ablation_row() {
+  sed -n "/\"strategy\": \"$1\"/,/\"image_parts\"/p" \
+    "$smoke_dir/ablation_tr.json" |
+    grep -e '"result"' -e '"iterations"' -e '"reachable_states"' | tr -d ' \n'
+}
+partitioned_row=$(ablation_row "partitioned, full design")
+monolithic_row=$(ablation_row "monolithic relation, full design")
+case "$partitioned_row" in
+  '"result":"verified",'*'"iterations":9,'*'"reachable_states":'*) ;;
+  *) partitioned_row="" ;;
+esac
+if [ -z "$partitioned_row" ] || [ "$partitioned_row" != "$monolithic_row" ]; then
+  echo "ci: ablation A full-design rows are not both verified in 9" \
+    "iterations with equal reachable states" >&2
+  exit 1
+fi
+
 # Table 3 row 1: the behavioural PSL suite (catalog rows P1/P2/P4) and the
 # RTL OVL monitors raise no failure on stock traffic, and every backend
 # reaches the same verdicts.
@@ -534,7 +557,7 @@ if ! grep -q '"failures": 0,' "$smoke_dir/table3.json" ||
   exit 1
 fi
 
-for f in table1 table2 BENCH_table2_invariants table3 coi plan nway; do
+for f in table1 table2 BENCH_table2_invariants table3 coi ablation_tr plan nway; do
   # Minimal validity check without external tools: the canonical report
   # shape starts with {"bench": and names its metrics array.
   grep -q '"bench"' "$smoke_dir/$f.json"

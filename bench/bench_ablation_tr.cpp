@@ -53,9 +53,6 @@ int main(int argc, char** argv) {
     opt.node_limit = node_limit;
     const mc::SymbolicResult r =
         mc::check(bb, core::rtl_read_mode_property(cfg), opt);
-    // An exhausted budget leaves the reached set uncounted.
-    const bool exploded =
-        r.outcome == mc::SymbolicResult::Outcome::kStateExplosion;
     const char* outcome =
         r.outcome == mc::SymbolicResult::Outcome::kHolds ? "verified"
         : r.outcome == mc::SymbolicResult::Outcome::kFails
@@ -65,7 +62,7 @@ int main(int argc, char** argv) {
                    util::fmt_double(r.cpu_seconds, 2),
                    util::fmt_count(r.peak_bdd_nodes),
                    std::to_string(r.iterations),
-                   exploded ? "-" : util::fmt_sci(r.reachable_states),
+                   util::fmt_sci(r.reachable_states),
                    std::to_string(r.image_parts)});
     util::Json metric = util::Json::object();
     metric.set("strategy", util::Json(row.name));
@@ -74,9 +71,7 @@ int main(int argc, char** argv) {
     metric.set("cpu_seconds", util::Json(r.cpu_seconds));
     metric.set("peak_bdd_nodes", util::Json(r.peak_bdd_nodes));
     metric.set("iterations", util::Json(r.iterations));
-    if (!exploded) {
-      metric.set("reachable_states", util::Json(r.reachable_states));
-    }
+    metric.set("reachable_states", util::Json(r.reachable_states));
     metric.set("image_parts", util::Json(r.image_parts));
     metric.set("bdd", r.bdd_stats.to_json());
     report.metric(std::move(metric));

@@ -1,24 +1,30 @@
 // Micro-benchmarks of the substrate layers (google-benchmark): kernel
 // delta-cycle throughput, RTL cycle simulation, compiled-simulation edges,
-// BDD operations, PSL monitor stepping, ASM rule firing. These give the
-// per-operation costs behind the table-level results.
+// BDD operations, PSL monitor stepping and determinization, one small
+// symbolic check, ASM rule firing. These give the per-operation costs
+// behind the table-level results.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <stdexcept>
 #include <vector>
 
 #include "asml/machine.hpp"
 #include "bdd/bdd.hpp"
 #include "csim/compile.hpp"
 #include "csim/machine.hpp"
+#include "dfa/sweep.hpp"
 #include "harness/adapters.hpp"
 #include "harness/stimulus.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
+#include "mc/symbolic.hpp"
+#include "psl/dfa.hpp"
 #include "psl/monitor.hpp"
 #include "psl/parse.hpp"
+#include "rtl/bitblast.hpp"
 #include "rtl/logic.hpp"
 #include "rtl/sim.hpp"
 #include "util/rng.hpp"
@@ -242,6 +248,57 @@ void BM_MonitorStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MonitorStep);
+
+/// The 4-bank catalog row P1_read_latency_b0, as the RTL observes it.
+psl::PropPtr p1_row_4_banks() {
+  for (const auto& [name, prop] :
+       core::rtl_properties(core::RtlConfig::model_checking(4))) {
+    if (name == "P1_read_latency_b0") return prop;
+  }
+  throw std::logic_error("no P1_read_latency_b0 row");
+}
+
+/// Determinizing a property into its observer table, which every property
+/// check pays once. Arg 0: P1_read_latency_b0 at 4 banks; arg 1: the
+/// Table-2 read-mode property (bank 0's P1 and P2).
+void BM_Determinize(benchmark::State& state) {
+  const psl::PropPtr prop =
+      state.range(0) == 0
+          ? p1_row_4_banks()
+          : core::rtl_read_mode_property(core::RtlConfig::model_checking(1));
+  for (auto _ : state) {
+    const psl::DfaTable table = psl::determinize(prop);
+    benchmark::DoNotOptimize(table.next.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Determinize)->Arg(0)->Arg(1);
+
+/// One property-overload check of P1_read_latency_b0 on the 4-bank RTL
+/// under the semantic cone, with the sweep's invariants (seed 7) passed
+/// in: lint, determinization, cone, encoding and reachability. The unit of
+/// perfbench's mc-table2 suite, whose BDDs are small enough that the fixed
+/// cost of a check shows.
+void BM_SmallCheck(benchmark::State& state) {
+  const core::RtlConfig cfg = core::RtlConfig::model_checking(4);
+  core::RtlDevice dev = core::build_device(cfg);
+  const rtl::Module flat = dev.flatten();
+  const rtl::BitBlast bb =
+      rtl::bitblast(rtl::expand_memories(flat), core::clock_schedule(flat));
+  dfa::SweepOptions sweep;
+  sweep.seed = 7;
+  const dfa::InvariantSet invariants = dfa::sweep(bb, sweep);
+  mc::SymbolicOptions opt;
+  opt.use_coi = true;
+  opt.invariants = &invariants;
+  const psl::PropPtr prop = p1_row_4_banks();
+  for (auto _ : state) {
+    const mc::SymbolicResult r = mc::check(bb, prop, opt);
+    benchmark::DoNotOptimize(r.peak_bdd_nodes);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SmallCheck);
 
 void BM_AsmRuleFire(benchmark::State& state) {
   core::AsmConfig cfg;

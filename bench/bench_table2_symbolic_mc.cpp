@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
     const mc::SymbolicResult r =
         mc::check(bb, core::rtl_read_mode_property(cfg), opt);
 
-    // An exhausted budget leaves the reached set uncounted.
+    // An exhausted budget reports the states reached through the last
+    // completed iteration.
     const bool exploded =
         r.outcome == mc::SymbolicResult::Outcome::kStateExplosion;
     std::string result;
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
                    util::fmt_double(r.memory_mb, 1),
                    util::fmt_count(r.peak_bdd_nodes),
                    std::to_string(r.iterations),
-                   exploded ? "-" : util::fmt_sci(r.reachable_states),
+                   util::fmt_sci(r.reachable_states),
                    std::to_string(r.image_parts), result});
     util::Json row = util::Json::object();
     row.set("banks", util::Json(banks));
@@ -90,7 +91,7 @@ int main(int argc, char** argv) {
     row.set("peak_bdd_nodes",
             util::Json(static_cast<std::int64_t>(r.peak_bdd_nodes)));
     row.set("iterations", util::Json(static_cast<std::int64_t>(r.iterations)));
-    if (!exploded) row.set("reachable_states", util::Json(r.reachable_states));
+    row.set("reachable_states", util::Json(r.reachable_states));
     row.set("image_parts", util::Json(r.image_parts));
     row.set("result", util::Json(result));
     row.set("bdd", r.bdd_stats.to_json());

@@ -116,7 +116,14 @@ JobSpec JobSpec::from_json(const util::Json& j) {
                spec.structural_faults);
   read_bounded(j, job, "protocol_faults", 0, kIntMax, spec.protocol_faults);
   if (const util::Json* v = j.find("run_mc")) spec.run_mc = v->as_bool();
-  if (const util::Json* v = j.find("target")) spec.target = v->as_double();
+  if (const util::Json* v = j.find("target")) {
+    spec.target = v->as_double();
+    // Written so that NaN fails too.
+    if (!(spec.target >= 0.0 && spec.target <= 1.0)) {
+      throw std::invalid_argument("job '" + job +
+                                  "': target must be a number in [0, 1]");
+    }
+  }
   read_bounded(j, job, "max_epochs", 1, kIntMax, spec.max_epochs);
   read_bounded(j, job, "transactions_per_epoch", 1, kInt64Max,
                spec.transactions_per_epoch);

@@ -137,21 +137,24 @@ void Manager::cache_store(NodeId a, NodeId b, std::uint32_t c, NodeId result) {
   cache_[cache_slot(a, b, c)] = CacheEntry{a, b, c, result};
 }
 
-Manager::MaskInfo Manager::intern_mask(const std::vector<bool>& mask) {
+Manager::Quantifier Manager::quantifier(const std::vector<bool>& mask) {
   const auto it = mask_ids_.find(mask);
   if (it != mask_ids_.end()) return it->second;
-  MaskInfo info;
-  info.id = static_cast<std::uint32_t>(mask_ids_.size());
+  Quantifier q;
+  q.id = static_cast<std::uint32_t>(mask_ids_.size());
   // Clamped below the terminals' rank, so the recursions stop at them.
   const auto vars = static_cast<std::size_t>(var_count_);
   for (std::size_t v = std::min(mask.size(), vars); v-- > 0;) {
     if (mask[v]) {
-      info.last = static_cast<int>(v);
+      q.last = static_cast<int>(v);
       break;
     }
   }
-  mask_ids_.emplace(mask, info);
-  return info;
+  // The map's key outlives every handle: entries are never erased, and a
+  // rehash moves no element.
+  const auto added = mask_ids_.emplace(mask, q).first;
+  added->second.mask = &added->first;
+  return added->second;
 }
 
 std::uint32_t Manager::intern_rename(const std::vector<int>& ren) {
@@ -232,9 +235,8 @@ NodeId Manager::exists_rec(NodeId f, const std::vector<bool>& mask, int last,
   return out;
 }
 
-NodeId Manager::exists(NodeId f, const std::vector<bool>& mask) {
-  const MaskInfo m = intern_mask(mask);
-  return exists_rec(f, mask, m.last, kOpExists | m.id);
+NodeId Manager::exists(NodeId f, const Quantifier& q) {
+  return exists_rec(f, *q.mask, q.last, kOpExists | q.id);
 }
 
 NodeId Manager::forall(NodeId f, const std::vector<bool>& mask) {
@@ -279,9 +281,8 @@ NodeId Manager::and_exists_rec(NodeId f, NodeId g,
   return out;
 }
 
-NodeId Manager::and_exists(NodeId f, NodeId g, const std::vector<bool>& mask) {
-  const MaskInfo m = intern_mask(mask);
-  return and_exists_rec(f, g, mask, m.last, m.id);
+NodeId Manager::and_exists(NodeId f, NodeId g, const Quantifier& q) {
+  return and_exists_rec(f, g, *q.mask, q.last, q.id);
 }
 
 NodeId Manager::rename_rec(NodeId f, const std::vector<int>& rename,
@@ -368,30 +369,26 @@ std::uint64_t Manager::dag_size_bounded(NodeId f, std::uint64_t bound) const {
   return count;
 }
 
-double Manager::sat_count_rec(NodeId f,
-                              std::unordered_map<NodeId, double>& memo) const {
+double Manager::sat_count_rec(NodeId f, std::vector<double>& memo) const {
   if (f == kFalse) return 0.0;
   if (f == kTrue) return 1.0;
-  auto it = memo.find(f);
-  if (it != memo.end()) return it->second;
+  double& count = memo[f];
+  if (count >= 0.0) return count;
   const Node& n = nodes_[f];
+  // Levels skipped between parent and child double the count per level;
+  // scaling by a power of two is exact.
   auto weight = [&](NodeId child) {
-    const int skip = nodes_[child].var - n.var - 1;
-    return sat_count_rec(child, memo) * std::pow(2.0, skip);
+    return std::ldexp(sat_count_rec(child, memo),
+                      nodes_[child].var - n.var - 1);
   };
-  // Levels skipped between parent and child double the count per level.
-  double count = weight(n.low) + weight(n.high);
-  memo[f] = count;
+  count = weight(n.low) + weight(n.high);
   return count;
 }
 
 double Manager::sat_count(NodeId f) const {
-  std::unordered_map<NodeId, double> memo;
-  if (is_const(f)) {
-    return f == kTrue ? std::pow(2.0, var_count_) : 0.0;
-  }
-  const double below = sat_count_rec(f, memo);
-  return below * std::pow(2.0, nodes_[f].var);
+  if (is_const(f)) return f == kTrue ? std::ldexp(1.0, var_count_) : 0.0;
+  std::vector<double> memo(nodes_.size(), -1.0);  // -1: not counted yet
+  return std::ldexp(sat_count_rec(f, memo), nodes_[f].var);
 }
 
 std::vector<bool> Manager::any_sat(NodeId f) const {

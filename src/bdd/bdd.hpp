@@ -90,13 +90,30 @@ class Manager {
   NodeId apply_xor(NodeId f, NodeId g);
   NodeId apply_not(NodeId f) { return ite(f, kFalse, kTrue); }
 
+  /// A quantification mask interned by `quantifier`. The operations taking
+  /// one skip the per-call lookup of the mask; it stays valid for the
+  /// manager's lifetime. A default-constructed one names no mask and must
+  /// not be passed to them.
+  struct Quantifier {
+    const std::vector<bool>* mask = nullptr;
+    std::uint32_t id = 0;
+    int last = -1;  // the last masked variable below var_count, or -1
+  };
+  Quantifier quantifier(const std::vector<bool>& mask);
+
   /// Existential quantification over the variables with `true` in `mask`.
-  NodeId exists(NodeId f, const std::vector<bool>& mask);
+  NodeId exists(NodeId f, const std::vector<bool>& mask) {
+    return exists(f, quantifier(mask));
+  }
+  NodeId exists(NodeId f, const Quantifier& q);
   /// Universal quantification over the masked variables.
   NodeId forall(NodeId f, const std::vector<bool>& mask);
   /// AND followed by existential quantification in one pass — the relational
   /// image workhorse (avoids building the full conjunction).
-  NodeId and_exists(NodeId f, NodeId g, const std::vector<bool>& mask);
+  NodeId and_exists(NodeId f, NodeId g, const std::vector<bool>& mask) {
+    return and_exists(f, g, quantifier(mask));
+  }
+  NodeId and_exists(NodeId f, NodeId g, const Quantifier& q);
   /// Simultaneous variable renaming: var v -> var rename[v]. The renaming
   /// must be order-compatible (monotone), which the checker's interleaved
   /// current/next order guarantees.
@@ -166,11 +183,6 @@ class Manager {
     std::uint32_t c = 0;
     NodeId result = 0;
   };
-  /// An interned quantification mask: its id and its last masked variable.
-  struct MaskInfo {
-    std::uint32_t id = 0;
-    int last = -1;
-  };
   NodeId make(int var, NodeId low, NodeId high);
   std::size_t unique_slot(int var, NodeId low, NodeId high) const;
   void grow_unique();
@@ -178,7 +190,6 @@ class Manager {
   std::size_t cache_slot(NodeId a, NodeId b, std::uint32_t c) const;
   bool cache_find(NodeId a, NodeId b, std::uint32_t c, NodeId& result);
   void cache_store(NodeId a, NodeId b, std::uint32_t c, NodeId result);
-  MaskInfo intern_mask(const std::vector<bool>& mask);
   std::uint32_t intern_rename(const std::vector<int>& rename);
   NodeId exists_rec(NodeId f, const std::vector<bool>& mask, int last,
                     std::uint32_t tag);
@@ -188,7 +199,7 @@ class Manager {
                     std::uint32_t tag);
   NodeId cofactor_rec(NodeId f, int v, bool value, std::uint32_t tag);
   std::uint64_t dag_size_rec(NodeId f, std::vector<bool>& seen) const;
-  double sat_count_rec(NodeId f, std::unordered_map<NodeId, double>& memo) const;
+  double sat_count_rec(NodeId f, std::vector<double>& memo) const;
 
   int var_count_;
   std::vector<Node> nodes_;
@@ -196,7 +207,7 @@ class Manager {
   int bucket_bits_ = 0;
   std::vector<CacheEntry> cache_;  // computed cache, power-of-two size
   int cache_bits_ = 0;
-  std::unordered_map<std::vector<bool>, MaskInfo> mask_ids_;
+  std::unordered_map<std::vector<bool>, Quantifier> mask_ids_;
   std::map<std::vector<int>, std::uint32_t> rename_ids_;
   std::vector<NodeId> free_list_;
   std::uint64_t live_nodes_ = 2;

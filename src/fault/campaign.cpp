@@ -114,7 +114,9 @@ McSuite::McSuite(int banks, const mc::Budget& budget) {
     mc::preflight_lint(stock, prop);
     McRow row{name, mc::build_observer(prop), {}, {}};
     row.cone =
-        registers_of(stock, mc::structural_cone(stock, row.observer.atoms));
+        registers_of(stock, flow::mc_cone(stock, row.observer.atoms,
+                                          std::vector<flow::McCone::Subst>{})
+                                .state_in_cone);
     row.stock = mc::check(stock, row.observer, sopt);
     rows.push_back(std::move(row));
   }

@@ -140,7 +140,9 @@ struct McRow {
   std::string name;
   mc::Observer observer;
   /// Sorted names of the registers in the row's structural cone on the
-  /// stock blast (mc::structural_cone, bit names folded to their register).
+  /// stock blast (flow::mc_cone with no substitutions, bit names folded to
+  /// their register): a fault whose rewrite stays outside it cannot change
+  /// the row's result.
   std::vector<std::string> cone;
   /// The row's check of the stock device under the suite's budget.
   mc::SymbolicResult stock;

@@ -1,8 +1,10 @@
-// Semantic cone of influence for the symbolic model checker.
+// The model checker's cone of influence, and the atom resolver it shares.
 //
-// The structural cone (mc's default) closes the property atoms' support
-// over the next-state functions. The *semantic* cone computed here starts
-// from the same closure but consults proven invariants (dfa::sweep):
+// The structural cone closes the property atoms' support over the
+// next-state functions: a state bit outside it never influences an atom, so
+// dropping it leaves the reachable valuations of the atoms unchanged. The
+// *semantic* cone starts from the same closure but consults proven
+// invariants (dfa::sweep):
 //
 //   * a state bit proven constant is cut — it contributes a terminal, not a
 //     variable, and its fan-in never enters the cone;
@@ -19,6 +21,9 @@
 // projected onto the surviving variables; and an out-of-cone input occurs
 // in no transition conjunct and no atom, so quantifying over it is vacuous.
 // Verdicts are therefore identical with the cone on or off.
+//
+// mc::check takes every cone and substitution table it encodes from here,
+// and so does the fault campaign's pruning (DESIGN.md §10).
 #pragma once
 
 #include <string>
@@ -52,10 +57,35 @@ struct McCone {
   int input_bits() const;
 };
 
-/// Computes the semantic cone for a property given by its atom names
-/// ("net", "net[i]", "net.__conflict" — the observer's alphabet). Throws
-/// std::invalid_argument on unknown atoms, on invariants naming unknown
-/// state bits, or on invariants contradicting the reset state.
+/// Resolves a property atom against the blasted design: "net" (a 1-bit
+/// net), "net[i]" (bit i) or "net.__conflict" (the tristate conflict flag
+/// of net). Returns its BitGraph node; throws std::invalid_argument when
+/// the name resolves to no single bit.
+int atom_bit_node(const rtl::BitBlast& design, const std::string& name);
+
+/// The bits `name` names under atom_bit_node's grammar, where a bare net
+/// names all of its bits: 1 for "net[i]" and "net.__conflict", the net's
+/// width for "net", -1 when the name resolves to nothing.
+int atom_width(const rtl::BitBlast& design, const std::string& name);
+
+/// Validates `invariants` against the design and returns the substitution
+/// table, one entry per state position, with alias chains collapsed so
+/// every alias points at a live representative. Throws
+/// std::invalid_argument on invariants naming unknown state bits or
+/// contradicting the reset state.
+std::vector<McCone::Subst> mc_substitutions(
+    const rtl::BitBlast& design, const dfa::InvariantSet& invariants);
+
+/// The cone of `atoms` under `subst` (empty, or one entry per state
+/// position): the atoms' support closed over the next-state function of
+/// every bit the closure reaches, where a substituted bit never enters and
+/// an alias pulls in its representative. One pass over the BitGraph.
+/// Empty `subst` gives the structural cone. Throws like atom_bit_node.
+McCone mc_cone(const rtl::BitBlast& design,
+               const std::vector<std::string>& atoms,
+               std::vector<McCone::Subst> subst);
+
+/// The semantic cone: mc_cone under mc_substitutions(design, invariants).
 McCone mc_cone(const rtl::BitBlast& design,
                const std::vector<std::string>& atoms,
                const dfa::InvariantSet& invariants);

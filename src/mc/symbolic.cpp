@@ -26,31 +26,7 @@ class BitBlastSignals : public lint::SignalModel {
   explicit BitBlastSignals(const rtl::BitBlast& bb) : bb_(&bb) {}
 
   int signal_width(const std::string& name) const override {
-    // Mirrors atom_bit_node's grammar: "net", "net[i]", "net.__conflict".
-    const std::string conflict_suffix = ".__conflict";
-    if (name.size() > conflict_suffix.size() &&
-        name.compare(name.size() - conflict_suffix.size(),
-                     conflict_suffix.size(), conflict_suffix) == 0) {
-      const std::string net =
-          name.substr(0, name.size() - conflict_suffix.size());
-      return bb_->conflict_bits.count(net) != 0 ? 1 : -1;
-    }
-    std::string net = name;
-    int bit = -1;
-    const std::size_t lb = name.rfind('[');
-    if (lb != std::string::npos && name.back() == ']') {
-      net = name.substr(0, lb);
-      try {
-        bit = std::stoi(name.substr(lb + 1, name.size() - lb - 2));
-      } catch (const std::exception&) {
-        return -1;
-      }
-    }
-    auto it = bb_->net_bits.find(net);
-    if (it == bb_->net_bits.end()) return -1;
-    const int width = static_cast<int>(it->second.size());
-    if (bit >= 0) return bit < width ? 1 : -1;
-    return width;
+    return flow::atom_width(*bb_, name);
   }
 
  private:
@@ -143,10 +119,11 @@ struct Encoding {
   /// Per variable: the last conjunct mentioning it, or -1 for none.
   std::vector<int> last_use;
   /// Early-quantification schedule: per part, the current/input variables
-  /// no later part mentions (empty when there are none), and those no
-  /// conjunct mentions at all, quantified out of `from` at the end.
-  std::vector<std::vector<bool>> quantify_after;
-  std::vector<bool> quantify_rest;
+  /// no later part mentions (no mask when there are none), and those no
+  /// conjunct mentions at all, quantified out of `from` at the end. Each
+  /// mask is interned once, when the schedule is built.
+  std::vector<bdd::Manager::Quantifier> quantify_after;
+  bdd::Manager::Quantifier quantify_rest;
 
   std::string state_bit_name(int rank) const;
 };
@@ -221,111 +198,6 @@ class Translator {
 using Subst = flow::McCone::Subst;
 using SubstKind = flow::McCone::SubstKind;
 
-/// Validates `inv` against the design and builds the per-state-position
-/// substitution table. Throws std::invalid_argument on facts that name
-/// unknown state bits or contradict the reset state.
-std::vector<Subst> build_substitutions(const rtl::BitBlast& design,
-                                       const dfa::InvariantSet& inv) {
-  const std::size_t n = design.state_vars.size();
-  std::map<std::string, std::size_t> pos_of;
-  for (std::size_t k = 0; k < n; ++k) {
-    pos_of[design.vars[static_cast<std::size_t>(design.state_vars[k])].name] =
-        k;
-  }
-  auto position = [&](const std::string& name) {
-    const auto it = pos_of.find(name);
-    if (it == pos_of.end()) {
-      throw std::invalid_argument(
-          "mc::check: invariant names unknown state bit '" + name + "'");
-    }
-    return it->second;
-  };
-  auto init_of = [&](std::size_t k) {
-    return design.vars[static_cast<std::size_t>(design.state_vars[k])].init;
-  };
-
-  std::vector<Subst> subs(n);
-  for (const dfa::Invariant& i : inv.invariants()) {
-    if (i.kind == dfa::Invariant::Kind::kConst) {
-      const std::size_t k = position(i.a);
-      if (init_of(k) != i.value) {
-        throw std::invalid_argument(
-            "mc::check: constant invariant on '" + i.a +
-            "' contradicts the reset state");
-      }
-      subs[k] = Subst{SubstKind::kConst, i.value, 0, false};
-      continue;
-    }
-    const bool negate = i.kind == dfa::Invariant::Kind::kComplement;
-    const std::size_t root = position(i.a);
-    const std::size_t twin = position(i.b);
-    if (root == twin || (init_of(twin) != (init_of(root) != negate))) {
-      throw std::invalid_argument("mc::check: pair invariant '" + i.a +
-                                  "' / '" + i.b +
-                                  "' contradicts the reset state");
-    }
-    subs[twin] = Subst{SubstKind::kAlias, false, root, negate};
-  }
-  // Collapse chains (alias onto an aliased or constant representative) so
-  // every surviving alias points at a live variable. The sweep itself
-  // never emits chains; caller-provided sets might.
-  for (std::size_t k = 0; k < n; ++k) {
-    if (subs[k].kind != SubstKind::kAlias) continue;
-    std::size_t root = subs[k].root;
-    bool negate = subs[k].negate;
-    std::size_t hops = 0;
-    while (subs[root].kind == SubstKind::kAlias && hops++ <= n) {
-      negate ^= subs[root].negate;
-      root = subs[root].root;
-    }
-    if (hops > n) {
-      throw std::invalid_argument("mc::check: cyclic pair invariants");
-    }
-    if (subs[root].kind == SubstKind::kConst) {
-      subs[k] = Subst{SubstKind::kConst, subs[root].value != negate, 0,
-                      false};
-    } else {
-      subs[k].root = root;
-      subs[k].negate = negate;
-    }
-  }
-  return subs;
-}
-
-/// Resolves an atom name against the blasted design: "net" (1-bit),
-/// "net[i]" (bit i), or "net.__conflict" (tristate conflict flag).
-int atom_bit_node(const rtl::BitBlast& bb, const std::string& name) {
-  const std::string conflict_suffix = ".__conflict";
-  if (name.size() > conflict_suffix.size() &&
-      name.compare(name.size() - conflict_suffix.size(), conflict_suffix.size(),
-                   conflict_suffix) == 0) {
-    const std::string net = name.substr(0, name.size() - conflict_suffix.size());
-    auto it = bb.conflict_bits.find(net);
-    if (it == bb.conflict_bits.end()) {
-      throw std::invalid_argument("no tristate conflict bit for net: " + net);
-    }
-    return it->second;
-  }
-  std::string net = name;
-  int bit = 0;
-  const std::size_t lb = name.rfind('[');
-  if (lb != std::string::npos && name.back() == ']') {
-    net = name.substr(0, lb);
-    bit = std::stoi(name.substr(lb + 1, name.size() - lb - 2));
-  }
-  auto it = bb.net_bits.find(net);
-  if (it == bb.net_bits.end()) {
-    throw std::invalid_argument("property atom refers to unknown net: " + net);
-  }
-  if (bit < 0 || bit >= static_cast<int>(it->second.size())) {
-    throw std::invalid_argument("property atom bit out of range: " + name);
-  }
-  if (lb == std::string::npos && it->second.size() != 1) {
-    throw std::invalid_argument("property atom must name a single bit: " + name);
-  }
-  return it->second[static_cast<std::size_t>(bit)];
-}
-
 /// A cluster of the partitioned relation grows while its BDD stays within
 /// this many nodes, and clustering starts at the first image whose source
 /// set is larger (IWLS'95 conjunct clustering, as in VIS and NuSMV). Checks
@@ -337,13 +209,19 @@ constexpr std::uint64_t kClusterNodes = 500;
 /// it (`part_of` maps a conjunct to its part).
 void schedule(Encoding& enc, const std::vector<int>& part_of) {
   const std::size_t nvars = enc.quantify_mask.size();
-  enc.quantify_after.assign(enc.parts.size(), {});
+  std::vector<std::vector<bool>> masks(enc.parts.size());
   for (std::size_t v = 0; v < nvars; ++v) {
     if (!enc.quantify_mask[v] || enc.last_use[v] < 0) continue;
-    std::vector<bool>& mask = enc.quantify_after[static_cast<std::size_t>(
+    std::vector<bool>& mask = masks[static_cast<std::size_t>(
         part_of[static_cast<std::size_t>(enc.last_use[v])])];
     if (mask.empty()) mask.assign(nvars, false);
     mask[v] = true;
+  }
+  enc.quantify_after.assign(masks.size(), {});
+  for (std::size_t ci = 0; ci < masks.size(); ++ci) {
+    if (!masks[ci].empty()) {
+      enc.quantify_after[ci] = enc.mgr->quantifier(masks[ci]);
+    }
   }
 }
 
@@ -403,10 +281,10 @@ bdd::NodeId image(Encoding& enc, bdd::NodeId from, bool partitioned,
   mgr.ref(acc);
   for (std::size_t ci = 0; ci < enc.parts.size(); ++ci) {
     if (enc.deadline != nullptr) enc.deadline->poll();
-    const std::vector<bool>& mask = enc.quantify_after[ci];
+    const bdd::Manager::Quantifier& q = enc.quantify_after[ci];
     const bdd::NodeId next_acc =
-        mask.empty() ? mgr.apply_and(acc, enc.parts[ci])
-                     : mgr.and_exists(acc, enc.parts[ci], mask);
+        q.mask == nullptr ? mgr.apply_and(acc, enc.parts[ci])
+                          : mgr.and_exists(acc, enc.parts[ci], q);
     mgr.ref(next_acc);
     mgr.deref(acc);
     acc = next_acc;
@@ -421,7 +299,7 @@ bdd::NodeId image(Encoding& enc, bdd::NodeId from, bool partitioned,
       }
     }
   }
-  const bdd::NodeId quantified = enc.quantify_rest.empty()
+  const bdd::NodeId quantified = enc.quantify_rest.mask == nullptr
                                      ? acc
                                      : mgr.exists(acc, enc.quantify_rest);
   const bdd::NodeId out = mgr.rename(quantified, enc.rename_next_to_cur);
@@ -505,48 +383,36 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
 
   const unsigned letters = 1u << obs.atoms.size();
 
-  // Invariant substitution table (all kNone when use_invariants and use_coi
-  // are both off). Substituted bits are excluded from the active set below:
-  // constants contribute nothing, aliases redirect to their representative.
-  std::vector<Subst> subs(design.state_vars.size());
-  dfa::InvariantSet swept;
+  // The substitution table (all kNone unless use_coi or use_invariants)
+  // and the active state bits: the cone (semantic under use_coi, else
+  // structural with the substitutions folded in) or every unsubstituted
+  // bit. A substituted bit is never active: constants contribute nothing,
+  // aliases redirect to their representative.
+  const std::size_t n_bits = design.state_vars.size();
   flow::McCone cone;
-  const bool have_cone = options.use_coi;
   if (options.use_coi || options.use_invariants) {
+    dfa::InvariantSet swept;
     const dfa::InvariantSet* inv = options.invariants;
     if (inv == nullptr) {
       swept = dfa::sweep(design);
       inv = &swept;
     }
-    if (have_cone) {
-      cone = flow::mc_cone(design, obs.atoms, *inv);
-      subs = cone.subst;
-    } else {
-      subs = build_substitutions(design, *inv);
-    }
-    for (const Subst& sub : subs) {
-      if (sub.kind != SubstKind::kNone) ++result.invariants_applied;
+    cone.subst = flow::mc_substitutions(design, *inv);
+  }
+  if (options.use_coi || options.cone_of_influence) {
+    cone = flow::mc_cone(design, obs.atoms, std::move(cone.subst));
+  } else {
+    cone.subst.resize(n_bits);
+    for (const Subst& sub : cone.subst) {
+      cone.state_in_cone.push_back(sub.kind == SubstKind::kNone);
+      cone.substituted += sub.kind != SubstKind::kNone;
     }
   }
-
-  // The active state bits: the semantic cone (which already folded the
-  // substitutions in), the structural cone, or every unsubstituted bit.
+  const std::vector<Subst>& subs = cone.subst;
+  result.invariants_applied = cone.substituted;
   std::vector<std::size_t> active;
-  {
-    const std::size_t n = design.state_vars.size();
-    std::vector<char> in_cone(n, 0);
-    if (have_cone) {
-      in_cone = cone.state_in_cone;
-    } else if (options.cone_of_influence) {
-      in_cone = structural_cone(design, obs.atoms, subs);
-    } else {
-      for (std::size_t k = 0; k < n; ++k) {
-        in_cone[k] = subs[k].kind == SubstKind::kNone;
-      }
-    }
-    for (std::size_t k = 0; k < n; ++k) {
-      if (in_cone[k]) active.push_back(k);
-    }
+  for (std::size_t k = 0; k < n_bits; ++k) {
+    if (cone.state_in_cone[k]) active.push_back(k);
   }
 
   Encoding enc;
@@ -558,7 +424,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
   // Inputs outside the semantic cone occur in no conjunct and no atom, so
   // encoding them would only widen the quantification mask for nothing.
   for (std::size_t j = 0; j < design.input_vars.size(); ++j) {
-    if (!have_cone || cone.input_in_cone[j]) {
+    if (!options.use_coi || cone.input_in_cone[j]) {
       enc.input_pos.push_back(static_cast<int>(j));
     }
   }
@@ -577,6 +443,14 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
     result.memory_mb = util::to_mb(mgr.memory_bytes());
     result.bdd_stats = mgr.stats();
     result.cpu_seconds = cpu.seconds();
+  };
+
+  // The reached set through result.iterations: referenced, so a budget
+  // stop leaves it intact, and counting it creates no node.
+  bdd::NodeId reached = bdd::kFalse;
+  auto count_reached = [&] {
+    result.reachable_states = std::ldexp(mgr.sat_count(reached),
+                                         -(mgr.var_count() - enc.n_state));
   };
 
   try {
@@ -702,7 +576,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
     // Atom functions; must depend only on model state bits.
     std::vector<bdd::NodeId> atom_cur;
     for (const std::string& name : obs.atoms) {
-      const bdd::NodeId a = translate(atom_bit_node(design, name));
+      const bdd::NodeId a = translate(flow::atom_bit_node(design, name));
       const std::vector<bool> sup = mgr.support(a);
       for (std::size_t v = 0; v < sup.size(); ++v) {
         if (!sup[v]) continue;
@@ -727,23 +601,34 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
     atom_next.reserve(atom_cur.size());
     for (bdd::NodeId a : atom_cur) atom_next.push_back(mgr.rename(a, shift));
 
-    // Observer state equality over current variables.
+    // Observer state equality over current variables, and the cube of a
+    // letter over the successor's atoms, each built on first use and then
+    // looked up: the nodes are created in the same order as when every use
+    // rebuilt them.
+    constexpr bdd::NodeId kUnbuilt = ~bdd::NodeId{0};
+    std::vector<bdd::NodeId> eq_memo(static_cast<std::size_t>(obs.state_count),
+                                     kUnbuilt);
     auto obs_eq_cur = [&](int s) {
+      bdd::NodeId& memo = eq_memo[static_cast<std::size_t>(s)];
+      if (memo != kUnbuilt) return memo;
       bdd::NodeId acc = bdd::kTrue;
       for (int j = 0; j < enc.n_obs; ++j) {
         const int v = enc.cur(enc.n_model + j);
         acc = mgr.apply_and(acc, ((s >> j) & 1) != 0 ? mgr.var(v) : mgr.nvar(v));
       }
-      return acc;
+      return memo = acc;
     };
+    std::vector<bdd::NodeId> letter_memo(letters, kUnbuilt);
     auto valuation_formula = [&](unsigned m) {
+      bdd::NodeId& memo = letter_memo[m];
+      if (memo != kUnbuilt) return memo;
       bdd::NodeId acc = bdd::kTrue;
       for (std::size_t a = 0; a < atom_next.size(); ++a) {
         acc = mgr.apply_and(acc, ((m >> a) & 1u) != 0
                                      ? atom_next[a]
                                      : mgr.apply_not(atom_next[a]));
       }
-      return acc;
+      return memo = acc;
     };
 
     // Observer next-state conjuncts: o'_j <-> g_j(o, atoms(s')).
@@ -824,15 +709,17 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
         }
       }
     }
+    std::vector<bool> rest;
     for (std::size_t v = 0; v < nvars; ++v) {
       if (!enc.quantify_mask[v] || enc.last_use[v] >= 0) continue;
-      if (enc.quantify_rest.empty()) enc.quantify_rest.assign(nvars, false);
-      enc.quantify_rest[v] = true;
+      if (rest.empty()) rest.assign(nvars, false);
+      rest[v] = true;
     }
     enc.parts = enc.conjuncts;
     std::vector<int> own_part(enc.conjuncts.size());
     std::iota(own_part.begin(), own_part.end(), 0);
     schedule(enc, own_part);
+    if (!rest.empty()) enc.quantify_rest = mgr.quantifier(rest);
 
     // Protect the long-lived BDDs so garbage collection between iterations
     // can reclaim image intermediates (which dwarf the useful sets).
@@ -850,7 +737,7 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
 
     // Reachability with onion rings.
     std::vector<bdd::NodeId> rings{init};
-    bdd::NodeId reached = init;
+    reached = init;
     bdd::NodeId frontier = init;
     mgr.ref(reached);
     mgr.ref(frontier);
@@ -910,18 +797,18 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
       }
     }
 
-    const double free_vars =
-        static_cast<double>(mgr.var_count() - enc.n_state);
-    result.reachable_states = mgr.sat_count(reached) / std::pow(2.0, free_vars);
+    count_reached();
   } catch (const bdd::ResourceExhausted& e) {
     result.outcome = SymbolicResult::Outcome::kStateExplosion;
     exhausted_reason = "BDD node budget exhausted (" +
                        std::to_string(e.live_nodes) + " live nodes, limit " +
                        std::to_string(e.limit) + ")";
+    count_reached();
   } catch (const WallBudgetExpired&) {
     result.outcome = SymbolicResult::Outcome::kStateExplosion;
     exhausted_reason = "wall budget exhausted (" +
                        std::to_string(options.budget.wall_ms) + " ms)";
+    count_reached();
   } catch (const CheckCancelled&) {
     result.outcome = SymbolicResult::Outcome::kStateExplosion;
     bound_established = false;  // a cancelled check claims nothing
@@ -953,41 +840,6 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
 }
 
 }  // namespace
-
-std::vector<char> structural_cone(const rtl::BitBlast& design,
-                                  const std::vector<std::string>& atoms,
-                                  const std::vector<Subst>& subst) {
-  const std::size_t n = design.state_vars.size();
-  const auto kind = [&](std::size_t k) {
-    return subst.empty() ? SubstKind::kNone : subst[k].kind;
-  };
-  std::vector<bool> var_mask(design.vars.size(), false);
-  for (const std::string& name : atoms) {
-    design.graph.support(atom_bit_node(design, name), var_mask);
-  }
-  std::vector<char> in_cone(n, 0);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!var_mask[static_cast<std::size_t>(design.state_vars[k])]) continue;
-      if (kind(k) == SubstKind::kAlias) {
-        const std::size_t root_var =
-            static_cast<std::size_t>(design.state_vars[subst[k].root]);
-        if (!var_mask[root_var]) {
-          var_mask[root_var] = true;
-          changed = true;
-        }
-        continue;
-      }
-      if (in_cone[k] || kind(k) != SubstKind::kNone) continue;
-      in_cone[k] = 1;
-      design.graph.support(design.next_fn[k], var_mask);
-      changed = true;
-    }
-  }
-  return in_cone;
-}
 
 void preflight_lint(const rtl::BitBlast& design, const psl::PropPtr& prop) {
   const BitBlastSignals signals(design);

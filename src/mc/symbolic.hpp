@@ -87,8 +87,10 @@ struct SymbolicOptions {
   /// Iteration cap; 0 = run to fixpoint.
   int max_iterations = 0;
   /// Cone-of-influence reduction: drop every register the property cannot
-  /// observe (transitively). Exact for safety checking. Disable to model
-  /// a checker that carries the whole design (the Table-2 configuration).
+  /// observe (transitively; flow::mc_cone, folding in the substitutions
+  /// of use_invariants). Exact for safety checking: a bit outside the cone
+  /// never influences an atom. Disable to model a checker that carries the
+  /// whole design (the Table-2 configuration).
   bool cone_of_influence = true;
   /// Prints per-iteration BDD sizes to stderr (debugging aid).
   bool verbose = false;
@@ -159,22 +161,6 @@ struct SymbolicResult {
   /// Counterexample: per step, the state-variable assignment (by name).
   std::vector<std::map<std::string, bool>> trace;
 };
-
-/// Structural cone of influence of a property over `atoms`: per state
-/// position (parallel to design.state_vars), 1 when the property can
-/// observe the bit — the atoms' support closed over the next-state
-/// function of every bit the closure reaches. Exact for safety checking:
-/// a bit outside the cone never influences an atom, so dropping it leaves
-/// the reachable valuations of the atoms unchanged. `check` encodes
-/// exactly these bits under SymbolicOptions::cone_of_influence, so a
-/// design change confined to next-state functions outside the cone leaves
-/// a check's result unchanged. `subst` (empty, or one entry per state
-/// position) folds proven invariants in: a substituted bit never enters,
-/// an alias pulls in its representative. Atoms the design does not export
-/// throw std::invalid_argument.
-std::vector<char> structural_cone(
-    const rtl::BitBlast& design, const std::vector<std::string>& atoms,
-    const std::vector<flow::McCone::Subst>& subst = {});
 
 /// Statically lints `prop` against the blasted design: errors (missing
 /// signals, empty-language SEREs, nesting the monitor compiler rejects)

@@ -41,8 +41,10 @@ DfaTable determinize(const PropPtr& prop, int max_states) {
   std::vector<std::unique_ptr<Monitor>> reps;
   std::unordered_map<std::string, int> ids;
 
+  std::string key;  // one buffer for every key: clear() keeps its capacity
   auto intern = [&](std::unique_ptr<Monitor> m) {
-    const std::string key = m->encode();
+    key.clear();
+    m->encode_to(key);
     auto it = ids.find(key);
     if (it != ids.end()) return std::pair<int, bool>{it->second, false};
     const int id = static_cast<int>(reps.size());

@@ -48,7 +48,9 @@ class DfaMonitor : public Monitor {
   void reset() override;
   Verdict current() const override { return table_->verdict[state()]; }
   Verdict at_end() const override { return table_->end_verdict[state()]; }
-  std::string encode() const override { return std::to_string(state_); }
+  void encode_to(std::string& key) const override {
+    key.append(reinterpret_cast<const char*>(&state_), sizeof state_);
+  }
   std::unique_ptr<Monitor> clone() const override {
     return std::make_unique<DfaMonitor>(*this);
   }

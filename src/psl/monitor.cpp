@@ -1,10 +1,9 @@
 #include "psl/monitor.hpp"
 
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 
 #include "psl/dfa.hpp"
-#include "util/strings.hpp"
 
 namespace la1::psl {
 
@@ -19,12 +18,13 @@ const char* to_string(Verdict v) {
 
 namespace {
 
-std::string encode_set(const std::set<int>& s) {
-  std::ostringstream out;
-  out << '{';
-  for (int v : s) out << v << ',';
-  out << '}';
-  return out.str();
+/// Appends `n` in base 128, low digit first, the high bit marking "more":
+/// self-delimiting, and one byte below 128.
+void append_count(std::string& key, std::size_t n) {
+  for (; n >= 0x80; n >>= 7) {
+    key.push_back(static_cast<char>(0x80 | (n & 0x7f)));
+  }
+  key.push_back(static_cast<char>(n));
 }
 
 /// never {r}: fails as soon as any (non-empty) match of r completes.
@@ -49,8 +49,9 @@ class NeverMonitor : public Monitor {
   }
   Verdict at_end() const override { return current(); }
 
-  std::string encode() const override {
-    return failed_ ? "F" : encode_set(active_);
+  void encode_to(std::string& key) const override {
+    key.push_back(failed_ ? 'F' : 'A');
+    if (!failed_) active_.append_key(key, nfa_->state_count());
   }
 
   std::unique_ptr<Monitor> clone() const override {
@@ -59,8 +60,8 @@ class NeverMonitor : public Monitor {
 
  protected:
   void do_step(const Env& env) override {
-    std::set<int> from = active_;
-    for (int s : nfa_->initial()) from.insert(s);  // a match may start any cycle
+    StateSet from = active_;
+    from.unite(nfa_->initial());  // a match may start any cycle
     active_ = nfa_->step(from, env);
     if (nfa_->accepting(active_)) {
       failed_ = true;
@@ -70,7 +71,7 @@ class NeverMonitor : public Monitor {
 
  private:
   std::shared_ptr<const Nfa> nfa_;  // shared so clone() is cheap
-  std::set<int> active_;
+  StateSet active_;
   bool failed_ = false;
 };
 
@@ -110,12 +111,15 @@ class SuffixImplMonitor : public Monitor {
     return Verdict::kHolds;
   }
 
-  std::string encode() const override {
-    std::ostringstream out;
-    out << (failed_ ? "F" : "") << (pending_spawn_ ? "p" : "")
-        << (first_cycle_ ? "0" : "") << encode_set(scanner_) << '/';
-    for (const auto& o : obligations_) out << encode_set(o);
-    return out.str();
+  void encode_to(std::string& key) const override {
+    key.push_back(static_cast<char>((failed_ ? 1 : 0) |
+                                    (pending_spawn_ ? 2 : 0) |
+                                    (first_cycle_ ? 4 : 0)));
+    scanner_.append_key(key, ant_->state_count());
+    append_count(key, obligations_.size());
+    for (const StateSet& o : obligations_) {
+      o.append_key(key, con_->state_count());
+    }
   }
 
   std::unique_ptr<Monitor> clone() const override {
@@ -124,18 +128,23 @@ class SuffixImplMonitor : public Monitor {
 
  protected:
   void do_step(const Env& env) override {
-    // 1. Advance open obligations with this letter.
-    std::set<std::set<int>> next_obl;
-    for (const std::set<int>& o : obligations_) {
-      const std::set<int> advanced = con_->step(o, env);
+    // 1. Advance open obligations with this letter. A failure keeps the
+    //    obligations it failed on.
+    std::vector<StateSet> next_obl;
+    next_obl.reserve(obligations_.size());
+    for (const StateSet& o : obligations_) {
+      StateSet advanced = con_->step(o, env);
       if (con_->accepting(advanced)) continue;  // discharged
       if (advanced.empty()) {
         failed_ = true;
         mark_failed();
         return;
       }
-      next_obl.insert(advanced);
+      next_obl.push_back(std::move(advanced));
     }
+    std::sort(next_obl.begin(), next_obl.end());
+    next_obl.erase(std::unique(next_obl.begin(), next_obl.end()),
+                   next_obl.end());
     obligations_ = std::move(next_obl);
 
     // 2. A |=> spawn scheduled by the previous cycle starts fresh now and
@@ -154,10 +163,8 @@ class SuffixImplMonitor : public Monitor {
 
     // 3. Advance the antecedent scanner (matches can start any cycle unless
     //    anchored).
-    std::set<int> from = scanner_;
-    if (!anchored_ || first_cycle_) {
-      for (int s : ant_->initial()) from.insert(s);
-    }
+    StateSet from = scanner_;
+    if (!anchored_ || first_cycle_) from.unite(ant_->initial());
     scanner_ = ant_->step(from, env);
 
     // 4. Antecedent match completing at this cycle spawns a consequent
@@ -177,14 +184,18 @@ class SuffixImplMonitor : public Monitor {
   /// Starts one consequent obligation that consumes the current letter.
   void spawn(const Env& env) {
     if (con_->nullable()) return;  // empty consequent match: vacuously done
-    const std::set<int> first = con_->step(con_->initial(), env);
+    StateSet first = con_->step(con_->initial(), env);
     if (con_->accepting(first)) return;  // satisfied by one letter
     if (first.empty()) {
       failed_ = true;
       mark_failed();
       return;
     }
-    obligations_.insert(first);
+    const auto at =
+        std::lower_bound(obligations_.begin(), obligations_.end(), first);
+    if (at == obligations_.end() || !(*at == first)) {
+      obligations_.insert(at, std::move(first));
+    }
   }
 
   std::shared_ptr<const Nfa> ant_;  // shared so clone() is cheap
@@ -192,8 +203,8 @@ class SuffixImplMonitor : public Monitor {
   bool overlap_;
   bool strong_;
   bool anchored_;
-  std::set<int> scanner_;
-  std::set<std::set<int>> obligations_;
+  StateSet scanner_;
+  std::vector<StateSet> obligations_;  // sorted, distinct
   bool failed_ = false;
   bool pending_spawn_ = false;
   bool first_cycle_ = true;
@@ -215,7 +226,9 @@ class BoolMonitor : public Monitor {
     // No cycle observed: treat as failed (strong reading of a plain boolean).
     return verdict_ == Verdict::kPending ? Verdict::kFailed : verdict_;
   }
-  std::string encode() const override { return to_string(verdict_); }
+  void encode_to(std::string& key) const override {
+    key.push_back(static_cast<char>(verdict_));
+  }
 
   std::unique_ptr<Monitor> clone() const override {
     return std::make_unique<BoolMonitor>(*this);
@@ -251,8 +264,9 @@ class NextMonitor : public Monitor {
   Verdict at_end() const override {
     return verdict_ == Verdict::kPending ? Verdict::kFailed : verdict_;
   }
-  std::string encode() const override {
-    return util::cat({"n", std::to_string(remaining_), to_string(verdict_)});
+  void encode_to(std::string& key) const override {
+    append_count(key, static_cast<std::size_t>(remaining_));
+    key.push_back(static_cast<char>(verdict_));
   }
 
   std::unique_ptr<Monitor> clone() const override {
@@ -301,8 +315,8 @@ class UntilMonitor : public Monitor {
     if (released_) return Verdict::kHolds;
     return strong_ ? Verdict::kFailed : Verdict::kHolds;
   }
-  std::string encode() const override {
-    return failed_ ? "F" : (released_ ? "R" : "P");
+  void encode_to(std::string& key) const override {
+    key.push_back(failed_ ? 'F' : (released_ ? 'R' : 'P'));
   }
 
   std::unique_ptr<Monitor> clone() const override {
@@ -354,8 +368,8 @@ class BeforeMonitor : public Monitor {
     if (done_) return Verdict::kHolds;
     return strong_ ? Verdict::kFailed : Verdict::kHolds;
   }
-  std::string encode() const override {
-    return failed_ ? "F" : (done_ ? "D" : "P");
+  void encode_to(std::string& key) const override {
+    key.push_back(failed_ ? 'F' : (done_ ? 'D' : 'P'));
   }
 
   std::unique_ptr<Monitor> clone() const override {
@@ -402,7 +416,9 @@ class EventuallyMonitor : public Monitor {
   Verdict at_end() const override {
     return seen_ ? Verdict::kHolds : Verdict::kFailed;
   }
-  std::string encode() const override { return seen_ ? "S" : "P"; }
+  void encode_to(std::string& key) const override {
+    key.push_back(seen_ ? 'S' : 'P');
+  }
 
   std::unique_ptr<Monitor> clone() const override {
     return std::make_unique<EventuallyMonitor>(*this);
@@ -433,10 +449,8 @@ class AndMonitor : public Monitor {
   Verdict current() const override { return combine(false); }
   Verdict at_end() const override { return combine(true); }
 
-  std::string encode() const override {
-    std::string out;
-    for (const auto& c : children_) out += c->encode() + "|";
-    return out;
+  void encode_to(std::string& key) const override {
+    for (const auto& c : children_) c->encode_to(key);
   }
 
   std::unique_ptr<Monitor> clone() const override {
@@ -534,8 +548,8 @@ void CoverMonitor::reset() {
 }
 
 void CoverMonitor::step(const Env& env) {
-  std::set<int> from = active_;
-  for (int s : nfa_.initial()) from.insert(s);
+  StateSet from = active_;
+  from.unite(nfa_.initial());
   active_ = nfa_.step(from, env);
   if (nfa_.accepting(active_)) ++matches_;
 }

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,8 +39,17 @@ class Monitor {
   }
   virtual Verdict current() const = 0;
   virtual Verdict at_end() const = 0;
-  /// Finite fingerprint of the monitor state (product construction).
-  virtual std::string encode() const = 0;
+  /// Finite fingerprint of the monitor state (product construction): two
+  /// monitors compiled from one property share it exactly when their
+  /// states are equal. Binary, not printable.
+  std::string encode() const {
+    std::string key;
+    encode_to(key);
+    return key;
+  }
+  /// Appends encode()'s fingerprint to `key`. Self-delimiting, so the
+  /// fingerprints of a fixed list of monitors concatenate injectively.
+  virtual void encode_to(std::string& key) const = 0;
   /// Deep copy with the current runtime state (product construction).
   virtual std::unique_ptr<Monitor> clone() const = 0;
 
@@ -76,7 +84,7 @@ class CoverMonitor {
 
  private:
   Nfa nfa_;
-  std::set<int> active_;
+  StateSet active_;
   std::uint64_t matches_ = 0;
 };
 

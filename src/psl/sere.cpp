@@ -1,5 +1,6 @@
 #include "psl/sere.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace la1::psl {
@@ -107,6 +108,79 @@ void collect_signals(const Sere& s, std::set<std::string>& out) {
 // NFA construction
 // ---------------------------------------------------------------------------
 
+bool StateSet::empty() const {
+  for (std::size_t w = 0; w < words(); ++w) {
+    if (word(w) != 0) return false;
+  }
+  return true;
+}
+
+bool StateSet::contains(int s) const {
+  const auto id = static_cast<std::size_t>(s);
+  return ((word(id / 64) >> (id % 64)) & 1u) != 0;
+}
+
+void StateSet::insert(int s) {
+  const auto id = static_cast<std::size_t>(s);
+  const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+  if (id < 64) {
+    low_ |= bit;
+    return;
+  }
+  if (high_.size() < id / 64) high_.resize(id / 64, 0);
+  high_[id / 64 - 1] |= bit;
+}
+
+int StateSet::take_first() {
+  for (std::size_t w = 0; w < words(); ++w) {
+    std::uint64_t& bits = w == 0 ? low_ : high_[w - 1];
+    if (bits == 0) continue;
+    const int bit = std::countr_zero(bits);
+    bits &= bits - 1;
+    return static_cast<int>(64 * w) + bit;
+  }
+  return -1;
+}
+
+void StateSet::unite(const StateSet& other) {
+  low_ |= other.low_;
+  if (high_.size() < other.high_.size()) high_.resize(other.high_.size(), 0);
+  for (std::size_t w = 0; w < other.high_.size(); ++w) {
+    high_[w] |= other.high_[w];
+  }
+}
+
+bool StateSet::intersects(const StateSet& other) const {
+  const std::size_t n = std::min(words(), other.words());
+  for (std::size_t w = 0; w < n; ++w) {
+    if ((word(w) & other.word(w)) != 0) return true;
+  }
+  return false;
+}
+
+void StateSet::append_key(std::string& out, int states) const {
+  const auto bytes = (static_cast<std::size_t>(states) + 7) / 8;
+  for (std::size_t b = 0; b < bytes; ++b) {
+    out.push_back(static_cast<char>((word(b / 8) >> (8 * (b % 8))) & 0xffu));
+  }
+}
+
+bool operator==(const StateSet& a, const StateSet& b) {
+  const std::size_t n = std::max(a.words(), b.words());
+  for (std::size_t w = 0; w < n; ++w) {
+    if (a.word(w) != b.word(w)) return false;
+  }
+  return true;
+}
+
+bool operator<(const StateSet& a, const StateSet& b) {
+  const std::size_t n = std::max(a.words(), b.words());
+  for (std::size_t w = 0; w < n; ++w) {
+    if (a.word(w) != b.word(w)) return a.word(w) < b.word(w);
+  }
+  return false;
+}
+
 void Nfa::build_index() {
   eps_out_.assign(static_cast<std::size_t>(state_count_), {});
   trans_out_.assign(static_cast<std::size_t>(state_count_), {});
@@ -118,41 +192,37 @@ void Nfa::build_index() {
       trans_out_[static_cast<std::size_t>(t.from)].push_back(static_cast<int>(i));
     }
   }
+  StateSet starts;
+  for (int s : starts_) starts.insert(s);
+  initial_ = closure(starts);
+  accept_set_.clear();
+  for (int a : accepts_) accept_set_.insert(a);
 }
 
-std::set<int> Nfa::closure(const std::set<int>& states) const {
-  std::set<int> out = states;
-  std::vector<int> work(states.begin(), states.end());
-  while (!work.empty()) {
-    const int s = work.back();
-    work.pop_back();
+StateSet Nfa::closure(const StateSet& states) const {
+  StateSet out = states;
+  StateSet pending = states;
+  while (!pending.empty()) {
+    const int s = pending.take_first();
     for (int t : eps_out_[static_cast<std::size_t>(s)]) {
-      if (out.insert(t).second) work.push_back(t);
+      if (!out.contains(t)) {
+        out.insert(t);
+        pending.insert(t);
+      }
     }
   }
   return out;
 }
 
-std::set<int> Nfa::initial() const {
-  return closure(std::set<int>(starts_.begin(), starts_.end()));
-}
-
-std::set<int> Nfa::step(const std::set<int>& from, const Env& env) const {
-  std::set<int> moved;
-  for (int s : from) {
+StateSet Nfa::step(const StateSet& from, const Env& env) const {
+  StateSet moved;
+  from.for_each([&](int s) {
     for (int ti : trans_out_[static_cast<std::size_t>(s)]) {
       const Trans& t = transitions_[static_cast<std::size_t>(ti)];
       if (eval(t.guard, env)) moved.insert(t.to);
     }
-  }
+  });
   return closure(moved);
-}
-
-bool Nfa::accepting(const std::set<int>& states) const {
-  for (int a : accepts_) {
-    if (states.count(a) != 0) return true;
-  }
-  return false;
 }
 
 std::vector<BExprPtr> Nfa::guards() const {
@@ -383,14 +453,15 @@ Nfa remove_epsilon(const Nfa& nfa) {
   for (int a : nfa.accepts()) is_accept[static_cast<std::size_t>(a)] = true;
 
   for (int u = 0; u < nfa.state_count(); ++u) {
-    const std::set<int> cl = nfa.closure({u});
+    StateSet self;
+    self.insert(u);
     bool acc = false;
-    for (int v : cl) {
+    nfa.closure(self).for_each([&](int v) {
       if (is_accept[static_cast<std::size_t>(v)]) acc = true;
       for (const Nfa::Trans& t : nfa.transitions()) {
         if (t.from == v && t.guard) trans.push_back(Nfa::Trans{u, t.guard, t.to});
       }
-    }
+    });
     if (acc) accepts.push_back(u);
   }
   return Nfa::assemble(nfa.state_count(), nfa.starts(), std::move(accepts),

@@ -7,6 +7,8 @@
 // on-the-fly subset construction.
 #pragma once
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <string>
@@ -57,6 +59,49 @@ SerePtr s_skip(int n);
 std::string to_string(const Sere& s);
 void collect_signals(const Sere& s, std::set<std::string>& out);
 
+/// A set of NFA states, one bit per state id. Ids below 64 live in one
+/// inline word, so stepping the catalog's automata allocates nothing;
+/// higher ids spill into further words.
+class StateSet {
+ public:
+  bool empty() const;
+  bool contains(int s) const;
+  void insert(int s);
+  /// Removes and returns the smallest member; -1 when empty.
+  int take_first();
+  void unite(const StateSet& other);
+  bool intersects(const StateSet& other) const;
+  void clear() {
+    low_ = 0;
+    high_.clear();
+  }
+  /// Calls f(id) for every member, in increasing id order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words(); ++w) {
+      for (std::uint64_t bits = word(w); bits != 0; bits &= bits - 1) {
+        f(static_cast<int>(64 * w) + std::countr_zero(bits));
+      }
+    }
+  }
+  /// Appends the set as ceil(states / 8) bytes: over ids below `states`, a
+  /// fixed-width key that two sets share exactly when they are equal.
+  void append_key(std::string& out, int states) const;
+
+  friend bool operator==(const StateSet& a, const StateSet& b);
+  /// A strict total order (word by word), for sorted containers of sets.
+  friend bool operator<(const StateSet& a, const StateSet& b);
+
+ private:
+  std::size_t words() const { return 1 + high_.size(); }
+  std::uint64_t word(std::size_t w) const {
+    if (w == 0) return low_;
+    return w <= high_.size() ? high_[w - 1] : 0;
+  }
+  std::uint64_t low_ = 0;
+  std::vector<std::uint64_t> high_;  // ids 64 and up; missing words are 0
+};
+
 /// A nondeterministic finite automaton with boolean-guarded transitions.
 /// A transition with null guard is an epsilon edge.
 class Nfa {
@@ -73,15 +118,17 @@ class Nfa {
   const std::vector<Trans>& transitions() const { return transitions_; }
 
   /// Epsilon closure of a state set.
-  std::set<int> closure(const std::set<int>& states) const;
+  StateSet closure(const StateSet& states) const;
   /// Start set (already closed).
-  std::set<int> initial() const;
+  const StateSet& initial() const { return initial_; }
   /// One letter step: closed set -> closed set under `env`.
-  std::set<int> step(const std::set<int>& from, const Env& env) const;
+  StateSet step(const StateSet& from, const Env& env) const;
   /// True when the (closed) set contains an accepting state.
-  bool accepting(const std::set<int>& states) const;
+  bool accepting(const StateSet& states) const {
+    return states.intersects(accept_set_);
+  }
   /// True when the empty word matches (an accept is in the initial closure).
-  bool nullable() const { return accepting(initial()); }
+  bool nullable() const { return accepting(initial_); }
 
   /// All distinct boolean atoms used on guards (for static determinization).
   std::vector<BExprPtr> guards() const;
@@ -95,10 +142,12 @@ class Nfa {
   std::vector<int> starts_;
   std::vector<int> accepts_;
   std::vector<Trans> transitions_;
-  // Adjacency caches built on construction.
+  // Adjacency and sets built on construction.
   void build_index();
   std::vector<std::vector<int>> eps_out_;    // per state: eps targets
   std::vector<std::vector<int>> trans_out_;  // per state: transition indices
+  StateSet initial_;                         // closure of the starts
+  StateSet accept_set_;
 };
 
 /// Compiles a SERE to an NFA (Thompson-style with epsilon edges; fusion and

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -127,6 +128,26 @@ TEST(BatchJob, ParseRangeChecksEveryWholeNumberField) {
                       ", \"seed\": 0, \"mc_wall_ms\": 0, "
                       "\"transactions\": 2147483647"),
             "accepted");
+}
+
+TEST(BatchJob, ParseRejectsATargetOutsideTheUnitInterval) {
+  // Each of these used to run: a closure job chasing a negative, NaN or
+  // unreachable coverage target.
+  const std::string error = "job 'j': target must be a number in [0, 1]";
+  EXPECT_EQ(job_error("\"target\": -0.5"), error);
+  EXPECT_EQ(job_error("\"target\": 1.5"), error);
+  EXPECT_EQ(job_error("\"target\": 2"), error);
+  // JSON text has no NaN or infinity; a job built in code can.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    util::Json job = util::Json::object();
+    job.set("name", "j");
+    job.set("target", bad);
+    EXPECT_THROW(batch::JobSpec::from_json(job), std::invalid_argument) << bad;
+  }
+  // The bounds themselves are accepted.
+  EXPECT_EQ(job_error("\"target\": 0"), "accepted");
+  EXPECT_EQ(job_error("\"target\": 1.0"), "accepted");
 }
 
 TEST(BatchRunner, HashIsByteIdenticalAtOneAndFourWorkers) {

@@ -4,6 +4,7 @@
 // JSON round trip.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "psl/temporal.hpp"
 #include "rtl/bitblast.hpp"
 #include "rtl/netlist.hpp"
+
+#include "proptest.hpp"
 
 namespace la1 {
 namespace {
@@ -213,6 +216,130 @@ TEST(McCone, UnknownAtomThrows) {
   const dfa::InvariantSet invariants = dfa::sweep(bb);
   EXPECT_THROW(flow::mc_cone(bb, {"no.such.net"}, invariants),
                std::invalid_argument);
+}
+
+/// The BitGraph node of a catalog atom: "net", "net[i]" or
+/// "net.__conflict".
+int atom_node(const rtl::BitBlast& bb, const std::string& name) {
+  const std::string conflict = ".__conflict";
+  if (name.size() > conflict.size() &&
+      name.substr(name.size() - conflict.size()) == conflict) {
+    return bb.conflict_bits.at(name.substr(0, name.size() - conflict.size()));
+  }
+  const std::size_t lb = name.find('[');
+  if (lb == std::string::npos) return bb.net_bits.at(name).at(0);
+  return bb.net_bits.at(name.substr(0, lb))
+      .at(static_cast<std::size_t>(std::stoi(name.substr(lb + 1))));
+}
+
+/// The cone as mc_cone computed it before its single pass, kept as the
+/// oracle: rescan every state bit until nothing changes, widening the
+/// variable mask with BitGraph::support.
+flow::McCone fixpoint_cone(const rtl::BitBlast& design,
+                           const std::vector<std::string>& atoms,
+                           const std::vector<flow::McCone::Subst>& subs) {
+  using Kind = flow::McCone::SubstKind;
+  const std::size_t n = design.state_vars.size();
+  std::vector<bool> var_mask(design.vars.size(), false);
+  for (const std::string& name : atoms) {
+    design.graph.support(atom_node(design, name), var_mask);
+  }
+  flow::McCone cone;
+  cone.state_in_cone.assign(n, 0);
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!var_mask[static_cast<std::size_t>(design.state_vars[k])]) continue;
+      if (subs[k].kind == Kind::kAlias) {
+        const auto root =
+            static_cast<std::size_t>(design.state_vars[subs[k].root]);
+        if (!var_mask[root]) {
+          var_mask[root] = true;
+          changed = true;
+        }
+        continue;
+      }
+      if (cone.state_in_cone[k] || subs[k].kind != Kind::kNone) continue;
+      cone.state_in_cone[k] = 1;
+      design.graph.support(design.next_fn[k], var_mask);
+      changed = true;
+    }
+  }
+  for (int v : design.input_vars) {
+    cone.input_in_cone.push_back(var_mask[static_cast<std::size_t>(v)]);
+  }
+  return cone;
+}
+
+/// Every row of rtl_mc_properties under `invariants`: the single-pass cone
+/// equals the fixpoint oracle under the same substitutions, state bits and
+/// inputs alike.
+bool cones_match(const rtl::BitBlast& bb, const core::RtlConfig& cfg,
+                 const dfa::InvariantSet& invariants, std::string& why) {
+  for (const auto& [name, prop] : core::rtl_mc_properties(cfg)) {
+    std::set<std::string> atom_set;
+    psl::collect_signals(*prop, atom_set);
+    const std::vector<std::string> atoms(atom_set.begin(), atom_set.end());
+    const flow::McCone cone = flow::mc_cone(bb, atoms, invariants);
+    const flow::McCone oracle = fixpoint_cone(bb, atoms, cone.subst);
+    if (cone.state_in_cone != oracle.state_in_cone ||
+        cone.input_in_cone != oracle.input_in_cone) {
+      why = name;
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(McCone, SinglePassMatchesFixpointOracle) {
+  for (int banks : {1, 2, 4}) {
+    const core::RtlConfig cfg = core::RtlConfig::model_checking(banks);
+    core::RtlDevice dev = core::build_device(cfg);
+    const rtl::Module flat = rtl::expand_memories(dev.flatten());
+    const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
+    const dfa::InvariantSet swept = dfa::sweep(bb);
+    ASSERT_FALSE(swept.empty()) << banks;
+    std::string why;
+    EXPECT_TRUE(cones_match(bb, cfg, dfa::InvariantSet{}, why))
+        << banks << " banks, " << why;
+    EXPECT_TRUE(cones_match(bb, cfg, swept, why))
+        << banks << " banks, swept invariants, " << why;
+    // Random subsets of the sweep's invariants (as index lists), shrunk by
+    // dropping one invariant at a time.
+    const auto subset = [&](const std::vector<int>& picked) {
+      dfa::InvariantSet set;
+      for (int i : picked) {
+        set.add(swept.invariants()[static_cast<std::size_t>(i)]);
+      }
+      return set;
+    };
+    const auto result = proptest::check<std::vector<int>>(
+        static_cast<std::uint64_t>(banks), 20,
+        [&](util::Rng& rng) {
+          std::vector<int> picked;
+          for (std::size_t i = 0; i < swept.size(); ++i) {
+            if (rng.chance(0.5)) picked.push_back(static_cast<int>(i));
+          }
+          return picked;
+        },
+        [&](const std::vector<int>& picked) {
+          return cones_match(bb, cfg, subset(picked), why);
+        },
+        [](const std::vector<int>& picked) {
+          std::vector<std::vector<int>> smaller;
+          for (std::size_t i = 0; i < picked.size(); ++i) {
+            std::vector<int> fewer = picked;
+            fewer.erase(fewer.begin() + static_cast<std::ptrdiff_t>(i));
+            smaller.push_back(std::move(fewer));
+          }
+          return smaller;
+        });
+    std::string picked;
+    for (int i : result.counterexample) picked += std::to_string(i) + ' ';
+    EXPECT_TRUE(result.ok) << banks << " banks, invariants " << picked
+                           << "(" << why << ")";
+  }
 }
 
 // Reports are write-only: a parse of the JSON text re-dumps it byte for byte,

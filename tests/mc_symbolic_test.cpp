@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dfa/sweep.hpp"
 #include "fault/campaign.hpp"
 #include "la1/rtl_model.hpp"
 #include "mc/symbolic.hpp"
@@ -371,6 +372,77 @@ TEST(Symbolic, Table2ReadModeOneBankPinned) {
   EXPECT_EQ(r.iterations, 9);
   EXPECT_EQ(r.peak_bdd_nodes, 273'729u);
   EXPECT_EQ(r.created_bdd_nodes, 273'729u);
+}
+
+/// A node budget that stops the unreduced 1-bank read-mode check inside an
+/// image still reports the states reached through the last completed
+/// iteration: exactly what a check capped at that many iterations reports.
+TEST(Symbolic, BudgetStopCountsTheReachedSet) {
+  const core::RtlConfig cfg = core::RtlConfig::model_checking(1);
+  core::RtlDevice dev = core::build_device(cfg);
+  const rtl::Module flat = rtl::expand_memories(dev.flatten());
+  const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
+  const psl::PropPtr prop = core::rtl_read_mode_property(cfg);
+  SymbolicOptions opt;
+  opt.cone_of_influence = false;
+  opt.node_limit = 60'000;  // stops inside the image of iteration 8
+  const SymbolicResult stopped = check(bb, prop, opt);
+  ASSERT_EQ(stopped.verdict.kind, Verdict::Kind::kBoundedPass);
+  ASSERT_NE(stopped.verdict.reason.find("node budget"), std::string::npos)
+      << stopped.verdict.reason;
+  ASSERT_GT(stopped.iterations, 0);
+  opt.node_limit = 0;
+  opt.max_iterations = stopped.iterations;
+  const SymbolicResult capped = check(bb, prop, opt);
+  EXPECT_EQ(capped.iterations, stopped.iterations);
+  EXPECT_GT(stopped.reachable_states, 0.0);
+  EXPECT_DOUBLE_EQ(stopped.reachable_states, capped.reachable_states);
+}
+
+/// The 4-bank property suite under the semantic cone, with the sweep's
+/// invariants at seed 7: the perfbench mc-table2 suite. These checks are
+/// small (263 to 4,001 nodes), so most of their cost is fixed per check;
+/// a change to that fixed cost must leave every count here as it is.
+TEST(Symbolic, CoiSuiteCountsPinned) {
+  struct Row {
+    const char* name;
+    int iterations;
+    std::uint64_t nodes;  // peak and created
+    int state_bits;
+  };
+  const Row rows[] = {
+      {"P1_read_latency_b0", 5, 1977, 10}, {"P2_read_burst_b0", 6, 376, 7},
+      {"P3_write_addr_edge_b0", 3, 264, 6}, {"P1_read_latency_b1", 5, 1976, 10},
+      {"P2_read_burst_b1", 6, 375, 7},     {"P3_write_addr_edge_b1", 3, 263, 6},
+      {"P1_read_latency_b2", 5, 1977, 10}, {"P2_read_burst_b2", 6, 376, 7},
+      {"P3_write_addr_edge_b2", 3, 264, 6}, {"P1_read_latency_b3", 5, 1976, 10},
+      {"P2_read_burst_b3", 6, 375, 7},     {"P3_write_addr_edge_b3", 3, 263, 6},
+      {"P4_exclusive_drive", 6, 4001, 18},
+  };
+  const core::RtlConfig cfg = core::RtlConfig::model_checking(4);
+  core::RtlDevice dev = core::build_device(cfg);
+  const rtl::Module flat = rtl::expand_memories(dev.flatten());
+  const rtl::BitBlast bb = rtl::bitblast(flat, core::clock_schedule(flat));
+  dfa::SweepOptions sweep;
+  sweep.seed = 7;
+  const dfa::InvariantSet invariants = dfa::sweep(bb, sweep);
+  SymbolicOptions opt;
+  opt.use_coi = true;
+  opt.invariants = &invariants;
+  const auto suite = core::rtl_properties(cfg);
+  ASSERT_EQ(suite.size(), std::size(rows));
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const Row& row = rows[i];
+    const auto& [name, prop] = suite[i];
+    ASSERT_EQ(name, row.name);
+    const SymbolicResult r = check(bb, prop, opt);
+    EXPECT_EQ(r.verdict.kind, Verdict::Kind::kProven) << name;
+    EXPECT_EQ(r.iterations, row.iterations) << name;
+    EXPECT_EQ(r.peak_bdd_nodes, row.nodes) << name;
+    EXPECT_EQ(r.created_bdd_nodes, row.nodes) << name;
+    EXPECT_EQ(r.state_bits, row.state_bits) << name;
+    EXPECT_EQ(r.input_bits, 3) << name;
+  }
 }
 
 /// The partitioned check, which clusters its conjuncts once the reached

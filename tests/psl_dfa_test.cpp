@@ -7,9 +7,12 @@
 
 #include "la1/behavioral.hpp"
 #include "la1/host_bfm.hpp"
+#include "la1/properties.hpp"
+#include "la1/rtl_model.hpp"
 #include "psl/dfa.hpp"
 #include "psl/parse.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
 
 namespace la1::psl {
 namespace {
@@ -86,6 +89,67 @@ TEST(Dfa, CloneAndEncode) {
   EXPECT_EQ(m->current(), Verdict::kFailed);
   EXPECT_EQ(copy->current(), Verdict::kHolds);
   EXPECT_EQ(m->failure_cycle(), 1u);
+}
+
+/// fnv1a64 over a text rendering of every field of `t`: atoms, state
+/// count, initial state, the next-state table and both verdict vectors.
+std::uint64_t table_hash(const DfaTable& t) {
+  std::string text;
+  for (const std::string& atom : t.atoms) text += atom + '\n';
+  text += std::to_string(t.state_count) + ' ' + std::to_string(t.init_state);
+  text += '\n';
+  for (int to : t.next) text += std::to_string(to) + ',';
+  text += '\n';
+  for (Verdict v : t.verdict) text += to_string(v)[0];
+  text += '\n';
+  for (Verdict v : t.end_verdict) text += to_string(v)[0];
+  return util::fnv1a64(text);
+}
+
+/// The determinized table of every catalog row at every level and 1, 2 and
+/// 4 banks, and of the Table-2 read-mode property. Per level and bank
+/// count the pin folds the rows' table hashes in catalog order; a failure
+/// prints each row's hash. Determinization interns monitor states by their
+/// encode() key, so a change to the key or to the monitors' stepping must
+/// leave every table, state numbering included, exactly as it is.
+TEST(Dfa, CatalogTablesPinned) {
+  struct Pin {
+    core::Level level;
+    int banks;
+    std::uint64_t hash;
+  };
+  const Pin pins[] = {
+      {core::Level::kBehavioural, 1, 0xf7ddcea67099a194ull},
+      {core::Level::kBehavioural, 2, 0x6ff652bcec954d38ull},
+      {core::Level::kBehavioural, 4, 0xaf1eb832dea2a582ull},
+      {core::Level::kAsm, 1, 0xab6b5e440c30e11aull},
+      {core::Level::kAsm, 2, 0x6346b87aae94460dull},
+      {core::Level::kAsm, 4, 0xaa94e1fd04a83ef1ull},
+      {core::Level::kHarness, 1, 0xc0398a443cf0958full},
+      {core::Level::kHarness, 2, 0x4b2af7ff198d9d65ull},
+      {core::Level::kHarness, 4, 0x023933e435ad2954ull},
+      {core::Level::kRtl, 1, 0x3851365591b2ccb4ull},
+      {core::Level::kRtl, 2, 0x5b2be7bf645bb249ull},
+      {core::Level::kRtl, 4, 0x1d53ed2bbc14ec6eull},
+  };
+  for (const Pin& pin : pins) {
+    const int ticks =
+        core::RtlConfig::model_checking(pin.banks).latency_ticks();
+    std::string folded;
+    std::string rows;
+    for (const auto& [name, prop] :
+         core::level_suite(pin.level, pin.banks, ticks)) {
+      const std::uint64_t h = table_hash(determinize(prop));
+      folded += std::to_string(h) + ',';
+      rows += name + ' ' + std::to_string(h) + '\n';
+    }
+    EXPECT_EQ(util::fnv1a64(folded), pin.hash)
+        << core::to_string(pin.level) << " at " << pin.banks << " banks:\n"
+        << rows;
+  }
+  const DfaTable read_mode = determinize(
+      core::rtl_read_mode_property(core::RtlConfig::model_checking(1)));
+  EXPECT_EQ(table_hash(read_mode), 0xb8341bbfd6b4a0e2ull);
 }
 
 TEST(NextEvent, HoldsAtNthOccurrence) {

@@ -79,10 +79,10 @@ bool matches(const Sere& s, const std::vector<Letter>& w, int i, int j) {
 /// reports, per position t, whether some match ends at t.
 std::vector<bool> scan(const Nfa& nfa, const std::vector<Letter>& w) {
   std::vector<bool> out;
-  std::set<int> active;
+  StateSet active;
   for (const Letter& l : w) {
-    std::set<int> from = active;
-    for (int st : nfa.initial()) from.insert(st);
+    StateSet from = active;
+    from.unite(nfa.initial());
     active = nfa.step(from, LetterEnv(l));
     out.push_back(nfa.accepting(active));
   }
@@ -177,6 +177,35 @@ TEST(Sere, LongRepetitionUnrollsLinearly) {
   EXPECT_FALSE(hits[1022]);
   EXPECT_TRUE(hits[1023]);
   EXPECT_TRUE(hits[1024]);
+}
+
+/// State sets past 64 ids spill into further words; a set that grew words
+/// and emptied them again still equals (and keys like) one that never did.
+TEST(Sere, StateSetSpansWords) {
+  StateSet big;
+  for (int id : {130, 3, 64}) big.insert(id);
+  EXPECT_TRUE(big.contains(64));
+  EXPECT_FALSE(big.contains(65));
+  std::vector<int> ids;
+  big.for_each([&](int id) { ids.push_back(id); });
+  EXPECT_EQ(ids, (std::vector<int>{3, 64, 130}));
+  StateSet small;
+  small.insert(3);
+  EXPECT_TRUE(small < big);
+  EXPECT_FALSE(big < small);
+  EXPECT_EQ(big.take_first(), 3);
+  EXPECT_EQ(big.take_first(), 64);
+  EXPECT_EQ(big.take_first(), 130);
+  EXPECT_EQ(big.take_first(), -1);
+  EXPECT_TRUE(big.empty());
+  big.insert(3);
+  EXPECT_EQ(big, small);
+  std::string big_key;
+  std::string small_key;
+  big.append_key(big_key, 131);
+  small.append_key(small_key, 131);
+  EXPECT_EQ(big_key.size(), 17u);
+  EXPECT_EQ(big_key, small_key);
 }
 
 // Bounded repetitions with both bounds drawn, against the reference matcher.

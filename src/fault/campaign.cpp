@@ -398,27 +398,27 @@ struct Batch {
   }
 };
 
-/// One netlist model per lane on the campaign's backend: lane 0 the golden
+/// One interpreted netlist model per lane: lane 0 the golden
 /// OVL-instrumented device, lane l the OVL-instrumented mutant of
 /// `faults[l - 1]` (an apply_structural netlist for a structural fault).
-/// The interpreted backend's batches, and the independent oracle for the
-/// compiled backend's lane forces.
+/// The interpreted backend's batches, the compiled backend's X-unsafe
+/// forces, and the independent oracle for the compiled lane forces.
 Batch netlist_batch(const CampaignOptions& options, const core::RtlConfig& cfg,
                     const std::vector<const FaultSpec*>& faults) {
   Batch b;
   const std::size_t lanes = 1 + faults.size();
   b.ovl_banks.resize(lanes);
-  std::vector<std::unique_ptr<harness::NetlistDeviceModel>> models;
+  std::vector<std::unique_ptr<harness::RtlDeviceModel>> models;
   for (std::size_t l = 0; l < lanes; ++l) {
     const FaultSpec* spec = l == 0 ? nullptr : faults[l - 1];
     ovl::OvlBank& bank = b.ovl_banks[l];
-    models.push_back(
-        harness::make_rtl_device(cfg, options.backend, [&](rtl::Module& m) {
+    models.push_back(std::make_unique<harness::RtlDeviceModel>(
+        cfg, [&](rtl::Module& m) {
           if (spec != nullptr && is_structural(spec->kind)) {
             apply_structural(m, *spec);
           }
           core::attach_ovl_monitors(m, bank, options.banks);
-        }).model);
+        }));
   }
   b.lanes = std::make_unique<harness::ModelLaneBatch>(std::move(models));
   b.wrap(faults);
@@ -556,8 +556,9 @@ std::optional<LaneCells> lane_cells(const CampaignOptions& options,
 /// The psl, ovl and lockstep cells of `faults` (one lane batch of the
 /// plan), in order. The compiled backend runs the batch as one Machine
 /// with every structural fault a lane force; a force the plan cannot keep
-/// X-safe (csim::x_safe_forces) runs on its own mutant netlist instead.
-/// The interpreted backend runs netlist_batch. nullopt when cancelled.
+/// X-safe (csim::x_safe_forces) runs on its own interpreted mutant netlist
+/// (netlist_batch) instead. The interpreted backend runs netlist_batch.
+/// nullopt when cancelled.
 std::optional<LaneCells> batch_cells(const CampaignOptions& options,
                                      const CampaignSetup& setup,
                                      const std::vector<const FaultSpec*>& faults,
@@ -615,26 +616,23 @@ std::optional<LaneCells> batch_cells(const CampaignOptions& options,
 }
 
 /// Control run: every checker over the unmutated device, as a two-lane
-/// batch on the campaign's backend — lane 0 the uninstrumented stock
-/// device, lane 1 the OVL-instrumented one every fault batch uses as its
-/// golden lane, so a clean control also proves that lane a faithful
-/// lockstep reference. Any alarm here is a false alarm and poisons the
-/// whole campaign. Shared verbatim by the sequential and parallel paths so
-/// their reports stay byte-identical.
+/// interpreted batch on either backend (one stream gains nothing from
+/// compiling) — lane 0 the uninstrumented stock device, lane 1 the
+/// OVL-instrumented one every fault batch uses as its golden lane, so a
+/// clean control also proves that lane a faithful lockstep reference. Any
+/// alarm here is a false alarm and poisons the whole campaign. Shared
+/// verbatim by the sequential and parallel paths so their reports stay
+/// byte-identical.
 std::vector<std::string> control_alarms(const CampaignOptions& options,
                                         const CampaignSetup& setup) {
   Batch b;
   b.ovl_banks.resize(2);
-  std::vector<std::unique_ptr<harness::NetlistDeviceModel>> models;
-  models.push_back(
-      harness::make_rtl_device(setup.rtl_cfg, options.backend).model);
-  models.push_back(harness::make_rtl_device(
-                       setup.rtl_cfg, options.backend,
-                       [&](rtl::Module& m) {
-                         core::attach_ovl_monitors(m, b.ovl_banks[1],
-                                                   options.banks);
-                       })
-                       .model);
+  std::vector<std::unique_ptr<harness::RtlDeviceModel>> models;
+  models.push_back(std::make_unique<harness::RtlDeviceModel>(setup.rtl_cfg));
+  models.push_back(std::make_unique<harness::RtlDeviceModel>(
+      setup.rtl_cfg, [&](rtl::Module& m) {
+        core::attach_ovl_monitors(m, b.ovl_banks[1], options.banks);
+      }));
   b.lanes = std::make_unique<harness::ModelLaneBatch>(std::move(models));
   b.wrap({nullptr});
 

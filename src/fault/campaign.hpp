@@ -17,15 +17,17 @@
 // the golden OVL-instrumented device, lanes 1.. the mutants of consecutive
 // plan entries, stepped together (harness/lane_batch.hpp). On the compiled
 // backend a batch is one csim::Machine of up to 63 mutants with every
-// structural fault a per-lane force (fault::lane_force); the interpreted
-// backend runs the same loop one fault per batch over one CycleSim per
-// lane, the oracle for the forces.
+// structural fault a per-lane force (fault::lane_force), the campaign's
+// only compile; a force the plan cannot keep X-safe runs interpreted. The
+// interpreted backend runs the same loop one fault per batch over one
+// CycleSim per lane, the oracle for the forces.
 //
 // A control run of the unmutated device under the identical stimulus —
 // the same loop over the uninstrumented device (lane 0) and the golden
-// lane (lane 1) — guards against false alarms: a checker that fires on
-// the pristine device invalidates the whole campaign. Reports render as util::Table and
-// round-trip through util::Json.
+// lane (lane 1), interpreted on either backend — guards against false
+// alarms: a checker that fires on the pristine device invalidates the
+// whole campaign. Reports render as util::Table and round-trip through
+// util::Json.
 #pragma once
 
 #include <atomic>
@@ -89,9 +91,11 @@ struct CampaignOptions {
   /// shard it stops reports cancelled and degrades like any failed shard.
   /// Non-owning.
   const std::atomic<bool>* cancel = nullptr;
-  /// Simulator behind every RTL model (mutant, control, and lockstep
-  /// reference alike). The report is required to be byte-identical across
-  /// backends — tools_cli_test pins that with a fixed-seed hash.
+  /// Simulator behind the fault batches: kCompiled runs each batch as the
+  /// lanes of one CsimLaneBatch. The control run and the X-unsafe forces
+  /// run interpreted on either backend. The report is required to be
+  /// byte-identical across backends — tools_cli_test and the
+  /// BenchmarkCampaign hashes pin that.
   harness::RtlBackend backend = harness::RtlBackend::kInterpreted;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "harness/lane_batch.hpp"
 #include "la1/properties.hpp"
 #include "la1/spec.hpp"
 #include "util/strings.hpp"
@@ -163,22 +164,7 @@ std::uint64_t BehavioralDeviceModel::memory_word(int bank,
   return harness_->device().bank(bank).memory().read(addr);
 }
 
-// --- NetlistDeviceModel -------------------------------------------------
-
-namespace {
-
-/// The pin drive of one edge, shared by both backends (CycleSim and
-/// csim::Machine expose the same input/edge surface).
-template <typename Sim>
-void drive_edge(Sim& sim, const rtl::Module& flat, const NetlistTaps& taps,
-                const EdgePins& pins) {
-  for (const PinDrive& d : taps.drives(pins)) {
-    sim.set_input(d.net, rtl::LVec::from_uint(d.value, flat.net(d.net).width));
-  }
-  sim.edge(taps.clock(pins), rtl::Edge::kPos);
-}
-
-}  // namespace
+// --- NetlistTaps -------------------------------------------------------
 
 NetlistTaps::NetlistTaps(const rtl::Module& flat, const core::RtlConfig& cfg)
     : data_bits(cfg.data_bits) {
@@ -230,7 +216,7 @@ NetlistTaps::NetlistTaps(const rtl::Module& flat, const core::RtlConfig& cfg)
 std::size_t NetlistTaps::index(const std::string& name) const {
   const auto it = by_name_.find(name);
   if (it == by_name_.end()) {
-    throw std::invalid_argument("NetlistDeviceModel: unknown tap: " + name);
+    throw std::invalid_argument("NetlistTaps: unknown tap: " + name);
   }
   return it->second;
 }
@@ -272,50 +258,55 @@ std::uint64_t NetlistTaps::memory_word(const NetReader& r, int bank,
       .value_or(~0ull);
 }
 
-NetlistDeviceModel::NetlistDeviceModel(
-    std::string name, const core::RtlConfig& cfg,
-    const std::function<void(rtl::Module&)>& instrument)
-    : DeviceModel(std::move(name), rtl_geometry(cfg)),
-      flat_([&] {
-        if (cfg.data_bits % 8 != 0) {
-          throw std::invalid_argument(
-              "NetlistDeviceModel: harness co-execution needs byte-multiple "
-              "beats");
-        }
-        rtl::Module flat = core::build_device(cfg).flatten();
-        if (instrument) instrument(flat);
-        return flat;
-      }()),
-      taps_(flat_, cfg) {
-  tap_names_ = taps_.names;
-}
-
-bool NetlistDeviceModel::tap(const std::string& name) const {
-  return taps_.tap(*this, taps_.index(name));
-}
-
-DoutSample NetlistDeviceModel::dout() const { return taps_.dout(*this); }
-
-std::uint64_t NetlistDeviceModel::memory_word(int bank,
-                                              std::uint64_t addr) const {
-  return taps_.memory_word(*this, bank, addr);
-}
-
 // --- RtlDeviceModel -----------------------------------------------------
+
+namespace {
+
+/// The stock device at `cfg`, flattened and run through `instrument`.
+rtl::Module instrumented_flat(
+    const core::RtlConfig& cfg,
+    const std::function<void(rtl::Module&)>& instrument) {
+  if (cfg.data_bits % 8 != 0) {
+    throw std::invalid_argument(
+        "RTL device: harness co-execution needs byte-multiple beats");
+  }
+  rtl::Module flat = core::build_device(cfg).flatten();
+  if (instrument) instrument(flat);
+  return flat;
+}
+
+}  // namespace
 
 RtlDeviceModel::RtlDeviceModel(
     const core::RtlConfig& cfg,
     const std::function<void(rtl::Module&)>& instrument)
-    : NetlistDeviceModel("rtl", cfg, instrument) {
+    : DeviceModel("rtl", rtl_geometry(cfg)),
+      flat_(instrumented_flat(cfg, instrument)),
+      taps_(flat_, cfg) {
+  tap_names_ = taps_.names;
   do_reset();
 }
 
 void RtlDeviceModel::do_reset() {
-  sim_ = std::make_unique<rtl::CycleSim>(flat());
+  sim_ = std::make_unique<rtl::CycleSim>(flat_);
 }
 
 void RtlDeviceModel::apply_edge(const EdgePins& pins) {
-  drive_edge(*sim_, flat(), taps(), pins);
+  for (const PinDrive& d : taps_.drives(pins)) {
+    sim_->set_input(d.net,
+                    rtl::LVec::from_uint(d.value, flat_.net(d.net).width));
+  }
+  sim_->edge(taps_.clock(pins), rtl::Edge::kPos);
+}
+
+bool RtlDeviceModel::tap(const std::string& name) const {
+  return taps_.tap(*this, taps_.index(name));
+}
+
+DoutSample RtlDeviceModel::dout() const { return taps_.dout(*this); }
+
+std::uint64_t RtlDeviceModel::memory_word(int bank, std::uint64_t addr) const {
+  return taps_.memory_word(*this, bank, addr);
 }
 
 bool RtlDeviceModel::net_is_one(rtl::NetId net) const {
@@ -335,37 +326,42 @@ bool RtlDeviceModel::bus_conflict(rtl::NetId bus) const {
   return sim_->enabled_drivers(bus) >= 2;
 }
 
-// --- CsimDeviceModel ----------------------------------------------------
+// --- the compiled device ------------------------------------------------
 
-CsimDeviceModel::CsimDeviceModel(
-    const core::RtlConfig& cfg,
-    const std::function<void(rtl::Module&)>& instrument)
-    : NetlistDeviceModel("csim", cfg, instrument),
-      compiled_(csim::compile(flat(), core::clock_schedule(flat()))),
-      machine_(compiled_, 1) {}
+namespace {
 
-void CsimDeviceModel::do_reset() { machine_.reset(); }
+/// The compiled backend behind the DeviceModel surface: a one-lane
+/// CsimLaneBatch whose lane is staged and stepped on every apply_edge.
+class CsimDevice : public DeviceModel {
+ public:
+  CsimDevice(const core::RtlConfig& cfg, rtl::Module flat,
+             const plan::CompilePlan& plan)
+      : DeviceModel("csim", rtl_geometry(cfg)),
+        batch_(cfg, std::move(flat), plan, 1, {}),
+        lane_(batch_.lane(0)) {
+    tap_names_ = batch_.tap_names();
+  }
 
-void CsimDeviceModel::apply_edge(const EdgePins& pins) {
-  drive_edge(machine_, flat(), taps(), pins);
-}
+  void apply_edge(const EdgePins& pins) override {
+    lane_.apply_edge(pins);
+    batch_.edge();
+  }
+  bool tap(const std::string& name) const override { return lane_.tap(name); }
+  DoutSample dout() const override { return lane_.dout(); }
+  bool models_dout() const override { return true; }
+  std::uint64_t memory_word(int bank, std::uint64_t addr) const override {
+    return lane_.memory_word(bank, addr);
+  }
 
-bool CsimDeviceModel::net_is_one(rtl::NetId net) const {
-  return machine_.get(net, 0).bit(0) == rtl::Logic::k1;
-}
+ protected:
+  void do_reset() override { batch_.reset(); }
 
-std::optional<std::uint64_t> CsimDeviceModel::net_value(rtl::NetId net) const {
-  return machine_.get(net, 0).to_uint();
-}
+ private:
+  CsimLaneBatch batch_;
+  DeviceModel& lane_;
+};
 
-std::optional<std::uint64_t> CsimDeviceModel::mem_value(
-    rtl::MemId mem, std::uint64_t addr) const {
-  return machine_.mem_word(mem, addr, 0).to_uint();
-}
-
-bool CsimDeviceModel::bus_conflict(rtl::NetId bus) const {
-  return machine_.bus_conflict(bus, 0);
-}
+}  // namespace
 
 // --- backend selection --------------------------------------------------
 
@@ -382,7 +378,9 @@ RtlBackend rtl_backend_from_string(const std::string& s) {
 RtlDevice make_rtl_device(const core::RtlConfig& cfg, RtlBackend backend,
                           const std::function<void(rtl::Module&)>& instrument) {
   if (backend == RtlBackend::kCompiled) {
-    return {std::make_unique<CsimDeviceModel>(cfg, instrument)};
+    rtl::Module flat = instrumented_flat(cfg, instrument);
+    const plan::CompilePlan plan = device_plan(flat);
+    return {std::make_unique<CsimDevice>(cfg, std::move(flat), plan)};
   }
   return {std::make_unique<RtlDeviceModel>(cfg, instrument)};
 }

@@ -4,10 +4,12 @@
 //                           firing per clock edge,
 //   BehavioralDeviceModel — the kernel-level model (la1/behavioral.hpp)
 //                           driven externally, one kernel tick per edge,
-//   NetlistDeviceModel    — the elaborated RTL netlist (la1/rtl_model.hpp)
-//                           behind either simulator: RtlDeviceModel (the
-//                           interpreted CycleSim) or CsimDeviceModel (a
-//                           1-lane compiled csim::Machine), one edge per tick.
+//   RtlDeviceModel        — the elaborated RTL netlist (la1/rtl_model.hpp)
+//                           in the interpreted CycleSim, one edge per tick.
+//
+// The compiled backend (src/csim) runs the netlist as the lanes of a
+// CsimLaneBatch (harness/lane_batch.hpp); make_rtl_device(kCompiled) wraps
+// a one-lane batch.
 //
 // Each adapter maps the canonical tap names ("b0.read_start", "write_commit",
 // "bus_conflict", ...) onto its level's native observables, so the N-way
@@ -20,8 +22,6 @@
 #include <memory>
 #include <optional>
 
-#include "csim/compile.hpp"
-#include "csim/machine.hpp"
 #include "harness/device_model.hpp"
 #include "harness/stimulus.hpp"
 #include "la1/asm_model.hpp"
@@ -82,9 +82,9 @@ class BehavioralDeviceModel : public DeviceModel {
   std::unique_ptr<core::KernelHarness> harness_;
 };
 
-/// Raw reads of one simulated copy of a flat netlist — the only thing a
-/// simulator backend (or one lane of it) supplies; NetlistTaps decodes the
-/// canonical observables from them.
+/// Raw reads of one simulated copy of a flat netlist — the only thing
+/// RtlDeviceModel or one lane of a CsimLaneBatch supplies; NetlistTaps
+/// decodes the canonical observables from them.
 class NetReader {
  public:
   /// Whether the 1-bit `net` reads 1 after the last edge.
@@ -153,49 +153,31 @@ struct NetlistTaps {
   std::map<std::string, std::size_t> by_name_;  // name -> index in names
 };
 
-/// The elaborated RTL netlist as a DeviceModel, whichever simulator runs
-/// it. The base builds the stock device, runs the `instrument` hook on its
-/// flat module, and decodes taps, dout and memory words from the same nets
-/// for every backend; a backend supplies only the edge drive, the reset and
-/// the raw net/memory/bus-conflict reads. RtlDeviceModel and CsimDeviceModel
-/// are therefore observation-interchangeable by construction (the
-/// CsimAdapter tests hold them in lockstep).
-class NetlistDeviceModel : public DeviceModel, public NetReader {
+/// The elaborated RTL netlist in the interpreted cycle simulator, one
+/// edge() per tick. Taps, dout and memory words decode through NetlistTaps
+/// from the same nets a CsimLaneBatch lane reads, so the two backends are
+/// observation-interchangeable by construction (the CsimAdapter tests hold
+/// them in lockstep).
+class RtlDeviceModel : public DeviceModel, public NetReader {
  public:
+  /// `instrument` runs on the flat module before the simulator is built
+  /// from flat() — the hook OVL monitors and netlist mutations (fault
+  /// mutants, the lockstep mutation tests) attach through, so instrumented
+  /// structure is simulated with the design.
+  explicit RtlDeviceModel(
+      const core::RtlConfig& cfg,
+      const std::function<void(rtl::Module&)>& instrument = {});
+
+  void apply_edge(const EdgePins& pins) override;
   bool tap(const std::string& name) const override;
   /// Tap `i` of tap_names(), without the name lookup.
   bool tap_at(std::size_t i) const { return taps_.tap(*this, i); }
   DoutSample dout() const override;
   bool models_dout() const override { return true; }
   std::uint64_t memory_word(int bank, std::uint64_t addr) const override;
-
-  const rtl::Module& flat() const { return flat_; }
-
- protected:
-  /// `instrument` runs on the flat module before the backend is built from
-  /// flat() — the hook OVL monitors and netlist mutations (fault mutants,
-  /// the lockstep mutation tests) attach through, so instrumented structure
-  /// is simulated with the design.
-  NetlistDeviceModel(std::string name, const core::RtlConfig& cfg,
-                     const std::function<void(rtl::Module&)>& instrument);
-
-  const NetlistTaps& taps() const { return taps_; }
-
- private:
-  rtl::Module flat_;
-  NetlistTaps taps_;
-};
-
-/// The netlist in the interpreted cycle simulator, one edge() per tick.
-class RtlDeviceModel : public NetlistDeviceModel {
- public:
-  explicit RtlDeviceModel(
-      const core::RtlConfig& cfg,
-      const std::function<void(rtl::Module&)>& instrument = {});
-
-  void apply_edge(const EdgePins& pins) override;
   bool net_is_one(rtl::NetId net) const override;
 
+  const rtl::Module& flat() const { return flat_; }
   rtl::CycleSim& sim() { return *sim_; }
 
  protected:
@@ -206,35 +188,9 @@ class RtlDeviceModel : public NetlistDeviceModel {
   bool bus_conflict(rtl::NetId bus) const override;
 
  private:
+  rtl::Module flat_;
+  NetlistTaps taps_;
   std::unique_ptr<rtl::CycleSim> sim_;
-};
-
-/// The netlist behind the compiled bit-parallel backend (src/csim): lowered
-/// once through plan::analyze + csim::compile, every tick runs the
-/// straight-line programs of a 1-lane csim::Machine (only lane 0 is ever
-/// read, and the per-lane memory built-ins cost per active lane).
-class CsimDeviceModel : public NetlistDeviceModel {
- public:
-  explicit CsimDeviceModel(
-      const core::RtlConfig& cfg,
-      const std::function<void(rtl::Module&)>& instrument = {});
-
-  void apply_edge(const EdgePins& pins) override;
-  bool net_is_one(rtl::NetId net) const override;
-
-  csim::Machine& machine() { return machine_; }
-  const csim::Compiled& compiled() const { return compiled_; }
-
- protected:
-  void do_reset() override;
-  std::optional<std::uint64_t> net_value(rtl::NetId net) const override;
-  std::optional<std::uint64_t> mem_value(rtl::MemId mem,
-                                         std::uint64_t addr) const override;
-  bool bus_conflict(rtl::NetId bus) const override;
-
- private:
-  csim::Compiled compiled_;  // borrows flat()
-  csim::Machine machine_;    // borrows compiled_
 };
 
 /// Which simulator executes the RTL level of a harness run.
@@ -245,13 +201,14 @@ const char* to_string(RtlBackend b);
 /// std::invalid_argument on anything else.
 RtlBackend rtl_backend_from_string(const std::string& s);
 
-/// One RTL DeviceModel behind either backend; OVL verdicts read back
-/// through `model->net_is_one`.
+/// One RTL DeviceModel behind either backend.
 struct RtlDevice {
-  std::unique_ptr<NetlistDeviceModel> model;
+  std::unique_ptr<DeviceModel> model;
 };
 
-/// Builds the stock device at `cfg` behind the selected backend.
+/// Builds the stock device at `cfg` behind the selected backend:
+/// RtlDeviceModel, or a DeviceModel named "csim" that owns a one-lane
+/// CsimLaneBatch and steps it on every apply_edge.
 RtlDevice make_rtl_device(
     const core::RtlConfig& cfg, RtlBackend backend,
     const std::function<void(rtl::Module&)>& instrument = {});

@@ -146,7 +146,7 @@ void CsimLaneBatch::edge() {
 // --- ModelLaneBatch -----------------------------------------------------
 
 ModelLaneBatch::ModelLaneBatch(
-    std::vector<std::unique_ptr<NetlistDeviceModel>> lanes)
+    std::vector<std::unique_ptr<RtlDeviceModel>> lanes)
     : LaneBatch(static_cast<int>(lanes.size())), models_(std::move(lanes)) {
   if (models_.empty() || models_.size() > 64) {
     throw std::invalid_argument("ModelLaneBatch: needs 1 to 64 lanes");

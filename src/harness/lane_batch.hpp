@@ -14,9 +14,9 @@
 //                   variants are per-lane csim::Forces compiled into its
 //                   step programs, so the whole batch costs one compile and
 //                   one Machine::edge per tick;
-//   ModelLaneBatch  one NetlistDeviceModel per lane (an RtlDeviceModel of
-//                   each mutant netlist, say) — the independent oracle the
-//                   compiled batch is held against.
+//   ModelLaneBatch  one RtlDeviceModel per lane (of each mutant netlist,
+//                   say) — the independent oracle the compiled batch is
+//                   held against.
 #pragma once
 
 #include <cstdint>
@@ -102,11 +102,11 @@ class CsimLaneBatch : public LaneBatch {
   std::vector<std::unique_ptr<Lane>> views_;
 };
 
-/// The batch as one NetlistDeviceModel per lane; a lane's apply_edge runs
-/// its edge at once and edge() has nothing left to do.
+/// The batch as one interpreted RtlDeviceModel per lane; a lane's
+/// apply_edge runs its edge at once and edge() has nothing left to do.
 class ModelLaneBatch : public LaneBatch {
  public:
-  explicit ModelLaneBatch(std::vector<std::unique_ptr<NetlistDeviceModel>> lanes);
+  explicit ModelLaneBatch(std::vector<std::unique_ptr<RtlDeviceModel>> lanes);
 
   DeviceModel& lane(int l) override;
   const std::vector<std::string>& tap_names() const override {
@@ -118,7 +118,7 @@ class ModelLaneBatch : public LaneBatch {
   void edge() override {}
 
  private:
-  std::vector<std::unique_ptr<NetlistDeviceModel>> models_;
+  std::vector<std::unique_ptr<RtlDeviceModel>> models_;
 };
 
 }  // namespace la1::harness

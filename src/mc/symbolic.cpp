@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cmath>
 #include <deque>
 #include <numeric>
@@ -261,7 +260,7 @@ void cluster(Encoding& enc) {
 /// variables. `partitioned` conjoins the parts with early quantification,
 /// clustering them first once `from` outgrows kClusterNodes.
 bdd::NodeId image(Encoding& enc, bdd::NodeId from, bool partitioned,
-                  std::uint64_t gc_threshold, bool verbose) {
+                  std::uint64_t gc_threshold) {
   bdd::Manager& mgr = *enc.mgr;
   if (!partitioned) {
     bdd::NodeId t = bdd::kTrue;
@@ -288,16 +287,7 @@ bdd::NodeId image(Encoding& enc, bdd::NodeId from, bool partitioned,
     mgr.ref(next_acc);
     mgr.deref(acc);
     acc = next_acc;
-    if (mgr.live_nodes() > gc_threshold) {
-      mgr.collect_garbage();
-      if (verbose) {
-        std::fprintf(stderr,
-                     "[symbolic]   part %zu/%zu: |acc|=%llu live=%llu\n",
-                     ci + 1, enc.parts.size(),
-                     static_cast<unsigned long long>(mgr.dag_size(acc)),
-                     static_cast<unsigned long long>(mgr.live_nodes()));
-      }
-    }
+    if (mgr.live_nodes() > gc_threshold) mgr.collect_garbage();
   }
   const bdd::NodeId quantified = enc.quantify_rest.mask == nullptr
                                      ? acc
@@ -565,12 +555,6 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
           translate(design.next_fn[static_cast<std::size_t>(k)]);
       enc.conjuncts.push_back(
           mgr.apply_not(mgr.apply_xor(mgr.var(enc.nxt(r)), f)));
-      if (options.verbose) {
-        std::fprintf(stderr, "[symbolic] conjunct %d (%s): |f|=%llu live=%llu\n",
-                     r, enc.state_bit_name(r).c_str(),
-                     static_cast<unsigned long long>(mgr.dag_size(f)),
-                     static_cast<unsigned long long>(mgr.live_nodes()));
-      }
     }
 
     // Atom functions; must depend only on model state bits.
@@ -728,8 +712,11 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
     mgr.ref(enc.bad);
     // Collect aggressively: the useful sets are orders of magnitude smaller
     // than image intermediates, and small tables keep operations fast. The
-    // node budget (`node_limit`, the Table-2 explosion knob) measures the
-    // live working set, which GC keeps honest.
+    // node budget (`node_limit`, the Table-2 explosion knob) is checked
+    // against the manager's live count, which includes dead nodes until the
+    // next collection; GC runs only above this threshold (after an image
+    // part or an iteration), so where a budgeted check stops depends on
+    // when GC last ran as well as on the working set.
     const std::uint64_t gc_threshold =
         options.node_limit != 0
             ? std::min<std::uint64_t>(options.node_limit / 2, 1u << 20)
@@ -766,8 +753,8 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
       // BDD than the exact-depth frontier ring (which encodes depth
       // correlations), and monotone growth converges in the same number of
       // iterations.
-      const bdd::NodeId img = image(enc, reached, options.partitioned,
-                                    gc_threshold, options.verbose);
+      const bdd::NodeId img =
+          image(enc, reached, options.partitioned, gc_threshold);
       result.image_parts =
           options.partitioned ? static_cast<int>(enc.parts.size()) : 1;
       const bdd::NodeId fresh = mgr.apply_and(img, mgr.apply_not(reached));
@@ -786,15 +773,6 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
       rings.push_back(fresh);
       ++result.iterations;
       if (mgr.live_nodes() > gc_threshold) mgr.collect_garbage();
-      if (options.verbose) {
-        std::fprintf(stderr,
-                     "[symbolic] iter %d: |frontier|=%llu |reached|=%llu "
-                     "live=%llu\n",
-                     result.iterations,
-                     static_cast<unsigned long long>(mgr.dag_size(frontier)),
-                     static_cast<unsigned long long>(mgr.dag_size(reached)),
-                     static_cast<unsigned long long>(mgr.live_nodes()));
-      }
     }
 
     count_reached();
@@ -887,7 +865,7 @@ SymbolicResult check(const rtl::BitBlast& design, const Observer& observer,
 SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
                      const SymbolicOptions& options) {
   util::CpuStopwatch cpu;
-  if (options.preflight_lint) preflight_lint(design, prop);
+  preflight_lint(design, prop);
   const Observer observer = build_observer(prop);
   const double compile_cpu = cpu.seconds();
   SymbolicResult result = check(design, observer, options);

@@ -92,14 +92,6 @@ struct SymbolicOptions {
   /// never influences an atom. Disable to model a checker that carries the
   /// whole design (the Table-2 configuration).
   bool cone_of_influence = true;
-  /// Prints per-iteration BDD sizes to stderr (debugging aid).
-  bool verbose = false;
-  /// Statically lint the property against the blasted design before any
-  /// BDD work (`preflight_lint`); errors throw std::invalid_argument with
-  /// the rendered findings instead of failing deep inside the encoder.
-  /// Read only by the property overload of `check`: an observer passed in
-  /// was compiled, and linted, by its caller.
-  bool preflight_lint = true;
   /// Strengthen the encoding with sweep-proven sequential invariants
   /// (dfa/sweep.hpp) by *substitution*: a provably-constant state bit
   /// becomes a BDD constant, a provably equivalent/complementary twin
@@ -174,7 +166,7 @@ SymbolicResult check(const rtl::BitBlast& design, const Observer& observer,
                      const SymbolicOptions& options = {});
 
 /// Checks `prop` as a safety property of the blasted design: the preflight
-/// lint (when enabled), `build_observer`, then the Observer overload.
+/// lint, `build_observer`, then the Observer overload.
 /// `cpu_seconds` includes the lint and the observer build.
 SymbolicResult check(const rtl::BitBlast& design, const psl::PropPtr& prop,
                      const SymbolicOptions& options = {});

@@ -400,93 +400,100 @@ TEST(CsimAdapter, MutationDivergesOnSameEdge) {
   EXPECT_EQ(reports[0].ticks_run, reports[1].ticks_run);
 }
 
-// The compiled adapter runs a 1-lane Machine (only lane 0 is ever read) and
-// still matches the interpreter on every net bit after every edge.
-TEST(CsimAdapter, MachineIsOneLaneAndMatchesInterpretedEdgeForEdge) {
+// The compiled device (a one-lane CsimLaneBatch) matches the interpreter on
+// every tap and the read-data bus after every edge; csim_parity_test holds
+// the compiled backend to CycleSim on every net.
+TEST(CsimAdapter, MatchesInterpretedEdgeForEdge) {
   const core::RtlConfig rcfg = rtl_config(2, 2);
-  harness::CsimDeviceModel compiled(rcfg);
+  harness::RtlDevice compiled =
+      harness::make_rtl_device(rcfg, harness::RtlBackend::kCompiled);
   harness::RtlDeviceModel interp(rcfg);
-  EXPECT_EQ(compiled.machine().lanes(), 1);
+  EXPECT_EQ(compiled.model->name(), "csim");
+  ASSERT_EQ(compiled.model->tap_names(), interp.tap_names());
   harness::StimulusOptions so;
   so.banks = 2;
   so.data_bits = kDataBits;
   so.mem_addr_bits = 2;
   harness::StimulusStream stream(so, 91);
   harness::Transactor tx(so.geometry());
-  const rtl::Module& flat = interp.flat();
   for (int tick = 0; tick < 240; ++tick) {
     const harness::Edge edge = harness::edge_of_tick(tick);
     if (edge == harness::Edge::kK && tick < 200) tx.enqueue(stream.next());
     const harness::EdgePins pins = tx.next(edge);
-    compiled.apply_edge(pins);
+    compiled.model->apply_edge(pins);
     interp.apply_edge(pins);
-    if (tick == 0) continue;  // CycleSim holds KS at X until its first edge
-    for (rtl::NetId net = 0; net < flat.net_count(); ++net) {
-      ASSERT_EQ(compiled.machine().get(net, 0), interp.sim().get(net))
-          << "tick " << tick << " net " << flat.net(net).name;
+    for (const std::string& tap : interp.tap_names()) {
+      ASSERT_EQ(compiled.model->tap(tap), interp.tap(tap))
+          << "tick " << tick << " tap " << tap;
     }
-    ASSERT_EQ(compiled.dout(), interp.dout()) << "tick " << tick;
+    ASSERT_EQ(compiled.model->dout(), interp.dout()) << "tick " << tick;
   }
 }
 
 // A compiled lane batch (one Machine, lane 0's pins broadcast, other lanes
 // patched where their pins differ) agrees with one interpreted model per
-// lane when every lane runs its own traffic.
+// lane when every lane runs its own traffic. At 64 lanes the multi-bit pins
+// and the memory ports reach the machine's bulk transposes (kBulkBits).
 TEST(LaneBatch, CompiledLanesMatchInterpretedLanesOnDistinctTraffic) {
-  constexpr int kLanes = 5;
   const core::RtlConfig rcfg = rtl_config(2, 2);
   const rtl::Module flat = core::build_device(rcfg).flatten();
-  harness::CsimLaneBatch compiled(rcfg, flat, harness::device_plan(flat),
-                                  kLanes, {});
-  std::vector<std::unique_ptr<harness::NetlistDeviceModel>> models;
-  for (int l = 0; l < kLanes; ++l) {
-    models.push_back(std::make_unique<harness::RtlDeviceModel>(rcfg));
-  }
-  harness::ModelLaneBatch interp(std::move(models));
-  ASSERT_EQ(compiled.tap_names(), interp.tap_names());
-  compiled.reset();
-  interp.reset();
+  for (const int lanes : {5, 64}) {
+    harness::CsimLaneBatch compiled(rcfg, flat, harness::device_plan(flat),
+                                    lanes, {});
+    std::vector<std::unique_ptr<harness::RtlDeviceModel>> models;
+    for (int l = 0; l < lanes; ++l) {
+      models.push_back(std::make_unique<harness::RtlDeviceModel>(rcfg));
+    }
+    harness::ModelLaneBatch interp(std::move(models));
+    ASSERT_EQ(compiled.tap_names(), interp.tap_names());
+    compiled.reset();
+    interp.reset();
 
-  harness::StimulusOptions so;
-  so.banks = 2;
-  so.data_bits = kDataBits;
-  so.mem_addr_bits = 2;
-  std::vector<harness::StimulusStream> streams;
-  std::vector<harness::Transactor> txs;
-  for (int l = 0; l < kLanes; ++l) {
-    // Lanes 0 and 1 share a stream, so some lanes ride the broadcast alone.
-    streams.emplace_back(so, 300 + static_cast<std::uint64_t>(l == 1 ? 0 : l));
-    txs.emplace_back(so.geometry());
-  }
-  for (int tick = 0; tick < 300; ++tick) {
-    const harness::Edge edge = harness::edge_of_tick(tick);
-    for (int l = 0; l < kLanes; ++l) {
-      auto& tx = txs[static_cast<std::size_t>(l)];
-      if (edge == harness::Edge::kK && tick < 260) {
-        tx.enqueue(streams[static_cast<std::size_t>(l)].next());
+    harness::StimulusOptions so;
+    so.banks = 2;
+    so.data_bits = kDataBits;
+    so.mem_addr_bits = 2;
+    std::vector<harness::StimulusStream> streams;
+    std::vector<harness::Transactor> txs;
+    for (int l = 0; l < lanes; ++l) {
+      // Lanes 0 and 1 share a stream, so some lanes ride the broadcast
+      // alone.
+      streams.emplace_back(so,
+                           300 + static_cast<std::uint64_t>(l == 1 ? 0 : l));
+      txs.emplace_back(so.geometry());
+    }
+    for (int tick = 0; tick < 300; ++tick) {
+      const harness::Edge edge = harness::edge_of_tick(tick);
+      for (int l = 0; l < lanes; ++l) {
+        auto& tx = txs[static_cast<std::size_t>(l)];
+        if (edge == harness::Edge::kK && tick < 260) {
+          tx.enqueue(streams[static_cast<std::size_t>(l)].next());
+        }
+        const harness::EdgePins pins = tx.next(edge);
+        compiled.lane(l).apply_edge(pins);
+        interp.lane(l).apply_edge(pins);
       }
-      const harness::EdgePins pins = tx.next(edge);
-      compiled.lane(l).apply_edge(pins);
-      interp.lane(l).apply_edge(pins);
+      compiled.edge();
+      interp.edge();
+      for (std::size_t t = 0; t < compiled.tap_names().size(); ++t) {
+        ASSERT_EQ(compiled.tap_word(t), interp.tap_word(t))
+            << lanes << " lanes, tick " << tick << " tap "
+            << compiled.tap_names()[t];
+      }
+      for (int l = 0; l < lanes; ++l) {
+        ASSERT_EQ(compiled.lane(l).dout(), interp.lane(l).dout())
+            << lanes << " lanes, tick " << tick << " lane " << l;
+      }
     }
-    compiled.edge();
-    interp.edge();
-    for (std::size_t t = 0; t < compiled.tap_names().size(); ++t) {
-      ASSERT_EQ(compiled.tap_word(t), interp.tap_word(t))
-          << "tick " << tick << " tap " << compiled.tap_names()[t];
-    }
-    for (int l = 0; l < kLanes; ++l) {
-      ASSERT_EQ(compiled.lane(l).dout(), interp.lane(l).dout())
-          << "tick " << tick << " lane " << l;
-    }
-  }
-  const harness::Geometry g = interp.lane(0).geometry();
-  for (int l = 0; l < kLanes; ++l) {
-    for (int b = 0; b < g.banks; ++b) {
-      for (std::uint64_t a = 0; a < g.mem_depth(); ++a) {
-        EXPECT_EQ(compiled.lane(l).memory_word(b, a),
-                  interp.lane(l).memory_word(b, a))
-            << "lane " << l << " b" << b << "[" << a << "]";
+    const harness::Geometry g = interp.lane(0).geometry();
+    for (int l = 0; l < lanes; ++l) {
+      for (int b = 0; b < g.banks; ++b) {
+        for (std::uint64_t a = 0; a < g.mem_depth(); ++a) {
+          EXPECT_EQ(compiled.lane(l).memory_word(b, a),
+                    interp.lane(l).memory_word(b, a))
+              << lanes << " lanes, lane " << l << " b" << b << "[" << a
+              << "]";
+        }
       }
     }
   }

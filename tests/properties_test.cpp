@@ -419,12 +419,13 @@ TEST(Properties, TapSetsMatchModels) {
     EXPECT_EQ(asm_model.tap_names(), shared);
     harness::BehavioralDeviceModel beh_model(bcfg);
     harness::RtlDeviceModel rtl_model(rcfg);
-    harness::CsimDeviceModel csim_model(rcfg);
+    const harness::RtlDevice csim_model =
+        harness::make_rtl_device(rcfg, harness::RtlBackend::kCompiled);
     for (const harness::DeviceModel* m :
          {static_cast<const harness::DeviceModel*>(&asm_model),
           static_cast<const harness::DeviceModel*>(&beh_model),
           static_cast<const harness::DeviceModel*>(&rtl_model),
-          static_cast<const harness::DeviceModel*>(&csim_model)}) {
+          static_cast<const harness::DeviceModel*>(csim_model.model.get())}) {
       const std::vector<std::string>& names = m->tap_names();
       for (const std::string& tap : shared) {
         EXPECT_NE(std::find(names.begin(), names.end(), tap), names.end())

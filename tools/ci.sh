@@ -18,7 +18,8 @@
 #   tools/ci.sh --csim          # also run the compiled-simulation gate: parity
 #                               # and lane-force suites, backend hash-equality
 #                               # at 1 bank and at 2 and 4 banks with MC, the
-#                               # 4-bank 64-stream Table-3 run, and (on hosts
+#                               # 4-bank 64-stream Table-3 run, the traced
+#                               # perfbench campaign replay, and (on hosts
 #                               # with >= 4 cores) the >=10x per-stream speedup
 #                               # smoke — smaller hosts skip the timing check
 #   tools/ci.sh --line-cov      # gcov line-coverage build in a separate tree,
@@ -342,7 +343,9 @@ fi
 # Machine — and (d) run the Table-3 64-stream loop at 4 banks, every lane
 # driven separately through the staged, transposed input path, with OVL
 # verdicts equal to the interpreter's and no failure in any lane (no timing
-# gate on this one). The >=10x per-stream speedup
+# gate on this one), and (e) report `"correct": true` from the benchmark's
+# traced `campaign` replay, the one benchmark caller of
+# make_rtl_device(kCompiled). The >=10x per-stream speedup
 # smoke only arms on hosts with at least 4 cores — on a loaded or tiny
 # machine the timing signal is noise, so the gate degrades to a skip
 # notice there; the exactness checks always run.
@@ -381,6 +384,15 @@ if [ "$csim" -eq 1 ]; then
     echo "ci: Table-3 64-stream run disagrees with the interpreter or fails a lane" >&2
     exit 1
   fi
+  campaign_result=$(cd "$repo_root" && python3 perfbench/run.py \
+    --workload campaign --seconds 1 --trace 1 2>/dev/null | tail -n 1)
+  case "$campaign_result" in
+    '{"correct": true,'*) ;;
+    *)
+      echo "ci: traced perfbench campaign replay is not correct" >&2
+      exit 1
+      ;;
+  esac
   cores=$(nproc 2>/dev/null || echo 1)
   if [ "$cores" -ge 4 ]; then
     speedup=$(sed -n 's/.*"per_stream_speedup": \([0-9.]*\).*/\1/p' \

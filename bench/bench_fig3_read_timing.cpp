@@ -46,16 +46,9 @@ int main(int argc, char** argv) {
 
   // Seed the word through the front door, wait out the write, then issue
   // the measured read.
-  harness::Stimulus write;
-  write.write = true;
-  write.write_addr = 3;
-  write.write_word = 0xCAFE1234;
-  model.enqueue(write);
+  model.enqueue(harness::Stimulus::write_of(3, 0xCAFE1234));
   for (int t = 0; t < 4; ++t) model.tick(harness::edge_of_tick(t));
-  harness::Stimulus read;
-  read.read = true;
-  read.read_addr = 3;
-  model.enqueue(read);
+  model.enqueue(harness::Stimulus::read_of(3));
 
   struct Event {
     int tick;

@@ -18,7 +18,6 @@
 #include "harness/stimulus.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
 #include "mc/symbolic.hpp"
 #include "psl/dfa.hpp"
@@ -54,10 +53,15 @@ void BM_BehavioralTick(benchmark::State& state) {
   core::Config cfg;
   cfg.banks = static_cast<int>(state.range(0));
   cfg.addr_bits = 8;
-  core::KernelHarness h(cfg);
-  util::Rng rng(3);
-  h.host().push_random(rng, 1 << 20);
-  for (auto _ : state) h.run_ticks(1);
+  harness::BehavioralDeviceModel model(cfg);
+  harness::StimulusStream stream(
+      harness::StimulusOptions::for_geometry(model.geometry()), 3);
+  int t = 0;
+  for (auto _ : state) {
+    const harness::Edge edge = harness::edge_of_tick(t++);
+    if (edge == harness::Edge::kK) model.enqueue(stream.next());
+    model.tick(edge);
+  }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BehavioralTick)->Arg(1)->Arg(4)->Arg(8);

@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "cov/coverage.hpp"
+#include "harness/adapters.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "msc/charts.hpp"
 #include "msc/compile.hpp"
@@ -33,7 +33,6 @@
 #include "tgen/constrained.hpp"
 #include "util/bench_report.hpp"
 #include "util/cli.hpp"
-#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -70,16 +69,19 @@ VerdictRow run_verdict(std::uint64_t seed, int read_latency) {
   cfg.banks = 1;
   cfg.addr_bits = 4;
   cfg.read_latency = read_latency;
-  core::KernelHarness h(cfg);
-  util::Rng rng(seed);
-  h.host().push_random(rng, 150);
+  harness::BehavioralDeviceModel model(cfg);
+  harness::StimulusStream stream(
+      harness::StimulusOptions::for_geometry(model.geometry()), seed);
 
   psl::VUnitRunner compiled(msc::to_psl(msc::read_mode_chart()).vunit());
   psl::VUnitRunner hand(hand_written_read());
-  h.run_ticks(500, [&](int) {
-    compiled.step(h.env());
-    hand.step(h.env());
-  });
+  for (int t = 0; t < 500; ++t) {
+    const harness::Edge edge = harness::edge_of_tick(t);
+    if (edge == harness::Edge::kK) model.enqueue(stream.next());
+    model.tick(edge);
+    compiled.step(model.env());
+    hand.step(model.env());
+  }
   row.compiled_failures = compiled.failures();
   row.hand_failures = hand.failures();
   return row;

@@ -17,8 +17,11 @@
 // bit-parallel backend (src/csim) with 64 independent stimulus streams
 // sharing one pass — the per-stream column that shows where campaign-scale
 // throughput comes from (one stream alone runs faster interpreted). Lane 0
-// runs the interpreter's stream, and its OVL verdicts must equal the
-// interpreter's. The 64-lane per-stream speedup over the interpreter grows
+// runs the interpreter's stream, and the set of OVL monitors that fired on
+// it must equal the interpreter's. Stock traffic fires none, so at each
+// bank count both paths also run, untimed, on a read_latency = 3 device:
+// there the 2-cycle read_latency_b<n> monitors must fire, in the same set
+// on both paths. The 64-lane per-stream speedup over the interpreter grows
 // with the bank count, so its target is per bank count on the stock
 // device: >= 5x at 1 bank, >= 8x at 2, >= 12x at 4 and >= 15x at 8. (The
 // CI bar is `la1check csim`'s own >= 10x under `tools/ci.sh --csim`.)
@@ -28,7 +31,11 @@
 //   --rtl-ticks N        RTL half-cycles (default 4000)
 //   --seed N             stimulus seed (default 7)
 //   --json PATH          write the {bench, params, metrics} report
+#include <algorithm>
 #include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "csim/compile.hpp"
 #include "csim/machine.hpp"
@@ -102,12 +109,30 @@ double run_system_level(int banks, int ticks, std::uint64_t seed,
   return per_cycle;
 }
 
-core::RtlConfig rtl_config(int banks) {
+core::RtlConfig rtl_config(int banks, int read_latency) {
   core::RtlConfig cfg;
   cfg.banks = banks;
   cfg.data_bits = 16;
   cfg.mem_addr_bits = kAddrBits - cfg.bank_bits();
+  cfg.read_latency = read_latency;
   return cfg;
+}
+
+/// The names of the monitors of `bank` that fired, in attach order.
+using Fired = std::vector<std::string>;
+Fired fired(const ovl::OvlBank& bank,
+            const std::function<bool(rtl::NetId)>& net_is_one) {
+  Fired out;
+  for (std::size_t i = 0; i < bank.entries().size(); ++i) {
+    if (bank.fired(net_is_one, i)) out.push_back(bank.entries()[i].name);
+  }
+  return out;
+}
+
+util::Json to_json(const Fired& names) {
+  util::Json j = util::Json::array();
+  for (const std::string& n : names) j.push(util::Json(n));
+  return j;
 }
 
 /// The same Reading-Mode assertions, as OVL monitor logic inside the
@@ -139,16 +164,15 @@ std::function<void(rtl::Module&)> ovl_instrument(ovl::OvlBank& bank,
 }
 
 /// CPU seconds per clock cycle for the interpreted RTL model + OVL
-/// monitors.
-double run_rtl_level(int banks, int ticks, std::uint64_t seed,
-                     std::size_t* failures) {
-  const core::RtlConfig cfg = rtl_config(banks);
+/// monitors; `fired_monitors` receives the monitors that fired.
+double run_rtl_level(const core::RtlConfig& cfg, int ticks, std::uint64_t seed,
+                     Fired* fired_monitors) {
   ovl::OvlBank bank;
-  harness::RtlDeviceModel model(cfg, ovl_instrument(bank, banks));
-  harness::StimulusStream stream = make_stream(banks, cfg.data_bits, seed);
+  harness::RtlDeviceModel model(cfg, ovl_instrument(bank, cfg.banks));
+  harness::StimulusStream stream = make_stream(cfg.banks, cfg.data_bits, seed);
   const double per_cycle = drive(model, stream, ticks, [] {});
-  *failures = bank.failures(
-      [&model](rtl::NetId flag) { return model.net_is_one(flag); });
+  *fired_monitors =
+      fired(bank, [&model](rtl::NetId flag) { return model.net_is_one(flag); });
   return per_cycle;
 }
 
@@ -156,13 +180,14 @@ double run_rtl_level(int banks, int ticks, std::uint64_t seed,
 /// all 64 bit-lanes occupied: 64 independent transactors feed 64 stimulus
 /// streams (seed, seed+1, ...) through one machine, so each pass over the
 /// bytecode advances every stream by one edge. `failures` receives the OVL
-/// verdicts of all 64 lanes, `lane0_failures` those of lane 0 (seed `seed`,
-/// the interpreter's stream) and `stats` the machine's work counters.
-double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
-                           std::size_t* failures, std::size_t* lane0_failures,
-                           csim::MachineStats* stats) {
+/// failure count over all 64 lanes, `lane0_fired` the monitors that fired
+/// on lane 0 (seed `seed`, the interpreter's stream) and `stats` the
+/// machine's work counters.
+double run_rtl_level_lanes(const core::RtlConfig& cfg, int ticks,
+                           std::uint64_t seed, std::size_t* failures,
+                           Fired* lane0_fired, csim::MachineStats* stats) {
   constexpr int kLanes = 64;
-  const core::RtlConfig cfg = rtl_config(banks);
+  const int banks = cfg.banks;
   ovl::OvlBank bank;
   rtl::Module flat = core::build_device(cfg).flatten();
   ovl_instrument(bank, banks)(flat);
@@ -206,11 +231,11 @@ double run_rtl_level_lanes(int banks, int ticks, std::uint64_t seed,
 
   *failures = 0;
   for (int lane = 0; lane < kLanes; ++lane) {
-    const std::size_t lane_failures = bank.failures([&](rtl::NetId net) {
+    const auto net_is_one = [&](rtl::NetId net) {
       return machine.get(net, lane).bit(0) == rtl::Logic::k1;
-    });
-    if (lane == 0) *lane0_failures = lane_failures;
-    *failures += lane_failures;
+    };
+    if (lane == 0) *lane0_fired = fired(bank, net_is_one);
+    *failures += bank.failures(net_is_one);
   }
   return seconds / (static_cast<double>(ticks) / 2.0) / kLanes;
 }
@@ -252,16 +277,33 @@ int main(int argc, char** argv) {
   bool verdicts_equal = true;
   for (int banks : banks_list) {
     std::size_t sc_failures = 0;
-    std::size_t rtl_failures = 0;
+    Fired rtl_fired;
     std::size_t lane_failures = 0;
-    std::size_t lane0_failures = 0;
+    Fired lane0_fired;
     csim::MachineStats lane_stats;
     const double d_sc = run_system_level(banks, sc_ticks, seed, &sc_failures);
-    const double d_ovl = run_rtl_level(banks, rtl_ticks, seed, &rtl_failures);
+    const double d_ovl =
+        run_rtl_level(rtl_config(banks, 2), rtl_ticks, seed, &rtl_fired);
     const double d_lane =
-        run_rtl_level_lanes(banks, rtl_ticks, seed, &lane_failures,
-                            &lane0_failures, &lane_stats);
-    const bool row_equal = rtl_failures == lane0_failures;
+        run_rtl_level_lanes(rtl_config(banks, 2), rtl_ticks, seed,
+                            &lane_failures, &lane0_fired, &lane_stats);
+    const std::size_t rtl_failures = rtl_fired.size();
+    // Untimed: a read_latency = 3 device, where the 2-cycle latency
+    // monitors must fire on both paths alike.
+    Fired deep_fired;
+    Fired deep_lane0_fired;
+    std::size_t deep_lane_failures = 0;
+    csim::MachineStats deep_stats;
+    run_rtl_level(rtl_config(banks, 3), rtl_ticks, seed, &deep_fired);
+    run_rtl_level_lanes(rtl_config(banks, 3), rtl_ticks, seed,
+                        &deep_lane_failures, &deep_lane0_fired, &deep_stats);
+    const bool latency_fired =
+        std::any_of(deep_fired.begin(), deep_fired.end(),
+                    [](const std::string& n) {
+                      return n.rfind("read_latency_b", 0) == 0;
+                    });
+    const bool row_equal = rtl_fired == lane0_fired &&
+                           deep_fired == deep_lane0_fired && latency_fired;
     verdicts_equal = verdicts_equal && row_equal;
     table.add_row({std::to_string(banks), util::fmt_sci(d_sc, 2),
                    util::fmt_sci(d_ovl, 2), util::fmt_sci(d_lane, 2),
@@ -281,6 +323,8 @@ int main(int argc, char** argv) {
             util::Json(static_cast<std::int64_t>(rtl_failures)));
     row.set("rtl_lane64_failures",
             util::Json(static_cast<std::int64_t>(lane_failures)));
+    row.set("rtl_fired", to_json(rtl_fired));
+    row.set("latency3_fired", to_json(deep_fired));
     row.set("verdicts_equal", util::Json(row_equal));
     row.set("lane64_machine", lane_stats.to_json());
     report.metric(std::move(row));
@@ -296,8 +340,10 @@ int main(int argc, char** argv) {
       "\n>= 5x at 1 bank, >= 8x at 2, >= 12x at 4 and >= 15x at 8 (the gap"
       "\ngrows with banks), with identical OVL verdicts.");
   if (!verdicts_equal) {
-    std::fputs("FAIL: interpreted and compiled lane-0 OVL verdicts differ\n",
-               stderr);
+    std::fputs(
+        "FAIL: interpreted and compiled lane-0 OVL monitors fired differently,"
+        " or the read_latency = 3 device fired no read_latency monitor\n",
+        stderr);
     return 1;
   }
   return report.finish(cli) ? 0 : 1;

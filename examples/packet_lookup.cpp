@@ -14,8 +14,7 @@
 #include <cstdio>
 #include <map>
 
-#include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
+#include "harness/adapters.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
@@ -50,7 +49,15 @@ int main(int argc, char** argv) {
   core::Config cfg;
   cfg.banks = 4;  // a 4-bank classifier coprocessor (paper Figure 1)
   cfg.addr_bits = 10;
-  core::KernelHarness h(cfg);
+  harness::BehavioralDeviceModel model(cfg);
+  harness::Scoreboard scoreboard(model.geometry(), cfg.read_latency);
+  // Runs `ticks` edges of the queued K cycles, scoreboarding each one.
+  auto run = [&](int ticks) {
+    for (int i = 0; i < ticks; ++i) {
+      const harness::Edge edge = harness::edge_of_tick(model.ticks_done());
+      scoreboard.step(model.tick(edge), model);
+    }
+  };
 
   // Provision the flow table: 5 known flows with class ids.
   util::Rng rng(99);
@@ -60,10 +67,11 @@ int main(int argc, char** argv) {
              static_cast<std::uint32_t>(rng.next_u32()),
              static_cast<std::uint16_t>(rng.below(65536))};
     flows.push_back(p);
-    h.host().push({core::Transaction::Kind::kWrite, slot_of(p, cfg.addr_bits),
-                   make_entry(static_cast<std::uint8_t>(10 + f), 0), 0xF});
+    model.enqueue(harness::Stimulus::write_of(
+        slot_of(p, cfg.addr_bits),
+        make_entry(static_cast<std::uint8_t>(10 + f), 0)));
   }
-  h.run_ticks(2 * 5 + 8);
+  run(2 * 5 + 8);
 
   // Classify a packet stream: 70% known flows, 30% strangers.
   std::map<std::uint64_t, int> expected_hits;
@@ -78,45 +86,45 @@ int main(int argc, char** argv) {
                             static_cast<std::uint16_t>(rng.below(65536))};
     const std::uint64_t slot = slot_of(p, cfg.addr_bits);
 
-    // Look-aside read; the BFM scoreboards the returned beats itself, so we
-    // can use its mirror as the "received" word.
-    h.host().push({core::Transaction::Kind::kRead, slot});
-    h.run_ticks(8);  // latency + margin
+    // Look-aside read; the scoreboard checks the returned beats against
+    // its mirror, so the mirror serves as the "received" word.
+    model.enqueue(harness::Stimulus::read_of(slot));
+    run(8);  // latency + margin
     ++lookups;
     const std::uint32_t entry =
-        static_cast<std::uint32_t>(h.host().mirror(slot));
+        static_cast<std::uint32_t>(scoreboard.mirror(slot));
     const std::uint8_t cls = static_cast<std::uint8_t>(entry >> 24);
     if (cls != 0) {
       ++classified;
       // Bump the 16-bit hit counter, touching only the counter lanes
       // (byte write control: lanes 0 and 1).
       const std::uint16_t hits = static_cast<std::uint16_t>(entry & 0xffff);
-      h.host().push({core::Transaction::Kind::kWrite, slot,
-                     static_cast<std::uint32_t>(hits + 1u), 0x3});
-      h.run_ticks(4);
+      model.enqueue(harness::Stimulus::write_of(slot, hits + 1u, 0x3));
+      run(4);
       ++expected_hits[slot];
     } else {
       ++unknown;
     }
   }
-  h.run_ticks(16);
+  run(16);
 
   std::printf("packet_lookup: %d packets, %d lookups, %d classified, %d"
               " unknown\n",
               packets, lookups, classified, unknown);
   std::printf("scoreboard: %llu reads checked, %llu mismatches, %llu parity"
               " errors\n",
-              static_cast<unsigned long long>(h.host().reads_checked()),
-              static_cast<unsigned long long>(h.host().data_mismatches()),
-              static_cast<unsigned long long>(h.host().parity_errors()));
+              static_cast<unsigned long long>(scoreboard.reads_checked()),
+              static_cast<unsigned long long>(scoreboard.data_mismatches()),
+              static_cast<unsigned long long>(scoreboard.parity_errors()));
 
   // Verify: device memory holds class + accumulated hit counts, and the
   // class byte survived every counter write (byte-enable discipline).
-  bool ok = h.host().data_mismatches() == 0 && h.host().parity_errors() == 0;
+  bool ok = scoreboard.data_mismatches() == 0 &&
+            scoreboard.parity_errors() == 0;
   for (std::size_t f = 0; f < flows.size(); ++f) {
     const std::uint64_t slot = slot_of(flows[f], cfg.addr_bits);
     const std::uint64_t word =
-        h.device().bank(cfg.bank_of(slot)).memory().read(cfg.mem_addr_of(slot));
+        model.memory_word(cfg.bank_of(slot), cfg.mem_addr_of(slot));
     const std::uint8_t cls = static_cast<std::uint8_t>(word >> 24);
     const std::uint16_t hits = static_cast<std::uint16_t>(word & 0xffff);
     std::printf("  flow %zu: slot %llu class %u hits %u (expected %d)\n", f,

@@ -11,11 +11,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
+#include "harness/adapters.hpp"
 #include "la1/properties.hpp"
 #include "psl/monitor.hpp"
-#include "util/rng.hpp"
 
 int main() {
   using namespace la1;
@@ -40,14 +38,20 @@ int main() {
     core::Config cfg;
     cfg.banks = 2;
     cfg.addr_bits = 6;
-    core::KernelHarness h(cfg);
-    h.device().bank(0).inject(vendor.fault);
+    harness::BehavioralDeviceModel model(cfg);
+    model.device().bank(0).inject(vendor.fault);
+    harness::Scoreboard scoreboard(model.geometry(), cfg.read_latency);
 
     psl::VUnit vunit = core::behavioral_vunit(cfg);
     psl::VUnitRunner monitors(vunit);
-    util::Rng rng(7);
-    h.host().push_random(rng, 250);
-    h.run_ticks(700, [&](int) { monitors.step(h.env()); });
+    harness::StimulusStream stream(
+        harness::StimulusOptions::for_geometry(model.geometry()), 7);
+    for (int t = 0; t < 700; ++t) {
+      const harness::Edge edge = harness::edge_of_tick(t);
+      if (edge == harness::Edge::kK) model.enqueue(stream.next());
+      scoreboard.step(model.tick(edge), model);
+      monitors.step(model.env());
+    }
 
     std::printf("device under validation: %s\n", vendor.name);
     std::size_t failures = 0;
@@ -60,10 +64,10 @@ int main() {
                     d.message.c_str());
       }
     }
-    const bool clean = failures == 0 && h.host().data_mismatches() == 0;
+    const bool clean = failures == 0 && scoreboard.data_mismatches() == 0;
     std::printf("  -> %zu assertion failure(s), %llu data mismatch(es): %s\n\n",
                 failures,
-                static_cast<unsigned long long>(h.host().data_mismatches()),
+                static_cast<unsigned long long>(scoreboard.data_mismatches()),
                 clean ? "device ACCEPTED" : "device REJECTED");
     all_ok = all_ok && (clean == vendor.expect_clean);
   }

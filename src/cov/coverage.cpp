@@ -258,13 +258,6 @@ void CoverageCollector::observe_edge(const harness::EdgePins& pins) {
   }
 }
 
-void CoverageCollector::observe_trace(const harness::TraceRecorder& trace) {
-  for (const harness::TraceStep& step : trace.steps()) {
-    observe_edge(step.pins);
-  }
-  end_stream();
-}
-
 void CoverageCollector::observe_cycle(bool read, std::uint64_t read_addr,
                                       bool write, std::uint64_t write_addr,
                                       std::uint32_t be_lanes) {

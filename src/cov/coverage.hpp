@@ -9,8 +9,8 @@
 // back-to-back-read timing window — and a CoverageCollector fills them
 // from the pin bus alone. Pins are broadcast identically to every
 // co-executed DeviceModel, so pin-derived coverage is adapter-agnostic:
-// the same collector attaches to an ASM, behavioural or RTL run (or to a
-// recorded TraceRecorder transcript) without change.
+// the same collector attaches to an ASM, behavioural or RTL run without
+// change.
 //
 // The closure driver in src/tgen re-biases constrained-random weights
 // toward whatever this model reports uncovered.
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "harness/device_model.hpp"
-#include "harness/trace.hpp"
 #include "util/json.hpp"
 
 namespace la1::cov {
@@ -96,9 +95,6 @@ class CoverageCollector {
 
   /// Observes one half-cycle edge (call for every edge, in order).
   void observe_edge(const harness::EdgePins& pins);
-
-  /// Replays a recorded trace through observe_edge, then ends the stream.
-  void observe_trace(const harness::TraceRecorder& trace);
 
   /// Flushes open run-length bins and rewinds the sequential trackers.
   /// Call between stimulus streams (epoch boundaries) so bursts and gaps

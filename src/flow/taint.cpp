@@ -23,17 +23,6 @@ TaintFacts::TaintFacts(const DepGraph& g, std::vector<TaintSource> sources,
   }
 }
 
-const std::string& TaintFacts::label_name(int label) const {
-  return sources_.at(static_cast<std::size_t>(label)).label;
-}
-
-int TaintFacts::find_label(const std::string& name) const {
-  for (std::size_t l = 0; l < sources_.size(); ++l) {
-    if (sources_[l].label == name) return static_cast<int>(l);
-  }
-  return -1;
-}
-
 LabelSet TaintFacts::at(int node) const {
   return taint_.at(static_cast<std::size_t>(node));
 }

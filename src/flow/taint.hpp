@@ -42,11 +42,7 @@ class TaintFacts {
   TaintFacts(const DepGraph& g, std::vector<TaintSource> sources,
              const TaintOptions& opt = {});
 
-  int label_count() const { return static_cast<int>(sources_.size()); }
-  const std::string& label_name(int label) const;
   LabelSet label_bit(int label) const { return LabelSet{1} << label; }
-  /// Index of a label by name; -1 when absent.
-  int find_label(const std::string& name) const;
 
   LabelSet at(int node) const;
   /// Union over all bits of the net / the memory summary word.

@@ -15,6 +15,9 @@ namespace {
 // The ASM's canonical beat width (see AsmDeviceModel).
 constexpr int kAsmBeatBits = 8;
 
+// The behavioural model's K period on the kernel's time base.
+constexpr sim::Time kKernelPeriod = 4 * sim::kNanosecond;
+
 Geometry asm_geometry(const core::AsmConfig& cfg) {
   Geometry g;
   g.banks = cfg.banks;
@@ -127,41 +130,51 @@ BehavioralDeviceModel::BehavioralDeviceModel(const core::Config& cfg)
   do_reset();
 }
 
+BehavioralDeviceModel::PoweredOn::PoweredOn(const core::Config& cfg)
+    : pins(kernel, cfg, kKernelPeriod),
+      device(kernel, "dev", cfg, pins),
+      env(cfg, device, pins) {}
+
 void BehavioralDeviceModel::do_reset() {
-  harness_ = std::make_unique<core::KernelHarness>(cfg_);
-  harness_->set_external_drive(true);
+  on_ = std::make_unique<PoweredOn>(cfg_);
+  edges_ = 0;
 }
 
 void BehavioralDeviceModel::apply_edge(const EdgePins& pins) {
-  if ((harness_->ticks_done() % 2 == 0) != (pins.edge == Edge::kK)) {
+  if ((edges_ % 2 == 0) != (pins.edge == Edge::kK)) {
     throw std::logic_error("BehavioralDeviceModel: edge out of phase");
   }
-  core::Pins& p = harness_->pins();
+  core::Pins& p = on_->pins;
   p.r_sel_n.write(pins.r_sel_n);
   p.w_sel_n.write(pins.w_sel_n);
   p.addr.write(static_cast<std::uint32_t>(pins.addr));
   p.din.write(core::pack_beat(pins.din_data, cfg_.data_bits));
   p.bwe_n.write(pins.bwe_n);
-  harness_->run_ticks(1);
+  // Rising K at the start of each period, rising K# half a period later.
+  const sim::Time period_start =
+      static_cast<sim::Time>(edges_ / 2) * kKernelPeriod;
+  on_->kernel.run(period_start +
+                  (pins.edge == Edge::kK ? 1 : kKernelPeriod / 2));
+  ++edges_;
 }
 
 bool BehavioralDeviceModel::tap(const std::string& name) const {
-  return harness_->env().sample(name);
+  return on_->env.sample(name);
 }
 
 DoutSample BehavioralDeviceModel::dout() const {
   DoutSample s;
-  s.valid = harness_->env().sample("dout_valid");
+  s.valid = on_->env.sample("dout_valid");
   if (s.valid) {
     s.defined = true;
-    s.beat = harness_->pins().dout.read();
+    s.beat = on_->pins.dout.read();
   }
   return s;
 }
 
 std::uint64_t BehavioralDeviceModel::memory_word(int bank,
                                                  std::uint64_t addr) const {
-  return harness_->device().bank(bank).memory().read(addr);
+  return on_->device.bank(bank).memory().read(addr);
 }
 
 // --- NetlistTaps -------------------------------------------------------

@@ -2,8 +2,8 @@
 //
 //   AsmDeviceModel        — the ASM machine (la1/asm_model.hpp), one rule
 //                           firing per clock edge,
-//   BehavioralDeviceModel — the kernel-level model (la1/behavioral.hpp)
-//                           driven externally, one kernel tick per edge,
+//   BehavioralDeviceModel — the kernel-level model (la1/behavioral.hpp),
+//                           one kernel half-cycle per edge,
 //   RtlDeviceModel        — the elaborated RTL netlist (la1/rtl_model.hpp)
 //                           in the interpreted CycleSim, one edge per tick.
 //
@@ -60,7 +60,9 @@ class AsmDeviceModel : public DeviceModel {
   asml::State state_;
 };
 
-/// The behavioural (kernel) model as a DeviceModel.
+/// The behavioural (kernel) model as a DeviceModel. It owns the kernel,
+/// the pin bundle, the device and its ProbeEnv; apply_edge writes the pins
+/// and runs the kernel through one half-cycle edge.
 class BehavioralDeviceModel : public DeviceModel {
  public:
   explicit BehavioralDeviceModel(const core::Config& cfg);
@@ -71,15 +73,29 @@ class BehavioralDeviceModel : public DeviceModel {
   bool models_dout() const override { return true; }
   std::uint64_t memory_word(int bank, std::uint64_t addr) const override;
 
-  core::KernelHarness& kernel_harness() { return *harness_; }
-  core::ProbeEnv& env() { return harness_->env(); }
+  /// reset() rebuilds the device, so a Bank::inject() made before a reset
+  /// (run_lockstep resets its models) is lost.
+  core::La1Device& device() { return on_->device; }
+  /// Rebuilt by reset() too: take it after the reset.
+  core::ProbeEnv& env() { return on_->env; }
 
  protected:
   void do_reset() override;
 
  private:
+  // The model from one power-on. Each member refers to those before it,
+  // so declaration order is construction order.
+  struct PoweredOn {
+    explicit PoweredOn(const core::Config& cfg);
+    sim::Kernel kernel;
+    core::Pins pins;
+    core::La1Device device;
+    core::ProbeEnv env;
+  };
+
   core::Config cfg_;
-  std::unique_ptr<core::KernelHarness> harness_;
+  std::unique_ptr<PoweredOn> on_;
+  int edges_ = 0;  // since the last reset; even edges are rising K
 };
 
 /// Raw reads of one simulated copy of a flat netlist — the only thing

@@ -17,8 +17,9 @@
 //   * memory_word(bank, addr)       — canonical end-of-run memory image,
 // plus a built-in transactor (enqueue + tick) so a single implementation of
 // the LA-1 edge discipline converts transactions into pin activity for
-// every level. Adapters live in adapters.hpp; the N-way lockstep engine in
-// lockstep.hpp co-executes any set of models on one stimulus stream.
+// every level, and a Scoreboard checks read data from the same pins.
+// Adapters live in adapters.hpp; the N-way lockstep engine in lockstep.hpp
+// co-executes any set of models on one stimulus stream.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +68,24 @@ struct Stimulus {
   std::uint64_t write_addr = 0;
   std::uint64_t write_word = 0;  // two beats packed [beat1 | beat0]
   std::uint32_t be_mask = ~0u;   // one bit per 8-bit lane across both beats
+
+  /// A cycle that only reads `addr`.
+  static Stimulus read_of(std::uint64_t addr) {
+    Stimulus s;
+    s.read = true;
+    s.read_addr = addr;
+    return s;
+  }
+  /// A cycle that only writes `word` to `addr` through `be_mask`'s lanes.
+  static Stimulus write_of(std::uint64_t addr, std::uint64_t word,
+                           std::uint32_t be_mask = ~0u) {
+    Stimulus s;
+    s.write = true;
+    s.write_addr = addr;
+    s.write_word = word;
+    s.be_mask = be_mask;
+    return s;
+  }
 
   bool operator==(const Stimulus& o) const = default;
 };
@@ -184,6 +203,57 @@ class DeviceModel {
  private:
   Transactor transactor_;
   int ticks_ = 0;
+};
+
+/// The host's read scoreboard: the "validation unit" role the paper gives
+/// the IP. Fed every edge a model applied, it keeps a mirror of the device
+/// memory and checks each read's two returned beats against the word the
+/// mirror held at the read's K edge:
+///   * a write enters the mirror (through core::merge_bytes) at the K#
+///     that carries its address,
+///   * the first beat is due latency_ticks after the read's K edge, the
+///     second on the following K#,
+///   * a due beat that is not valid and defined counts as a data mismatch;
+///     a driven one must carry good parity and the expected data.
+/// It reads only the pins and the model's dout(), so it checks any model
+/// whose models_dout() holds, the RTL included.
+class Scoreboard {
+ public:
+  /// Throws std::invalid_argument past 22 address bits (the mirror is a
+  /// flat array).
+  Scoreboard(const Geometry& geometry, int read_latency);
+
+  /// Observes one edge `model` applied and its read-data bus after it.
+  /// Taking the model, not its dout(), keeps `step(model.tick(e), model)`
+  /// in order.
+  void step(const EdgePins& pins, const DeviceModel& model);
+
+  std::uint64_t reads_checked() const { return reads_checked_; }
+  std::uint64_t data_mismatches() const { return data_mismatches_; }
+  std::uint64_t parity_errors() const { return parity_errors_; }
+
+  /// The mirror's word at a full (bank-select included) address.
+  std::uint64_t mirror(std::uint64_t addr) const { return mirror_.at(addr); }
+
+ private:
+  struct Expected {
+    std::uint64_t beat0_tick = 0;  // the K edge of the first beat
+    std::uint64_t word = 0;
+  };
+  void check(const DoutSample& dout, std::uint32_t data);
+
+  Geometry g_;
+  std::uint64_t latency_ticks_;
+  std::vector<std::uint64_t> mirror_;
+  std::deque<Expected> expected_;
+  std::uint64_t tick_ = 0;
+  // A write between its K edge and the K# that carries its address.
+  bool write_pending_ = false;
+  std::uint32_t write_beat0_ = 0;
+  std::uint32_t write_be0_ = 0;
+  std::uint64_t reads_checked_ = 0;
+  std::uint64_t data_mismatches_ = 0;
+  std::uint64_t parity_errors_ = 0;
 };
 
 }  // namespace la1::harness

@@ -71,6 +71,15 @@ struct StimulusOptions {
     g.data_bits = data_bits;
     return g;
   }
+
+  /// Default-shaped traffic over `g`: the inverse of geometry().
+  static StimulusOptions for_geometry(const Geometry& g) {
+    StimulusOptions so;
+    so.banks = g.banks;
+    so.mem_addr_bits = g.mem_addr_bits;
+    so.data_bits = g.data_bits;
+    return so;
+  }
 };
 
 /// Deterministic stream of Stimulus records: same (options, seed) ->

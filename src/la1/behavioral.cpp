@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "la1/host_bfm.hpp"
 #include "util/strings.hpp"
 
 namespace la1::core {
@@ -289,34 +288,6 @@ void ProbeEnv::add(const std::string& name, std::function<bool()> probe) {
     probes_.push_back(std::move(probe));
   } else {
     probes_[static_cast<std::size_t>(it->second)] = std::move(probe);
-  }
-}
-
-KernelHarness::KernelHarness(const Config& cfg) : cfg_(cfg) {
-  cfg_.validate();
-  kernel_ = std::make_unique<sim::Kernel>();
-  pins_ = std::make_unique<Pins>(*kernel_, cfg_, kPeriod);
-  device_ = std::make_unique<La1Device>(*kernel_, "dev", cfg_, *pins_);
-  host_ = std::make_unique<HostBfm>(cfg_, *pins_);
-  env_ = std::make_unique<ProbeEnv>(cfg_, *device_, *pins_);
-}
-
-KernelHarness::~KernelHarness() = default;
-
-void KernelHarness::run_ticks(int n, const std::function<void(int)>& on_tick) {
-  for (int i = 0; i < n; ++i) {
-    const int cycle = tick_ / 2;
-    if (tick_ % 2 == 0) {
-      if (!external_drive_) host_->before_k(tick_);
-      kernel_->run(1 + static_cast<sim::Time>(cycle) * kPeriod);
-      if (!external_drive_) host_->after_k(tick_);
-    } else {
-      if (!external_drive_) host_->before_ks(tick_);
-      kernel_->run(kPeriod / 2 + static_cast<sim::Time>(cycle) * kPeriod);
-      if (!external_drive_) host_->after_ks(tick_);
-    }
-    if (on_tick) on_tick(tick_);
-    ++tick_;
   }
 }
 

@@ -2,11 +2,13 @@
 // paper's SystemC level (§4.3).
 //
 // Structure follows the UML class diagram (§4.1): WritePort, ReadPort and
-// SramMemory objects orchestrated per bank, an La1Device owning N banks on
-// the shared pin bundle, and a host-side BFM (host_bfm.hpp) driving the
-// pins. Each bank publishes *taps* — one-tick observation pulses — that the
-// PSL monitors sample; the tap names double as the property signal names at
-// every level of the flow (see properties.hpp).
+// SramMemory objects orchestrated per bank, and an La1Device owning N banks
+// on the shared pin bundle. The host side — pin drive and read scoreboard —
+// is the harness's, shared with every level (harness/device_model.hpp;
+// harness::BehavioralDeviceModel runs this model). Each bank publishes
+// *taps* — one-tick observation pulses — that the PSL monitors sample; the
+// tap names double as the property signal names at every level of the flow
+// (see properties.hpp).
 #pragma once
 
 #include <cstdint>
@@ -195,43 +197,6 @@ class ProbeEnv : public psl::Env {
   // depend on hash-table layout anywhere on the stimulus/trace path.
   std::map<std::string, int> ids_;
   std::vector<std::function<bool()>> probes_;  // by id
-};
-
-/// Owns kernel + pins + device + host BFM and sequences half-cycle ticks:
-/// even ticks are rising K edges, odd ticks rising K# edges. `on_tick` runs
-/// after the edge settles — the sampling point for monitors.
-class KernelHarness {
- public:
-  explicit KernelHarness(const Config& cfg);
-  ~KernelHarness();
-
-  sim::Kernel& kernel() { return *kernel_; }
-  Pins& pins() { return *pins_; }
-  La1Device& device() { return *device_; }
-  class HostBfm& host() { return *host_; }
-  ProbeEnv& env() { return *env_; }
-  const Config& config() const { return cfg_; }
-
-  /// Advances `n` half-cycle ticks.
-  void run_ticks(int n, const std::function<void(int tick)>& on_tick = {});
-
-  /// When enabled the harness stops calling the host BFM's edge hooks; the
-  /// caller drives the pins directly between ticks (conformance testing).
-  void set_external_drive(bool enable) { external_drive_ = enable; }
-
-  int ticks_done() const { return tick_; }
-
- private:
-  static constexpr sim::Time kPeriod = 4 * sim::kNanosecond;  // K period
-
-  Config cfg_;
-  std::unique_ptr<sim::Kernel> kernel_;
-  std::unique_ptr<Pins> pins_;
-  std::unique_ptr<La1Device> device_;
-  std::unique_ptr<class HostBfm> host_;
-  std::unique_ptr<ProbeEnv> env_;
-  int tick_ = 0;
-  bool external_drive_ = false;
 };
 
 }  // namespace la1::core

@@ -60,10 +60,6 @@ struct XSafety {
   /// Deepest x-transient settle depth across all bits.
   int max_settle = 0;
 
-  bool net_bit_live(rtl::NetId id, int bit) const {
-    return nets[static_cast<std::size_t>(id)].cls[static_cast<std::size_t>(
-               bit)] == BitClass::kXLive;
-  }
   bool net_any_live(rtl::NetId id) const;
 };
 

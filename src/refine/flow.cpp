@@ -5,7 +5,6 @@
 
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "la1/rtl_model.hpp"
 #include "dfa/sweep.hpp"
@@ -158,9 +157,10 @@ FlowReport run_flow(const FlowOptions& options) {
   core::Config bcfg;
   bcfg.banks = banks;
   stage(report, "behavioural ABV (PSL monitors)", [&](std::string& detail) {
-    core::KernelHarness harness(bcfg);
-    util::Rng rng(options.seed);
-    harness.host().push_random(rng, options.abv_ticks / 2);
+    harness::BehavioralDeviceModel model(bcfg);
+    harness::StimulusStream stream(
+        harness::StimulusOptions::for_geometry(model.geometry()), options.seed);
+    harness::Scoreboard scoreboard(model.geometry(), bcfg.read_latency);
     psl::VUnit vunit = core::behavioral_vunit(bcfg);
     psl::VUnitRunner runner(vunit);
     psl::VUnit derived("msc_derived");
@@ -179,19 +179,22 @@ FlowReport run_flow(const FlowOptions& options) {
       derived.add_assert(d.name, d.prop, psl::DirSeverity::kMajor, d.source);
     }
     psl::VUnitRunner derived_runner(derived);
-    harness.run_ticks(options.abv_ticks, [&](int) {
-      runner.step(harness.env());
-      derived_runner.step(harness.env());
-    });
+    for (int t = 0; t < options.abv_ticks; ++t) {
+      const harness::Edge edge = harness::edge_of_tick(t);
+      if (edge == harness::Edge::kK) model.enqueue(stream.next());
+      scoreboard.step(model.tick(edge), model);
+      runner.step(model.env());
+      derived_runner.step(model.env());
+    }
     detail = std::to_string(vunit.directives().size()) + " directives + " +
              std::to_string(derived.directives().size()) +
              " spec-compiled, " +
              std::to_string(runner.failures() + derived_runner.failures()) +
              " failures, scoreboard " +
-             std::to_string(harness.host().data_mismatches()) + " mismatches";
+             std::to_string(scoreboard.data_mismatches()) + " mismatches";
     return runner.failures() == 0 && derived_runner.failures() == 0 &&
-           harness.host().data_mismatches() == 0 &&
-           harness.host().parity_errors() == 0;
+           scoreboard.data_mismatches() == 0 &&
+           scoreboard.parity_errors() == 0;
   });
 
   // 5. Behavioural -> RTL lockstep: the same pin activity into both models,
@@ -204,11 +207,9 @@ FlowReport run_flow(const FlowOptions& options) {
     lcfg.mem_addr_bits = bcfg.mem_addr_bits();
     lcfg.read_latency = bcfg.read_latency;
     harness::RtlDeviceModel rtl_model(lcfg);
-    harness::StimulusOptions so;
-    so.banks = banks;
-    so.mem_addr_bits = bcfg.mem_addr_bits();
-    so.data_bits = bcfg.data_bits;
-    harness::StimulusStream stream(so, options.seed);
+    harness::StimulusStream stream(
+        harness::StimulusOptions::for_geometry(beh_model.geometry()),
+        options.seed);
     harness::LockstepOptions lo;
     lo.transactions =
         static_cast<std::uint64_t>(options.lockstep_transactions);

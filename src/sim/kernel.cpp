@@ -15,7 +15,6 @@ void Process::trigger() {
 
 void Process::run() {
   pending_ = false;
-  ++activations_;
   body_();
 }
 
@@ -41,7 +40,6 @@ void Event::notify_at(Time delay) {
 
 void Event::fire() {
   delta_pending_ = false;
-  last_fired_ = kernel().now();
   for (Process* p : subscribers_) p->trigger();
 }
 

@@ -76,9 +76,6 @@ class Process : public Object {
   /// Runs the body once; used by the kernel during evaluation.
   void run();
 
-  /// Number of times the body has executed.
-  std::uint64_t activations() const { return activations_; }
-
   /// When true the process does not run in the initialization phase.
   void dont_initialize() { initialize_ = false; }
   bool initializes() const { return initialize_; }
@@ -87,7 +84,6 @@ class Process : public Object {
   std::function<void()> body_;
   bool pending_ = false;
   bool initialize_ = true;
-  std::uint64_t activations_ = 0;
 };
 
 /// A notification channel. Processes subscribe (static sensitivity) and the
@@ -111,15 +107,11 @@ class Event : public Object {
   /// Wakes all subscribers immediately (kernel internal / test use).
   void fire();
 
-  /// Timestamp of the most recent fire(); ~0 when never fired.
-  Time last_fired() const { return last_fired_; }
-
  private:
   friend class Kernel;
   std::vector<Process*> subscribers_;
   std::uint64_t generation_ = 0;
   bool delta_pending_ = false;
-  Time last_fired_ = ~Time{0};
 };
 
 /// Scheduler statistics, consumed by the Table-3 benchmark harness.

@@ -41,10 +41,8 @@ class Json {
   }
 
   Kind kind() const { return kind_; }
-  bool is_null() const { return kind_ == Kind::kNull; }
   bool is_object() const { return kind_ == Kind::kObject; }
   bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_number() const { return kind_ == Kind::kInt || kind_ == Kind::kDouble; }
 
   bool as_bool() const;
   std::int64_t as_int() const;

@@ -1,24 +1,10 @@
 #include "util/mem.hpp"
 
 #include <sys/resource.h>
-#include <unistd.h>
 
 #include <cstdio>
 
 namespace la1::util {
-
-std::size_t current_rss_bytes() {
-  FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  long pages_total = 0;
-  long pages_resident = 0;
-  const int got = std::fscanf(f, "%ld %ld", &pages_total, &pages_resident);
-  std::fclose(f);
-  const long page = sysconf(_SC_PAGESIZE);
-  if (got != 2 || page <= 0) return 0;
-  return static_cast<std::size_t>(pages_resident) *
-         static_cast<std::size_t>(page);
-}
 
 std::size_t peak_rss_bytes() {
   // VmHWM is this image's own high-water mark. getrusage's ru_maxrss is

@@ -6,9 +6,6 @@
 
 namespace la1::util {
 
-/// Current resident set size in bytes (Linux /proc based); 0 if unavailable.
-std::size_t current_rss_bytes();
-
 /// Peak resident set size in bytes of this process image (VmHWM, so a
 /// large launcher's footprint does not leak in across exec); 0 if
 /// unavailable.

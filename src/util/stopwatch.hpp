@@ -18,7 +18,6 @@ class Stopwatch {
   }
 
   double millis() const { return seconds() * 1e3; }
-  double micros() const { return seconds() * 1e6; }
 
  private:
   using clock = std::chrono::steady_clock;

@@ -3,9 +3,10 @@
 // symbolic checker over the RTL — the paper's one-suite-many-levels claim.
 #include <gtest/gtest.h>
 
+#include "harness/adapters.hpp"
+#include "host.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "la1/rtl_model.hpp"
 #include "mc/explicit.hpp"
@@ -42,14 +43,13 @@ TEST(Integration, MscDerivedPropertiesHoldOnBehavioralModel) {
   core::Config cfg;
   cfg.banks = 1;
   cfg.addr_bits = 4;
-  core::KernelHarness h(cfg);
-  util::Rng rng(3);
-  h.host().push_random(rng, 150);
+  test::Host<harness::BehavioralDeviceModel> h(cfg);
+  h.random(3);
 
   std::vector<std::unique_ptr<psl::Monitor>> monitors;
   for (const auto& d : suite.asserts) monitors.push_back(psl::compile(d.prop));
-  h.run_ticks(400, [&](int) {
-    for (auto& m : monitors) m->step(h.env());
+  h.run(400, [&](int) {
+    for (auto& m : monitors) m->step(h.model.env());
   });
   for (std::size_t i = 0; i < monitors.size(); ++i) {
     EXPECT_NE(monitors[i]->current(), psl::Verdict::kFailed)
@@ -98,13 +98,12 @@ TEST(Integration, TextualSuiteRunsCleanOnTraffic) {
   core::Config cfg;
   cfg.banks = 2;
   cfg.addr_bits = 5;
-  core::KernelHarness h(cfg);
-  util::Rng rng(12);
-  h.host().push_random(rng, 250);
+  test::Host<harness::BehavioralDeviceModel> h(cfg);
+  h.random(12);
   psl::VUnitRunner runner(core::behavioral_vunit(cfg));
-  h.run_ticks(700, [&](int) { runner.step(h.env()); });
+  h.run(700, [&](int) { runner.step(h.model.env()); });
   EXPECT_EQ(runner.failures(), 0u);
-  EXPECT_EQ(h.host().data_mismatches(), 0u);
+  EXPECT_EQ(h.scoreboard.data_mismatches(), 0u);
 }
 
 TEST(Integration, ObserverAgreesWithMonitorOnTraces) {

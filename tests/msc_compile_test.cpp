@@ -9,8 +9,9 @@
 #include <vector>
 
 #include "cov/coverage.hpp"
+#include "harness/adapters.hpp"
+#include "host.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "msc/charts.hpp"
 #include "msc/compile.hpp"
@@ -18,7 +19,6 @@
 #include "psl/monitor.hpp"
 #include "tgen/closure.hpp"
 #include "tgen/constrained.hpp"
-#include "util/rng.hpp"
 
 namespace la1::msc {
 namespace {
@@ -42,12 +42,11 @@ std::pair<std::uint64_t, std::uint64_t> run_lockstep(const core::Config& cfg,
   psl::VUnitRunner derived(suite.vunit());
   psl::VUnitRunner hand(hand_written_read(4));
 
-  core::KernelHarness h(cfg);
-  util::Rng rng(seed);
-  h.host().push_random(rng, 150);
-  h.run_ticks(500, [&](int) {
-    derived.step(h.env());
-    hand.step(h.env());
+  test::Host<harness::BehavioralDeviceModel> h(cfg);
+  h.random(seed);
+  h.run(500, [&](int) {
+    derived.step(h.model.env());
+    hand.step(h.model.env());
   });
   return {derived.failures(), hand.failures()};
 }

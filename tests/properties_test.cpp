@@ -385,9 +385,9 @@ TEST(Properties, TapSetsMatchModels) {
     // Behavioural: the kernel model's ProbeEnv.
     core::Config bcfg;
     bcfg.banks = banks;
-    core::KernelHarness kernel(bcfg);
+    harness::BehavioralDeviceModel beh_model(bcfg);
     for (const std::string& tap : names(Level::kBehavioural, banks)) {
-      EXPECT_TRUE(kernel.env().has(tap)) << tap;
+      EXPECT_TRUE(beh_model.env().has(tap)) << tap;
     }
     // ASM: locations of the initial state.
     core::AsmConfig acfg;
@@ -417,7 +417,6 @@ TEST(Properties, TapSetsMatchModels) {
     const std::vector<std::string> shared = names(Level::kHarness, banks);
     harness::AsmDeviceModel asm_model(acfg);
     EXPECT_EQ(asm_model.tap_names(), shared);
-    harness::BehavioralDeviceModel beh_model(bcfg);
     harness::RtlDeviceModel rtl_model(rcfg);
     const harness::RtlDevice csim_model =
         harness::make_rtl_device(rcfg, harness::RtlBackend::kCompiled);

@@ -5,8 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "harness/adapters.hpp"
+#include "host.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/properties.hpp"
 #include "la1/rtl_model.hpp"
 #include "psl/dfa.hpp"
@@ -245,9 +246,8 @@ class ByNameEnv : public Env {
 TEST(DfaBinding, ProbeIdsGiveTheSameVerdictsAsNames) {
   core::Config cfg;
   cfg.banks = 2;
-  core::KernelHarness h(cfg);
-  util::Rng rng(23);
-  h.host().push_random(rng, 300);
+  test::Host<harness::BehavioralDeviceModel> h(cfg);
+  h.random(23);
   const std::vector<std::string> props = {
       "always (b0.read_start -> next[4] b0.dout_valid_k)",
       "always (b1.dout_valid_k -> next[1] b1.dout_valid_ks)",
@@ -262,12 +262,12 @@ TEST(DfaBinding, ProbeIdsGiveTheSameVerdictsAsNames) {
     by_id.push_back(compile_dfa(parse_property(p)));
     by_name.push_back(compile_dfa(parse_property(p)));
   }
-  const core::ProbeEnv& env = h.env();
+  const core::ProbeEnv& env = h.model.env();
   EXPECT_GE(env.bind("b0.read_start"), 0);
   EXPECT_EQ(env.bind("no_such_probe"), -1);
   const ByNameEnv names(env);
   int failed = 0;
-  h.run_ticks(800, [&](int tick) {
+  h.run(800, [&](int tick) {
     for (std::size_t i = 0; i < props.size(); ++i) {
       by_id[i]->step(env);
       by_name[i]->step(names);

@@ -4,11 +4,8 @@
 #include "harness/lockstep.hpp"
 #include "harness/stimulus.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
 #include "refine/flow.hpp"
-#include "rtl/sim.hpp"
-#include "util/rng.hpp"
 
 namespace la1::refine {
 namespace {
@@ -90,34 +87,26 @@ TEST(Lockstep, DetectsInjectedDivergence) {
   cfg.data_bits = 16;
   cfg.addr_bits = 4;
 
-  // Re-run lockstep manually with a faulty behavioural device.
-  core::KernelHarness h(cfg);
-  h.device().bank(0).inject(core::Bank::Fault::kDropBeat1);
-  util::Rng rng(3);
-  h.host().push_random(rng, 100);
-
+  // Re-run lockstep manually with a faulty behavioural device (run_lockstep
+  // would reset the fault away).
+  harness::BehavioralDeviceModel beh_model(cfg);
+  beh_model.device().bank(0).inject(core::Bank::Fault::kDropBeat1);
   core::RtlConfig rcfg;
   rcfg.banks = cfg.banks;
   rcfg.data_bits = cfg.data_bits;
   rcfg.mem_addr_bits = cfg.mem_addr_bits();
-  core::RtlDevice dev = core::build_device(rcfg);
-  const rtl::Module flat = dev.flatten();
-  rtl::CycleSim sim(flat);
-  const rtl::NetId tap = flat.find_net("bank0.dout_valid_ks_q");
+  harness::RtlDeviceModel rtl_model(rcfg);
+  harness::StimulusStream stream(
+      harness::StimulusOptions::for_geometry(beh_model.geometry()), 3);
 
   bool diverged = false;
-  h.run_ticks(300, [&](int tick) {
-    core::Pins& pins = h.pins();
-    sim.set_input_bit("R_n", pins.r_sel_n.read());
-    sim.set_input_bit("W_n", pins.w_sel_n.read());
-    sim.set_input("A", pins.addr.read());
-    sim.set_input("D", pins.din.read());
-    sim.set_input("BWE_n", pins.bwe_n.read());
-    sim.edge(tick % 2 == 0 ? "K" : "KS", rtl::Edge::kPos);
-    const bool rtl_beat1 = sim.get(tap).bit(0) == rtl::Logic::k1;
-    diverged = diverged ||
-               (rtl_beat1 != h.device().bank(0).taps().dout_valid_ks);
-  });
+  for (int t = 0; t < 300; ++t) {
+    const harness::Edge edge = harness::edge_of_tick(t);
+    if (edge == harness::Edge::kK) beh_model.enqueue(stream.next());
+    rtl_model.apply_edge(beh_model.tick(edge));
+    diverged = diverged || rtl_model.tap("b0.dout_valid_ks") !=
+                               beh_model.tap("b0.dout_valid_ks");
+  }
   EXPECT_TRUE(diverged);
 }
 

@@ -495,7 +495,8 @@ if [ "$batch" -eq 1 ]; then
 fi
 
 # Bench smoke: every bench_table* binary must emit a parseable --json
-# report; the 3-way lockstep example must agree across the levels.
+# report; the 3-way lockstep example must agree across the levels, and the
+# scoreboarded examples must pass.
 "$build_dir/bench/bench_table1_asm_mc" --max-banks 1 --max-states 20000 \
   --json "$smoke_dir/table1.json" > /dev/null
 "$build_dir/bench/bench_table2_symbolic_mc" --max-banks 1 \
@@ -514,6 +515,12 @@ fi
   --json "$smoke_dir/plan.json" > /dev/null
 "$build_dir/examples/nway_lockstep" --banks-list 1,2 --transactions 200 \
   --json "$smoke_dir/nway.json" > /dev/null
+# The examples that drive the behavioural model through the harness
+# transactor and scoreboard exit nonzero on a monitor failure or a
+# scoreboard mismatch.
+for example in quickstart packet_lookup verification_unit; do
+  "$build_dir/examples/$example" > /dev/null
+done
 # Ablation C is the only non-test caller of plain ASM reachability; run it
 # small so that path keeps working (exit status only).
 "$build_dir/bench/bench_ablation_domains" --max-states 2000 > /dev/null
@@ -563,8 +570,9 @@ if [ -z "$partitioned_row" ] || [ "$partitioned_row" != "$monolithic_row" ]; the
 fi
 
 # Table 3 row 1: the behavioural PSL suite (catalog rows P1/P2/P4) and the
-# RTL OVL monitors raise no failure on stock traffic, and every backend
-# reaches the same verdicts.
+# RTL OVL monitors raise no failure on stock traffic, and both RTL backends
+# fire the same monitors, on stock traffic and on a read_latency = 3 device
+# where the latency monitors must fire.
 if ! grep -q '"failures": 0,' "$smoke_dir/table3.json" ||
    ! grep -q '"verdicts_equal": true' "$smoke_dir/table3.json"; then
   echo "ci: Table 3 row 1 has monitor failures or unequal verdicts" >&2

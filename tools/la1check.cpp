@@ -21,7 +21,6 @@
 #include "harness/lockstep.hpp"
 #include "la1/asm_model.hpp"
 #include "la1/behavioral.hpp"
-#include "la1/host_bfm.hpp"
 #include "la1/rtl_model.hpp"
 #include "lint/fixtures.hpp"
 #include "lint/netlist_lint.hpp"
@@ -83,7 +82,7 @@ int run_sim(const util::Cli& cli) {
     throw std::invalid_argument("sim needs --prop or --vunit-file");
   }
 
-  core::KernelHarness h(cfg);
+  harness::BehavioralDeviceModel model(cfg);
   // Unknown atoms fail here, before the monitors unroll any repetition.
   for (const psl::Directive& d : vunit.directives()) {
     std::set<std::string> signals;
@@ -93,15 +92,23 @@ int run_sim(const util::Cli& cli) {
       psl::collect_signals(*d.prop, signals);
     }
     for (const std::string& signal : signals) {
-      if (!h.env().has(signal)) {
+      if (!model.env().has(signal)) {
         throw std::invalid_argument("ProbeEnv: unknown signal: " + signal);
       }
     }
   }
-  util::Rng rng(cli.get_u64("seed", 1));
-  h.host().push_random(rng, ticks / 2);
+  // One draw per K cycle: memory stays constant at any --ticks.
+  harness::StimulusStream stream(
+      harness::StimulusOptions::for_geometry(model.geometry()),
+      cli.get_u64("seed", 1));
+  harness::Scoreboard scoreboard(model.geometry(), cfg.read_latency);
   psl::VUnitRunner monitors(vunit);
-  h.run_ticks(ticks, [&](int) { monitors.step(h.env()); });
+  for (int t = 0; t < ticks; ++t) {
+    const harness::Edge edge = harness::edge_of_tick(t);
+    if (edge == harness::Edge::kK) model.enqueue(stream.next());
+    scoreboard.step(model.tick(edge), model);
+    monitors.step(model.env());
+  }
 
   std::printf("simulated %d half-cycles on %d bank(s)\n", ticks, cfg.banks);
   bool failed = false;
@@ -119,8 +126,8 @@ int run_sim(const util::Cli& cli) {
     }
   }
   std::printf("scoreboard: %llu reads checked, %llu mismatches\n",
-              static_cast<unsigned long long>(h.host().reads_checked()),
-              static_cast<unsigned long long>(h.host().data_mismatches()));
+              static_cast<unsigned long long>(scoreboard.reads_checked()),
+              static_cast<unsigned long long>(scoreboard.data_mismatches()));
   return failed ? 1 : 0;
 }
 

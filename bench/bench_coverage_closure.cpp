@@ -1,7 +1,7 @@
 // Coverage-closure bench — the coverage-driven companion to the fault
 // campaign.
 //
-// Three experiments per run:
+// Five experiments per run:
 //
 //   1. Closure vs uniform: for 1..max banks, run the closed-loop closure
 //      driver (src/tgen) to its target, then measure what plain uniform
@@ -16,9 +16,9 @@
 //      and its lockstep detection score over a fixed protocol-fault set,
 //      and report the Pearson correlation — the cross-validation that the
 //      coverage model measures something the fault campaign cares about.
-//   4. Parallel seed sweep: fan N independent closure seeds across the
-//      work-stealing executor (tgen::run_closure_epochs_parallel), pick
-//      the best-covering seed, and assert the sweep report is
+//   4. Parallel seed sweep: one `cov-closure` batch job of N seeds
+//      (batch::run_batch, the la1batch runner, on its fixed geometry),
+//      pick the best-covering seed, and assert the job's hash is
 //      byte-identical at 1 worker and at --sweep-workers.
 //   5. Backend verdict equality: the protocol-fault lockstep detection
 //      run of experiment 3, with the real RTL device as the faulted
@@ -34,11 +34,13 @@
 //   --sweep-shards N    seeds in the parallel sweep (default 4)
 //   --sweep-workers N   workers for the sweep run (default 4)
 //   --json PATH         write the {bench, params, metrics} report
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "batch/runner.hpp"
 #include "cov/coverage.hpp"
 #include "fault/fault.hpp"
 #include "harness/adapters.hpp"
@@ -292,48 +294,64 @@ int main(int argc, char** argv) {
     report.metric(std::move(row));
   }
 
-  // --- 4. parallel seed sweep on the work-stealing executor -------------
+  // --- 4. parallel seed sweep: one cov-closure batch job ----------------
   {
-    tgen::ClosureOptions opt;
-    opt.geometry.banks = max_banks;
-    opt.seed = seed;
-    opt.target = target;
-    opt.transactions_per_epoch = per_epoch;
-    opt.budget.max_epochs = epochs;
+    batch::JobSpec job;
+    job.name = "seed_sweep";
+    job.kind = batch::JobKind::kCovClosure;
+    job.banks = max_banks;
+    job.seed = seed;
+    job.shards = std::max(1, sweep_shards);
+    job.target = target;
+    job.max_epochs = epochs;
+    job.transactions_per_epoch = per_epoch;
+    batch::BatchSpec spec;
+    spec.jobs.push_back(job);
 
-    tgen::ClosureSweepOptions sw;
-    sw.shards = sweep_shards;
-
-    // Same sweep at 1 worker and at --sweep-workers: the merged report
-    // (and its hash) must be byte-identical — schedule-independence is
-    // what makes the "best seed" answer trustworthy.
-    sw.workers = 1;
-    exec::PoolStats seq_stats;
-    const tgen::ClosureSweepResult sequential =
-        tgen::run_closure_epochs_parallel(opt, sw, &seq_stats);
-    sw.workers = sweep_workers;
-    exec::PoolStats par_stats;
-    const tgen::ClosureSweepResult parallel =
-        tgen::run_closure_epochs_parallel(opt, sw, &par_stats);
+    // Same sweep at 1 worker and at --sweep-workers: the job's merged
+    // shard array (and its hash) must be byte-identical — schedule-
+    // independence is what makes the "best seed" answer trustworthy.
+    batch::RunnerOptions ropt;
+    ropt.workers = 1;
+    const batch::BatchResult sequential = batch::run_batch(spec, ropt);
+    ropt.workers = sweep_workers;
+    const batch::BatchResult parallel = batch::run_batch(spec, ropt);
+    const exec::PoolStats& par_stats = parallel.stats;
     for (const exec::WorkerStats& ws : par_stats.per_worker) {
       report.add_worker_cpu(ws.cpu_seconds);
     }
 
-    const std::uint64_t seq_hash = util::fnv1a64(sequential.to_json().dump());
-    const std::uint64_t par_hash = util::fnv1a64(parallel.to_json().dump());
+    // Shard k ran closure at seed + k; its value is ClosureResult::to_json.
+    const batch::JobResult& sweep = parallel.jobs.front();
+    int best_shard = -1;
+    double best_coverage = 0.0;
+    std::uint64_t total_transactions = 0;
+    for (const util::Json& row : sweep.merged.items()) {
+      const util::Json* value = row.find("value");
+      if (value == nullptr) continue;
+      const double c = value->find("coverage")->as_double();
+      if (c > best_coverage) {
+        best_coverage = c;
+        best_shard = static_cast<int>(row.find("shard")->as_int());
+      }
+      total_transactions +=
+          static_cast<std::uint64_t>(value->find("transactions")->as_int());
+    }
+    const std::uint64_t best_seed =
+        seed + static_cast<std::uint64_t>(best_shard);
+    const int degraded = sweep.shards - sweep.ok;
+
+    const std::uint64_t seq_hash = sequential.jobs.front().hash;
+    const std::uint64_t par_hash = sweep.hash;
     const bool same = seq_hash == par_hash;
-    const bool all_ok = parallel.degraded == 0 && parallel.best_shard >= 0;
+    const bool all_ok = degraded == 0 && best_shard >= 0;
     ok = ok && same && all_ok;
 
     std::printf("\nparallel seed sweep: %d seed(s) from %llu, best seed %llu "
                 "at %.1f%% coverage (%d ok, %d degraded)\n",
-                sweep_shards,
-                static_cast<unsigned long long>(parallel.base_seed),
-                static_cast<unsigned long long>(
-                    parallel.base_seed +
-                    static_cast<std::uint64_t>(parallel.best_shard)),
-                100.0 * parallel.best_coverage, parallel.ok,
-                parallel.degraded);
+                sweep.shards, static_cast<unsigned long long>(seed),
+                static_cast<unsigned long long>(best_seed),
+                100.0 * best_coverage, sweep.ok, degraded);
     std::printf("sweep determinism: hash %016llx at 1 worker, %016llx at %d "
                 "-> %s\n",
                 static_cast<unsigned long long>(seq_hash),
@@ -345,14 +363,13 @@ int main(int argc, char** argv) {
     row.set("banks", max_banks);
     row.set("shards", sweep_shards);
     row.set("workers", sweep_workers);
-    row.set("best_seed", parallel.base_seed +
-                             static_cast<std::uint64_t>(parallel.best_shard));
-    row.set("best_coverage", parallel.best_coverage);
-    row.set("ok", parallel.ok);
-    row.set("degraded", parallel.degraded);
+    row.set("best_seed", best_seed);
+    row.set("best_coverage", best_coverage);
+    row.set("ok", sweep.ok);
+    row.set("degraded", degraded);
     row.set("total_transactions",
-            static_cast<std::int64_t>(parallel.total_transactions));
-    row.set("wall_seconds_1", seq_stats.wall_seconds);
+            static_cast<std::int64_t>(total_transactions));
+    row.set("wall_seconds_1", sequential.stats.wall_seconds);
     row.set("wall_seconds_n", par_stats.wall_seconds);
     row.set("worker_cpu_seconds", par_stats.total_cpu_seconds());
     row.set("utilization", par_stats.utilization());

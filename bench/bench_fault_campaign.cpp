@@ -13,8 +13,10 @@
 // (src/exec) at every worker count in --workers, and the bench asserts
 // the determinism contract: the campaign report hashes byte-identically
 // at 1, 2, 4, ... workers. The scaling table reports wall time, speedup
-// over one worker, pool utilization, and steal counts; the speedup gate
-// only arms when the host actually has the cores to show one.
+// over one worker, pool utilization, steal counts, and each worker's
+// shards, busy and thread-CPU milliseconds (the JSON rows carry the whole
+// exec::PoolStats); the speedup gate only arms when the host actually has
+// the cores to show one.
 //
 // Each bank count then re-runs the whole campaign on the compiled
 // bit-parallel RTL backend (src/csim) and asserts the report hashes
@@ -44,6 +46,24 @@
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// One "shards busy/cpu" entry per worker (milliseconds): a speedup near 1x
+/// with busy time well above CPU time means the workers were stalled inside
+/// the shard bodies, not starved of shards.
+std::string per_worker(const la1::exec::PoolStats& stats) {
+  std::string out;
+  for (const la1::exec::WorkerStats& w : stats.per_worker) {
+    if (!out.empty()) out += ", ";
+    out += std::to_string(w.shards) + " " +
+           la1::util::fmt_double(1e3 * w.busy_seconds, 0) + "/" +
+           la1::util::fmt_double(1e3 * w.cpu_seconds, 0);
+  }
+  return out;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace la1;
@@ -87,7 +107,8 @@ int main(int argc, char** argv) {
                      "psl", "ovl", "lockstep", "mc", "Clean Run",
                      "CPU Time (s)"});
   util::Table scaling({"Number of Banks", "Workers", "Wall (s)", "Speedup",
-                       "Util (%)", "Steals", "Retried", "Report Hash",
+                       "Util (%)", "Steals", "Retried",
+                       "Per Worker (shards busy/cpu ms)", "Report Hash",
                        "Identical"});
   bool score_ok = true;
   bool clean_ok = true;
@@ -108,7 +129,7 @@ int main(int argc, char** argv) {
     std::uint64_t base_hash = 0;
     double cpu_total = 0.0;
     for (std::size_t i = 0; i < workers_list.size(); ++i) {
-      fault::ParallelOptions par;
+      exec::Options par;
       par.workers = workers_list[i];
       par.steal_seed = steal_seed;
       exec::PoolStats stats;
@@ -147,8 +168,8 @@ int main(int argc, char** argv) {
                          }
                          return steals;
                        }()),
-                       std::to_string(stats.retried), hash_hex,
-                       same ? "yes" : "NO"});
+                       std::to_string(stats.retried), per_worker(stats),
+                       hash_hex, same ? "yes" : "NO"});
 
       util::Json m = util::Json::object();
       m.set("kind", "scaling");
@@ -163,6 +184,7 @@ int main(int argc, char** argv) {
       m.set("crashed", stats.crashed);
       m.set("hash", hash_hex);
       m.set("hash_matches", same);
+      m.set("pool", stats.to_json());
       report.metric(std::move(m));
     }
 
@@ -171,7 +193,7 @@ int main(int argc, char** argv) {
     {
       fault::CampaignOptions copt = opt;
       copt.backend = harness::RtlBackend::kCompiled;
-      fault::ParallelOptions par;
+      exec::Options par;
       par.workers = workers_list.front();
       par.steal_seed = steal_seed;
       util::CpuStopwatch watch;

@@ -225,14 +225,6 @@ BatchResult run_batch(const BatchSpec& spec, const RunnerOptions& options) {
     from_journal[i] = true;
   }
 
-  exec::Options eopt;
-  eopt.workers = options.workers;
-  eopt.steal_seed = options.steal_seed;
-  eopt.shard_wall_ms = options.shard_wall_ms;
-  eopt.max_retries = options.max_retries;
-  eopt.backoff_ms = options.backoff_ms;
-  eopt.cancel = options.cancel;
-
   const auto body = [&](const exec::Context& ctx) -> util::Json {
     const GlobalShard& gs = all[pending[static_cast<std::size_t>(ctx.shard())]];
     const JobSpec& job = spec.jobs[gs.job];
@@ -254,7 +246,7 @@ BatchResult run_batch(const BatchSpec& spec, const RunnerOptions& options) {
     }
   };
   const std::vector<exec::ShardResult> fresh = exec::run_shards(
-      static_cast<int>(pending.size()), body, eopt, &out.stats);
+      static_cast<int>(pending.size()), body, options, &out.stats);
 
   for (std::size_t k = 0; k < fresh.size(); ++k) {
     const std::size_t gi = pending[k];

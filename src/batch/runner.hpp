@@ -25,18 +25,12 @@
 
 namespace la1::batch {
 
-struct RunnerOptions {
-  int workers = 1;
-  std::uint64_t steal_seed = 1;
-  /// Per-shard cooperative wall deadline; 0 = none.
-  std::uint64_t shard_wall_ms = 0;
-  int max_retries = 1;
-  std::uint64_t backoff_ms = 10;
+/// The executor's scheduling knobs, plus the journal.
+struct RunnerOptions : exec::Options {
   /// JSONL journal path; empty = no journal. With `resume`, shards already
   /// recorded (ok/timeout/crashed) are replayed instead of re-run.
   std::string journal_path;
   bool resume = false;
-  const exec::CancelToken* cancel = nullptr;
 };
 
 /// One job's merged outcome.

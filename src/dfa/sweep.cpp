@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "dfa/translate.hpp"
 
 namespace la1::dfa {
 namespace {
@@ -69,48 +70,6 @@ struct Candidate {
   int b = -1;           // state position of the twin (pairs only)
   bool value = false;   // kConst
 };
-
-/// Translates a BitGraph node into the manager (identity variable map).
-bdd::NodeId translate(const rtl::BitGraph& graph, bdd::Manager& mgr, int id,
-                      std::vector<bdd::NodeId>& memo,
-                      std::vector<char>& have) {
-  if (have[static_cast<std::size_t>(id)]) {
-    return memo[static_cast<std::size_t>(id)];
-  }
-  const rtl::BitGraph::Node& n = graph.node(id);
-  bdd::NodeId out = bdd::kFalse;
-  switch (n.kind) {
-    case rtl::BitGraph::Kind::kConst:
-      out = mgr.constant(id == graph.true_node());
-      break;
-    case rtl::BitGraph::Kind::kVar:
-      out = mgr.var(n.var);
-      break;
-    case rtl::BitGraph::Kind::kNot:
-      out = mgr.apply_not(translate(graph, mgr, n.a, memo, have));
-      break;
-    case rtl::BitGraph::Kind::kAnd:
-      out = mgr.apply_and(translate(graph, mgr, n.a, memo, have),
-                          translate(graph, mgr, n.b, memo, have));
-      break;
-    case rtl::BitGraph::Kind::kOr:
-      out = mgr.apply_or(translate(graph, mgr, n.a, memo, have),
-                         translate(graph, mgr, n.b, memo, have));
-      break;
-    case rtl::BitGraph::Kind::kXor:
-      out = mgr.apply_xor(translate(graph, mgr, n.a, memo, have),
-                          translate(graph, mgr, n.b, memo, have));
-      break;
-    case rtl::BitGraph::Kind::kMux:
-      out = mgr.ite(translate(graph, mgr, n.a, memo, have),
-                    translate(graph, mgr, n.b, memo, have),
-                    translate(graph, mgr, n.c, memo, have));
-      break;
-  }
-  memo[static_cast<std::size_t>(id)] = out;
-  have[static_cast<std::size_t>(id)] = 1;
-  return out;
-}
 
 }  // namespace
 
@@ -193,9 +152,7 @@ InvariantSet sweep(const rtl::BitBlast& bb, const SweepOptions& options) {
   try {
     bdd::Manager mgr(static_cast<int>(bb.vars.size()));
     mgr.set_node_limit(options.node_limit);
-    std::vector<bdd::NodeId> memo(static_cast<std::size_t>(bb.graph.size()),
-                                  bdd::kFalse);
-    std::vector<char> have(static_cast<std::size_t>(bb.graph.size()), 0);
+    BddTranslator translate(bb.graph, mgr);
 
     auto cur_eq = [&](const Candidate& c) -> bdd::NodeId {
       const int va = bb.state_vars[static_cast<std::size_t>(c.a)];
@@ -207,15 +164,13 @@ InvariantSet sweep(const rtl::BitBlast& bb, const SweepOptions& options) {
       return c.kind == Candidate::Kind::kEqual ? mgr.apply_not(x) : x;
     };
     auto next_eq = [&](const Candidate& c) -> bdd::NodeId {
-      const bdd::NodeId fa = translate(
-          bb.graph, mgr, bb.next_fn[static_cast<std::size_t>(c.a)], memo,
-          have);
+      const bdd::NodeId fa =
+          translate(bb.next_fn[static_cast<std::size_t>(c.a)]);
       if (c.kind == Candidate::Kind::kConst) {
         return c.value ? fa : mgr.apply_not(fa);
       }
-      const bdd::NodeId fb = translate(
-          bb.graph, mgr, bb.next_fn[static_cast<std::size_t>(c.b)], memo,
-          have);
+      const bdd::NodeId fb =
+          translate(bb.next_fn[static_cast<std::size_t>(c.b)]);
       const bdd::NodeId x = mgr.apply_xor(fa, fb);
       return c.kind == Candidate::Kind::kEqual ? mgr.apply_not(x) : x;
     };

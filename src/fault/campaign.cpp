@@ -777,7 +777,7 @@ CampaignReport run_campaign(const CampaignOptions& options) {
 }
 
 CampaignReport run_campaign_parallel(const CampaignOptions& options,
-                                     const ParallelOptions& parallel,
+                                     const exec::Options& parallel,
                                      exec::PoolStats* stats) {
   CampaignReport report;
   report.banks = options.banks;
@@ -786,14 +786,6 @@ CampaignReport run_campaign_parallel(const CampaignOptions& options,
   report.checkers = {"psl", "ovl", "lockstep", "mc"};
 
   const CampaignSetup setup = campaign_setup(options);
-
-  exec::Options eopt;
-  eopt.workers = parallel.workers;
-  eopt.steal_seed = parallel.steal_seed;
-  eopt.shard_wall_ms = parallel.shard_wall_ms;
-  eopt.max_retries = parallel.max_retries;
-  eopt.backoff_ms = parallel.backoff_ms;
-  eopt.cancel = parallel.cancel;
 
   // Shard 0 is the control run, shards 1..B the lane batches, then one MC
   // shard per fault that gets a symbolic check. The merge below walks the
@@ -837,7 +829,7 @@ CampaignReport run_campaign_parallel(const CampaignOptions& options,
     return j;
   };
   const std::vector<exec::ShardResult> results =
-      exec::run_shards(shard_count, body, eopt, stats);
+      exec::run_shards(shard_count, body, parallel, stats);
 
   const exec::ShardResult& control = results[0];
   if (control.ok()) {

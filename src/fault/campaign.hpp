@@ -28,6 +28,10 @@
 // alarms: a checker that fires on the pristine device invalidates the
 // whole campaign. Reports render as util::Table and round-trip through
 // util::Json.
+//
+// run_campaign_parallel shards the same campaign onto the work-stealing
+// executor (exec/executor.hpp) and is scheduled by plain exec::Options, as
+// is every other parallel run (batch::RunnerOptions extends them).
 #pragma once
 
 #include <atomic>
@@ -99,23 +103,9 @@ struct CampaignOptions {
   harness::RtlBackend backend = harness::RtlBackend::kInterpreted;
 };
 
-/// Scheduling knobs for run_campaign_parallel (the control run, one shard
-/// per lane batch, one per symbolic check). The merged report is
-/// byte-identical to the sequential run_campaign at any worker count /
-/// steal seed as long as no shard is degraded by a deadline, crash, or
-/// cancellation.
-struct ParallelOptions {
-  int workers = 1;
-  std::uint64_t steal_seed = 1;
-  /// Per-shard cooperative wall deadline; 0 = none. A shard that overruns
-  /// is retried (exponential backoff) and finally degraded: its cells turn
-  /// kTimeout (a lane batch's psl/ovl/lockstep cells, a symbolic check's
-  /// mc cell) — the campaign itself never wedges.
-  std::uint64_t shard_wall_ms = 0;
-  int max_retries = 1;
-  std::uint64_t backoff_ms = 10;
-  const exec::CancelToken* cancel = nullptr;
-};
+/// Scheduling knobs of run_campaign_parallel are the executor's own. The
+/// alias is kept because perfbench/src/campaign.cpp names the type.
+using ParallelOptions = exec::Options;
 
 struct CampaignReport {
   int banks = 1;
@@ -185,11 +175,15 @@ CampaignReport run_campaign(const CampaignOptions& options);
 
 /// The same campaign on the work-stealing executor: shard 0 is the control
 /// run, then one shard per lane batch, then one per symbolic check; rows
-/// merge back in plan order. Crashed or timed-out shards degrade to
-/// quarantined cells instead of taking the campaign down. `stats`, when
-/// non-null, receives pool telemetry.
+/// merge back in plan order. The merged report is byte-identical to
+/// run_campaign's at any worker count / steal seed as long as no shard is
+/// degraded. A shard that overruns `parallel.shard_wall_ms` is retried and
+/// finally degraded: its cells turn kTimeout (a lane batch's
+/// psl/ovl/lockstep cells, a symbolic check's mc cell), and a crashed shard
+/// is quarantined the same way — the campaign itself never wedges. `stats`,
+/// when non-null, receives pool telemetry.
 CampaignReport run_campaign_parallel(const CampaignOptions& options,
-                                     const ParallelOptions& parallel,
+                                     const exec::Options& parallel,
                                      exec::PoolStats* stats = nullptr);
 
 }  // namespace la1::fault

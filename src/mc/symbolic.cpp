@@ -6,9 +6,9 @@
 #include <deque>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "dfa/sweep.hpp"
+#include "dfa/translate.hpp"
 #include "flow/mc_cone.hpp"
 #include "lint/psl_lint.hpp"
 #include "util/mem.hpp"
@@ -50,6 +50,18 @@ Observer build_observer(const psl::PropPtr& prop, int max_states) {
 }
 
 namespace {
+
+/// Static BDD variable order of the state bits.
+enum class VarOrder {
+  /// Bit-major: all lane-0 bits of every register, then lane 1, ... Keeps
+  /// same-lane bits of related registers adjacent (the first attempt; see
+  /// the ordering comment in check_once).
+  kBitMajor,
+  /// Register-major: each register's bits contiguous, instances grouped.
+  /// The automatic-retry order — occasionally wins where bit-major blows
+  /// up, and a cheap source of order diversity either way.
+  kRegisterMajor,
+};
 
 /// Internal control-flow exception: the wall-clock budget expired. Caught
 /// at the top level of check_once and turned into a qualified verdict,
@@ -136,63 +148,6 @@ std::string Encoding::state_bit_name(int rank) const {
   }
   return "__observer[" + std::to_string(rank - n_model) + "]";
 }
-
-/// Translates a BitGraph node into a BDD over the encoding's variables.
-/// `leaf_override` (optional, indexed by BitGraph variable) replaces a
-/// variable leaf with an arbitrary BDD — the invariant-substitution hook
-/// that rewrites redundant state bits to constants or (negated)
-/// representative variables.
-class Translator {
- public:
-  Translator(const rtl::BitGraph& graph, bdd::Manager& mgr,
-             const std::vector<int>& var_map,
-             const std::vector<bdd::NodeId>* leaf_override = nullptr,
-             const std::vector<char>* has_override = nullptr)
-      : graph_(&graph),
-        mgr_(&mgr),
-        var_map_(&var_map),
-        leaf_override_(leaf_override),
-        has_override_(has_override) {}
-
-  bdd::NodeId operator()(int node) {
-    auto it = memo_.find(node);
-    if (it != memo_.end()) return it->second;
-    const rtl::BitGraph::Node& n = graph_->node(node);
-    bdd::NodeId out = bdd::kFalse;
-    using Kind = rtl::BitGraph::Kind;
-    switch (n.kind) {
-      case Kind::kConst: out = node == 1 ? bdd::kTrue : bdd::kFalse; break;
-      case Kind::kVar: {
-        if (has_override_ != nullptr &&
-            (*has_override_)[static_cast<std::size_t>(n.var)]) {
-          out = (*leaf_override_)[static_cast<std::size_t>(n.var)];
-          break;
-        }
-        const int v = (*var_map_)[static_cast<std::size_t>(n.var)];
-        if (v < 0) throw std::logic_error("unmapped BitGraph variable");
-        out = mgr_->var(v);
-        break;
-      }
-      case Kind::kNot: out = mgr_->apply_not((*this)(n.a)); break;
-      case Kind::kAnd: out = mgr_->apply_and((*this)(n.a), (*this)(n.b)); break;
-      case Kind::kOr: out = mgr_->apply_or((*this)(n.a), (*this)(n.b)); break;
-      case Kind::kXor: out = mgr_->apply_xor((*this)(n.a), (*this)(n.b)); break;
-      case Kind::kMux:
-        out = mgr_->ite((*this)(n.a), (*this)(n.b), (*this)(n.c));
-        break;
-    }
-    memo_.emplace(node, out);
-    return out;
-  }
-
- private:
-  const rtl::BitGraph* graph_;
-  bdd::Manager* mgr_;
-  const std::vector<int>* var_map_;
-  const std::vector<bdd::NodeId>* leaf_override_;
-  const std::vector<char>* has_override_;
-  std::unordered_map<int, bdd::NodeId> memo_;
-};
 
 using Subst = flow::McCone::Subst;
 using SubstKind = flow::McCone::SubstKind;
@@ -526,24 +481,21 @@ SymbolicResult check_once(const rtl::BitBlast& design, const Observer& obs,
     // state bit. Constants become terminals; aliases become the (possibly
     // negated) current variable of their representative, which the cone
     // computation guaranteed is active whenever the alias is referenced.
-    std::vector<bdd::NodeId> leaf_override(design.vars.size(), bdd::kFalse);
-    std::vector<char> has_override(design.vars.size(), 0);
+    std::vector<bdd::NodeId> leaf_override(design.vars.size(),
+                                           dfa::BddTranslator::kNone);
     for (std::size_t k = 0; k < design.state_vars.size(); ++k) {
       const std::size_t gv = static_cast<std::size_t>(design.state_vars[k]);
       if (subs[k].kind == SubstKind::kConst) {
         leaf_override[gv] = mgr.constant(subs[k].value);
-        has_override[gv] = 1;
       } else if (subs[k].kind == SubstKind::kAlias) {
         const int rv = var_map[static_cast<std::size_t>(
             design.state_vars[subs[k].root])];
         if (rv >= 0) {
           leaf_override[gv] = subs[k].negate ? mgr.nvar(rv) : mgr.var(rv);
-          has_override[gv] = 1;
         }
       }
     }
-    Translator translate(design.graph, mgr, var_map, &leaf_override,
-                         &has_override);
+    dfa::BddTranslator translate(design.graph, mgr, &var_map, &leaf_override);
     enc.state_at_rank = state_at_rank;
 
     // Model next-state conjuncts: s'_i <-> f_i(s, x), in rank order so the
@@ -832,7 +784,7 @@ void preflight_lint(const rtl::BitBlast& design, const psl::PropPtr& prop) {
 SymbolicResult check(const rtl::BitBlast& design, const Observer& observer,
                      const SymbolicOptions& options) {
   SymbolicResult first =
-      check_once(design, observer, options, options.var_order);
+      check_once(design, observer, options, VarOrder::kBitMajor);
   // Graceful degradation: one automatic retry under the alternate variable
   // order, with a fresh budget, when a *budgeted* run exhausted a resource.
   // Unbudgeted runs keep the historical single-shot behaviour (the Table-2
@@ -841,11 +793,8 @@ SymbolicResult check(const rtl::BitBlast& design, const Observer& observer,
       options.budget.cancel_requested()) {
     return first;
   }
-  SymbolicOptions retry = options;
-  retry.var_order = options.var_order == VarOrder::kBitMajor
-                        ? VarOrder::kRegisterMajor
-                        : VarOrder::kBitMajor;
-  SymbolicResult second = check_once(design, observer, retry, retry.var_order);
+  SymbolicResult second =
+      check_once(design, observer, options, VarOrder::kRegisterMajor);
   second.cpu_seconds += first.cpu_seconds;
   if (second.verdict.decisive()) {
     second.verdict.retries = 1;

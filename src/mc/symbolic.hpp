@@ -54,18 +54,6 @@ struct Observer {
 /// are reachable (not expected for the supported fragment).
 Observer build_observer(const psl::PropPtr& prop, int max_states = 1 << 12);
 
-/// Static BDD variable order of the state bits.
-enum class VarOrder {
-  /// Bit-major: all lane-0 bits of every register, then lane 1, ... Keeps
-  /// same-lane bits of related registers adjacent (the default; see the
-  /// ordering comment in symbolic.cpp).
-  kBitMajor,
-  /// Register-major: each register's bits contiguous, instances grouped.
-  /// The automatic-retry order — occasionally wins where bit-major blows
-  /// up, and a cheap source of order diversity either way.
-  kRegisterMajor,
-};
-
 struct SymbolicOptions {
   /// Live-BDD-node budget; 0 = unlimited. Exceeding it reports
   /// kStateExplosion (the Table-2 reproduction knob).
@@ -74,11 +62,10 @@ struct SymbolicOptions {
   /// iterations). Nonzero fields tighten node_limit and max_iterations;
   /// exhaustion degrades to a qualified SymbolicResult::verdict
   /// (BoundedPass/Unknown) instead of aborting, and triggers one automatic
-  /// retry under the alternate variable order. All-zero (the default) means
+  /// retry under the alternate variable order (bit-major first, then
+  /// register-major; see symbolic.cpp). All-zero (the default) means
   /// unlimited and disables the retry, so stock behaviour is unchanged.
   Budget budget;
-  /// Initial static variable order; the retry flips it.
-  VarOrder var_order = VarOrder::kBitMajor;
   /// Partitioned transition relation with early quantification vs one
   /// monolithic relation BDD (ablation A). The partitioned image clusters
   /// its conjuncts at the first source set above a fixed node bound; the

@@ -319,84 +319,6 @@ ClosureResult run_closure(const ClosureOptions& options) {
   return result;
 }
 
-util::Json ClosureSweepResult::to_json() const {
-  util::Json arr = util::Json::array();
-  for (const exec::ShardResult& s : shards) {
-    util::Json row = util::Json::object();
-    row.set("shard", s.shard);
-    row.set("seed", base_seed + static_cast<std::uint64_t>(s.shard));
-    row.set("status", exec::to_string(s.status));
-    if (!s.error.empty()) row.set("error", s.error);
-    if (s.ok()) row.set("result", s.value);
-    arr.push(std::move(row));
-  }
-  util::Json doc = util::Json::object();
-  doc.set("base_seed", base_seed);
-  doc.set("ok", ok);
-  doc.set("degraded", degraded);
-  doc.set("best_shard", best_shard);
-  doc.set("best_coverage", best_coverage);
-  doc.set("total_transactions", total_transactions);
-  doc.set("shards", std::move(arr));
-  return doc;
-}
-
-ClosureSweepResult run_closure_epochs_parallel(const ClosureOptions& options,
-                                               const ClosureSweepOptions& sweep,
-                                               exec::PoolStats* stats) {
-  exec::Options eopt;
-  eopt.workers = sweep.workers;
-  eopt.steal_seed = sweep.steal_seed;
-  eopt.shard_wall_ms = sweep.shard_wall_ms;
-  eopt.max_retries = sweep.max_retries;
-  eopt.backoff_ms = sweep.backoff_ms;
-  eopt.cancel = sweep.cancel;
-
-  const int count = std::max(1, sweep.shards);
-  const auto body = [&](const exec::Context& ctx) -> util::Json {
-    ClosureOptions opt = options;
-    // One seed per shard; a retry after a deadline overrun perturbs the
-    // seed (high bits) so the second attempt explores a different
-    // trajectory, mirroring mc::check's flipped-order retry.
-    opt.seed = options.seed + static_cast<std::uint64_t>(ctx.shard()) +
-               (static_cast<std::uint64_t>(ctx.attempt()) << 32);
-    opt.cancel = ctx.cancel_flag();
-    const std::uint64_t remaining = ctx.remaining_ms();
-    if (remaining != ~0ull) {
-      // Fold the shard deadline into the closure budget so the run winds
-      // down cooperatively instead of being abandoned mid-epoch.
-      opt.budget.wall_ms = opt.budget.wall_ms == 0
-                               ? remaining
-                               : std::min(opt.budget.wall_ms, remaining);
-    }
-    const ClosureResult r = run_closure(opt);
-    ctx.poll();  // overrun/cancellation degrades the shard, not the sweep
-    return r.to_json();
-  };
-
-  ClosureSweepResult out;
-  out.base_seed = options.seed;
-  out.shards = exec::run_shards(count, body, eopt, stats);
-  for (const exec::ShardResult& s : out.shards) {
-    if (!s.ok()) {
-      ++out.degraded;
-      continue;
-    }
-    ++out.ok;
-    if (const util::Json* cov = s.value.find("coverage")) {
-      const double c = cov->as_double();
-      if (c > out.best_coverage) {
-        out.best_coverage = c;
-        out.best_shard = s.shard;
-      }
-    }
-    if (const util::Json* tx = s.value.find("transactions")) {
-      out.total_transactions += static_cast<std::uint64_t>(tx->as_int());
-    }
-  }
-  return out;
-}
-
 cov::CoverageReport uniform_coverage(const harness::Geometry& geometry,
                                      std::uint64_t seed,
                                      std::uint64_t transactions) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "cov/coverage.hpp"
-#include "exec/executor.hpp"
 #include "harness/stimulus.hpp"
 #include "tgen/constrained.hpp"
 #include "util/json.hpp"
@@ -115,43 +114,6 @@ Profile profile_for(const std::string& group, const std::string& bin,
 /// The closed loop. Epoch 0 runs the default Profile; every later epoch
 /// re-aims at the first uncovered bin of the least-covered group.
 ClosureResult run_closure(const ClosureOptions& options);
-
-/// Scheduling knobs for run_closure_epochs_parallel: `shards` independent
-/// closure runs (seeds base+0 .. base+shards-1) on the work-stealing
-/// executor. A shard that overruns `shard_wall_ms` is retried under a
-/// perturbed seed and finally degraded to a quarantined entry.
-struct ClosureSweepOptions {
-  int shards = 4;
-  int workers = 1;
-  std::uint64_t steal_seed = 1;
-  std::uint64_t shard_wall_ms = 0;
-  int max_retries = 1;
-  std::uint64_t backoff_ms = 10;
-  const exec::CancelToken* cancel = nullptr;
-};
-
-/// Merged outcome of a seed sweep. `shards` is in canonical shard order;
-/// each kOk entry's `value` is that run's ClosureResult::to_json(). The
-/// to_json() serialization contains only deterministic payloads (no
-/// timing/worker telemetry), so it is byte-identical at any worker count.
-struct ClosureSweepResult {
-  std::uint64_t base_seed = 1;
-  int ok = 0;
-  int degraded = 0;  // timeout/crashed/cancelled shards
-  int best_shard = -1;
-  double best_coverage = 0.0;
-  std::uint64_t total_transactions = 0;
-  std::vector<exec::ShardResult> shards;
-
-  util::Json to_json() const;
-};
-
-/// N-seed closure sweep on the executor: one shard per seed, merged in
-/// shard order. Crashed or timed-out shards degrade to quarantined
-/// entries instead of taking the sweep down.
-ClosureSweepResult run_closure_epochs_parallel(
-    const ClosureOptions& options, const ClosureSweepOptions& sweep,
-    exec::PoolStats* stats = nullptr);
 
 /// Baseline: coverage of plain uniform StimulusStream traffic (the PR-1
 /// generator) at the same transaction count — what closure must beat.

@@ -15,6 +15,7 @@
 #include <string>
 
 #include "batch/job.hpp"
+#include "tgen/closure.hpp"
 
 namespace la1 {
 namespace {
@@ -288,6 +289,41 @@ TEST(BatchRunner, McSweepShardsAreThePropertySuite) {
     const std::string verdict = value->find("verdict")->as_string();
     EXPECT_TRUE(verdict == "Proven" || verdict == "BoundedPass")
         << value->find("property")->as_string() << ": " << verdict;
+  }
+}
+
+TEST(BatchRunner, CovClosureShardsAreSeedIndexedClosureRuns) {
+  batch::JobSpec job;
+  job.name = "closure";
+  job.kind = batch::JobKind::kCovClosure;
+  job.banks = 2;
+  job.seed = 11;
+  job.shards = 2;
+  job.target = 0.9;
+  job.max_epochs = 5;
+  job.transactions_per_epoch = 80;
+  batch::BatchSpec spec;
+  spec.jobs.push_back(job);
+  const batch::BatchResult result =
+      batch::run_batch(spec, batch::RunnerOptions{});
+  ASSERT_TRUE(result.all_pass) << result.to_json(false).dump(2);
+  ASSERT_EQ(result.jobs[0].merged.size(), 2u);
+  for (int k = 0; k < 2; ++k) {
+    // The batch geometry: 8 data bits, 2^3 words per bank.
+    tgen::ClosureOptions opt;
+    opt.geometry.banks = job.banks;
+    opt.geometry.mem_addr_bits = 3;
+    opt.geometry.data_bits = 8;
+    opt.seed = job.seed + static_cast<std::uint64_t>(k);
+    opt.target = job.target;
+    opt.transactions_per_epoch = job.transactions_per_epoch;
+    opt.budget.max_epochs = job.max_epochs;
+    const util::Json* value =
+        result.jobs[0].merged.items()[static_cast<std::size_t>(k)].find(
+            "value");
+    ASSERT_NE(value, nullptr) << "shard " << k;
+    EXPECT_EQ(value->dump(), tgen::run_closure(opt).to_json().dump())
+        << "shard " << k;
   }
 }
 

@@ -582,7 +582,7 @@ TEST_P(BenchmarkCampaign, SequentialReportHashIsPinned) {
 
 TEST_P(BenchmarkCampaign, ParallelReportHashIsPinnedAtOneAndTwoWorkers) {
   for (int workers : {1, 2}) {
-    fault::ParallelOptions par;
+    exec::Options par;
     par.workers = workers;
     exec::PoolStats stats;
     const fault::CampaignReport report = fault::run_campaign_parallel(
@@ -623,7 +623,7 @@ TEST(Campaign, MultiBatchPlanCompiledMatchesInterpreted) {
   ASSERT_EQ(compiled.rows.size(), 78u);
   EXPECT_EQ(compiled.to_json().dump(), interpreted.to_json().dump());
 
-  fault::ParallelOptions par;
+  exec::Options par;
   par.workers = 2;
   exec::PoolStats stats;
   const fault::CampaignReport parallel =
@@ -666,7 +666,7 @@ TEST(Campaign, ParallelCancelThroughCampaignOptionsDegradesBatchShards) {
     opt.backend = backend;
     const std::atomic<bool> cancel{true};
     opt.cancel = &cancel;
-    fault::ParallelOptions par;
+    exec::Options par;
     par.workers = 2;
     const fault::CampaignReport report = fault::run_campaign_parallel(opt, par);
     ASSERT_EQ(report.rows.size(), 14u);

@@ -140,8 +140,8 @@ if [ "$release" -eq 1 ]; then
 fi
 
 if [ "$tsan" -eq 1 ]; then
-  # The concurrent code paths (work-stealing executor, batch runner, the
-  # parallel campaign/closure drivers they schedule) under ThreadSanitizer,
+  # The concurrent code paths (work-stealing executor, the batch runner and
+  # the parallel campaign on it) under ThreadSanitizer,
   # plus the csim differential suites: compiled-backend campaigns run one
   # Machine per worker, so the suites double as a data-race check on the
   # compile/executor seam. The fault_test campaign suites (Campaign.*,
@@ -428,7 +428,9 @@ fi
 # Coverage-closure gate (opt-in: --cov): fixed-seed closure at 1 and 2 banks
 # must reach 90% of the functional-coverage bins, and the shrinker must
 # reduce the seeded failing stream to a reproducer that still fails on
-# replay. la1check exits nonzero on either violation.
+# replay. la1check exits nonzero on either violation. bench_coverage_closure
+# exits nonzero unless its cov-closure seed sweep hashes identically at 1
+# and 2 workers and the two RTL backends give the same lockstep verdicts.
 if [ "$cov" -eq 1 ]; then
   for banks in 1 2; do
     "$build_dir/tools/la1check" cov --banks "$banks" --seed 1 \
@@ -440,7 +442,9 @@ if [ "$cov" -eq 1 ]; then
     --out "$smoke_dir/cov-repro.json" > /dev/null
   "$build_dir/tools/la1check" cov --replay "$smoke_dir/cov-repro.json" \
     > /dev/null
-  gate_done "coverage-closure gate passed (banks 1 and 2, seed 1)"
+  "$build_dir/bench/bench_coverage_closure" --max-banks 1 --sweep-shards 2 \
+    --sweep-workers 2 --json "$smoke_dir/cov-closure-bench.json" > /dev/null
+  gate_done "coverage-closure gate passed (banks 1 and 2, seed 1; 2-seed sweep)"
 fi
 
 # Batch-service gate (opt-in: --batch): the shipped example job file must

@@ -321,7 +321,7 @@ int run_faults(const util::Cli& cli) {
   const int workers = cli.get_bounded("workers", 1, 1);
   fault::CampaignReport report;
   if (workers > 1) {
-    fault::ParallelOptions par;
+    exec::Options par;
     par.workers = workers;
     par.steal_seed = cli.get_u64("steal-seed", 1);
     par.shard_wall_ms = cli.get_u64("shard-wall-ms", 0);
